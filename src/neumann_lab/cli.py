@@ -220,7 +220,11 @@ def cmd_verify(args):
             domain = DomainSpec.disk(args.radius)
         resolutions = _parse_levels_2d(args)
         pinned = (64, 256) if not args.no_pinned else None
-    alphas = tuple(float(a) for a in args.alphas.split(","))
+    try:
+        alphas = tuple(float(a) for a in args.alphas.split(","))
+    except ValueError:
+        raise ConfigError(
+            f"--alphas must be comma-separated numbers, got {args.alphas!r}") from None
     config = VerifyConfig(domain=domain, family_kind=args.family, count=args.count,
                           seed=args.seed, resolutions=resolutions,
                           pinned_resolution=pinned, alphas=alphas,

@@ -26,6 +26,7 @@ from .errors import ConfigError, NonPositiveRadius, ResolutionTooSmall
 MIN_NODES_1D = 4
 MIN_RADIAL = 4
 MIN_ANGULAR = 8
+DISTANCE_BLOCK = 1024     # query points per block of distance_to_boundary
 
 
 def _trig_poly(a0, cos_coeffs, sin_coeffs, theta):
@@ -340,5 +341,14 @@ def distance_to_boundary(mesh, points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if mesh.dim == 1:
         return np.minimum(pts[:, 0] - mesh.spec.a, mesh.spec.b - pts[:, 0])
-    diff = pts[:, None, :] - mesh.boundary_xy[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2)).min(axis=1)
+    bx, by = mesh.boundary_xy[:, 0], mesh.boundary_xy[:, 1]
+    d2min = np.empty(len(pts))
+    for start in range(0, len(pts), DISTANCE_BLOCK):
+        block = pts[start:start + DISTANCE_BLOCK]
+        d2 = np.subtract.outer(block[:, 0], bx)
+        d2 *= d2
+        dy = np.subtract.outer(block[:, 1], by)
+        dy *= dy
+        d2 += dy
+        d2.min(axis=1, out=d2min[start:start + len(block)])
+    return np.sqrt(d2min)

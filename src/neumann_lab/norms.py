@@ -1,20 +1,28 @@
 """Discrete L2, sup and Holder-scale norms.
 
 The Holder seminorm of a sampled field is the exact maximum of
-|v(x) - v(y)| / |x - y|^alpha over all unordered node pairs.  Two
-strategies compute it:
+|v(x) - v(y)| / |x - y|^alpha over all unordered node pairs.  One sweep
+computes it for every component and exponent stacked into a call: the
+nodes are sorted and cut into chunks of TILE, and each tile (a pair of
+chunks) gets its squared distances axis by axis, their log once, the
+distance weight once per exponent and the value differences once per
+component.  Two strategies choose the tiles:
 
-* ``brute_force`` scans every pair (in cache-sized square tiles);
-* ``pruned`` scans the same tiles ordered by decreasing value spread
-  and skips a tile when an upper bound on its best quotient -- the
-  smaller of the global bound 2 max|v| and the tile's own value spread,
-  divided by a lower bound on its minimum pair distance -- cannot
-  exceed the running maximum.
+* ``brute_force`` scans every tile;
+* ``pruned`` scans the tiles ordered by decreasing value spread and
+  skips a tile for a (component, exponent) entry when an upper bound on
+  its best quotient -- the smaller of the global bound 2 max|v| and the
+  tile's own value spread, divided by a lower bound on its minimum pair
+  distance -- cannot exceed the running maximum.
 
 Both strategies apply identical per-pair arithmetic, so the returned
-maxima agree bitwise; only witness tie-breaking may differ.  Volume
-fields use Euclidean distance between nodes; boundary fields use
-arclength along the boundary loop.
+maxima agree bitwise.  A tile that reaches the running maximum yields
+its lexicographically smallest attaining pair as the witness, inside
+the sweep; only witness tie-breaking may differ between strategies.
+Volume fields use Euclidean distance between nodes; boundary fields use
+arclength along the boundary loop, with distances and pruning bounds
+taken the short way round.  ``holder_reports`` stacks all fields on one
+node set into a single sweep.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateInput
 from .field import BoundaryFunction, GridFunction, gradient
 
-TILE = 512
+TILE = 128       # nodes per chunk; a tile's work arrays then stay in L2 cache
 
 STRATEGIES = ("brute_force", "pruned")
 
@@ -94,8 +102,14 @@ def _as_points(coords, n):
     return pts
 
 
-def _tiles_euclidean(coords, comps):
-    """Sorted order, tile slices and per-tile stats for the Euclidean metric."""
+def _tiles(coords, comps, period):
+    """Sorted order, tile slices and per-tile stats.
+
+    A tile pairs two chunks of TILE consecutive nodes in sorted order.
+    Its dmin is a lower bound on the distance of any of its pairs: the
+    gap between the chunks' bounding boxes, and on a loop also the gap
+    around the seam, period minus the span of both chunks.
+    """
     n = coords.shape[0]
     if coords.shape[1] > 1:
         order = np.lexsort((coords[:, 1], coords[:, 0]))
@@ -109,45 +123,62 @@ def _tiles_euclidean(coords, comps):
     hi = np.array([P[c].max(axis=0) for c in chunks])
     vlo = np.array([V[:, c].min(axis=1) for c in chunks]).T  # (m, nchunks)
     vhi = np.array([V[:, c].max(axis=1) for c in chunks]).T
-    tiles = []
-    nc = len(chunks)
-    for p in range(nc):
-        for q in range(p, nc):
-            gap = np.maximum(0.0, np.maximum(lo[q] - hi[p], lo[p] - hi[q]))
-            dmin = float(np.sqrt((gap**2).sum()))
-            spread = np.maximum(vhi[:, p], vhi[:, q]) - np.minimum(vlo[:, p], vlo[:, q])
-            tiles.append((p, q, dmin, spread))
+    tp, tq = np.triu_indices(len(chunks))
+    gap = np.maximum(0.0, np.maximum(lo[tq] - hi[tp], lo[tp] - hi[tq]))
+    dmin = np.sqrt((gap**2).sum(axis=1))
+    if period is not None:
+        span = np.maximum(hi[tp, 0], hi[tq, 0]) - np.minimum(lo[tp, 0], lo[tq, 0])
+        dmin = np.minimum(dmin, np.maximum(0.0, period - span))
+    spread = np.maximum(vhi[:, tp], vhi[:, tq]) - np.minimum(vlo[:, tp], vlo[:, tq])
     # decreasing value spread (max over components), deterministic tie-break
-    tiles.sort(key=lambda t: (-float(t[3].max()), t[0], t[1]))
+    scan = np.lexsort((tq, tp, -spread.max(axis=0)))
+    tiles = [(int(tp[t]), int(tq[t]), float(dmin[t]), spread[:, t]) for t in scan]
     return order, P, V, chunks, tiles
 
 
-def _tile_d2(P, chunks, p, q, period):
-    cp, cq = chunks[p], chunks[q]
+def _view(buf, shape):
+    """The leading part of a flat work array as a contiguous 2D array."""
+    return buf[:shape[0] * shape[1]].reshape(shape)
+
+
+def _tile_d2(P, cp, cq, diagonal, period, d2, tmp):
+    """Squared pair distances of one tile, one axis at a time, into d2.
+
+    Pairs that do not count -- the diagonal tile's lower triangle and
+    coincident nodes -- get inf.  tmp is scratch of d2's shape.
+    """
+    np.subtract.outer(P[cp, 0], P[cq, 0], out=d2)
     if period is None:
-        diff = P[cp, None, :] - P[None, cq, :]
-        d2 = (diff**2).sum(axis=2)
+        d2 *= d2
+        for k in range(1, P.shape[1]):
+            np.subtract.outer(P[cp, k], P[cq, k], out=tmp)
+            tmp *= tmp
+            d2 += tmp
     else:
-        d = np.abs(P[cp, None, 0] - P[None, cq, 0])
-        d = np.minimum(d, period - d)
-        d2 = d * d
-    if p == q:
-        m = cp.stop - cp.start
-        r = np.arange(m)
-        d2[r[None, :] <= r[:, None]] = np.inf
+        np.abs(d2, out=d2)
+        np.subtract(period, d2, out=tmp)
+        np.minimum(d2, tmp, out=d2)
+        d2 *= d2
+    if diagonal:
+        d2[np.tri(d2.shape[0], dtype=bool)] = np.inf
     d2[d2 == 0.0] = np.inf
     return d2
 
 
-def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=None):
+def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=None,
+                        wanted=None):
     """Maximum Holder quotients for several components and exponents.
 
     coords: (n, d) node positions (with ``period`` set, coords[:, 0] is
     an arclength coordinate on a loop of that length).  comps: (m, n)
-    sampled fields sharing those nodes.  Returns (best, witnesses,
-    pairs_evaluated) where best has shape (m, len(alphas)) and
-    witnesses holds the lexicographically smallest attaining node-index
-    pair per entry (ties may resolve differently under pruning).
+    sampled fields sharing those nodes.  wanted: optional (m, len(alphas))
+    mask of the entries to compute; the others stay -inf.  Returns
+    (best, witnesses, pairs_evaluated) where best has shape
+    (m, len(alphas)) and witnesses holds the lexicographically smallest
+    attaining node-index pair per entry, taken inside the sweep from
+    each tile that reaches the running maximum.  Pruning skips tiles
+    that can only tie the maximum, so its witness ties may resolve
+    differently.
     """
     comps = np.atleast_2d(np.asarray(comps, dtype=float))
     coords = _as_points(coords, comps.shape[1])
@@ -163,84 +194,72 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown pair strategy {strategy!r}")
 
-    order, P, V, chunks, tiles = _tiles_euclidean(coords, comps)
+    order, P, V, chunks, tiles = _tiles(coords, comps, period)
     m, na = comps.shape[0], len(alphas)
+    wanted = np.ones((m, na), dtype=bool) if wanted is None else np.asarray(wanted, dtype=bool)
     gmax = 2.0 * np.abs(V).max(axis=1)            # per component
     best = np.full((m, na), -np.inf)
-    cand = [[[] for _ in range(na)] for _ in range(m)]
+    witnesses = np.zeros((m, na, 2), dtype=int)
     pairs = 0
+    # Tile-sized work arrays, reused across tiles: fresh arrays of this
+    # size cost more in page faults than the arithmetic done in them.
+    size = min(n, TILE) ** 2
+    d2_buf, ld_buf, w_buf, quot_buf = (np.empty(size) for _ in range(4))
+    dv_buf = [np.empty(size) for _ in range(m)]
 
     for p, q, dmin, spread in tiles:
-        live = np.ones((m, na), dtype=bool)
+        live = wanted.copy()
         if strategy == "pruned":
             num = np.minimum(gmax, spread)         # (m,)
             for ia, a in enumerate(alphas):
                 if dmin > 0.0:
-                    bound = num * dmin**(-a)
+                    # the slack covers the rounding gap between pow here and
+                    # exp(log) in the per-pair arithmetic below
+                    bound = num * dmin**(-a) * (1.0 + 1e-9)
                 else:
                     bound = np.where(num > 0.0, np.inf, 0.0)
-                live[:, ia] = bound > best[:, ia]
+                live[:, ia] &= bound > best[:, ia]
             if not live.any():
                 continue
-        d2 = _tile_d2(P, chunks, p, q, period)
-        had_mask = not np.all(np.isfinite(d2))
-        mask = ~np.isfinite(d2) if had_mask else None
-        with np.errstate(divide="ignore"):
-            ld = np.log(d2)
         cp, cq = chunks[p], chunks[q]
+        shape = (cp.stop - cp.start, cq.stop - cq.start)
+        d2 = _tile_d2(P, cp, cq, p == q, period, _view(d2_buf, shape), _view(ld_buf, shape))
+        mask = ~np.isfinite(d2)
+        if not mask.any():
+            mask = None
+        ld = np.log(d2, out=_view(ld_buf, shape))
         if p == q:
-            mm = cp.stop - cp.start
-            pairs += mm * (mm - 1) // 2
+            pairs += shape[0] * (shape[0] - 1) // 2
         else:
-            pairs += (cp.stop - cp.start) * (cq.stop - cq.start)
-        dv = {}
+            pairs += shape[0] * shape[1]
+        have_dv = set()
         for ia, a in enumerate(alphas):
-            if not live[:, ia].any():
+            rows = np.flatnonzero(live[:, ia])
+            if rows.size == 0:
                 continue
-            w = np.exp(ld * (-0.5 * a))
-            for ic in range(m):
-                if not live[ic, ia]:
-                    continue
-                if ic not in dv:
-                    dv[ic] = np.abs(V[ic, cp, None] - V[ic, None, cq])
-                quot = dv[ic] * w
-                if had_mask:
+            w = np.multiply(ld, -0.5 * a, out=_view(w_buf, shape))
+            np.exp(w, out=w)
+            for ic in rows:
+                dv = _view(dv_buf[ic], shape)
+                if ic not in have_dv:
+                    np.subtract.outer(V[ic, cp], V[ic, cq], out=dv)
+                    np.abs(dv, out=dv)
+                    have_dv.add(ic)
+                quot = np.multiply(dv, w, out=_view(quot_buf, shape))
+                if mask is not None:
                     quot[mask] = -1.0
                 tile_max = float(quot.max())
-                if tile_max > best[ic, ia]:
+                if tile_max < best[ic, ia]:
+                    continue
+                ii, jj = np.nonzero(quot == tile_max)
+                oi, oj = order[cp.start + ii], order[cq.start + jj]
+                first, second = np.minimum(oi, oj), np.maximum(oi, oj)
+                k = np.lexsort((second, first))[0]
+                pair = (int(first[k]), int(second[k]))
+                if tile_max > best[ic, ia] or pair < tuple(witnesses[ic, ia]):
                     best[ic, ia] = tile_max
-                    cand[ic][ia] = [(p, q)]
-                elif tile_max == best[ic, ia]:
-                    cand[ic][ia].append((p, q))
-
-    witnesses = np.zeros((m, na, 2), dtype=int)
-    for ic in range(m):
-        for ia, a in enumerate(alphas):
-            witnesses[ic, ia] = _resolve_witness(
-                P, V, chunks, order, cand[ic][ia], ic, a, best[ic, ia], period)
+                    witnesses[ic, ia] = pair
     return best, witnesses, pairs
-
-
-def _resolve_witness(P, V, chunks, order, tile_list, ic, alpha, value, period):
-    """Lexicographically smallest original-index pair attaining ``value``."""
-    best_pair = None
-    for p, q in tile_list:
-        d2 = _tile_d2(P, chunks, p, q, period)
-        with np.errstate(divide="ignore"):
-            w = np.exp(np.log(d2) * (-0.5 * alpha))
-        cp, cq = chunks[p], chunks[q]
-        quot = np.abs(V[ic, cp, None] - V[ic, None, cq]) * w
-        mask = ~np.isfinite(d2)
-        if mask.any():
-            quot[mask] = -1.0
-        ii, jj = np.nonzero(quot == value)
-        for a_, b_ in zip(ii, jj):
-            oi = int(order[cp.start + a_])
-            oj = int(order[cq.start + b_])
-            pair = (min(oi, oj), max(oi, oj))
-            if best_pair is None or pair < best_pair:
-                best_pair = pair
-    return best_pair if best_pair is not None else (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,46 +330,63 @@ def _comp_values(comp):
     return comp.values
 
 
-def holder_report_bundle(u, k, alphas, pair_strategy="pruned"):
-    """HolderReports of one field for several exponents in a single pass.
+def holder_reports(items, pair_strategy="pruned"):
+    """HolderReports of several fields with one pairwise sweep per node set.
 
-    The derivative fields and the pairwise distance work are shared
-    across exponents, which is what makes the estimate sweeps cheap.
+    items: sequence of (field, k, alphas).  The top-order components of
+    all items whose fields live on the same node set -- a mesh's volume
+    nodes, or its boundary loop -- are stacked into one
+    pairwise_holder_max call, which also shares the distance work across
+    exponents.  Each item's reports come from its own rows, so they
+    equal what a call for that item alone gives.  Returns one
+    {alpha: HolderReport} dict per item.
     """
-    if k not in (0, 1, 2):
-        raise ConfigError(f"derivative order must be 0, 1 or 2, got {k}")
-    stack = _derivative_stack(u, k)
-    sup_norms = tuple(
-        float(max(np.abs(_comp_values(c)).max() for c in comps)) for comps in stack)
-    top = stack[k]
-    vals = np.vstack([_comp_values(c) for c in top])
-    if isinstance(u, BoundaryFunction) and u.mesh.dim == 1:
-        # only the order-0 seminorm is meaningful on a two-point boundary
-        if k == 0:
-            xy = u.mesh.boundary_xy
-            best, wit, pairs = pairwise_holder_max(xy, vals, alphas)
-        else:
-            best = np.zeros((vals.shape[0], len(alphas)))
-            wit = np.zeros((vals.shape[0], len(alphas), 2), dtype=int)
-            xy = u.mesh.boundary_xy
-            pairs = 0
-    else:
-        _, xy, per = _field_samples(u if k == 0 else top[0], None, None)
-        best, wit, pairs = pairwise_holder_max(xy, vals, alphas,
-                                               strategy=pair_strategy, period=per)
-    reports = {}
-    for ia, a in enumerate(alphas):
-        ic = int(np.argmax(best[:, ia]))
-        i, j = wit[ic, ia]
-        seminorm = float(best[ic, ia])
-        reports[a] = HolderReport(
-            sup_norms=sup_norms,
-            seminorm=seminorm,
-            witness=(np.atleast_1d(xy[i]).copy(), np.atleast_1d(xy[j]).copy()),
-            total=float(sum(sup_norms) + seminorm),
-            pairs_evaluated=int(pairs) * len(top),
-        )
-    return reports
+    prepared, groups = [], {}
+    for u, k, alphas in items:
+        if k not in (0, 1, 2):
+            raise ConfigError(f"derivative order must be 0, 1 or 2, got {k}")
+        stack = _derivative_stack(u, k)
+        sup_norms = tuple(
+            float(max(np.abs(_comp_values(c)).max() for c in comps)) for comps in stack)
+        top = np.vstack([_comp_values(c) for c in stack[k]])
+        key = (id(u.mesh), isinstance(u, BoundaryFunction))
+        groups.setdefault(key, []).append(len(prepared))
+        prepared.append((u, sup_norms, top, tuple(float(a) for a in alphas)))
+
+    out = [None] * len(prepared)
+    for members in groups.values():
+        group = [prepared[i] for i in members]
+        _, xy, per = _field_samples(group[0][0], None, None)
+        alphas = tuple(dict.fromkeys(a for *_, item_alphas in group for a in item_alphas))
+        vals = np.vstack([top for _, _, top, _ in group])
+        wanted = np.vstack([np.tile(np.isin(alphas, item_alphas), (len(top), 1))
+                            for _, _, top, item_alphas in group])
+        best, wit, pairs = pairwise_holder_max(xy, vals, alphas, strategy=pair_strategy,
+                                               period=per, wanted=wanted)
+        start = 0
+        for i, (_, sup_norms, top, item_alphas) in zip(members, group):
+            rows = slice(start, start + len(top))
+            start = rows.stop
+            reports = {}
+            for a in item_alphas:
+                ia = alphas.index(a)
+                ic = rows.start + int(np.argmax(best[rows, ia]))
+                p, q = wit[ic, ia]
+                seminorm = float(best[ic, ia])
+                reports[a] = HolderReport(
+                    sup_norms=sup_norms,
+                    seminorm=seminorm,
+                    witness=(np.atleast_1d(xy[p]).copy(), np.atleast_1d(xy[q]).copy()),
+                    total=float(sum(sup_norms) + seminorm),
+                    pairs_evaluated=int(pairs) * len(top),
+                )
+            out[i] = reports
+    return out
+
+
+def holder_report_bundle(u, k, alphas, pair_strategy="pruned"):
+    """HolderReports of one field for several exponents in a single pass."""
+    return holder_reports([(u, k, alphas)], pair_strategy)[0]
 
 
 def c_k_alpha_norm(u, k, alpha, pair_strategy="pruned"):

@@ -26,7 +26,7 @@ from .errors import (BallNotContained, ConfigError, DegenerateData,
                      IncompatibleData, InvalidExponent)
 from .field import (BoundaryFunction, GridFunction, boundary_trace, gradient,
                     integrate_boundary, integrate_volume, mean, subtract_mean)
-from .norms import c_k_alpha_norm, holder_report_bundle, l2_norm
+from .norms import c_k_alpha_norm, holder_reports, l2_norm
 from .solver import (check_compatibility, solve_1d_oracle, solve_bordered,
                      solve_neumann, solve_neumann_pinned, solve_regularized)
 
@@ -387,6 +387,14 @@ class VerifyConfig:
     max_principle_bound: float = 1.01
     threads: int = 0                # 0: honor NEUMANN_LAB_THREADS, default 1
 
+    def __post_init__(self):
+        for a in self.alphas:
+            if not 0.0 < a < 1.0:
+                raise ConfigError(f"alpha must lie in (0, 1), got {a}")
+        if self.alpha_main not in self.alphas:
+            raise ConfigError(f"alpha_main {self.alpha_main} is not one of the alphas "
+                              f"{tuple(self.alphas)}")
+
     def to_json(self):
         return {
             "domain": self.domain.to_json(),
@@ -424,16 +432,20 @@ def _measure_instance(inst, mesh, config, check_scaling, with_holder):
            "energy_defect": energy_identity_defect(u, f, g)}
 
     if with_holder:
-        fb = holder_report_bundle(f, 0, alphas, config.pair_strategy)
-        gb = holder_report_bundle(g, 1, alphas, config.pair_strategy)
-        ub = holder_report_bundle(u, 2, alphas, config.pair_strategy)
+        main = config.alpha_main
+        items = [(f, 0, alphas), (g, 1, alphas), (u, 2, alphas)]
+        if check_scaling:
+            # the doubled problem's norms join the same sweeps
+            scaled = solve_neumann(2.0 * f, 2.0 * g, compat_policy="project")
+            items += [(2.0 * f, 0, (main,)), (2.0 * g, 1, (main,)),
+                      (subtract_mean(scaled.solution), 2, (main,))]
+        fb, gb, ub, *scaled_reports = holder_reports(items, config.pair_strategy)
         sup_u = float(np.abs(u.all_values()).max())
         for a in alphas:
             den = fb[a].total + gb[a].total
             row[f"ratio_schauder_{a}"] = _ratio(ub[a].total, den)
             row[f"ratio_intermediate_{a}"] = _ratio(ub[a].total, sup_u + den)
-        row["ratio_l2"] = _ratio(l2_norm(u), fb[config.alpha_main].total
-                                 + gb[config.alpha_main].total)
+        row["ratio_l2"] = _ratio(l2_norm(u), fb[main].total + gb[main].total)
 
     center = _serrin_center(mesh)
     p = config.serrin_p if config.serrin_p is not None else mesh.dim + 1
@@ -448,10 +460,9 @@ def _measure_instance(inst, mesh, config, check_scaling, with_holder):
     row["boundary_sup_gap"] = max(boundary_sup_gap(u, eps) for eps in config.eps_values)
 
     if check_scaling and with_holder:
-        scaled = solve_neumann(2.0 * f, 2.0 * g, compat_policy="project")
-        a = config.alpha_main
-        r1 = row[f"ratio_schauder_{a}"]
-        r2 = schauder_ratio(scaled.solution, 2.0 * f, 2.0 * g, a, config.pair_strategy)
+        f2, g2, u2 = (rep[main] for rep in scaled_reports)
+        r1 = row[f"ratio_schauder_{main}"]
+        r2 = _ratio(u2.total, f2.total + g2.total)
         row["scaling_deviation"] = abs(r2 - r1) / (abs(r1) if r1 else 1.0)
 
     return row, f, g, u, direct

@@ -98,6 +98,27 @@ def test_verify_zero_instances_exits_4(tmp_path):
     assert run(["verify", "--count", "0", "--out", str(tmp_path)]) == 4
 
 
+@pytest.mark.parametrize("flags", [["--alphas", "0.5,abc"],
+                                   ["--alphas", "0.3,0.7", "--alpha", "0.5"],
+                                   ["--alphas", "0.5,1.5"]])
+def test_verify_bad_alphas_exit_4(tmp_path, flags):
+    assert run(["verify", "--count", "1", "--levels", "1", "--no-pinned",
+                "--nr0", "8", "--ntheta0", "32", "--out", str(tmp_path)] + flags) == 4
+
+
+def test_verify_report_identical_across_threads(tmp_path):
+    payloads = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert run(["verify", "--count", "4", "--levels", "2", "--no-pinned",
+                    "--nr0", "12", "--ntheta0", "48", "--threads", threads,
+                    "--out", str(out)]) == 0
+        assert run(["report", "--input", str(out / "estimate_report.json"),
+                    "--strip-meta", "--out", str(out)]) == 0
+        payloads.append((out / "estimate_report.canonical.json").read_bytes())
+    assert payloads[0] == payloads[1]
+
+
 def test_verify_small_ladder(tmp_path):
     code = run(["verify", "--count", "2", "--levels", "2", "--no-pinned",
                 "--nr0", "8", "--ntheta0", "32", "--alphas", "0.5",

@@ -1,9 +1,11 @@
 """Mesh geometry: quadrature weights, normals, metric terms, invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from neumann_lab.domain import (DomainSpec, boundary_normal, build_mesh,
+from neumann_lab.domain import (DISTANCE_BLOCK, DomainSpec, boundary_normal, build_mesh,
                                 distance_to_boundary)
 from neumann_lab.errors import ConfigError, NonPositiveRadius, ResolutionTooSmall
 
@@ -158,6 +160,28 @@ def test_distance_to_boundary():
     mesh1 = build_mesh(DomainSpec.interval(0.0, 1.0), 8)
     d = distance_to_boundary(mesh1, np.array([[0.25]]))
     assert d[0] == pytest.approx(0.25, abs=1e-15)
+
+
+def test_distance_to_boundary_blocks_match_dense():
+    mesh = build_mesh(DomainSpec.star_shaped(1.0, (0.0, 0.3)), (24, 96))
+    pts = mesh.interior_xy
+    assert len(pts) > 2 * DISTANCE_BLOCK
+    diff = pts[:, None, :] - mesh.boundary_xy[None, :, :]
+    dense = np.sqrt((diff**2).sum(axis=2)).min(axis=1)
+    assert (distance_to_boundary(mesh, pts) == dense).all()
+
+
+def test_distance_to_boundary_memory_bounded():
+    # the dense form would hold interior x boundary x 2 doubles: 1 GiB here
+    mesh = build_mesh(DomainSpec.disk(), (128, 512))
+    tracemalloc.start()
+    try:
+        d = distance_to_boundary(mesh, mesh.interior_xy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+    assert np.abs(d - (1.0 - np.hypot(*mesh.interior_xy.T))).max() <= 1e-12
 
 
 def test_staggered_radial_layout(disk_mesh_small):

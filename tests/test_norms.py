@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neumann_lab.domain import DomainSpec, build_mesh
 from neumann_lab.errors import ConfigError, DegenerateInput
-from neumann_lab.field import BoundaryFunction, GridFunction
-from neumann_lab.norms import (HolderParams, HolderReport, c_k_alpha_norm,
-                               holder_seminorm, l2_norm, pairwise_holder_max)
+from neumann_lab.field import BoundaryFunction, GridFunction, gradient
+from neumann_lab.norms import (TILE, HolderParams, HolderReport, c_k_alpha_norm,
+                               holder_report_bundle, holder_reports, holder_seminorm,
+                               l2_norm, pairwise_holder_max)
 
 
 def oracle_seminorm(values, coords, alpha):
@@ -105,6 +108,111 @@ def test_pruned_equals_brute_on_grid_fields(disk_mesh_small, rng):
         rp = c_k_alpha_norm(u, 2, alpha, pair_strategy="pruned")
         assert rb.seminorm == rp.seminorm
         assert rb.total == rp.total
+
+
+def test_pruned_periodic_pruning_across_the_seam():
+    # a boundary loop of 2048 nodes, many tiles, whose steepest pair straddles the seam
+    mesh = build_mesh(DomainSpec.disk(), (8, 2048))
+    t = mesh.theta / (2 * np.pi)
+    bump = (t - 0.5) + 3 * np.sin(2 * np.pi * (t - 0.25) / 0.5)
+    g = BoundaryFunction(mesh, np.where((t > 0.25) & (t < 0.75), bump, t - 0.5))
+    rb = c_k_alpha_norm(g, 0, 0.5, pair_strategy="brute_force")
+    rp = c_k_alpha_norm(g, 0, 0.5, pair_strategy="pruned")
+    assert rb.seminorm == pytest.approx(18.045, abs=1e-3)
+    assert rp.seminorm == rb.seminorm
+
+
+def _attains(coords, values, best, witnesses, alphas, period=None):
+    """Every witness pair's quotient, recomputed directly, equals its maximum."""
+    coords = coords.reshape(len(coords), -1)
+    for ic in range(values.shape[0]):
+        for ia, a in enumerate(alphas):
+            i, j = witnesses[ic, ia]
+            d = np.abs(coords[i] - coords[j])
+            if period is not None:
+                d = np.minimum(d, period - d)
+            q = abs(values[ic, i] - values[ic, j]) / float(np.sqrt((d * d).sum()))**a
+            assert i < j and q == pytest.approx(best[ic, ia], rel=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2 * TILE + 1, 4 * TILE),
+       periodic=st.booleans(), rough=st.booleans(),
+       alphas=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3, unique=True))
+def test_pruned_equals_brute_bitwise_multi_tile(seed, n, periodic, rough, alphas):
+    rng = np.random.default_rng(seed)
+    if periodic:
+        period = float(rng.uniform(1.0, 10.0))
+        coords = np.sort(rng.uniform(0.0, period, n))[:, None]
+        t = coords[:, 0] / period
+    else:
+        period = None
+        coords = rng.random((n, 2))
+        t = coords[:, 0]
+    if rough:
+        values = rng.standard_normal((2, n))
+    else:
+        # a sawtooth (a jump across the seam) with a steep bump in the middle
+        bump = (t - 0.5) + 3 * np.sin(2 * np.pi * (t - 0.25) / 0.5)
+        values = np.vstack([np.where((t > 0.25) & (t < 0.75), bump, t - 0.5),
+                            np.sin(2 * np.pi * t)])
+    b, wb, pb = pairwise_holder_max(coords, values, alphas, "brute_force", period)
+    p, wp, pp = pairwise_holder_max(coords, values, alphas, "pruned", period)
+    assert (b == p).all()
+    assert pp <= pb == n * (n - 1) // 2
+    _attains(coords, values, b, wb, alphas, period)
+    _attains(coords, values, p, wp, alphas, period)
+
+
+@pytest.mark.parametrize("shape", [(1200,), (30, 30)])
+def test_brute_force_witness_ties_across_tiles(shape, rng):
+    # unit-spaced lattice with alternating values: every adjacent pair
+    # attains the maximum 1 exactly, in many tiles; nodes are shuffled so
+    # sorted order and index order differ
+    axes = np.meshgrid(*[np.arange(k, dtype=float) for k in shape], indexing="ij")
+    coords = np.column_stack([ax.ravel() for ax in axes])
+    values = (sum(axes).ravel() % 2.0)[None, :]
+    perm = rng.permutation(len(coords))
+    coords, values = coords[perm], values[:, perm]
+    assert len(coords) > TILE
+    best, wit, _ = pairwise_holder_max(coords, values, (0.5,), "brute_force")
+    assert best[0, 0] == 1.0
+    d = np.sqrt(((coords[:, None, :] - coords[None, :, :])**2).sum(axis=2))
+    ties = np.argwhere(np.triu(np.abs(values[0][:, None] - values[0][None, :]) == d, k=1))
+    assert tuple(wit[0, 0]) == tuple(min(map(tuple, ties)))
+
+
+def test_stacked_call_equals_separate_calls(disk_mesh_small, rng):
+    mesh = disk_mesh_small
+    f = GridFunction(mesh, rng.standard_normal(mesh.n_interior),
+                     rng.standard_normal(mesh.n_boundary))
+    u = GridFunction.from_expression(mesh, "sin(3*x)*cos(2*y) + x*y")
+    g = BoundaryFunction.from_expression(mesh, "cos(theta) + 0.3*sin(5*theta)")
+    items = [(f, 0, (0.3, 0.5, 0.7)), (g, 1, (0.3, 0.5, 0.7)), (u, 2, (0.3, 0.5, 0.7)),
+             (2.0 * f, 0, (0.5,)), (2.0 * g, 1, (0.5,)), (u, 1, (0.5,))]
+    for strategy in ("brute_force", "pruned"):
+        stacked = holder_reports(items, strategy)
+        for (fld, k, alphas), reports in zip(items, stacked):
+            alone = holder_report_bundle(fld, k, alphas, strategy)
+            assert list(reports) == list(alphas)
+            for a in alphas:
+                assert reports[a].seminorm == alone[a].seminorm
+                assert reports[a].total == alone[a].total
+                assert reports[a].sup_norms == alone[a].sup_norms
+                if strategy == "brute_force":
+                    for x, y in zip(reports[a].witness, alone[a].witness):
+                        assert (x == y).all()
+    # kernel level: the volume rows of f and u'' in one call
+    xy = f.all_xy()
+    second = [c.all_values() for d in gradient(u) for c in gradient(d)]
+    rows = np.vstack([f.all_values()] + second)
+    for strategy in ("brute_force", "pruned"):
+        b, w, _ = pairwise_holder_max(xy, rows, (0.3, 0.7), strategy)
+        for ic in range(len(rows)):
+            bi, wi, _ = pairwise_holder_max(xy, rows[ic:ic + 1], (0.3, 0.7), strategy)
+            assert (b[ic] == bi[0]).all()
+            if strategy == "brute_force":
+                assert (w[ic] == wi[0]).all()
 
 
 def test_boundary_seminorm_uses_arclength(disk_mesh_small):

@@ -269,6 +269,26 @@ def test_family_study_csv_rows():
         assert col in rows[0]
 
 
+def test_verify_config_rejects_bad_alphas():
+    with pytest.raises(ConfigError):
+        VerifyConfig(alphas=(0.3, 0.7), alpha_main=0.5)
+    with pytest.raises(ConfigError):
+        VerifyConfig(alphas=(0.5, 1.0))
+
+
+def test_stacked_scaling_check_matches_schauder_ratio():
+    from neumann_lab.verify import _measure_instance
+    config = _tiny_config(alphas=(0.3, 0.5))
+    mesh = build_mesh(config.domain, (8, 32))
+    inst = ProblemFamily(seed=3, count=1).instances()[0]
+    row, f, g, u, _ = _measure_instance(inst, mesh, config, check_scaling=True,
+                                        with_holder=True)
+    scaled = solve_neumann(2.0 * f, 2.0 * g, compat_policy="project").solution
+    r1 = row["ratio_schauder_0.5"]
+    r2 = schauder_ratio(scaled, 2.0 * f, 2.0 * g, 0.5)
+    assert row["scaling_deviation"] == abs(r2 - r1) / abs(r1)
+
+
 def test_family_study_rejects_empty():
     with pytest.raises(ConfigError):
         run_family_study(_tiny_config(count=0))
