@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__
+from . import __version__, norms, solver
 from .domain import DomainSpec, build_mesh
 from .errors import (ConfigError, EvalDomainError, ExprSyntaxError,
                      IncompatibleData, LinearSolveFailure, NeumannLabError,
@@ -389,7 +389,7 @@ def build_parser():
     p.add_argument("--f", help="forcing expression")
     p.add_argument("--g", help="boundary flux expression")
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--strategy", choices=("direct_augmented", "fredholm_iteration"))
+    p.add_argument("--strategy", choices=solver.STRATEGIES)
     p.add_argument("--compat", choices=("reject", "project"))
     p.add_argument("--tol-linear", type=float, default=1e-10)
     p.add_argument("--tol-compat", type=float, default=1e-8)
@@ -417,8 +417,7 @@ def build_parser():
                    help="skip the extra pinned level at n_r = 64")
     p.add_argument("--alphas", default="0.3,0.5,0.7")
     p.add_argument("--alpha", type=float, default=0.5, help="exponent for the L2 ratio")
-    p.add_argument("--pair-strategy", choices=("pruned", "brute_force"),
-                   default="pruned")
+    p.add_argument("--pair-strategy", choices=norms.STRATEGIES, default="pruned")
     p.add_argument("--threads", type=int, default=0,
                    help="instance parallelism (0: NEUMANN_LAB_THREADS or 1)")
     _add_output_flags(p)
@@ -432,7 +431,7 @@ def build_parser():
     p.add_argument("--f")
     p.add_argument("--g")
     p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--strategy", choices=("direct_augmented", "fredholm_iteration"))
+    p.add_argument("--strategy", choices=solver.STRATEGIES)
     p.add_argument("--compat", choices=("reject", "project"))
     p.add_argument("--exact", help="exact mean-zero solution for error/order reporting")
     _add_output_flags(p)

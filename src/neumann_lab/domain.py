@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConfigError, NonPositiveRadius, ResolutionTooSmall
 
@@ -190,6 +191,13 @@ class Mesh:
         if self.dim == 1:
             return self.h
         return float(np.max(self.R) * self.h_s)
+
+    @cached_property
+    def interior_depth(self):
+        """Sampled boundary distance of every interior node, computed once."""
+        depth = distance_to_boundary(self, self.interior_xy)
+        depth.setflags(write=False)
+        return depth
 
     def reshape2d(self, flat):
         return np.asarray(flat).reshape(self.n_r, self.n_theta)

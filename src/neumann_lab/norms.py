@@ -3,17 +3,20 @@
 The Holder seminorm of a sampled field is the exact maximum of
 |v(x) - v(y)| / |x - y|^alpha over all unordered node pairs.  One sweep
 computes it for every component and exponent stacked into a call: the
-nodes are sorted and cut into chunks of TILE, and each tile (a pair of
+nodes are cut into chunks of TILE -- compact k-d boxes in the plane,
+runs of the sorted order on a line or loop -- and each tile (a pair of
 chunks) gets its squared distances axis by axis, their log once, the
 distance weight once per exponent and the value differences once per
-component.  Two strategies choose the tiles:
+component.  Tiles are scanned best first, by decreasing upper bound
+spread / dmin^a on their quotients.  Two strategies choose the tiles:
 
 * ``brute_force`` scans every tile;
-* ``pruned`` scans the tiles ordered by decreasing value spread and
-  skips a tile for a (component, exponent) entry when an upper bound on
-  its best quotient -- the smaller of the global bound 2 max|v| and the
-  tile's own value spread, divided by a lower bound on its minimum pair
-  distance -- cannot exceed the running maximum.
+* ``pruned`` skips a tile for a (component, exponent) entry when an
+  upper bound on its best quotient -- the smaller of the global bound
+  2 max|v| and the tile's own value spread, divided by a lower bound on
+  its minimum pair distance -- cannot exceed the running maximum.
+  Small boxes keep spreads small on smooth fields, and the best-first
+  order finds the maximum early, so most tiles are skipped.
 
 Both strategies apply identical per-pair arithmetic, so the returned
 maxima agree bitwise.  A tile that reaches the running maximum yields
@@ -102,17 +105,37 @@ def _as_points(coords, n):
     return pts
 
 
-def _tiles(coords, comps, period):
-    """Sorted order, tile slices and per-tile stats.
+def _kd_order(coords, idx):
+    """idx ordered into k-d boxes of TILE nodes.
 
-    A tile pairs two chunks of TILE consecutive nodes in sorted order.
-    Its dmin is a lower bound on the distance of any of its pairs: the
-    gap between the chunks' bounding boxes, and on a loop also the gap
-    around the seam, period minus the span of both chunks.
+    Each split cuts along the axis of larger extent (ties in that
+    coordinate broken by the others) and puts TILE * ceil(nchunks / 2)
+    nodes on the left, so every chunk but the last holds TILE nodes.
+    """
+    nchunks = -(-len(idx) // TILE)
+    if nchunks <= 1:
+        return idx
+    P = coords[idx]
+    axis = int(np.argmax(P.max(axis=0) - P.min(axis=0)))
+    idx = idx[np.lexsort((*P.T, P[:, axis]))]
+    left = TILE * -(-nchunks // 2)
+    return np.concatenate([_kd_order(coords, idx[:left]), _kd_order(coords, idx[left:])])
+
+
+def _tiles(coords, comps, period, alphas):
+    """Node order, chunk slices and the tiles in scan order.
+
+    Nodes are cut into chunks of TILE: k-d boxes for coordinates with
+    more than one column, runs of the sorted order on a line or loop.
+    A tile pairs two chunks.  Its dmin is a lower bound on the distance
+    of any of its pairs: the gap between the chunks' bounding boxes, and
+    on a loop also the gap around the seam, period minus the span of
+    both chunks.  Tiles are scanned best first, by decreasing bound
+    spread * dmin**-a (a the mean exponent; inf where dmin is 0).
     """
     n = coords.shape[0]
     if coords.shape[1] > 1:
-        order = np.lexsort((coords[:, 1], coords[:, 0]))
+        order = _kd_order(coords, np.arange(n))
     else:
         order = np.argsort(coords[:, 0], kind="stable")
     P = coords[order]
@@ -130,8 +153,10 @@ def _tiles(coords, comps, period):
         span = np.maximum(hi[tp, 0], hi[tq, 0]) - np.minimum(lo[tp, 0], lo[tq, 0])
         dmin = np.minimum(dmin, np.maximum(0.0, period - span))
     spread = np.maximum(vhi[:, tp], vhi[:, tq]) - np.minimum(vlo[:, tp], vlo[:, tq])
-    # decreasing value spread (max over components), deterministic tie-break
-    scan = np.lexsort((tq, tp, -spread.max(axis=0)))
+    top = spread.max(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.where(dmin > 0.0, top * dmin**-np.mean(alphas), np.inf)
+    scan = np.lexsort((tq, tp, -top, -bound))
     tiles = [(int(tp[t]), int(tq[t]), float(dmin[t]), spread[:, t]) for t in scan]
     return order, P, V, chunks, tiles
 
@@ -194,7 +219,7 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown pair strategy {strategy!r}")
 
-    order, P, V, chunks, tiles = _tiles(coords, comps, period)
+    order, P, V, chunks, tiles = _tiles(coords, comps, period, alphas)
     m, na = comps.shape[0], len(alphas)
     wanted = np.ones((m, na), dtype=bool) if wanted is None else np.asarray(wanted, dtype=bool)
     gmax = 2.0 * np.abs(V).max(axis=1)            # per component

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (IncompatibleData, LinearSolveFailure, NonConvergence,
+from .errors import (ConfigError, IncompatibleData, LinearSolveFailure, NonConvergence,
                      NonZeroMeanInput)
 from .field import (BoundaryFunction, GridFunction, integrate_boundary,
                     integrate_volume, mean, neumann_operator, subtract_mean,
@@ -45,7 +45,7 @@ KRYLOV_MAXITER = 500          # total inner iterations
 KRYLOV_TOL = 1e-10
 FREDHOLM_RESIDUAL_TOL = 1e-8  # Neumann-system residual accepted for the Krylov route
 
-STRATEGIES = ("direct_augmented", "fredholm_iteration", "regularized")
+STRATEGIES = ("direct_augmented", "fredholm_iteration")
 
 
 @dataclass(frozen=True)
@@ -85,18 +85,11 @@ def _workspace(mesh):
     return ws
 
 
-def _operator(mesh):
-    ws = _workspace(mesh)
-    if "A" not in ws:
-        ws["A"] = neumann_operator(mesh)
-    return ws["A"]
-
-
 def _regularized_lu(mesh):
     ws = _workspace(mesh)
     if "reg_lu" not in ws:
         shift = np.concatenate([np.ones(mesh.n_interior), np.zeros(mesh.n_boundary)])
-        A_reg = (_operator(mesh) - sp.diags(shift)).tocsr()
+        A_reg = (neumann_operator(mesh) - sp.diags(shift)).tocsr()
         ws["reg"] = A_reg
         ws["reg_lu"] = spla.splu(A_reg.tocsc())
     return ws["reg"], ws["reg_lu"]
@@ -113,7 +106,7 @@ def _bordered_lu(mesh, constraint, node):
     ws = _workspace(mesh)
     key = ("bordered", constraint, node)
     if key not in ws:
-        A = _operator(mesh)
+        A = neumann_operator(mesh)
         ell, mean_row = _null_vectors(mesh)
         col = ell / np.dot(ell, ell)   # multiplier column: makes lambda == defect
         if constraint == "mean":
@@ -225,7 +218,7 @@ def _apply_policy(f, g, compat_policy, tol_compat):
         shift = delta / f.mesh.area
         f_proj = GridFunction(f.mesh, f.interior - shift, f.boundary - shift)
         return f_proj, delta
-    raise ValueError(f"unknown compatibility policy {compat_policy!r}")
+    raise ConfigError(f"unknown compatibility policy {compat_policy!r}")
 
 
 def solve_neumann(f, g, strategy="direct_augmented", compat_policy="reject",
@@ -246,12 +239,12 @@ def solve_neumann(f, g, strategy="direct_augmented", compat_policy="reject",
     Returns a SolveReport whose solution has discrete mean zero.
     """
     _require_same_mesh(f, g)
-    if strategy not in ("direct_augmented", "fredholm_iteration"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {strategy!r}")
     mesh = f.mesh
     t0 = time.perf_counter()
     f_eff, delta = _apply_policy(f, g, compat_policy, tol_compat)
-    A = _operator(mesh)
+    A = neumann_operator(mesh)
     b = _rhs(f_eff, g)
 
     if strategy == "direct_augmented":
@@ -306,7 +299,7 @@ def solve_neumann_pinned(f, g, node=0, value=0.0, compat_policy="reject",
     f_eff, delta = _apply_policy(f, g, compat_policy, tol_compat)
     t0 = time.perf_counter()
     u, lam = solve_bordered(f_eff, g, constraint="pin", node=node, value=value)
-    A = _operator(f.mesh)
+    A = neumann_operator(f.mesh)
     res = _rel_residual(A, u.all_values(), _rhs(f_eff, g))
     return SolveReport(solution=u, strategy="direct_augmented", residual=res,
                        iterations=0, defect=delta, multiplier=lam,

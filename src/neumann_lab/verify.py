@@ -252,8 +252,7 @@ def boundary_sup_gap(u, eps):
     comps = gradient(u)
     grad_sq = sum(np.abs(c.all_values())**2 for c in comps)
     sup_grad = float(np.sqrt(grad_sq.max()))
-    dist = distance_to_boundary(mesh, mesh.interior_xy)
-    inside = dist >= eps - mesh.cell_size
+    inside = mesh.interior_depth >= eps - mesh.cell_size
     sup_eps = float(np.abs(u.interior[inside]).max()) if inside.any() else 0.0
     sup_b = float(np.abs(u.boundary).max())
     gap = sup_b - (sup_eps + eps * sup_grad)

@@ -56,6 +56,14 @@ def test_solve_bad_domain_exits_4(tmp_path):
                 "--out", str(tmp_path)]) == 4
 
 
+@pytest.mark.parametrize("entry", [{"strategy": "regularized"}, {"compat_policy": "ignore"}])
+def test_problem_file_bad_solver_choice_exits_4(tmp_path, entry):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"f": "1", "g": "0.5", **entry}))
+    assert run(["solve", "--problem", str(path), "--nr", "8", "--ntheta", "16",
+                "--out", str(tmp_path)]) == 4
+
+
 def test_problem_file_and_flag_precedence(tmp_path):
     problem = {
         "domain": {"kind": "interval", "a": 0.0, "b": 1.0, "resolution": [64]},

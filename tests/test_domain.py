@@ -169,6 +169,9 @@ def test_distance_to_boundary_blocks_match_dense():
     diff = pts[:, None, :] - mesh.boundary_xy[None, :, :]
     dense = np.sqrt((diff**2).sum(axis=2)).min(axis=1)
     assert (distance_to_boundary(mesh, pts) == dense).all()
+    # the per-mesh copy is computed once, equal and read-only
+    assert mesh.interior_depth is mesh.interior_depth
+    assert (mesh.interior_depth == dense).all() and not mesh.interior_depth.flags.writeable
 
 
 def test_distance_to_boundary_memory_bounded():

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from neumann_lab.domain import DomainSpec, build_mesh
 from neumann_lab.errors import ConfigError, DegenerateInput
 from neumann_lab.field import BoundaryFunction, GridFunction, gradient
-from neumann_lab.norms import (TILE, HolderParams, HolderReport, c_k_alpha_norm,
+from neumann_lab.norms import (TILE, HolderParams, HolderReport, _tiles, c_k_alpha_norm,
                                holder_report_bundle, holder_reports, holder_seminorm,
                                l2_norm, pairwise_holder_max)
+from neumann_lab.verify import ProblemFamily
 
 
 def oracle_seminorm(values, coords, alpha):
@@ -135,20 +136,37 @@ def _attains(coords, values, best, witnesses, alphas, period=None):
             assert i < j and q == pytest.approx(best[ic, ia], rel=1e-12)
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2 * TILE + 1, 4 * TILE),
-       periodic=st.booleans(), rough=st.booleans(),
+def _cloud(rng, n, layout):
+    """Points in the unit square that stress the k-d split."""
+    if layout == "clustered":
+        centres = rng.random((3, 2))
+        return centres[rng.integers(0, 3, n)] + 1e-3 * rng.standard_normal((n, 2))
+    if layout == "collinear_x":
+        return np.column_stack([rng.random(n), np.full(n, 0.25)])
+    if layout == "collinear_y":
+        return np.column_stack([np.full(n, 0.5), rng.random(n)])
+    if layout == "duplicates":
+        # few distinct sites, each repeated many times: long runs of ties
+        return rng.integers(0, 6, (n, 2)) / 5.0
+    return rng.random((n, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(TILE + 1, 4 * TILE),
+       layout=st.sampled_from(["periodic", "uniform", "clustered", "collinear_x",
+                               "collinear_y", "duplicates"]),
+       rough=st.booleans(),
        alphas=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3, unique=True))
-def test_pruned_equals_brute_bitwise_multi_tile(seed, n, periodic, rough, alphas):
+def test_pruned_equals_brute_bitwise_multi_tile(seed, n, layout, rough, alphas):
     rng = np.random.default_rng(seed)
-    if periodic:
+    if layout == "periodic":
         period = float(rng.uniform(1.0, 10.0))
         coords = np.sort(rng.uniform(0.0, period, n))[:, None]
         t = coords[:, 0] / period
     else:
         period = None
-        coords = rng.random((n, 2))
-        t = coords[:, 0]
+        coords = _cloud(rng, n, layout)
+        t = coords.mean(axis=1)
     if rough:
         values = rng.standard_normal((2, n))
     else:
@@ -162,6 +180,49 @@ def test_pruned_equals_brute_bitwise_multi_tile(seed, n, periodic, rough, alphas
     assert pp <= pb == n * (n - 1) // 2
     _attains(coords, values, b, wb, alphas, period)
     _attains(coords, values, p, wp, alphas, period)
+
+
+@pytest.mark.parametrize("n", [TILE - 3, TILE, 3 * TILE, 5 * TILE + 17])
+@pytest.mark.parametrize("layout", ["uniform", "clustered", "collinear_y", "duplicates"])
+def test_kd_tile_layout(n, layout, rng):
+    coords = _cloud(rng, n, layout)
+    values = rng.standard_normal((2, n))
+    alphas = (0.3, 0.7)
+    order, P, V, chunks, tiles = _tiles(coords, values, None, alphas)
+    assert (np.sort(order) == np.arange(n)).all()
+    assert (P == coords[order]).all() and (V == values[:, order]).all()
+    sizes = [c.stop - c.start for c in chunks]
+    assert sum(sizes) == n and all(k == TILE for k in sizes[:-1]) and 0 < sizes[-1] <= TILE
+    # chunks are the leaves of the k-d split: any two boxes are separated
+    # along some axis (touching only where the split coordinate ties)
+    lo = np.array([P[c].min(axis=0) for c in chunks])
+    hi = np.array([P[c].max(axis=0) for c in chunks])
+    for p in range(len(chunks)):
+        for q in range(p + 1, len(chunks)):
+            assert ((hi[p] <= lo[q]) | (hi[q] <= lo[p])).any()
+    # every chunk pair once, each with a sound distance bound, best first
+    assert sorted((p, q) for p, q, *_ in tiles) == [
+        (p, q) for p in range(len(chunks)) for q in range(p, len(chunks))]
+    bounds = []
+    for p, q, dmin, spread in tiles:
+        d = np.sqrt(((P[chunks[p], None, :] - P[None, chunks[q], :])**2).sum(axis=2))
+        if p == q:
+            d = d[np.triu_indices(len(d), k=1)] if len(d) > 1 else np.array([np.inf])
+        assert dmin <= d.min()
+        bounds.append(spread.max() * dmin**-np.mean(alphas) if dmin > 0 else np.inf)
+    assert all(x >= y for x, y in zip(bounds, bounds[1:]))
+
+
+def test_pruning_skips_most_pairs_on_smooth_study_data():
+    # default-family forcing on the finest default rung: smooth fields,
+    # where k-d boxes keep tile spreads small enough to prune
+    mesh = build_mesh(DomainSpec.disk(), (48, 192))
+    n = mesh.n_interior + mesh.n_boundary
+    for seed in range(5):
+        f, _ = ProblemFamily(seed=seed, count=1).instances()[0].realize(mesh)
+        _, _, pairs = pairwise_holder_max(f.all_xy(), f.all_values()[None, :],
+                                          (0.3, 0.5, 0.7), "pruned")
+        assert pairs <= 0.5 * n * (n - 1) // 2
 
 
 @pytest.mark.parametrize("shape", [(1200,), (30, 30)])

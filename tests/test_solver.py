@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from neumann_lab.domain import DomainSpec, build_mesh
-from neumann_lab.errors import IncompatibleData, NonZeroMeanInput
+from neumann_lab.errors import ConfigError, IncompatibleData, NonZeroMeanInput
 from neumann_lab.field import (BoundaryFunction, GridFunction, mean,
                                subtract_mean)
 from neumann_lab.norms import c_k_alpha_norm
-from neumann_lab.solver import (apply_screened_inverse, check_compatibility,
+from neumann_lab.solver import (STRATEGIES, apply_screened_inverse, check_compatibility,
                                 solve_1d_oracle, solve_bordered, solve_neumann,
                                 solve_neumann_pinned, solve_regularized)
 
@@ -144,9 +144,11 @@ def test_screened_inverse_bounded_under_refinement(rng):
 def test_neumann_zero_data_means_zero_solution(disk_mesh_small):
     f = GridFunction.zeros(disk_mesh_small)
     g = BoundaryFunction.zeros(disk_mesh_small)
-    for strategy in ("direct_augmented", "fredholm_iteration"):
+    for strategy in STRATEGIES:
         rep = solve_neumann(f, g, strategy=strategy)
         assert np.abs(rep.solution.all_values()).max() <= 1e-12
+    with pytest.raises(ConfigError):
+        solve_neumann(f, g, strategy="regularized")
 
 
 def test_neumann_manufactured_disk(disk_mesh):
