@@ -10,7 +10,8 @@ Reports are written atomically (temp file, then rename) as
 deterministic function of the configuration and seed; timestamps and
 wall times live under ``meta`` so byte comparison of the ``report``
 payload is meaningful.  Exit codes: 0 success, 2 incompatible data,
-3 solver failure, 4 configuration error, 1 unexpected error.
+3 solver failure, 4 configuration error (flag values the parser rejects
+included), 1 unexpected error.
 """
 
 from __future__ import annotations
@@ -457,7 +458,10 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:    # usage printed; a bad flag is a configuration error
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.func(args)
     except IncompatibleData as exc:

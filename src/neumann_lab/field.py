@@ -427,4 +427,5 @@ def _assemble_2d(mesh):
     A = sp.csr_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))), shape=(N, N))
     A.sum_duplicates()
+    A.eliminate_zeros()    # terms in R' vanish on a disk; keep them out of the LU
     return A

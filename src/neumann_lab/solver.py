@@ -1,14 +1,21 @@
 """Solvers for the Neumann problem and its shifted regularization.
 
 Three routes are implemented against the same conservative discrete
-operator:
+operator A:
 
 * ``solve_regularized``: the shifted problem (lap - 1) u = f with
   du/dn = g, a nonsingular sparse system, well posed for arbitrary data.
 * ``solve_neumann`` with ``direct_augmented``: the singular Neumann
-  system bordered by a mean-zero constraint row and a multiplier
-  column.  The column is scaled so the multiplier reported back equals
-  the compatibility defect integral(f) - boundary_integral(g).
+  system solved through one sparse LU per mesh of the deflated operator
+  B = A + c e_p e_p^T (p = ``DEFLATION_NODE``, c = A_pp, so B has A's
+  pattern and scale).  A's null space is the constants and its left
+  null space is spanned by ell = (w_vol, -w_bnd), so the multiplier
+  lam = ell.b is the compatibility defect integral(f) -
+  boundary_integral(g), b - lam ell/(ell.ell) is compatible, and B x = b'
+  then solves A x = b' with x_p = 0.  A constant shift imposes the mean
+  or pin constraint.  This is the bordered system [[A, ell/(ell.ell)],
+  [row, 0]] solved by block elimination, without factoring the dense
+  border; mean, pin at any node and the multiplier probe share the LU.
 * ``solve_neumann`` with ``fredholm_iteration``: a matrix-free Krylov
   route.  With K the zero-flux screened-Poisson inverse (the solution
   operator w of (1 - lap) w = f, dw/dn = 0), the Neumann solution
@@ -24,6 +31,7 @@ than approximate.
 
 from __future__ import annotations
 
+import threading
 import time
 import weakref
 from dataclasses import dataclass
@@ -44,6 +52,7 @@ KRYLOV_RESTART = 30
 KRYLOV_MAXITER = 500          # total inner iterations
 KRYLOV_TOL = 1e-10
 FREDHOLM_RESIDUAL_TOL = 1e-8  # Neumann-system residual accepted for the Krylov route
+DEFLATION_NODE = 0            # p of the deflated operator A + A_pp e_p e_p^T
 
 STRATEGIES = ("direct_augmented", "fredholm_iteration")
 
@@ -75,48 +84,62 @@ class SolveReport:
 
 
 _cache = weakref.WeakKeyDictionary()
+# Instance threads solve on one mesh at a time; the first to miss a factor
+# builds it while the others wait, so a mesh is never factored twice.
+_factor_lock = threading.Lock()
 
 
-def _workspace(mesh):
-    ws = _cache.get(mesh)
-    if ws is None:
-        ws = {}
-        _cache[mesh] = ws
-    return ws
+def _cached_factor(mesh, key, build):
+    ws = _cache.setdefault(mesh, {})
+    if key not in ws:          # a built factor is read without the lock
+        with _factor_lock:
+            if key not in ws:
+                ws[key] = build()
+    return ws[key]
 
 
 def _regularized_lu(mesh):
-    ws = _workspace(mesh)
-    if "reg_lu" not in ws:
+    def build():
         shift = np.concatenate([np.ones(mesh.n_interior), np.zeros(mesh.n_boundary)])
         A_reg = (neumann_operator(mesh) - sp.diags(shift)).tocsr()
-        ws["reg"] = A_reg
-        ws["reg_lu"] = spla.splu(A_reg.tocsc())
-    return ws["reg"], ws["reg_lu"]
+        return A_reg, spla.splu(A_reg.tocsc())
+    return _cached_factor(mesh, "regularized", build)
 
 
-def _null_vectors(mesh):
-    """Left null direction of the Neumann operator and the mean row."""
+def _deflated_lu(mesh):
+    """LU of B = A + A_pp e_p e_p^T, nonsingular because ell_p = w_vol[p] > 0.
+
+    Any nonzero multiple of e_p e_p^T would do; A_pp doubles the pivot
+    instead of cancelling it.  B is A's CSC copy with the (p, p) entry
+    doubled, so it keeps A's sparsity pattern and no other copy of A is
+    made.
+    """
+    def build():
+        p = DEFLATION_NODE
+        B = neumann_operator(mesh).tocsc()
+        lo, hi = B.indptr[p], B.indptr[p + 1]
+        B.data[lo + np.flatnonzero(B.indices[lo:hi] == p)[0]] *= 2.0
+        return spla.splu(B)
+    return _cached_factor(mesh, "deflated", build)
+
+
+def _deflated_solve(mesh, b, constraint="mean", node=0, value=0.0):
+    """(x, lam, b'): A x = b' = b - lam ell/(ell.ell) with lam = ell.b,
+    and the constraint integral(x) = value ("mean") or x[node] = value
+    ("pin") imposed by a constant shift."""
+    # ell^T A = 0 because the scheme is conservative, and for b = (f, g)
+    # ell.b = integral(f) - boundary_integral(g), the compatibility defect
     ell = np.concatenate([mesh.w_vol, -mesh.w_bnd])
-    mean_row = np.concatenate([mesh.w_vol, np.zeros(mesh.n_boundary)])
-    return ell, mean_row
-
-
-def _bordered_lu(mesh, constraint, node):
-    ws = _workspace(mesh)
-    key = ("bordered", constraint, node)
-    if key not in ws:
-        A = neumann_operator(mesh)
-        ell, mean_row = _null_vectors(mesh)
-        col = ell / np.dot(ell, ell)   # multiplier column: makes lambda == defect
-        if constraint == "mean":
-            row = mean_row
-        else:
-            row = np.zeros(A.shape[0])
-            row[node] = 1.0
-        M = sp.bmat([[A, col[:, None]], [row[None, :], None]], format="csc")
-        ws[key] = spla.splu(M)
-    return ws[key]
+    lam = float(np.dot(ell, b))
+    b_compat = b - (lam / np.dot(ell, ell)) * ell
+    x = _deflated_lu(mesh).solve(b_compat)
+    if constraint == "mean":
+        x -= (np.dot(mesh.w_vol, x[:mesh.n_interior]) - value) / mesh.area
+    else:
+        x -= x[node] - value
+    if not np.all(np.isfinite(x)):
+        raise LinearSolveFailure("constrained Neumann solve produced non-finite values")
+    return x, lam, b_compat
 
 
 def _rhs(f, g):
@@ -124,12 +147,12 @@ def _rhs(f, g):
 
 
 def _split(mesh, vec):
-    return GridFunction(mesh, vec[:mesh.n_interior],
-                        vec[mesh.n_interior:mesh.n_interior + mesh.n_boundary])
+    return GridFunction(mesh, vec[:mesh.n_interior], vec[mesh.n_interior:])
 
 
-def _rel_residual(A, x, b):
-    """Normwise backward error ||Ax - b|| / (||A||_inf ||x|| + ||b||).
+def _checked_residual(A, x, b, tol, route):
+    """Normwise backward error ||Ax - b|| / (||A||_inf ||x|| + ||b||);
+    raises LinearSolveFailure above tol.
 
     Scale-invariant: the plain relative residual inflates with the
     operator's 1/h^2 entry scale and would fail a fixed tolerance on
@@ -137,7 +160,10 @@ def _rel_residual(A, x, b):
     """
     anorm = float(np.abs(A).sum(axis=1).max())
     denom = anorm * np.linalg.norm(x) + np.linalg.norm(b)
-    return float(np.linalg.norm(A @ x - b) / (denom if denom > 0 else 1.0))
+    res = float(np.linalg.norm(A @ x - b) / (denom if denom > 0 else 1.0))
+    if not np.isfinite(res) or res > tol:
+        raise LinearSolveFailure(f"{route} residual {res:.3e} > {tol:.1e}")
+    return res
 
 
 def check_compatibility(f, g):
@@ -161,9 +187,7 @@ def solve_regularized(f, g, tol=DEFAULT_LINEAR_TOL):
     A_reg, lu = _regularized_lu(mesh)
     b = _rhs(f, g)
     x = lu.solve(b)
-    res = _rel_residual(A_reg, x, b)
-    if not np.isfinite(res) or res > tol:
-        raise LinearSolveFailure(f"regularized solve residual {res:.3e} > {tol:.1e}")
+    res = _checked_residual(A_reg, x, b, tol, "regularized solve")
     return SolveReport(solution=_split(mesh, x), strategy="regularized",
                        residual=res, iterations=0,
                        defect=check_compatibility(f, g), multiplier=0.0,
@@ -193,18 +217,20 @@ def apply_screened_inverse(f, tol=DEFAULT_LINEAR_TOL):
 def solve_bordered(f, g, constraint="mean", node=0, value=0.0):
     """Raw bordered solve; absorbs any incompatibility into the multiplier.
 
-    Returns (u, multiplier).  With the mean constraint and compatible
-    data the multiplier vanishes and u is the mean-zero solution; for
-    incompatible data the multiplier equals the defect.
+    Returns (u, multiplier).  The constraint is integral(u) = value
+    ("mean") or u[node] = value ("pin", node indexes interior then
+    boundary values).  With compatible data the multiplier vanishes; for
+    incompatible data it equals the defect and u solves the data with
+    the defect removed along ell.  The multiplier holds by construction;
+    the residual check against the compatible data is what fails when
+    ell is not a left null vector of A.
     """
     _require_same_mesh(f, g)
     mesh = f.mesh
-    lu = _bordered_lu(mesh, constraint, node)
-    rhs = np.concatenate([_rhs(f, g), [value]])
-    x = lu.solve(rhs)
-    if not np.all(np.isfinite(x)):
-        raise LinearSolveFailure("bordered solve produced non-finite values")
-    return _split(mesh, x), float(x[-1])
+    x, lam, b_compat = _deflated_solve(mesh, _rhs(f, g), constraint, node, value)
+    _checked_residual(neumann_operator(mesh), x, b_compat, DEFAULT_LINEAR_TOL,
+                      "bordered solve")
+    return _split(mesh, x), lam
 
 
 def _apply_policy(f, g, compat_policy, tol_compat):
@@ -230,7 +256,7 @@ def solve_neumann(f, g, strategy="direct_augmented", compat_policy="reject",
     Parameters
     ----------
     f, g : GridFunction, BoundaryFunction on the same mesh.
-    strategy : "direct_augmented" (bordered sparse solve) or
+    strategy : "direct_augmented" (the deflated sparse LU) or
         "fredholm_iteration" (matrix-free restarted GMRES).
     compat_policy : "reject" raises IncompatibleData when the defect
         exceeds tol_compat * (1 + sup|f| + sup|g|); "project" shifts f
@@ -248,11 +274,9 @@ def solve_neumann(f, g, strategy="direct_augmented", compat_policy="reject",
     b = _rhs(f_eff, g)
 
     if strategy == "direct_augmented":
-        u, lam = solve_bordered(f_eff, g)
-        u = subtract_mean(u)
-        res = _rel_residual(A, u.all_values(), b)
-        if not np.isfinite(res) or res > tol_linear:
-            raise LinearSolveFailure(f"direct solve residual {res:.3e} > {tol_linear:.1e}")
+        x, lam, _ = _deflated_solve(mesh, b)
+        res = _checked_residual(A, x, b, tol_linear, "direct solve")
+        u = _split(mesh, x)
         iters = 0
     else:
         _, lu = _regularized_lu(mesh)
@@ -278,9 +302,7 @@ def solve_neumann(f, g, strategy="direct_augmented", compat_policy="reject",
                 f"GMRES did not reach rtol {krylov_tol:.1e} within "
                 f"{count[0]} iterations (info={info})")
         u = subtract_mean(_split(mesh, x))
-        res = _rel_residual(A, u.all_values(), b)
-        if not np.isfinite(res) or res > FREDHOLM_RESIDUAL_TOL:
-            raise LinearSolveFailure(f"fredholm residual {res:.3e} > {FREDHOLM_RESIDUAL_TOL:.1e}")
+        res = _checked_residual(A, u.all_values(), b, FREDHOLM_RESIDUAL_TOL, "fredholm")
         lam = 0.0
         iters = count[0]
 
@@ -294,14 +316,16 @@ def solve_neumann_pinned(f, g, node=0, value=0.0, compat_policy="reject",
     """Neumann solve with the mean constraint replaced by u[node] = value.
 
     Used by the uniqueness-up-to-constants experiment: the result must
-    differ from the mean-zero solution by a constant field.
+    differ from the mean-zero solution by a constant field.  Shares the
+    direct route's factorization and residual check.
     """
+    mesh = f.mesh
     f_eff, delta = _apply_policy(f, g, compat_policy, tol_compat)
     t0 = time.perf_counter()
-    u, lam = solve_bordered(f_eff, g, constraint="pin", node=node, value=value)
-    A = neumann_operator(f.mesh)
-    res = _rel_residual(A, u.all_values(), _rhs(f_eff, g))
-    return SolveReport(solution=u, strategy="direct_augmented", residual=res,
+    b = _rhs(f_eff, g)
+    x, lam, _ = _deflated_solve(mesh, b, "pin", node, value)
+    res = _checked_residual(neumann_operator(mesh), x, b, DEFAULT_LINEAR_TOL, "pinned solve")
+    return SolveReport(solution=_split(mesh, x), strategy="direct_augmented", residual=res,
                        iterations=0, defect=delta, multiplier=lam,
                        wall_time=time.perf_counter() - t0)
 

@@ -543,6 +543,16 @@ def _worker_count(config):
     return max(1, int(os.environ.get("NEUMANN_LAB_THREADS", "1") or "1"))
 
 
+def _first_passing_n(domain, res, gap, eps):
+    """Smallest radial (2D) or cell (1D) count, from res's, whose outer
+    nodes lie within eps of the boundary; the gap scales like 1/n."""
+    res = list(np.atleast_1d(res))
+    n = max(res[0] + 1, int(gap * res[0] / eps))
+    while build_mesh(domain, tuple([n] + res[1:])).interior_depth.min() > eps:
+        n += 1
+    return n
+
+
 def run_family_study(config):
     """Run every measure over the configured family and ladder."""
     if config.count < 1:
@@ -556,10 +566,21 @@ def run_family_study(config):
     if config.pinned_resolution is not None:
         ladder.append((config.pinned_resolution, False))  # cheap measures only
     pinned_level = len(ladder) - 1
+    meshes = [build_mesh(config.domain, res) for res, _ in ladder]
+    eps = min(config.eps_values)
+    for (res, _), mesh in zip(ladder, meshes):
+        # boundary_sup_gap bridges to the boundary over eps only
+        gap = float(mesh.interior_depth.min())
+        if gap > eps:
+            name = "n" if mesh.dim == 1 else "n_r"
+            raise ConfigError(f"rung {res} is too coarse for eps = {eps}: its outer "
+                              f"nodes lie {gap:.4g} from the boundary; the first "
+                              f"{name} that passes is "
+                              f"{_first_passing_n(config.domain, res, gap, eps)}")
 
     levels = []
     for lvl, (res, with_holder) in enumerate(ladder):
-        mesh = build_mesh(config.domain, res)
+        mesh, meshes[lvl] = meshes[lvl], None   # a finished level's factors can go
         h = mesh.h if mesh.dim == 1 else mesh.h_s
 
         def measure(inst, _mesh=mesh, _lvl=lvl, _holder=with_holder):

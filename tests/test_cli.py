@@ -93,7 +93,7 @@ def test_solve_report_reproducible(tmp_path):
 
 def test_verify_degraded_single_level(tmp_path, capsys):
     code = run(["verify", "--count", "2", "--levels", "1", "--no-pinned",
-                "--nr0", "8", "--ntheta0", "32", "--out", str(tmp_path)])
+                "--nr0", "12", "--ntheta0", "32", "--out", str(tmp_path)])
     captured = capsys.readouterr()
     assert code == 0
     assert "skipped" in captured.err     # degraded-mode warning
@@ -111,7 +111,37 @@ def test_verify_zero_instances_exits_4(tmp_path):
                                    ["--alphas", "0.5,1.5"]])
 def test_verify_bad_alphas_exit_4(tmp_path, flags):
     assert run(["verify", "--count", "1", "--levels", "1", "--no-pinned",
-                "--nr0", "8", "--ntheta0", "32", "--out", str(tmp_path)] + flags) == 4
+                "--nr0", "12", "--ntheta0", "32", "--out", str(tmp_path)] + flags) == 4
+
+
+@pytest.mark.parametrize("args", [["solve", "--strategy", "regularized", "--f", "1",
+                                   "--g", "0.5"],
+                                  ["verify", "--pair-strategy", "exact"]])
+def test_bad_flag_value_exits_4(tmp_path, capsys, args):
+    assert run(args + ["--out", str(tmp_path)]) == 4
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["solve", "--help"], ["verify", "--help"]])
+def test_help_exits_0(args, capsys):
+    assert run(args) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_verify_rung_too_coarse_for_eps_exits_4(tmp_path, capsys):
+    # (8, 32): the outer ring lies 0.0625 from the boundary, beyond eps = 0.05
+    assert run(["verify", "--count", "3", "--levels", "2", "--no-pinned",
+                "--nr0", "8", "--ntheta0", "32", "--out", str(tmp_path)]) == 4
+    assert "rung (8, 32)" in capsys.readouterr().err
+
+
+def test_verify_large_domain_needs_finer_rung(tmp_path, capsys):
+    # the outer-ring gap grows with the radius: 2/24 at (12, 32) on a radius-2 disk
+    base = ["verify", "--radius", "2", "--count", "1", "--levels", "1", "--no-pinned",
+            "--ntheta0", "32", "--out", str(tmp_path)]
+    assert run(base + ["--nr0", "12"]) == 4
+    assert "the first n_r that passes is 20" in capsys.readouterr().err
+    assert run(base + ["--nr0", "20"]) == 0
 
 
 def test_verify_report_identical_across_threads(tmp_path):
@@ -129,7 +159,7 @@ def test_verify_report_identical_across_threads(tmp_path):
 
 def test_verify_small_ladder(tmp_path):
     code = run(["verify", "--count", "2", "--levels", "2", "--no-pinned",
-                "--nr0", "8", "--ntheta0", "32", "--alphas", "0.5",
+                "--nr0", "12", "--ntheta0", "32", "--alphas", "0.5",
                 "--out", str(tmp_path), "--format", "both"])
     assert code == 0
     csv_path = tmp_path / "estimate_report.csv"
@@ -177,7 +207,7 @@ def test_report_strip_meta(tmp_path):
 
 def test_report_rerenders_estimate_csv(tmp_path):
     run(["verify", "--count", "1", "--levels", "1", "--no-pinned",
-         "--nr0", "8", "--ntheta0", "32", "--out", str(tmp_path)])
+         "--nr0", "12", "--ntheta0", "32", "--out", str(tmp_path)])
     code = run(["report", "--input", str(tmp_path / "estimate_report.json"),
                 "--format", "csv", "--out", str(tmp_path / "re")])
     assert code == 0

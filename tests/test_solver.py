@@ -1,11 +1,16 @@
 """Solver contracts: compatibility, regularized/Neumann solves, 1D oracle."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from neumann_lab import solver
 from neumann_lab.domain import DomainSpec, build_mesh
-from neumann_lab.errors import ConfigError, IncompatibleData, NonZeroMeanInput
-from neumann_lab.field import (BoundaryFunction, GridFunction, mean,
+from neumann_lab.errors import (ConfigError, IncompatibleData, LinearSolveFailure,
+                                NonZeroMeanInput)
+from neumann_lab.field import (BoundaryFunction, GridFunction, mean, neumann_operator,
                                subtract_mean)
 from neumann_lab.norms import c_k_alpha_norm
 from neumann_lab.solver import (STRATEGIES, apply_screened_inverse, check_compatibility,
@@ -228,6 +233,77 @@ def test_multiplier_scales_with_data(disk_mesh_small):
     _, lam1 = solve_bordered(f, g)
     _, lam2 = solve_bordered(2.0 * f, g)
     assert lam2 == pytest.approx(2.0 * lam1, rel=1e-12)
+
+
+def test_constrained_solves_share_one_factorization(monkeypatch):
+    mesh = build_mesh(DomainSpec.disk(), (12, 24))     # fresh: nothing cached yet
+    factored = []
+    splu = solver.spla.splu
+    monkeypatch.setattr(solver.spla, "splu",
+                        lambda M, *a, **kw: factored.append(M.shape) or splu(M, *a, **kw))
+    f = GridFunction.from_expression(mesh, "x*y + cos(2*x)")
+    g = BoundaryFunction.constant(mesh, 0.3)
+    calls = [lambda: solve_neumann(f, g, compat_policy="project").solution,
+             lambda: solve_bordered(GridFunction.constant(mesh, 1.0),
+                                    BoundaryFunction.zeros(mesh))[0]]
+    calls += [lambda node=node: solve_neumann_pinned(f, g, node=node, value=1.0,
+                                                     compat_policy="project").solution
+              for node in (0, mesh.n_interior // 2, mesh.n_interior + 5)]
+    # as the family study's instance threads do: all at once, switching often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+            futures = [pool.submit(call) for call in calls * 2]
+            results = [fut.result(timeout=60).all_values() for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(factored) == 1
+    for first, again in zip(results[:len(calls)], results[len(calls):]):
+        np.testing.assert_array_equal(first, again)
+
+
+@pytest.mark.parametrize("mesh_name, expr", [("disk_mesh", "x*y + cos(2*x)"),
+                                             ("star_mesh", "x*y + cos(2*x)"),
+                                             ("interval_mesh", "x^3 - x")])
+def test_pinned_mean_and_probe_contracts(request, mesh_name, expr):
+    mesh = request.getfixturevalue(mesh_name)
+    A = neumann_operator(mesh)
+    assert np.all(A.data != 0)          # the deflated LU factors A's true pattern
+    f = GridFunction.from_expression(mesh, expr)
+    g = BoundaryFunction.constant(mesh, 0.3)
+    base = solve_neumann(f, g, compat_policy="project")
+    sup = np.abs(base.solution.all_values()).max()
+    assert base.residual <= 1e-10
+    for node in (0, mesh.n_interior // 2, mesh.n_interior + 1):
+        pinned = solve_neumann_pinned(f, g, node=node, value=1.0, compat_policy="project")
+        assert abs(pinned.solution.all_values()[node] - 1.0) <= 1e-12
+        assert np.ptp((pinned.solution - base.solution).all_values()) <= 1e-12 * sup
+        assert pinned.residual <= 1e-10
+    f_bad = GridFunction.from_expression(mesh, f"{expr} + 1")
+    _, lam = solve_bordered(f_bad, g)
+    assert lam == pytest.approx(check_compatibility(f_bad, g), rel=1e-12)
+
+
+def test_pinned_solve_checks_its_residual(disk_mesh_small, monkeypatch):
+    f = GridFunction.from_expression(disk_mesh_small, "x*y")
+    g = BoundaryFunction.zeros(disk_mesh_small)
+    solve_neumann_pinned(f, g, compat_policy="project")
+    monkeypatch.setattr(solver, "DEFAULT_LINEAR_TOL", 1e-30)
+    with pytest.raises(LinearSolveFailure, match="pinned solve"):
+        solve_neumann_pinned(f, g, compat_policy="project")
+
+
+def test_bordered_solve_catches_nonconservative_operator(monkeypatch):
+    # lam = ell.b and the deflation both assume ell^T A = 0; the residual
+    # against the compatible data is the check that can see it fail
+    mesh = build_mesh(DomainSpec.disk(), (8, 16))      # fresh: nothing cached yet
+    A = neumann_operator(mesh).tolil()
+    A[3, 3] *= 1.5
+    monkeypatch.setattr(solver, "neumann_operator", lambda _mesh: A.tocsr())
+    with pytest.raises(LinearSolveFailure, match="bordered solve"):
+        solve_bordered(GridFunction.from_expression(mesh, "x*y + 1"),
+                       BoundaryFunction.zeros(mesh))
 
 
 def test_solve_deterministic(disk_mesh_small, rng):

@@ -289,6 +289,19 @@ def test_stacked_scaling_check_matches_schauder_ratio():
     assert row["scaling_deviation"] == abs(r2 - r1) / abs(r1)
 
 
+def test_family_study_rejects_rung_coarser_than_eps(monkeypatch):
+    import neumann_lab.verify as verify
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the rung check")
+
+    monkeypatch.setattr(verify, "_measure_instance", no_solve)
+    # the (8, 32) outer ring lies 0.0625 from the boundary: fine for eps 0.1, not 0.05
+    config = _tiny_config(resolutions=((16, 64), (8, 32)), eps_values=(0.1, 0.05))
+    with pytest.raises(ConfigError, match=r"rung \(8, 32\).*eps = 0\.05"):
+        run_family_study(config)
+
+
 def test_family_study_rejects_empty():
     with pytest.raises(ConfigError):
         run_family_study(_tiny_config(count=0))
