@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, norms, solver
-from .domain import DomainSpec, build_mesh
+from .domain import DomainSpec, build_mesh, check_mesh_size
 from .errors import (ConfigError, EvalDomainError, ExprSyntaxError,
                      IncompatibleData, LinearSolveFailure, NeumannLabError,
                      NonConvergence, NonPositiveRadius, ResolutionTooSmall,
@@ -106,12 +106,29 @@ def _domain_from_args(args, problem):
     if kind == "interval":
         return DomainSpec.interval(args.a, args.b), None
     if kind == "star":
-        if not args.radius_coeffs:
-            raise ConfigError("star domain needs --radius-coeffs JSON")
-        rc = json.loads(args.radius_coeffs)
-        return DomainSpec.star_shaped(rc.get("a0", 1.0), rc.get("cos", ()),
-                                      rc.get("sin", ())), None
+        return _star_domain(args.radius_coeffs), None
     raise ConfigError(f"unknown domain {kind!r}")
+
+
+def _star_domain(text):
+    """Star-shaped domain from --radius-coeffs {"a0": x, "cos": [...], "sin": [...]}.
+
+    a0 defaults to 1 and the mode lists to empty; anything but a JSON
+    object with a number a0 and lists of numbers is a ConfigError.
+    """
+    if not text:
+        raise ConfigError("star domain needs --radius-coeffs JSON")
+    rc = json.loads(text)
+
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if not (isinstance(rc, dict) and number(rc.get("a0", 1.0))
+            and all(isinstance(rc.get(k, []), list) and all(map(number, rc.get(k, [])))
+                    for k in ("cos", "sin"))):
+        raise ConfigError('--radius-coeffs must be a JSON object {"a0": number, '
+                          f'"cos": [numbers], "sin": [numbers]}}, got {text!r}')
+    return DomainSpec.star_shaped(rc.get("a0", 1.0), rc.get("cos", ()), rc.get("sin", ()))
 
 
 def _resolution_from_args(args, spec, file_res):
@@ -214,9 +231,7 @@ def cmd_verify(args):
         pinned = 128 if not args.no_pinned else None
     else:
         if args.domain == "star":
-            rc = json.loads(args.radius_coeffs) if args.radius_coeffs else {}
-            domain = DomainSpec.star_shaped(rc.get("a0", 1.0), rc.get("cos", ()),
-                                            rc.get("sin", ()))
+            domain = _star_domain(args.radius_coeffs)
         else:
             domain = DomainSpec.disk(args.radius)
         resolutions = _parse_levels_2d(args)
@@ -266,11 +281,14 @@ def cmd_sweep(args):
         raise ConfigError("sweep needs --f and --g expressions (or a problem file)")
     base = _resolution_from_args(args, spec, file_res)
     policy = args.compat or problem.get("compat_policy", "project")
+    ladder = [base * 2**k if spec.dim == 1 else (base[0] * 2**k, base[1] * 2**k)
+              for k in range(args.levels)]
+    for res in ladder:
+        check_mesh_size(res)
     t0 = time.perf_counter()
     rows = []
     errors = []
-    for k in range(args.levels):
-        res = base * 2**k if spec.dim == 1 else (base[0] * 2**k, base[1] * 2**k)
+    for res in ladder:
         mesh = build_mesh(spec, res)
         f = GridFunction.from_expression(mesh, f_text)
         g = BoundaryFunction.from_expression(mesh, g_text)

@@ -28,6 +28,22 @@ MIN_NODES_1D = 4
 MIN_RADIAL = 4
 MIN_ANGULAR = 8
 DISTANCE_BLOCK = 1024     # query points per block of distance_to_boundary
+# Largest mesh a configuration may ask for: 14x the 37,248 nodes of the
+# (96, 384) level.  It is checked from the resolution alone, so a larger
+# rung is refused before any mesh, operator or factor is built.
+MAX_NODES = 2**19
+
+
+def check_mesh_size(resolution):
+    """Raise ConfigError if a mesh of this resolution exceeds MAX_NODES.
+
+    resolution: n cells of an interval, or (n_r, n_theta).
+    """
+    res = [int(v) for v in np.atleast_1d(resolution)]
+    nodes = res[0] + 2 if len(res) == 1 else (res[0] + 1) * res[-1]
+    if nodes > MAX_NODES:
+        raise ConfigError(f"resolution {tuple(res)} has {nodes} nodes, more than the "
+                          f"{MAX_NODES} a mesh may have")
 
 
 def _trig_poly(a0, cos_coeffs, sin_coeffs, theta):
@@ -237,8 +253,10 @@ def build_mesh(spec, resolution):
         (n_r, n_theta) for star-shaped domains (>= (4, 8)).
 
     Raises NonPositiveRadius if R(theta) <= 0 at any of 4 * n_theta
-    sample angles, ResolutionTooSmall below the minimums.
+    sample angles, ResolutionTooSmall below the minimums and ConfigError
+    above MAX_NODES.
     """
+    check_mesh_size(resolution)
     if spec.dim == 1:
         n = int(np.atleast_1d(resolution)[0])
         if n < MIN_NODES_1D:

@@ -20,6 +20,7 @@ bookkeeping downstream relies on that exactness.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -278,6 +279,9 @@ def normal_derivative(u):
 # conservative operator assembly (shared with the solvers)
 
 _operator_cache = weakref.WeakKeyDictionary()
+# Instance threads share meshes; the first to miss an operator assembles
+# it while the others wait, so a mesh is never assembled twice.
+_operator_lock = threading.Lock()
 
 
 def neumann_operator(mesh):
@@ -285,9 +289,12 @@ def neumann_operator(mesh):
     Laplacian, boundary rows the discrete outward normal derivative.
     Cached per mesh."""
     A = _operator_cache.get(mesh)
-    if A is None:
-        A = _assemble_1d(mesh) if mesh.dim == 1 else _assemble_2d(mesh)
-        _operator_cache[mesh] = A
+    if A is None:              # a built operator is read without the lock
+        with _operator_lock:
+            A = _operator_cache.get(mesh)
+            if A is None:
+                A = _assemble_1d(mesh) if mesh.dim == 1 else _assemble_2d(mesh)
+                _operator_cache[mesh] = A
     return A
 
 

@@ -2,24 +2,30 @@
 
 The Holder seminorm of a sampled field is the exact maximum of
 |v(x) - v(y)| / |x - y|^alpha over all unordered node pairs.  One sweep
-computes it for every component and exponent stacked into a call: the
-nodes are cut into chunks of TILE -- compact k-d boxes in the plane,
-runs of the sorted order on a line or loop -- and each tile (a pair of
-chunks) gets its squared distances axis by axis, their log once, the
-distance weight once per exponent and the value differences once per
-component.  Tiles are scanned best first, by decreasing upper bound
-spread / dmin^a on their quotients.  Two strategies choose the tiles:
+computes it for every component and exponent stacked into a call.  The
+nodes are cut into chunks of TILE, and each chunk into leaves of LEAF --
+nested k-d boxes in the plane, runs of the sorted order on a line or
+loop.  A tile is a pair of chunks, a leaf pair a pair of leaves.  Leaf
+pairs are evaluated in batches: their squared distances axis by axis,
+the log once, the distance weight once per exponent, and the value
+differences once per component, in (LEAF, LEAF, batch) arrays.  Two
+strategies choose the leaf pairs:
 
-* ``brute_force`` scans every tile;
-* ``pruned`` skips a tile for a (component, exponent) entry when an
-  upper bound on its best quotient -- the smaller of the global bound
-  2 max|v| and the tile's own value spread, divided by a lower bound on
-  its minimum pair distance -- cannot exceed the running maximum.
-  Small boxes keep spreads small on smooth fields, and the best-first
-  order finds the maximum early, so most tiles are skipped.
+* ``brute_force`` evaluates every leaf pair;
+* ``pruned`` runs a two-level best-first branch and bound.  Every tile
+  gets an upper bound on its quotients per (component, exponent) entry:
+  the value spread of both chunks times dmin^-a, where dmin is a lower
+  bound on the distance of its pairs.  Tiles are walked best first, in
+  batches; a tile whose bound cannot beat the running maximum of any
+  wanted entry is dropped, and the survivors are split into their leaf
+  pairs, which are bounded the same way, sorted best first and
+  evaluated in batches, each re-checked against the running maxima
+  just before it runs.  Small leaves keep spreads small on smooth
+  fields, and the best-first order finds the maxima early, so most
+  pairs are never evaluated.
 
 Both strategies apply identical per-pair arithmetic, so the returned
-maxima agree bitwise.  A tile that reaches the running maximum yields
+maxima agree bitwise.  A batch that reaches the running maximum yields
 its lexicographically smallest attaining pair as the witness, inside
 the sweep; only witness tie-breaking may differ between strategies.
 Volume fields use Euclidean distance between nodes; boundary fields use
@@ -37,7 +43,10 @@ import numpy as np
 from .errors import ConfigError, DegenerateInput
 from .field import BoundaryFunction, GridFunction, gradient
 
-TILE = 128       # nodes per chunk; a tile's work arrays then stay in L2 cache
+TILE = 128        # nodes per chunk; a tile is a pair of chunks
+LEAF = 16         # nodes per leaf; a chunk holds TILE // LEAF leaves
+TILE_BATCH = 16   # tiles bounded, expanded and sorted together
+BATCH = 128       # leaf pairs evaluated together in (LEAF, LEAF, BATCH) arrays
 
 STRATEGIES = ("brute_force", "pruned")
 
@@ -105,89 +114,189 @@ def _as_points(coords, n):
     return pts
 
 
-def _kd_order(coords, idx):
-    """idx ordered into k-d boxes of TILE nodes.
+def _kd_order(coords, idx, size):
+    """idx ordered into k-d boxes of size nodes.
 
     Each split cuts along the axis of larger extent (ties in that
-    coordinate broken by the others) and puts TILE * ceil(nchunks / 2)
-    nodes on the left, so every chunk but the last holds TILE nodes.
+    coordinate broken by the others) and puts size * ceil(nboxes / 2)
+    nodes on the left, so every box but the last holds size nodes.
     """
-    nchunks = -(-len(idx) // TILE)
-    if nchunks <= 1:
+    nboxes = -(-len(idx) // size)
+    if nboxes <= 1:
         return idx
     P = coords[idx]
     axis = int(np.argmax(P.max(axis=0) - P.min(axis=0)))
     idx = idx[np.lexsort((*P.T, P[:, axis]))]
-    left = TILE * -(-nchunks // 2)
-    return np.concatenate([_kd_order(coords, idx[:left]), _kd_order(coords, idx[left:])])
+    left = size * -(-nboxes // 2)
+    return np.concatenate([_kd_order(coords, idx[:left], size),
+                           _kd_order(coords, idx[left:], size)])
 
 
-def _tiles(coords, comps, period, alphas):
-    """Node order, chunk slices and the tiles in scan order.
+def _layout(coords):
+    """Node order: chunks of TILE nodes, each cut into leaves of LEAF.
 
-    Nodes are cut into chunks of TILE: k-d boxes for coordinates with
-    more than one column, runs of the sorted order on a line or loop.
-    A tile pairs two chunks.  Its dmin is a lower bound on the distance
-    of any of its pairs: the gap between the chunks' bounding boxes, and
-    on a loop also the gap around the seam, period minus the span of
-    both chunks.  Tiles are scanned best first, by decreasing bound
-    spread * dmin**-a (a the mean exponent; inf where dmin is 0).
+    In the plane both levels are k-d boxes, the leaves splitting their
+    chunk; on a line or loop both are runs of the sorted order.  Every
+    chunk and leaf but the last is full.
     """
     n = coords.shape[0]
-    if coords.shape[1] > 1:
-        order = _kd_order(coords, np.arange(n))
-    else:
-        order = np.argsort(coords[:, 0], kind="stable")
-    P = coords[order]
-    V = np.ascontiguousarray(comps[:, order])
-    cuts = list(range(0, n, TILE)) + [n]
-    chunks = [slice(cuts[k], cuts[k + 1]) for k in range(len(cuts) - 1)]
-    lo = np.array([P[c].min(axis=0) for c in chunks])
-    hi = np.array([P[c].max(axis=0) for c in chunks])
-    vlo = np.array([V[:, c].min(axis=1) for c in chunks]).T  # (m, nchunks)
-    vhi = np.array([V[:, c].max(axis=1) for c in chunks]).T
-    tp, tq = np.triu_indices(len(chunks))
-    gap = np.maximum(0.0, np.maximum(lo[tq] - hi[tp], lo[tp] - hi[tq]))
+    if coords.shape[1] == 1:
+        return np.argsort(coords[:, 0], kind="stable")
+    order = _kd_order(coords, np.arange(n), TILE)
+    return np.concatenate([_kd_order(coords, order[s:s + TILE], LEAF)
+                           for s in range(0, n, TILE)])
+
+
+# leaf offsets, within their chunks, of the leaf pairs of two chunks and
+# of one chunk with itself (each unordered pair once); the node pairs a
+# leaf shares with itself that do not count (the lower triangle)
+_PER = TILE // LEAF
+_CROSS = np.divmod(np.arange(_PER * _PER), _PER)
+_DIAGONAL = np.triu_indices(_PER)
+_LOWER = np.tril_indices(LEAF)
+
+
+def _box_bounds(lo, hi, vlo, vhi, p, q, alphas, period):
+    """Upper bounds on the quotients of the box pairs (p[i], q[i]).
+
+    lo, hi: (boxes, d) coordinate boxes; vlo, vhi: (boxes, m) value
+    ranges.  dmin, the gap between the boxes (on a loop also the gap
+    around the seam, period minus the span of both), is a lower bound on
+    every pair distance, and the value spread of both boxes an upper
+    bound on every |v(x) - v(y)|; it never exceeds 2 max|v|.  Returns
+    the (len(p), m, len(alphas)) bounds spread * dmin**-a, with a slack
+    for the rounding gap between pow here and exp(log) in the per-pair
+    arithmetic, and a key that ranks the pairs best first: the largest
+    spread times dmin**-a for the mean exponent, inf where dmin is 0.
+    """
+    gap = np.maximum(0.0, np.maximum(lo[q] - hi[p], lo[p] - hi[q]))
     dmin = np.sqrt((gap**2).sum(axis=1))
     if period is not None:
-        span = np.maximum(hi[tp, 0], hi[tq, 0]) - np.minimum(lo[tp, 0], lo[tq, 0])
+        span = np.maximum(hi[p, 0], hi[q, 0]) - np.minimum(lo[p, 0], lo[q, 0])
         dmin = np.minimum(dmin, np.maximum(0.0, period - span))
-    spread = np.maximum(vhi[:, tp], vhi[:, tq]) - np.minimum(vlo[:, tp], vlo[:, tq])
-    top = spread.max(axis=0)
+    spread = np.maximum(vhi[p], vhi[q]) - np.minimum(vlo[p], vlo[q])
+    near = dmin == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        bound = np.where(dmin > 0.0, top * dmin**-np.mean(alphas), np.inf)
-    scan = np.lexsort((tq, tp, -top, -bound))
-    tiles = [(int(tp[t]), int(tq[t]), float(dmin[t]), spread[:, t]) for t in scan]
-    return order, P, V, chunks, tiles
+        bound = spread[:, :, None] * (dmin[:, None] ** -alphas)[:, None, :] * (1.0 + 1e-9)
+        key = np.where(near, np.inf, spread.max(axis=1) * dmin ** -alphas.mean())
+    bound[near] = np.where(spread[near, :, None] > 0.0, np.inf, 0.0)
+    return bound, key
 
 
-def _view(buf, shape):
-    """The leading part of a flat work array as a contiguous 2D array."""
-    return buf[:shape[0] * shape[1]].reshape(shape)
+class _Sweep:
+    """One call's nodes in leaf layout, its running maxima and work arrays."""
 
+    def __init__(self, coords, comps, alphas, period, wanted):
+        n = coords.shape[0]
+        order = _layout(coords)
+        self.nleaf = -(-n // LEAF)
+        # node k of leaf l is padded[l * LEAF + k].  The last leaf is padded
+        # with copies of the last node: a pair with a copy either repeats a
+        # real pair or has distance 0, which does not count.
+        self.padded = np.concatenate([order, np.full(self.nleaf * LEAF - n, order[-1])])
+        self.size = np.full(self.nleaf, LEAF)
+        self.size[-1] = n - (self.nleaf - 1) * LEAF
+        P = coords[self.padded].reshape(self.nleaf, LEAF, -1)
+        V = comps[:, self.padded].reshape(len(comps), self.nleaf, LEAF)
+        self.lo, self.hi = P.min(axis=1), P.max(axis=1)
+        self.vlo, self.vhi = V.min(axis=2).T, V.max(axis=2).T
+        # per leaf, its coordinates by axis and then its values by
+        # component: a batch gathers each side's leaves in one call
+        self.dim = P.shape[2]
+        self.rows = np.concatenate([P.transpose(0, 2, 1), V.transpose(1, 0, 2)], axis=1)
+        self.alphas, self.period, self.wanted = alphas, period, wanted
+        self.best = np.full(wanted.shape, -np.inf)
+        self.witnesses = np.zeros(wanted.shape + (2,), dtype=int)
+        self.pairs = 0
+        # work arrays for BATCH leaf pairs, reused across batches: fresh
+        # arrays of this size cost more in page faults than the arithmetic;
+        # one distance weight per exponent, one value difference at a time
+        size = LEAF * LEAF * min(BATCH, self.nleaf * (self.nleaf + 1) // 2)
+        self.work = [np.empty(size) for _ in range(3 + len(alphas))]
 
-def _tile_d2(P, cp, cq, diagonal, period, d2, tmp):
-    """Squared pair distances of one tile, one axis at a time, into d2.
+    def batches(self, count, size, bound=None):
+        """Batches of up to size of count pairs, in order, with their entries.
 
-    Pairs that do not count -- the diagonal tile's lower triangle and
-    coincident nodes -- get inf.  tmp is scratch of d2's shape.
-    """
-    np.subtract.outer(P[cp, 0], P[cq, 0], out=d2)
-    if period is None:
-        d2 *= d2
-        for k in range(1, P.shape[1]):
-            np.subtract.outer(P[cp, k], P[cq, k], out=tmp)
-            tmp *= tmp
-            d2 += tmp
-    else:
-        np.abs(d2, out=d2)
-        np.subtract(period, d2, out=tmp)
-        np.minimum(d2, tmp, out=d2)
-        d2 *= d2
-    if diagonal:
-        d2[np.tri(d2.shape[0], dtype=bool)] = np.inf
-    d2[d2 == 0.0] = np.inf
-    return d2
+        Yields (indices, live) with live the (m, len(alphas)) entries to
+        compute.  Given the pairs' (count, m, len(alphas)) upper bounds,
+        a pair is dropped once no wanted entry's bound exceeds its running
+        maximum, checked just before each batch is taken.
+        """
+        pending = np.arange(count)
+        live = self.wanted
+        while len(pending):
+            if bound is not None:
+                alive = self.wanted & (bound[pending] > self.best)
+                keep = alive.any(axis=(1, 2))
+                pending = pending[keep]
+                if not len(pending):
+                    return
+                live = alive[keep][:size].any(axis=0)
+            yield pending[:size], live
+            pending = pending[size:]
+
+    def evaluate(self, a, b, live):
+        """Exact quotients of the leaf pairs (a[i], b[i]) for the live entries.
+
+        Each entry's maximum over the batch updates its running maximum;
+        a batch that reaches the running maximum yields its
+        lexicographically smallest attaining node pair as the witness.
+        """
+        s = len(a)
+        # (LEAF, LEAF, s) arrays, the leaf pair innermost, so that every
+        # broadcast runs along rows of s
+        d2, tmp, dv, *w = (buf[:LEAF * LEAF * s].reshape(LEAF, LEAF, s) for buf in self.work)
+        A = np.ascontiguousarray(self.rows[a].transpose(1, 2, 0))[:, :, None]
+        B = np.ascontiguousarray(self.rows[b].transpose(1, 2, 0))[:, None, :]
+        np.subtract(A[0], B[0], out=d2)
+        if self.period is None:
+            d2 *= d2
+            for k in range(1, self.dim):
+                np.subtract(A[k], B[k], out=tmp)
+                tmp *= tmp
+                d2 += tmp
+        else:
+            np.abs(d2, out=d2)
+            np.subtract(self.period, d2, out=tmp)
+            np.minimum(d2, tmp, out=d2)
+            d2 *= d2
+        # pairs that do not count, coincident nodes and a diagonal leaf
+        # pair's lower triangle, get distance inf (weight 0) and quotient -1
+        mask = d2 == 0.0
+        same = a == b
+        diagonal = np.flatnonzero(same)
+        if len(diagonal):
+            mask[_LOWER[0][:, None], _LOWER[1][:, None], diagonal] = True
+        if mask.any():
+            d2[mask] = np.inf
+        else:
+            mask = None
+        ld = np.log(d2, out=d2)
+        self.pairs += int(np.where(same, self.size[a] * (self.size[a] - 1) // 2,
+                                   self.size[a] * self.size[b]).sum())
+        for ia in np.flatnonzero(live.any(axis=0)):
+            np.multiply(ld, -0.5 * self.alphas[ia], out=w[ia])
+            np.exp(w[ia], out=w[ia])
+        for ic in np.flatnonzero(live.any(axis=1)):
+            np.subtract(A[self.dim + ic], B[self.dim + ic], out=dv)
+            np.abs(dv, out=dv)
+            for ia in np.flatnonzero(live[ic]):
+                quot = np.multiply(dv, w[ia], out=tmp)
+                if mask is not None:
+                    quot[mask] = -1.0
+                top = float(quot.max())
+                if top < self.best[ic, ia]:
+                    continue
+                rows = np.flatnonzero(quot.reshape(LEAF * LEAF, s).max(axis=0) == top)
+                ii, jj, kk = np.nonzero(quot[:, :, rows] == top)
+                oi = self.padded[a[rows[kk]] * LEAF + ii]
+                oj = self.padded[b[rows[kk]] * LEAF + jj]
+                first, second = np.minimum(oi, oj), np.maximum(oi, oj)
+                k = np.lexsort((second, first))[0]
+                pair = (int(first[k]), int(second[k]))
+                if top > self.best[ic, ia] or pair < tuple(self.witnesses[ic, ia]):
+                    self.best[ic, ia] = top
+                    self.witnesses[ic, ia] = pair
 
 
 def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=None,
@@ -201,8 +310,8 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
     (best, witnesses, pairs_evaluated) where best has shape
     (m, len(alphas)) and witnesses holds the lexicographically smallest
     attaining node-index pair per entry, taken inside the sweep from
-    each tile that reaches the running maximum.  Pruning skips tiles
-    that can only tie the maximum, so its witness ties may resolve
+    each batch that reaches the running maximum.  Pruning skips leaf
+    pairs that can only tie the maximum, so its witness ties may resolve
     differently.
     """
     comps = np.atleast_2d(np.asarray(comps, dtype=float))
@@ -212,79 +321,45 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
         raise DegenerateInput("need at least two nodes for a pairwise seminorm")
     if np.all(coords.max(axis=0) == coords.min(axis=0)):
         raise DegenerateInput("all nodes coincide")
-    alphas = tuple(float(a) for a in alphas)
+    alphas = np.array([float(a) for a in alphas])
     for a in alphas:
         if not 0.0 < a < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {a}")
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown pair strategy {strategy!r}")
+    wanted = (np.ones((comps.shape[0], len(alphas)), dtype=bool) if wanted is None
+              else np.asarray(wanted, dtype=bool))
+    sweep = _Sweep(coords, comps, alphas, period, wanted)
+    pruned = strategy == "pruned"
 
-    order, P, V, chunks, tiles = _tiles(coords, comps, period, alphas)
-    m, na = comps.shape[0], len(alphas)
-    wanted = np.ones((m, na), dtype=bool) if wanted is None else np.asarray(wanted, dtype=bool)
-    gmax = 2.0 * np.abs(V).max(axis=1)            # per component
-    best = np.full((m, na), -np.inf)
-    witnesses = np.zeros((m, na, 2), dtype=int)
-    pairs = 0
-    # Tile-sized work arrays, reused across tiles: fresh arrays of this
-    # size cost more in page faults than the arithmetic done in them.
-    size = min(n, TILE) ** 2
-    d2_buf, ld_buf, w_buf, quot_buf = (np.empty(size) for _ in range(4))
-    dv_buf = [np.empty(size) for _ in range(m)]
-
-    for p, q, dmin, spread in tiles:
-        live = wanted.copy()
-        if strategy == "pruned":
-            num = np.minimum(gmax, spread)         # (m,)
-            for ia, a in enumerate(alphas):
-                if dmin > 0.0:
-                    # the slack covers the rounding gap between pow here and
-                    # exp(log) in the per-pair arithmetic below
-                    bound = num * dmin**(-a) * (1.0 + 1e-9)
-                else:
-                    bound = np.where(num > 0.0, np.inf, 0.0)
-                live[:, ia] &= bound > best[:, ia]
-            if not live.any():
-                continue
-        cp, cq = chunks[p], chunks[q]
-        shape = (cp.stop - cp.start, cq.stop - cq.start)
-        d2 = _tile_d2(P, cp, cq, p == q, period, _view(d2_buf, shape), _view(ld_buf, shape))
-        mask = ~np.isfinite(d2)
-        if not mask.any():
-            mask = None
-        ld = np.log(d2, out=_view(ld_buf, shape))
-        if p == q:
-            pairs += shape[0] * (shape[0] - 1) // 2
-        else:
-            pairs += shape[0] * shape[1]
-        have_dv = set()
-        for ia, a in enumerate(alphas):
-            rows = np.flatnonzero(live[:, ia])
-            if rows.size == 0:
-                continue
-            w = np.multiply(ld, -0.5 * a, out=_view(w_buf, shape))
-            np.exp(w, out=w)
-            for ic in rows:
-                dv = _view(dv_buf[ic], shape)
-                if ic not in have_dv:
-                    np.subtract.outer(V[ic, cp], V[ic, cq], out=dv)
-                    np.abs(dv, out=dv)
-                    have_dv.add(ic)
-                quot = np.multiply(dv, w, out=_view(quot_buf, shape))
-                if mask is not None:
-                    quot[mask] = -1.0
-                tile_max = float(quot.max())
-                if tile_max < best[ic, ia]:
-                    continue
-                ii, jj = np.nonzero(quot == tile_max)
-                oi, oj = order[cp.start + ii], order[cq.start + jj]
-                first, second = np.minimum(oi, oj), np.maximum(oi, oj)
-                k = np.lexsort((second, first))[0]
-                pair = (int(first[k]), int(second[k]))
-                if tile_max > best[ic, ia] or pair < tuple(witnesses[ic, ia]):
-                    best[ic, ia] = tile_max
-                    witnesses[ic, ia] = pair
-    return best, witnesses, pairs
+    # tiles are the pairs of chunks, whose boxes join their leaves' boxes
+    starts = np.arange(0, sweep.nleaf, _PER)
+    tp, tq = np.triu_indices(len(starts))
+    tbound = None
+    if pruned:
+        tbound, key = _box_bounds(
+            np.minimum.reduceat(sweep.lo, starts), np.maximum.reduceat(sweep.hi, starts),
+            np.minimum.reduceat(sweep.vlo, starts), np.maximum.reduceat(sweep.vhi, starts),
+            tp, tq, alphas, period)
+        scan = np.lexsort((tq, tp, -key))
+        tp, tq, tbound = tp[scan], tq[scan], tbound[scan]
+    for tiles, _ in sweep.batches(len(tp), TILE_BATCH, tbound):
+        p, q = tp[tiles], tq[tiles]
+        cross = p != q
+        la = np.concatenate([(p[cross, None] * _PER + _CROSS[0]).ravel(),
+                             (p[~cross, None] * _PER + _DIAGONAL[0]).ravel()])
+        lb = np.concatenate([(q[cross, None] * _PER + _CROSS[1]).ravel(),
+                             (q[~cross, None] * _PER + _DIAGONAL[1]).ravel()])
+        inside = lb < sweep.nleaf      # the last chunk may hold fewer leaves
+        la, lb, bound = la[inside], lb[inside], None
+        if pruned:
+            bound, key = _box_bounds(sweep.lo, sweep.hi, sweep.vlo, sweep.vhi, la, lb,
+                                     alphas, period)
+            scan = np.lexsort((lb, la, -key))
+            la, lb, bound = la[scan], lb[scan], bound[scan]
+        for leaves, live in sweep.batches(len(la), BATCH, bound):
+            sweep.evaluate(la[leaves], lb[leaves], live)
+    return sweep.best, sweep.witnesses, sweep.pairs
 
 
 # ---------------------------------------------------------------------------

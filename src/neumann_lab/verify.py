@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .domain import DomainSpec, build_mesh, distance_to_boundary
+from .domain import DomainSpec, build_mesh, check_mesh_size, distance_to_boundary
 from .errors import (BallNotContained, ConfigError, DegenerateData,
                      IncompatibleData, InvalidExponent)
 from .field import (BoundaryFunction, GridFunction, boundary_trace, gradient,
@@ -393,6 +393,9 @@ class VerifyConfig:
         if self.alpha_main not in self.alphas:
             raise ConfigError(f"alpha_main {self.alpha_main} is not one of the alphas "
                               f"{tuple(self.alphas)}")
+        for res in (*self.resolutions, self.pinned_resolution):
+            if res is not None:
+                check_mesh_size(res)
 
     def to_json(self):
         return {

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -120,6 +121,28 @@ def test_verify_bad_alphas_exit_4(tmp_path, flags):
 def test_bad_flag_value_exits_4(tmp_path, capsys, args):
     assert run(args + ["--out", str(tmp_path)]) == 4
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeffs", ["[1]", '{"cos": 3}'])
+@pytest.mark.parametrize("args", [["solve", "--f", "1", "--g", "0"],
+                                  ["verify", "--count", "1", "--levels", "1", "--no-pinned"]])
+def test_bad_radius_coeffs_exit_4(tmp_path, capsys, args, coeffs):
+    code = run(args + ["--domain", "star", "--radius-coeffs", coeffs, "--out", str(tmp_path)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "--radius-coeffs must be" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--domain", "interval", "--n0", "4", "--levels", "40", "--no-pinned"],
+    ["verify", "--count", "1", "--levels", "7"],
+    ["sweep", "--f", "x", "--g", "0", "--nr", "64", "--levels", "8"],
+    ["solve", "--f", "1", "--g", "0.5", "--nr", "2048", "--ntheta", "4096"]])
+def test_huge_rung_exits_4_before_allocating(tmp_path, capsys, args):
+    t0 = time.perf_counter()
+    assert run(args + ["--out", str(tmp_path)]) == 4
+    assert time.perf_counter() - t0 < 5.0
+    assert "a mesh may have" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"], ["verify", "--help"]])

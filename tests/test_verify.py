@@ -1,10 +1,12 @@
 """Estimate measures, refinement studies, family machinery."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from neumann_lab import field
 from neumann_lab.domain import DomainSpec, build_mesh
 from neumann_lab.errors import (BallNotContained, ConfigError, DegenerateData,
                                 InvalidExponent)
@@ -305,3 +307,20 @@ def test_family_study_rejects_rung_coarser_than_eps(monkeypatch):
 def test_family_study_rejects_empty():
     with pytest.raises(ConfigError):
         run_family_study(_tiny_config(count=0))
+
+
+def test_family_study_threads_assemble_each_mesh_once(monkeypatch):
+    assembled = []
+    assemble = field._assemble_2d
+    monkeypatch.setattr(field, "_assemble_2d",
+                        lambda mesh: assembled.append((mesh.n_r, mesh.n_theta)) or assemble(mesh))
+    config = VerifyConfig(count=4, seed=3, resolutions=((12, 48), (16, 64)),
+                          pinned_resolution=(20, 80), threads=2)
+    # instance threads start on each fresh mesh together, switching often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_family_study(config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(assembled) == [(12, 48), (16, 64), (20, 80)]
