@@ -35,8 +35,8 @@ from .errors import (ConfigError, EvalDomainError, ExprSyntaxError,
 from .expr import GRAMMAR_HELP
 from .field import BoundaryFunction, GridFunction
 from .solver import solve_neumann
-from .verify import (VerifyConfig, oracle1d_discrepancy, run_family_study,
-                     solve_1d_oracle)
+from .verify import (VerifyConfig, observed_orders, oracle1d_discrepancy,
+                     run_family_study, solve_1d_oracle)
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -303,9 +303,7 @@ def cmd_sweep(args):
             row["error_sup_vs_exact"] = err
             errors.append(err)
         rows.append(row)
-    orders = [float(np.log2(errors[k] / errors[k + 1]))
-              for k in range(len(errors) - 1)
-              if errors[k] > 0 and errors[k + 1] > 0]
+    orders = observed_orders(errors)
     payload = {"config": {"domain": spec.to_json(), "f": f_text, "g": g_text,
                           "levels": args.levels, "compat_policy": policy,
                           "exact": args.exact},
@@ -340,9 +338,7 @@ def cmd_oracle1d(args):
         ns = [args.n * 2**k for k in range(args.levels)]
         for n in ns:
             discrepancies.append(oracle1d_discrepancy(coeffs, g0, g1, n))
-        orders = [float(np.log2(discrepancies[k] / discrepancies[k + 1]))
-                  for k in range(len(discrepancies) - 1)
-                  if discrepancies[k] > 0 and discrepancies[k + 1] > 0]
+        orders = observed_orders(discrepancies)
         rows.append({"case": name, "f_coeffs": coeffs, "g0": g0, "g1": g1,
                      "n": ns, "max_discrepancy": discrepancies,
                      "observed_orders": orders})

@@ -277,6 +277,14 @@ class ConvergenceStudy:
                 "exact": self.exact, "converged": self.converged}
 
 
+def observed_orders(errors):
+    """log2(errors[k] / errors[k+1]) for every pair of consecutive levels:
+    inf when the finer error is 0, and 0.0 when only the coarser one is."""
+    return [float("inf") if fine == 0.0 else 0.0 if coarse == 0.0
+            else float(np.log2(coarse / fine))
+            for coarse, fine in zip(errors[:-1], errors[1:])]
+
+
 def convergence_study(case, resolutions, compat_policy="project"):
     """Solve a manufactured case across a refinement ladder.
 
@@ -300,12 +308,7 @@ def convergence_study(case, resolutions, compat_policy="project"):
         errors.append(float(np.abs((rep.solution - target).all_values()).max()))
         scale = max(scale, float(np.abs(u_star.all_values()).max()))
     exact = errors[-1] <= 1e-11 * scale
-    orders = []
-    for k in range(len(errors) - 1):
-        if errors[k + 1] == 0.0 or errors[k] == 0.0:
-            orders.append(float("inf") if errors[k + 1] == 0.0 else 0.0)
-        else:
-            orders.append(float(np.log2(errors[k] / errors[k + 1])))
+    orders = observed_orders(errors)
     converged = bool(exact or (orders and orders[-1] >= 1.9))
     return ConvergenceStudy(case=case.name, resolutions=list(resolutions),
                             errors=errors, orders=orders, exact=exact,
@@ -682,7 +685,7 @@ def evaluate_criteria(levels, config, pinned_level):
     level_ok = defects[pinned_level] <= 1e-3 if pinned_nr >= 64 else True
     if multi:
         ladder = _family_max(holder_levels, "energy_defect")
-        order = float(np.log2(ladder[-2] / ladder[-1])) if ladder[-1] > 0 else float("inf")
+        order = observed_orders(ladder[-2:])[0]
         add("energy_identity", level_ok and order >= 1.9,
             f"max defect per level {[f'{v:.3e}' for v in defects]}, finest order {order:.2f}")
     else:

@@ -217,6 +217,16 @@ def test_sweep_orders(tmp_path):
     assert len(orders) == 2 and min(orders) >= 1.9
 
 
+def test_sweep_orders_with_exact_zero_errors(tmp_path):
+    # zero data solve to exactly zero: every level pair still gets its order
+    code = run(["sweep", "--f", "0", "--g", "0", "--nr", "8", "--ntheta", "16",
+                "--levels", "3", "--exact", "0", "--out", str(tmp_path)])
+    assert code == 0
+    doc = read_json(tmp_path / "sweep_report.json")
+    assert [row["error_sup_vs_exact"] for row in doc["report"]["levels"]] == [0.0] * 3
+    assert doc["report"]["observed_orders"] == [float("inf")] * 2
+
+
 def test_report_strip_meta(tmp_path):
     run(["solve", "--f", "0", "--g", "0", "--nr", "8", "--ntheta", "16",
          "--out", str(tmp_path)])

@@ -16,6 +16,7 @@ from neumann_lab.norms import c_k_alpha_norm
 from neumann_lab.solver import (STRATEGIES, apply_screened_inverse, check_compatibility,
                                 solve_1d_oracle, solve_bordered, solve_neumann,
                                 solve_neumann_pinned, solve_regularized)
+from neumann_lab.verify import MANUFACTURED_CASES
 
 
 def _random_field(mesh, rng, smooth=True):
@@ -185,15 +186,25 @@ def test_neumann_1d_incompatible_rejected():
 
 
 def test_strategy_agreement(disk_mesh, rng):
-    for _ in range(3):
-        f = _random_field(disk_mesh, rng)
-        g = BoundaryFunction.from_expression(disk_mesh, "cos(2*theta)")
-        d = solve_neumann(f, g, strategy="direct_augmented", compat_policy="project")
-        k = solve_neumann(f, g, strategy="fredholm_iteration", compat_policy="project")
-        diff = np.abs((d.solution - k.solution).all_values()).max()
-        scale = max(np.abs(d.solution.all_values()).max(), 1e-30)
-        assert diff / scale <= 1e-8
-        assert k.iterations <= 100
+    # a strongly perturbed star, and an interval whose factors pivot off the diagonal
+    meshes = [disk_mesh, build_mesh(DomainSpec.star_shaped(1.0, (0.2, 0.2, 0.2)), (24, 96)),
+              build_mesh(DomainSpec.interval(0.0, 1.0), 4096)]
+    for mesh in meshes:
+        for _ in range(3):
+            if mesh.dim == 2:
+                f = _random_field(mesh, rng)
+                g = BoundaryFunction.from_expression(mesh, "cos(2*theta)")
+            else:
+                f = GridFunction.from_expression(
+                    mesh, " + ".join(f"{float(c)!r}*cos({k}*x)"
+                                     for k, c in enumerate(rng.uniform(-1, 1, 3), start=1)))
+                g = BoundaryFunction(mesh, rng.uniform(-1, 1, 2))
+            d = solve_neumann(f, g, strategy="direct_augmented", compat_policy="project")
+            k = solve_neumann(f, g, strategy="fredholm_iteration", compat_policy="project")
+            diff = np.abs((d.solution - k.solution).all_values()).max()
+            scale = max(np.abs(d.solution.all_values()).max(), 1e-30)
+            assert diff / scale <= 1e-8
+            assert k.iterations <= 100
 
 
 def test_uniqueness_up_to_constant(disk_mesh, rng):
@@ -261,6 +272,31 @@ def test_constrained_solves_share_one_factorization(monkeypatch):
     assert len(factored) == 1
     for first, again in zip(results[:len(calls)], results[len(calls):]):
         np.testing.assert_array_equal(first, again)
+
+
+@pytest.mark.parametrize("spec", [DomainSpec.disk(), MANUFACTURED_CASES["star_trig"].domain],
+                         ids=["disk", "star_trig"])
+def test_factors_cut_default_fill_and_stay_accurate(spec, monkeypatch):
+    mesh = build_mesh(spec, (48, 192))                 # fresh: nothing cached yet
+    factored = []
+    splu = solver.spla.splu
+
+    def record(M, *args, **kwargs):
+        factored.append((M, splu(M, *args, **kwargs)))
+        return factored[-1][1]
+
+    monkeypatch.setattr(solver.spla, "splu", record)
+    f = GridFunction.from_expression(mesh, "x*y + cos(2*x)")
+    g = BoundaryFunction.constant(mesh, 0.3)
+    solve_neumann(f, g, compat_policy="project")       # the deflated factor
+    solve_regularized(f, g)                            # the shifted one
+    assert len(factored) == 2
+    rng = np.random.default_rng(7)
+    for M, lu in factored:
+        default = splu(M)
+        assert lu.L.nnz + lu.U.nnz <= 0.7 * (default.L.nnz + default.U.nnz)
+        b = rng.standard_normal(M.shape[0])
+        solver._checked_residual(M, lu.solve(b), b, 1e-14, "seeded solve")
 
 
 @pytest.mark.parametrize("mesh_name, expr", [("disk_mesh", "x*y + cos(2*x)"),

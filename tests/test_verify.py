@@ -16,7 +16,7 @@ from neumann_lab.verify import (MANUFACTURED_CASES, ProblemFamily, VerifyConfig,
                                 boundary_sup_gap, convergence_study,
                                 energy_identity_defect, incompatibility_probe,
                                 intermediate_ratio, l2_lemma_ratio,
-                                run_family_study, schauder_ratio,
+                                observed_orders, run_family_study, schauder_ratio,
                                 serrin_local_ratio)
 
 
@@ -175,6 +175,13 @@ def test_convergence_interval_cubic():
 def test_convergence_star_domain():
     study = convergence_study("star_trig", [(8, 16), (16, 32), (32, 64)])
     assert study.orders[-1] >= 1.9
+
+
+def test_observed_orders_keep_one_order_per_level_pair():
+    assert observed_orders([1e-2, 2.5e-3, 0.0]) == [2.0, float("inf")]
+    assert observed_orders([0.0, 1e-3, 2.5e-4]) == [0.0, 2.0]
+    assert observed_orders([0.0, 0.0]) == [float("inf")]
+    assert observed_orders([1e-3]) == []
 
 
 def test_convergence_needs_three_levels():
