@@ -13,14 +13,16 @@ chart, so the mesh is a structured grid in mapped coordinates:
 Volume quadrature is the midpoint rule in s times the periodic
 trapezoid rule in theta (weights J h_s h_theta with J = s R^2);
 boundary quadrature is arclength trapezoid weights.  Meshes are
-immutable and bit-reproducible for fixed inputs.
+immutable and bit-reproducible for fixed inputs; ``Mesh.cached`` keeps
+what is derived from a mesh alone.
 """
 
 from __future__ import annotations
 
+import threading
+from dataclasses import dataclass, field
+
 import numpy as np
-from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ConfigError, NonPositiveRadius, ResolutionTooSmall
 
@@ -32,6 +34,7 @@ DISTANCE_BLOCK = 1024     # query points per block of distance_to_boundary
 # (96, 384) level.  It is checked from the resolution alone, so a larger
 # rung is refused before any mesh, operator or factor is built.
 MAX_NODES = 2**19
+_workspace_lock = threading.RLock()   # builds nest: a factor needs the operator
 
 
 def check_mesh_size(resolution):
@@ -184,6 +187,7 @@ class Mesh:
     by_t: np.ndarray = None
     b_jdet: np.ndarray = None
     arc: np.ndarray = None       # boundary arclength coordinate (n_theta,)
+    _workspace: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     @property
     def n_interior(self):
@@ -208,12 +212,23 @@ class Mesh:
             return self.h
         return float(np.max(self.R) * self.h_s)
 
-    @cached_property
+    def cached(self, key, build):
+        """The workspace value under key, built once by build(); arrays are
+        stored read-only.  No value may refer to the mesh: the cycle would
+        keep the mesh and its factors alive past their last use."""
+        if key not in self._workspace:      # a built value is read without the lock
+            with _workspace_lock:
+                if key not in self._workspace:
+                    value = build()
+                    _freeze(value)
+                    self._workspace[key] = value
+        return self._workspace[key]
+
+    @property
     def interior_depth(self):
         """Sampled boundary distance of every interior node, computed once."""
-        depth = distance_to_boundary(self, self.interior_xy)
-        depth.setflags(write=False)
-        return depth
+        return self.cached("interior_depth",
+                           lambda: distance_to_boundary(self, self.interior_xy))
 
     def reshape2d(self, flat):
         return np.asarray(flat).reshape(self.n_r, self.n_theta)

@@ -7,10 +7,10 @@ the mapped coordinates (periodic in theta), one-sided three-point
 stencils at the radial boundary, chain-ruled through the analytic
 mapping Jacobian.
 
-The Laplacian is assembled once per mesh in divergence (flux) form and
-shared with the solvers.  Its outermost-cell flux is the same one-sided
-normal-derivative stencil exposed by normal_derivative(), which makes
-the discrete divergence theorem
+The Laplacian is assembled once per mesh in divergence (flux) form, kept
+in the mesh's workspace and shared with the solvers.  Its outermost-cell
+flux is the same one-sided normal-derivative stencil exposed by
+normal_derivative(), which makes the discrete divergence theorem
 
     sum_i w_i (lap_h u)_i == sum_b wb_b (dn_h u)_b
 
@@ -20,8 +20,6 @@ bookkeeping downstream relies on that exactness.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,24 +276,12 @@ def normal_derivative(u):
 # ---------------------------------------------------------------------------
 # conservative operator assembly (shared with the solvers)
 
-_operator_cache = weakref.WeakKeyDictionary()
-# Instance threads share meshes; the first to miss an operator assembles
-# it while the others wait, so a mesh is never assembled twice.
-_operator_lock = threading.Lock()
-
-
 def neumann_operator(mesh):
     """Sparse (Ni+Nb) square operator: interior rows apply the discrete
     Laplacian, boundary rows the discrete outward normal derivative.
-    Cached per mesh."""
-    A = _operator_cache.get(mesh)
-    if A is None:              # a built operator is read without the lock
-        with _operator_lock:
-            A = _operator_cache.get(mesh)
-            if A is None:
-                A = _assemble_1d(mesh) if mesh.dim == 1 else _assemble_2d(mesh)
-                _operator_cache[mesh] = A
-    return A
+    Assembled once per mesh, in the mesh's workspace."""
+    return mesh.cached("operator", lambda: _assemble_1d(mesh) if mesh.dim == 1
+                       else _assemble_2d(mesh))
 
 
 def _assemble_1d(mesh):

@@ -186,9 +186,9 @@ def _box_bounds(lo, hi, vlo, vhi, p, q, alphas, period):
 class _Sweep:
     """One call's nodes in leaf layout, its running maxima and work arrays."""
 
-    def __init__(self, coords, comps, alphas, period, wanted):
+    def __init__(self, coords, comps, alphas, period, wanted, order):
         n = coords.shape[0]
-        order = _layout(coords)
+        order = _layout(coords) if order is None else order
         self.nleaf = -(-n // LEAF)
         # node k of leaf l is padded[l * LEAF + k].  The last leaf is padded
         # with copies of the last node: a pair with a copy either repeats a
@@ -300,13 +300,14 @@ class _Sweep:
 
 
 def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=None,
-                        wanted=None):
+                        wanted=None, order=None):
     """Maximum Holder quotients for several components and exponents.
 
     coords: (n, d) node positions (with ``period`` set, coords[:, 0] is
     an arclength coordinate on a loop of that length).  comps: (m, n)
     sampled fields sharing those nodes.  wanted: optional (m, len(alphas))
-    mask of the entries to compute; the others stay -inf.  Returns
+    mask of the entries to compute; the others stay -inf.  order: the
+    ``_layout(coords)`` a mesh keeps, computed here when unset.  Returns
     (best, witnesses, pairs_evaluated) where best has shape
     (m, len(alphas)) and witnesses holds the lexicographically smallest
     attaining node-index pair per entry, taken inside the sweep from
@@ -329,7 +330,7 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
         raise ConfigError(f"unknown pair strategy {strategy!r}")
     wanted = (np.ones((comps.shape[0], len(alphas)), dtype=bool) if wanted is None
               else np.asarray(wanted, dtype=bool))
-    sweep = _Sweep(coords, comps, alphas, period, wanted)
+    sweep = _Sweep(coords, comps, alphas, period, wanted, order)
     pruned = strategy == "pruned"
 
     # tiles are the pairs of chunks, whose boxes join their leaves' boxes
@@ -437,9 +438,9 @@ def holder_reports(items, pair_strategy="pruned"):
     all items whose fields live on the same node set -- a mesh's volume
     nodes, or its boundary loop -- are stacked into one
     pairwise_holder_max call, which also shares the distance work across
-    exponents.  Each item's reports come from its own rows, so they
-    equal what a call for that item alone gives.  Returns one
-    {alpha: HolderReport} dict per item.
+    exponents, and whose leaf layout the mesh builds once.  Each item's
+    reports come from its own rows, so they equal what a call for that
+    item alone gives.  Returns one {alpha: HolderReport} dict per item.
     """
     prepared, groups = [], {}
     for u, k, alphas in items:
@@ -454,15 +455,16 @@ def holder_reports(items, pair_strategy="pruned"):
         prepared.append((u, sup_norms, top, tuple(float(a) for a in alphas)))
 
     out = [None] * len(prepared)
-    for members in groups.values():
+    for (_, boundary), members in groups.items():
         group = [prepared[i] for i in members]
         _, xy, per = _field_samples(group[0][0], None, None)
         alphas = tuple(dict.fromkeys(a for *_, item_alphas in group for a in item_alphas))
         vals = np.vstack([top for _, _, top, _ in group])
         wanted = np.vstack([np.tile(np.isin(alphas, item_alphas), (len(top), 1))
                             for _, _, top, item_alphas in group])
+        order = group[0][0].mesh.cached(("holder_layout", boundary), lambda: _layout(xy))
         best, wit, pairs = pairwise_holder_max(xy, vals, alphas, strategy=pair_strategy,
-                                               period=per, wanted=wanted)
+                                               period=per, wanted=wanted, order=order)
         start = 0
         for i, (_, sup_norms, top, item_alphas) in zip(members, group):
             rows = slice(start, start + len(top))

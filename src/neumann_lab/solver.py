@@ -32,7 +32,7 @@ one-sided boundary stencils, and max|A - A^T| / max|A| is 4e-4 on the
 (48, 192) disk and 2e-2 on the (48, 192) star, falling under refinement.
 A column whose diagonal is below 1e-3 times its largest candidate still
 pivots off the diagonal (long intervals do), and every route checks its
-residual.
+residual.  The operator and both LUs live in the mesh's workspace.
 
 Because the discretization is conservative to rounding, the discrete
 mean of a regularized solve equals minus the discrete compatibility
@@ -42,9 +42,7 @@ than approximate.
 
 from __future__ import annotations
 
-import threading
 import time
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,21 +92,6 @@ class SolveReport:
         }
 
 
-_cache = weakref.WeakKeyDictionary()
-# Instance threads solve on one mesh at a time; the first to miss a factor
-# builds it while the others wait, so a mesh is never factored twice.
-_factor_lock = threading.Lock()
-
-
-def _cached_factor(mesh, key, build):
-    ws = _cache.setdefault(mesh, {})
-    if key not in ws:          # a built factor is read without the lock
-        with _factor_lock:
-            if key not in ws:
-                ws[key] = build()
-    return ws[key]
-
-
 def _splu(M):
     """Sparse LU of a CSC matrix with A's nearly symmetric pattern: minimum
     degree ordering of M + M^T, and the diagonal entry as pivot unless it
@@ -122,7 +105,7 @@ def _regularized_lu(mesh):
         shift = np.concatenate([np.ones(mesh.n_interior), np.zeros(mesh.n_boundary)])
         A_reg = (neumann_operator(mesh) - sp.diags(shift)).tocsr()
         return A_reg, _splu(A_reg.tocsc())
-    return _cached_factor(mesh, "regularized", build)
+    return mesh.cached("regularized", build)
 
 
 def _deflated_lu(mesh):
@@ -139,7 +122,7 @@ def _deflated_lu(mesh):
         lo, hi = B.indptr[p], B.indptr[p + 1]
         B.data[lo + np.flatnonzero(B.indices[lo:hi] == p)[0]] *= 2.0
         return _splu(B)
-    return _cached_factor(mesh, "deflated", build)
+    return mesh.cached("deflated", build)
 
 
 def _deflated_solve(mesh, b, constraint="mean", node=0, value=0.0):

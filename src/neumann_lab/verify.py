@@ -26,7 +26,7 @@ from .errors import (BallNotContained, ConfigError, DegenerateData,
                      IncompatibleData, InvalidExponent)
 from .field import (BoundaryFunction, GridFunction, boundary_trace, gradient,
                     integrate_boundary, integrate_volume, mean, subtract_mean)
-from .norms import c_k_alpha_norm, holder_reports, l2_norm
+from .norms import holder_reports, l2_norm
 from .solver import (check_compatibility, solve_1d_oracle, solve_bordered,
                      solve_neumann, solve_neumann_pinned, solve_regularized)
 
@@ -178,12 +178,6 @@ def energy_identity_defect(u, f, g):
     return abs(energy - rhs) / (1.0 + energy)
 
 
-def _data_norm(f, g, alpha, pair_strategy):
-    nf = c_k_alpha_norm(f, 0, alpha, pair_strategy).total
-    ng = c_k_alpha_norm(g, 1, alpha, pair_strategy).total
-    return nf + ng
-
-
 def _ratio(num, den):
     if den < RATIO_FLOOR:
         if num <= ZERO_DATA_FLOOR:
@@ -192,24 +186,48 @@ def _ratio(num, den):
     return num / den
 
 
+def _ratio_terms(problems, pair_strategy):
+    """(num, den) of the estimate ratios of (u, f, g, alphas) problems.
+
+    All norms come from one holder_reports call; u is measured as given.
+    Returns one dict per problem mapping ("schauder" | "intermediate" |
+    "l2", alpha) to the pair _ratio turns into that ratio.
+    """
+    items = [item for u, f, g, alphas in problems
+             for item in ((f, 0, alphas), (g, 1, alphas), (u, 2, alphas))]
+    reports = holder_reports(items, pair_strategy)
+    out = []
+    for k, (u, _, _, alphas) in enumerate(problems):
+        fb, gb, ub = reports[3 * k:3 * k + 3]
+        sup_u = float(np.abs(u.all_values()).max())
+        l2_u = l2_norm(u)
+        terms = {}
+        for a in alphas:
+            den = fb[a].total + gb[a].total
+            terms["schauder", a] = (ub[a].total, den)
+            terms["intermediate", a] = (ub[a].total, sup_u + den)
+            terms["l2", a] = (l2_u, den)
+        out.append(terms)
+    return out
+
+
 def l2_lemma_ratio(u, f, g, alpha=0.5, pair_strategy="pruned"):
     """||u - mean||_L2 over the Holder data norms."""
-    return _ratio(l2_norm(subtract_mean(u)), _data_norm(f, g, alpha, pair_strategy))
+    [terms] = _ratio_terms([(subtract_mean(u), f, g, (alpha,))], pair_strategy)
+    return _ratio(*terms["l2", alpha])
 
 
 def schauder_ratio(u, f, g, alpha, pair_strategy="pruned"):
     """||u - mean||_{C^{2,alpha}} over the Holder data norms."""
-    num = c_k_alpha_norm(subtract_mean(u), 2, alpha, pair_strategy).total
-    return _ratio(num, _data_norm(f, g, alpha, pair_strategy))
+    [terms] = _ratio_terms([(subtract_mean(u), f, g, (alpha,))], pair_strategy)
+    return _ratio(*terms["schauder", alpha])
 
 
 def intermediate_ratio(u, f, g, alpha, pair_strategy="pruned"):
     """Ratio with the augmented denominator (adds ||u||_C0); never
     exceeds schauder_ratio on the same data."""
-    u0 = subtract_mean(u)
-    num = c_k_alpha_norm(u0, 2, alpha, pair_strategy).total
-    sup_u = float(np.abs(u0.all_values()).max())
-    return _ratio(num, sup_u + _data_norm(f, g, alpha, pair_strategy))
+    [terms] = _ratio_terms([(subtract_mean(u), f, g, (alpha,))], pair_strategy)
+    return _ratio(*terms["intermediate", alpha])
 
 
 def serrin_local_ratio(u, f, center, radius, p=None):
@@ -438,19 +456,20 @@ def _measure_instance(inst, mesh, config, check_scaling, with_holder):
 
     if with_holder:
         main = config.alpha_main
-        items = [(f, 0, alphas), (g, 1, alphas), (u, 2, alphas)]
+        problems = [(u, f, g, alphas)]
         if check_scaling:
             # the doubled problem's norms join the same sweeps
             scaled = solve_neumann(2.0 * f, 2.0 * g, compat_policy="project")
-            items += [(2.0 * f, 0, (main,)), (2.0 * g, 1, (main,)),
-                      (subtract_mean(scaled.solution), 2, (main,))]
-        fb, gb, ub, *scaled_reports = holder_reports(items, config.pair_strategy)
-        sup_u = float(np.abs(u.all_values()).max())
+            problems.append((subtract_mean(scaled.solution), 2.0 * f, 2.0 * g, (main,)))
+        terms = _ratio_terms(problems, config.pair_strategy)
         for a in alphas:
-            den = fb[a].total + gb[a].total
-            row[f"ratio_schauder_{a}"] = _ratio(ub[a].total, den)
-            row[f"ratio_intermediate_{a}"] = _ratio(ub[a].total, sup_u + den)
-        row["ratio_l2"] = _ratio(l2_norm(u), fb[main].total + gb[main].total)
+            row[f"ratio_schauder_{a}"] = _ratio(*terms[0]["schauder", a])
+            row[f"ratio_intermediate_{a}"] = _ratio(*terms[0]["intermediate", a])
+        row["ratio_l2"] = _ratio(*terms[0]["l2", main])
+        if check_scaling:
+            r1 = row[f"ratio_schauder_{main}"]
+            r2 = _ratio(*terms[1]["schauder", main])
+            row["scaling_deviation"] = abs(r2 - r1) / (abs(r1) if r1 else 1.0)
 
     center = _serrin_center(mesh)
     p = config.serrin_p if config.serrin_p is not None else mesh.dim + 1
@@ -463,13 +482,6 @@ def _measure_instance(inst, mesh, config, check_scaling, with_holder):
         float(np.abs(reg.solution.all_values()).max()) / sup_f if sup_f > 0 else 0.0)
 
     row["boundary_sup_gap"] = max(boundary_sup_gap(u, eps) for eps in config.eps_values)
-
-    if check_scaling and with_holder:
-        f2, g2, u2 = (rep[main] for rep in scaled_reports)
-        r1 = row[f"ratio_schauder_{main}"]
-        r2 = _ratio(u2.total, f2.total + g2.total)
-        row["scaling_deviation"] = abs(r2 - r1) / (abs(r1) if r1 else 1.0)
-
     return row, f, g, u, direct
 
 

@@ -1,6 +1,8 @@
 """Solver contracts: compatibility, regularized/Neumann solves, 1D oracle."""
 
+import gc
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,7 +14,7 @@ from neumann_lab.errors import (ConfigError, IncompatibleData, LinearSolveFailur
                                 NonZeroMeanInput)
 from neumann_lab.field import (BoundaryFunction, GridFunction, mean, neumann_operator,
                                subtract_mean)
-from neumann_lab.norms import c_k_alpha_norm
+from neumann_lab.norms import c_k_alpha_norm, holder_reports
 from neumann_lab.solver import (STRATEGIES, apply_screened_inverse, check_compatibility,
                                 solve_1d_oracle, solve_bordered, solve_neumann,
                                 solve_neumann_pinned, solve_regularized)
@@ -244,6 +246,25 @@ def test_multiplier_scales_with_data(disk_mesh_small):
     _, lam1 = solve_bordered(f, g)
     _, lam2 = solve_bordered(2.0 * f, g)
     assert lam2 == pytest.approx(2.0 * lam1, rel=1e-12)
+
+
+def test_mesh_workspace_dies_with_its_mesh():
+    # no workspace value may refer back to its mesh: the cycle would keep
+    # the mesh and its factors alive until the cycle collector runs
+    mesh = build_mesh(DomainSpec.disk(), (8, 32))
+    f = GridFunction.constant(mesh, 1.0)
+    g = BoundaryFunction.constant(mesh, 0.5)
+    gc.disable()
+    try:
+        u = solve_neumann(f, g, compat_policy="project").solution
+        solve_regularized(f, g)
+        mesh.interior_depth
+        holder_reports([(f, 0, (0.5,)), (g, 1, (0.5,)), (u, 2, (0.5,))])
+        ref = weakref.ref(mesh)
+        del mesh, f, g, u
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_constrained_solves_share_one_factorization(monkeypatch):

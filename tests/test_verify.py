@@ -2,15 +2,16 @@
 
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from neumann_lab import field
+from neumann_lab import field, norms, solver
 from neumann_lab.domain import DomainSpec, build_mesh
 from neumann_lab.errors import (BallNotContained, ConfigError, DegenerateData,
                                 InvalidExponent)
-from neumann_lab.field import BoundaryFunction, GridFunction
+from neumann_lab.field import BoundaryFunction, GridFunction, subtract_mean
 from neumann_lab.solver import solve_neumann
 from neumann_lab.verify import (MANUFACTURED_CASES, ProblemFamily, VerifyConfig,
                                 boundary_sup_gap, convergence_study,
@@ -298,6 +299,24 @@ def test_stacked_scaling_check_matches_schauder_ratio():
     assert row["scaling_deviation"] == abs(r2 - r1) / abs(r1)
 
 
+def test_schauder_ratio_sweeps_each_node_set_once(monkeypatch, disk_mesh_small):
+    f = GridFunction.constant(disk_mesh_small, 1.0)
+    g = BoundaryFunction.constant(disk_mesh_small, 0.5)
+    u = solve_neumann(f, g, compat_policy="project").solution
+    rows = []
+    kernel = norms.pairwise_holder_max
+    monkeypatch.setattr(norms, "pairwise_holder_max",
+                        lambda xy, comps, *a, **kw: rows.append(len(comps)) or
+                        kernel(xy, comps, *a, **kw))
+    ratio = schauder_ratio(u, f, g, 0.5)
+    # one volume sweep stacks f and the 4 components of u'', one boundary
+    # sweep takes g'
+    assert rows == [5, 1]
+    num = norms.c_k_alpha_norm(subtract_mean(u), 2, 0.5).total
+    den = norms.c_k_alpha_norm(f, 0, 0.5).total + norms.c_k_alpha_norm(g, 1, 0.5).total
+    assert ratio == num / den
+
+
 def test_family_study_rejects_rung_coarser_than_eps(monkeypatch):
     import neumann_lab.verify as verify
 
@@ -317,17 +336,29 @@ def test_family_study_rejects_empty():
 
 
 def test_family_study_threads_assemble_each_mesh_once(monkeypatch):
-    assembled = []
-    assemble = field._assemble_2d
+    assembled, factored, layouts = [], [], []
+    assemble, splu, layout = field._assemble_2d, solver.spla.splu, norms._layout
     monkeypatch.setattr(field, "_assemble_2d",
                         lambda mesh: assembled.append((mesh.n_r, mesh.n_theta)) or assemble(mesh))
+    monkeypatch.setattr(solver.spla, "splu",
+                        lambda M, *a, **kw: factored.append(M.shape) or splu(M, *a, **kw))
+    monkeypatch.setattr(norms, "_layout",
+                        lambda coords: layouts.append(len(coords)) or layout(coords))
     config = VerifyConfig(count=4, seed=3, resolutions=((12, 48), (16, 64)),
-                          pinned_resolution=(20, 80), threads=2)
+                          pinned_resolution=(20, 80), threads=1)
+    run_family_study(config)
+    serial_factors = len(factored)
+    for seen in (assembled, factored, layouts):
+        seen.clear()
     # instance threads start on each fresh mesh together, switching often
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        run_family_study(config)
+        run_family_study(replace(config, threads=2))
     finally:
         sys.setswitchinterval(interval)
     assert sorted(assembled) == [(12, 48), (16, 64), (20, 80)]
+    assert len(factored) <= serial_factors
+    # one leaf layout per node set of each Holder rung: boundary loops of
+    # 48 and 64 nodes, volume node sets of 12*48 + 48 and 16*64 + 64
+    assert sorted(layouts) == [48, 64, 624, 1088]
