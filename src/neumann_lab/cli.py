@@ -96,10 +96,8 @@ def _write_report(outdir, name, payload, fmt, wall_time, csv_text=None):
 
 
 def _domain_from_args(args, problem):
-    dom = problem.get("domain")
-    if dom is not None and args.domain is None:
-        spec, res = DomainSpec.from_json(dom)
-        return spec, res
+    if "domain" in problem and args.domain is None:
+        return problem["domain"]
     kind = args.domain or "disk"
     if kind == "disk":
         return DomainSpec.disk(args.radius), None
@@ -111,24 +109,14 @@ def _domain_from_args(args, problem):
 
 
 def _star_domain(text):
-    """Star-shaped domain from --radius-coeffs {"a0": x, "cos": [...], "sin": [...]}.
-
-    a0 defaults to 1 and the mode lists to empty; anything but a JSON
-    object with a number a0 and lists of numbers is a ConfigError.
-    """
+    """Star-shaped domain from --radius-coeffs {"a0": x, "cos": [...], "sin": [...]}."""
     if not text:
         raise ConfigError("star domain needs --radius-coeffs JSON")
-    rc = json.loads(text)
-
-    def number(v):
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-    if not (isinstance(rc, dict) and number(rc.get("a0", 1.0))
-            and all(isinstance(rc.get(k, []), list) and all(map(number, rc.get(k, [])))
-                    for k in ("cos", "sin"))):
+    try:
+        return DomainSpec.from_radius_coeffs(json.loads(text))
+    except ConfigError:
         raise ConfigError('--radius-coeffs must be a JSON object {"a0": number, '
-                          f'"cos": [numbers], "sin": [numbers]}}, got {text!r}')
-    return DomainSpec.star_shaped(rc.get("a0", 1.0), rc.get("cos", ()), rc.get("sin", ()))
+                          f'"cos": [numbers], "sin": [numbers]}}, got {text!r}') from None
 
 
 def _resolution_from_args(args, spec, file_res):
@@ -143,10 +131,26 @@ def _resolution_from_args(args, spec, file_res):
 
 
 def _load_problem(args):
-    if getattr(args, "problem", None):
-        with open(args.problem, encoding="utf-8") as fh:
-            return json.load(fh)
-    return {}
+    """The --problem file as a dict, {} without one.
+
+    The file must hold a JSON object whose f, g, strategy and
+    compat_policy, where given, are strings; its domain is parsed here
+    by DomainSpec.from_json into (spec, resolution).  Any other shape is
+    a ConfigError.
+    """
+    if not getattr(args, "problem", None):
+        return {}
+    with open(args.problem, encoding="utf-8") as fh:
+        problem = json.load(fh)
+    if not isinstance(problem, dict):
+        raise ConfigError(f"a problem file must hold a JSON object, got {problem!r}")
+    for key in ("f", "g", "strategy", "compat_policy"):
+        if not isinstance(problem.get(key, ""), str):
+            raise ConfigError(f"problem file entry {key!r} must be a string, "
+                              f"got {problem[key]!r}")
+    if "domain" in problem:
+        problem["domain"] = DomainSpec.from_json(problem["domain"])
+    return problem
 
 
 def _add_domain_flags(p):

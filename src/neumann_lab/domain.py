@@ -49,6 +49,10 @@ def check_mesh_size(resolution):
                           f"{MAX_NODES} a mesh may have")
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _trig_poly(a0, cos_coeffs, sin_coeffs, theta):
     """Evaluate R(theta) = a0 + sum a_k cos(k t) + b_k sin(k t) and R'."""
     theta = np.asarray(theta, dtype=float)
@@ -128,21 +132,49 @@ class DomainSpec:
 
     @classmethod
     def from_json(cls, obj):
-        """Parse the JSON object form; returns (spec, resolution or None)."""
+        """Parse the JSON object form; returns (spec, resolution or None).
+
+        The object needs a kind: "interval" with number bounds a and b,
+        or "star_shaped" with radius_coeffs (see from_radius_coeffs).  A
+        resolution, if given, is one integer per dimension, a bare
+        integer standing for [n].  Any other shape is a ConfigError.
+        """
+        if not isinstance(obj, dict):
+            raise ConfigError(f"domain must be a JSON object, got {obj!r}")
         kind = obj.get("kind")
         if kind == "interval":
-            spec = cls.interval(obj.get("a", 0.0), obj.get("b", 1.0))
+            a, b = obj.get("a", 0.0), obj.get("b", 1.0)
+            if not (_is_number(a) and _is_number(b)):
+                raise ConfigError(f"interval bounds a, b must be numbers, got {a!r}, {b!r}")
+            spec = cls.interval(a, b)
         elif kind == "star_shaped":
-            rc = obj.get("radius_coeffs", {})
-            spec = cls.star_shaped(rc.get("a0", 1.0), rc.get("cos", ()), rc.get("sin", ()))
+            spec = cls.from_radius_coeffs(obj.get("radius_coeffs", {}))
         else:
             raise ConfigError(f"unknown domain kind {kind!r}")
         res = obj.get("resolution")
         if res is not None:
-            res = tuple(int(v) for v in np.atleast_1d(res))
+            res = tuple(res) if isinstance(res, list) else (res,)
+            if not (len(res) == spec.dim and all(
+                    isinstance(v, int) and not isinstance(v, bool) for v in res)):
+                raise ConfigError(f"{kind} resolution must be {spec.dim} integer(s), "
+                                  f"got {obj['resolution']!r}")
             if len(res) == 1:
                 res = res[0]
         return spec, res
+
+    @classmethod
+    def from_radius_coeffs(cls, rc):
+        """Star-shaped domain from {"a0": number, "cos": [numbers], "sin": [numbers]}.
+
+        a0 defaults to 1 and the mode lists to empty; any other shape is
+        a ConfigError.
+        """
+        if not (isinstance(rc, dict) and _is_number(rc.get("a0", 1.0))
+                and all(isinstance(rc.get(k, []), list) and all(map(_is_number, rc.get(k, [])))
+                        for k in ("cos", "sin"))):
+            raise ConfigError('radius_coeffs must be a JSON object {"a0": number, '
+                              f'"cos": [numbers], "sin": [numbers]}}, got {rc!r}')
+        return cls.star_shaped(rc.get("a0", 1.0), rc.get("cos", ()), rc.get("sin", ()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,10 @@ The Holder seminorm of a sampled field is the exact maximum of
 computes it for every component and exponent stacked into a call.  The
 nodes are cut into chunks of TILE, and each chunk into leaves of LEAF --
 nested k-d boxes in the plane, runs of the sorted order on a line or
-loop.  A tile is a pair of chunks, a leaf pair a pair of leaves.  Leaf
+loop.  The k-d boxes are split level by level: every node's rank along
+each axis is sorted once, and one stable sort of (box, rank) keys per
+level cuts all boxes of that level together.  A tile is a pair of
+chunks, a leaf pair a pair of leaves.  Leaf
 pairs are evaluated in batches: their squared distances axis by axis,
 the log once, the distance weight once per exponent, and the value
 differences once per component, in (LEAF, LEAF, batch) arrays.  Two
@@ -114,37 +117,53 @@ def _as_points(coords, n):
     return pts
 
 
-def _kd_order(coords, idx, size):
-    """idx ordered into k-d boxes of size nodes.
+def _kd_split(coords, rank, order, starts, size):
+    """order with each run order[starts[i]:starts[i + 1]] cut into k-d boxes of size.
 
-    Each split cuts along the axis of larger extent (ties in that
-    coordinate broken by the others) and puts size * ceil(nboxes / 2)
-    nodes on the left, so every box but the last holds size nodes.
+    Level by level, every box of more than size nodes is sorted by
+    rank along its axis of larger extent (the first such axis on a tie)
+    and cut so that size * ceil(nboxes / 2) nodes go left, which leaves
+    every box but the last of each run full.  One stable sort of the
+    keys box * n + rank reorders all boxes of a level; boxes that are
+    not split keep their order.
     """
-    nboxes = -(-len(idx) // size)
-    if nboxes <= 1:
-        return idx
-    P = coords[idx]
-    axis = int(np.argmax(P.max(axis=0) - P.min(axis=0)))
-    idx = idx[np.lexsort((*P.T, P[:, axis]))]
-    left = size * -(-nboxes // 2)
-    return np.concatenate([_kd_order(coords, idx[:left], size),
-                           _kd_order(coords, idx[left:], size)])
+    n = len(order)
+    while True:
+        counts = np.diff(starts, append=n)
+        nboxes = -(-counts // size)
+        split = nboxes > 1
+        if not split.any():
+            return order
+        P = coords[order]
+        extent = np.maximum.reduceat(P, starts) - np.minimum.reduceat(P, starts)
+        box = np.repeat(np.arange(len(starts)), counts)
+        axis = np.argmax(extent, axis=1)[box]
+        key = box * n + np.where(split[box], rank[axis, order], 0)
+        order = order[np.argsort(key, kind="stable")]
+        starts = np.sort(np.concatenate([starts, starts[split] + size * -(-nboxes[split] // 2)]))
 
 
 def _layout(coords):
     """Node order: chunks of TILE nodes, each cut into leaves of LEAF.
 
-    In the plane both levels are k-d boxes, the leaves splitting their
-    chunk; on a line or loop both are runs of the sorted order.  Every
-    chunk and leaf but the last is full.
+    In the plane both levels are k-d boxes (Bentley 1975), the leaves
+    splitting their chunk; on a line or loop both are runs of the sorted
+    order.  Every chunk and leaf but the last is full.  rank[a, i] is
+    node i's place in the order by coordinate a, ties broken by the last
+    coordinate down to the first and then by node index.  It is computed
+    once; sorting a box by it sorts the box's coordinates with the same
+    tie rule, so the splits, made level by level (``_kd_split``), equal
+    those of a per-box recursion.
     """
-    n = coords.shape[0]
-    if coords.shape[1] == 1:
+    n, d = coords.shape
+    if d == 1:
         return np.argsort(coords[:, 0], kind="stable")
-    order = _kd_order(coords, np.arange(n), TILE)
-    return np.concatenate([_kd_order(coords, order[s:s + TILE], LEAF)
-                           for s in range(0, n, TILE)])
+    rank = np.empty((d, n), dtype=np.int64)
+    for a in range(d):
+        # primary coordinate a, then the others last first, then node index
+        rank[a, np.lexsort((*np.delete(coords, a, axis=1).T, coords[:, a]))] = np.arange(n)
+    order = _kd_split(coords, rank, np.arange(n), np.zeros(1, dtype=np.int64), TILE)
+    return _kd_split(coords, rank, order, np.arange(0, n, TILE), LEAF)
 
 
 # leaf offsets, within their chunks, of the leaf pairs of two chunks and

@@ -417,6 +417,7 @@ class VerifyConfig:
         for res in (*self.resolutions, self.pinned_resolution):
             if res is not None:
                 check_mesh_size(res)
+        _worker_count(self)
 
     def to_json(self):
         return {
@@ -556,9 +557,14 @@ class EstimateReport:
 
 
 def _worker_count(config):
+    """Instance threads: config.threads, else NEUMANN_LAB_THREADS, else 1."""
     if config.threads:
         return max(1, int(config.threads))
-    return max(1, int(os.environ.get("NEUMANN_LAB_THREADS", "1") or "1"))
+    text = os.environ.get("NEUMANN_LAB_THREADS", "") or "1"
+    try:
+        return max(1, int(text))
+    except ValueError:
+        raise ConfigError(f"NEUMANN_LAB_THREADS must be an integer, got {text!r}") from None
 
 
 def _first_passing_n(domain, res, gap, eps):
@@ -577,6 +583,7 @@ def run_family_study(config):
         raise ConfigError("family study needs count >= 1")
     if len(config.resolutions) < 1:
         raise ConfigError("family study needs at least one level")
+    workers = _worker_count(config)
     family = ProblemFamily(kind=config.family_kind, seed=config.seed,
                            count=config.count, dim=config.domain.dim)
     instances = family.instances()
@@ -609,7 +616,6 @@ def run_family_study(config):
                 row = _agreement_measures(row, f, g, u)
             return row
 
-        workers = _worker_count(config)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(measure, instances))

@@ -6,7 +6,9 @@ import time
 
 import pytest
 
+from neumann_lab import verify
 from neumann_lab.cli import main
+from neumann_lab.errors import ConfigError
 
 
 def run(args):
@@ -63,6 +65,36 @@ def test_problem_file_bad_solver_choice_exits_4(tmp_path, entry):
     path.write_text(json.dumps({"f": "1", "g": "0.5", **entry}))
     assert run(["solve", "--problem", str(path), "--nr", "8", "--ntheta", "16",
                 "--out", str(tmp_path)]) == 4
+
+
+@pytest.mark.parametrize("body", [
+    [1, 2],
+    {"domain": "disk"},
+    {"f": 3, "g": 0},
+    {"domain": {"kind": "star_shaped", "radius_coeffs": {"cos": "abc"}}, "f": "1", "g": "0"},
+    {"domain": {"kind": "star_shaped", "resolution": "x"}, "f": "1", "g": "0"},
+    {"domain": {"kind": "interval", "a": "q"}, "f": "1", "g": "0"}])
+def test_malformed_problem_file_exits_4(tmp_path, capsys, body):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(body))
+    assert run(["solve", "--problem", str(path), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "bad configuration" in err and "Traceback" not in err
+
+
+def test_bad_thread_count_exits_4_before_any_mesh(tmp_path, capsys, monkeypatch):
+    built = []
+    build = verify.build_mesh
+    monkeypatch.setattr(verify, "build_mesh", lambda *a: built.append(a) or build(*a))
+    monkeypatch.setenv("NEUMANN_LAB_THREADS", "abc")
+    assert run(["verify", "--count", "1", "--levels", "1", "--no-pinned",
+                "--out", str(tmp_path)]) == 4
+    assert "NEUMANN_LAB_THREADS" in capsys.readouterr().err
+    assert built == []
+    with pytest.raises(ConfigError):
+        verify.VerifyConfig()
+    monkeypatch.setenv("NEUMANN_LAB_THREADS", "2")
+    assert verify._worker_count(verify.VerifyConfig()) == 2
 
 
 def test_problem_file_and_flag_precedence(tmp_path):

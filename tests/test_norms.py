@@ -239,6 +239,51 @@ def test_kd_tile_layout(n, layout, rng):
     assert pairs == n * (n - 1) // 2
 
 
+def _kd_order_reference(coords, idx, size):
+    """idx ordered into k-d boxes of size nodes, one box at a time.
+
+    Each split cuts along the axis of larger extent (ties in that
+    coordinate broken by the others) and puts size * ceil(nboxes / 2)
+    nodes on the left.
+    """
+    nboxes = -(-len(idx) // size)
+    if nboxes <= 1:
+        return idx
+    P = coords[idx]
+    axis = int(np.argmax(P.max(axis=0) - P.min(axis=0)))
+    idx = idx[np.lexsort((*P.T, P[:, axis]))]
+    left = size * -(-nboxes // 2)
+    return np.concatenate([_kd_order_reference(coords, idx[:left], size),
+                           _kd_order_reference(coords, idx[left:], size)])
+
+
+def _layout_reference(coords):
+    """The nested layout by per-box recursion: chunks of TILE, leaves of LEAF."""
+    order = _kd_order_reference(coords, np.arange(len(coords)), TILE)
+    return np.concatenate([_kd_order_reference(coords, order[s:s + TILE], LEAF)
+                           for s in range(0, len(coords), TILE)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5 * TILE + 17),
+       layout=st.sampled_from(["uniform", "clustered", "collinear_x", "collinear_y",
+                               "duplicates", "lattice", "space", "space_duplicates"]))
+def test_layout_equals_recursive_split(seed, n, layout):
+    # the level-by-level split gives the very permutation of the per-box
+    # recursion, ties and duplicate sites included
+    rng = np.random.default_rng(seed)
+    if layout == "lattice":
+        side = int(np.ceil(np.sqrt(n)))
+        coords = np.column_stack(np.divmod(rng.permutation(side * side)[:n], side)) * 0.1
+    elif layout == "space":
+        coords = rng.random((n, 3))
+    elif layout == "space_duplicates":
+        coords = rng.integers(0, 3, (n, 3)) / 2.0
+    else:
+        coords = _cloud(rng, n, layout)
+    assert np.array_equal(_layout(coords), _layout_reference(coords))
+
+
 def test_pruning_skips_most_pairs_on_smooth_study_data():
     # default-family forcing on the finest default rung: smooth fields,
     # where 16-node leaves keep spreads small enough to prune
