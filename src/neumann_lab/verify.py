@@ -557,14 +557,22 @@ class EstimateReport:
 
 
 def _worker_count(config):
-    """Instance threads: config.threads, else NEUMANN_LAB_THREADS, else 1."""
+    """Instance threads: config.threads, else NEUMANN_LAB_THREADS, else 1.
+    A negative config.threads, or a variable that is not an integer >= 1,
+    is a ConfigError."""
+    if config.threads < 0:
+        raise ConfigError(f"threads must be >= 0 (0: NEUMANN_LAB_THREADS or 1), "
+                          f"got {config.threads}")
     if config.threads:
-        return max(1, int(config.threads))
+        return int(config.threads)
     text = os.environ.get("NEUMANN_LAB_THREADS", "") or "1"
     try:
-        return max(1, int(text))
+        count = int(text)
     except ValueError:
-        raise ConfigError(f"NEUMANN_LAB_THREADS must be an integer, got {text!r}") from None
+        count = 0
+    if count < 1:
+        raise ConfigError(f"NEUMANN_LAB_THREADS must be an integer >= 1, got {text!r}")
+    return count
 
 
 def _first_passing_n(domain, res, gap, eps):

@@ -97,6 +97,21 @@ def test_bad_thread_count_exits_4_before_any_mesh(tmp_path, capsys, monkeypatch)
     assert verify._worker_count(verify.VerifyConfig()) == 2
 
 
+@pytest.mark.parametrize("flags, env", [(["--threads", "-3"], "2"), ([], "-2"), ([], "0")])
+def test_thread_count_below_one_exits_4_before_any_mesh(tmp_path, capsys, monkeypatch,
+                                                         flags, env):
+    built = []
+    build = verify.build_mesh
+    monkeypatch.setattr(verify, "build_mesh", lambda *a: built.append(a) or build(*a))
+    monkeypatch.setenv("NEUMANN_LAB_THREADS", env)
+    assert run(["verify", "--count", "1", "--levels", "1", "--no-pinned",
+                "--out", str(tmp_path)] + flags) == 4
+    err = capsys.readouterr().err
+    assert "bad configuration" in err and "Traceback" not in err
+    assert ("threads" if flags else "NEUMANN_LAB_THREADS") in err
+    assert built == []
+
+
 def test_problem_file_and_flag_precedence(tmp_path):
     problem = {
         "domain": {"kind": "interval", "a": 0.0, "b": 1.0, "resolution": [64]},

@@ -1,6 +1,7 @@
 """Grid-function calculus: derivatives, integrals, conservation, linearity."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from neumann_lab.domain import DomainSpec, build_mesh
 from neumann_lab.errors import MeshMismatch
 from neumann_lab.field import (BoundaryFunction, GridFunction, boundary_trace,
                                gradient, integrate_boundary, integrate_volume,
-                               laplacian, mean, normal_derivative, subtract_mean)
+                               laplacian, mean, neumann_operator, normal_derivative,
+                               subtract_mean)
 
 
 def test_gradient_of_constant(disk_mesh):
@@ -131,6 +133,23 @@ def test_discrete_divergence_theorem(star_mesh, rng):
     rhs = np.dot(star_mesh.w_bnd, normal_derivative(u).values)
     scale = np.abs(star_mesh.w_vol * laplacian(u).interior).sum()
     assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("spec", [DomainSpec.disk(1.0),
+                                  DomainSpec.star_shaped(1.0, (0.2, 0.2, 0.2))])
+def test_operator_assembly_peak_memory(spec):
+    # The assembly's transient triplets dwarf the operator it returns.  At
+    # about 1,600 bytes per node they left ~100 MiB of freed heap on a
+    # (160, 320) mesh, which later allocations may or may not reuse; that
+    # made a process's peak RSS vary by tens of MiB from run to run.
+    mesh = build_mesh(spec, (24, 96))
+    tracemalloc.start()
+    try:
+        neumann_operator(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1200 * (mesh.n_interior + mesh.n_boundary)
 
 
 def test_linearity_of_operators(disk_mesh_small, rng):

@@ -7,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from neumann_lab import solver
 from neumann_lab.domain import DomainSpec, build_mesh
@@ -269,10 +271,10 @@ def test_mesh_workspace_dies_with_its_mesh():
 
 def test_constrained_solves_share_one_factorization(monkeypatch):
     mesh = build_mesh(DomainSpec.disk(), (12, 24))     # fresh: nothing cached yet
-    factored = []
-    splu = solver.spla.splu
-    monkeypatch.setattr(solver.spla, "splu",
-                        lambda M, *a, **kw: factored.append(M.shape) or splu(M, *a, **kw))
+    factored = []                  # every per-mesh factor, whichever kind the mesh gets
+    factor = solver._factor
+    monkeypatch.setattr(solver, "_factor", lambda mesh, M, *a, **kw: factored.append(
+        factor(mesh, M, *a, **kw)) or factored[-1])
     f = GridFunction.from_expression(mesh, "x*y + cos(2*x)")
     g = BoundaryFunction.constant(mesh, 0.3)
     calls = [lambda: solve_neumann(f, g, compat_policy="project").solution,
@@ -291,12 +293,14 @@ def test_constrained_solves_share_one_factorization(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert len(factored) == 1
+    assert isinstance(factored[0], solver._FourierFactor)
     for first, again in zip(results[:len(calls)], results[len(calls):]):
         np.testing.assert_array_equal(first, again)
 
 
-@pytest.mark.parametrize("spec", [DomainSpec.disk(), MANUFACTURED_CASES["star_trig"].domain],
-                         ids=["disk", "star_trig"])
+@pytest.mark.parametrize("spec", [DomainSpec.star_shaped(1.0, (0.2, 0.2, 0.2)),
+                                  MANUFACTURED_CASES["star_trig"].domain],
+                         ids=["star", "star_trig"])
 def test_factors_cut_default_fill_and_stay_accurate(spec, monkeypatch):
     mesh = build_mesh(spec, (48, 192))                 # fresh: nothing cached yet
     factored = []
@@ -317,7 +321,53 @@ def test_factors_cut_default_fill_and_stay_accurate(spec, monkeypatch):
         default = splu(M)
         assert lu.L.nnz + lu.U.nnz <= 0.7 * (default.L.nnz + default.U.nnz)
         b = rng.standard_normal(M.shape[0])
-        solver._checked_residual(M, lu.solve(b), b, 1e-14, "seeded solve")
+        solver._checked_residual(M, solver._inf_norm(M), lu.solve(b), b, 1e-14,
+                                 "seeded solve")
+
+
+def _ring0_deflated(mesh):
+    """A + (c / n_theta) 1_0 1_0^T, the matrix the disk's deflated factor
+    solves: c is mode 0's ring-0 diagonal, the sum of row 0 over ring 0."""
+    A = neumann_operator(mesh)
+    nt = mesh.n_theta
+    c = A[0, :nt].sum()
+    ring0 = sp.csr_matrix(np.ones((nt, 1)))
+    ring0.resize((A.shape[0], 1))
+    return (A + (c / nt) * (ring0 @ ring0.T)).tocsc()
+
+
+@pytest.mark.parametrize("res", [(4, 8), (12, 45), (48, 192), (96, 384)])
+def test_disk_factors_solve_through_theta_modes(res):
+    mesh = build_mesh(DomainSpec.disk(), res)
+    A = neumann_operator(mesh)
+    nt = mesh.n_theta
+    # rotation invariance: each (ring, ring, theta offset) group of A holds
+    # exactly n_theta entries, equal to rounding
+    coo = A.tocoo()
+    group = (coo.row // nt * (mesh.n_r + 1) + coo.col // nt) * nt + (coo.col - coo.row) % nt
+    assert np.all(np.unique(group, return_counts=True)[1] == nt)
+    groups = coo.data[np.argsort(group, kind="stable")].reshape(-1, nt)
+    assert np.all(np.ptp(groups, axis=1) <= 1e-15 * np.abs(groups).max(axis=1))
+    rng = np.random.default_rng(11)
+    for factor, M in ((solver._deflated_lu(mesh), _ring0_deflated(mesh)),
+                      (solver._regularized_lu(mesh)[2], solver._regularized_lu(mesh)[0])):
+        assert isinstance(factor, solver._FourierFactor)
+        b = rng.standard_normal(M.shape[0])
+        x = factor.solve(b)
+        solver._checked_residual(M, solver._inf_norm(M), x, b, 1e-14, "seeded solve")
+        ref = solver._splu(M.tocsc()).solve(b)
+        assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("spec, res, fill", [
+    (DomainSpec.star_shaped(1.0, (0.2, 0.2, 0.2)), (48, 192), (562468, 562468)),
+    (DomainSpec.interval(0.0, 1.0), 4096, (22020, 22532))], ids=["star", "interval"])
+def test_other_meshes_keep_their_sparse_lu(spec, res, fill):
+    # the fill of both factors before the disk got its own path
+    mesh = build_mesh(spec, res)
+    factors = (solver._deflated_lu(mesh), solver._regularized_lu(mesh)[2])
+    assert all(isinstance(lu, spla.SuperLU) for lu in factors)
+    assert tuple(lu.L.nnz + lu.U.nnz for lu in factors) == fill
 
 
 @pytest.mark.parametrize("mesh_name, expr", [("disk_mesh", "x*y + cos(2*x)"),

@@ -337,11 +337,12 @@ def test_family_study_rejects_empty():
 
 def test_family_study_threads_assemble_each_mesh_once(monkeypatch):
     assembled, factored, layouts = [], [], []
-    assemble, splu, layout = field._assemble_2d, solver.spla.splu, norms._layout
+    assemble, factor, layout = field._assemble_2d, solver._factor, norms._layout
     monkeypatch.setattr(field, "_assemble_2d",
                         lambda mesh: assembled.append((mesh.n_r, mesh.n_theta)) or assemble(mesh))
-    monkeypatch.setattr(solver.spla, "splu",
-                        lambda M, *a, **kw: factored.append(M.shape) or splu(M, *a, **kw))
+    # every per-mesh factor, whichever kind the mesh gets
+    monkeypatch.setattr(solver, "_factor", lambda mesh, M, *a, **kw: (
+        factored.append(M.shape) or factor(mesh, M, *a, **kw)))
     monkeypatch.setattr(norms, "_layout",
                         lambda coords: layouts.append(len(coords)) or layout(coords))
     config = VerifyConfig(count=4, seed=3, resolutions=((12, 48), (16, 64)),
