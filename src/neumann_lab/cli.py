@@ -171,6 +171,8 @@ def _add_output_flags(p):
 
 
 def cmd_solve(args):
+    if not 0.0 < args.alpha < 1.0:
+        raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
     problem = _load_problem(args)
     spec, file_res = _domain_from_args(args, problem)
     mesh = build_mesh(spec, _resolution_from_args(args, spec, file_res))
@@ -277,6 +279,8 @@ def cmd_verify(args):
 
 
 def cmd_sweep(args):
+    if args.levels < 1:
+        raise ConfigError("sweep needs --levels >= 1")
     problem = _load_problem(args)
     spec, file_res = _domain_from_args(args, problem)
     f_text = args.f or problem.get("f")
@@ -327,10 +331,18 @@ def cmd_sweep(args):
 
 
 def cmd_oracle1d(args):
+    if args.levels < 1:
+        raise ConfigError("oracle1d needs --levels >= 1")
     t0 = time.perf_counter()
     cases = []
     if args.f_coeffs:
-        coeffs = [float(c) for c in args.f_coeffs.split(",")]
+        try:
+            coeffs = [float(c) for c in args.f_coeffs.split(",")]
+        except ValueError:
+            coeffs = None
+        if coeffs is None or not np.all(np.isfinite(coeffs + [args.g0, args.g1])):
+            raise ConfigError(f"--f-coeffs must be comma-separated finite numbers and "
+                              f"--g0, --g1 finite, got {args.f_coeffs!r}, {args.g0}, {args.g1}")
         cases.append(("custom", coeffs, args.g0, args.g1))
     else:
         cases.append(("quadratic", [2.0], 1.0, 1.0))

@@ -29,7 +29,7 @@ from .errors import ConfigError, NonPositiveRadius, ResolutionTooSmall
 MIN_NODES_1D = 4
 MIN_RADIAL = 4
 MIN_ANGULAR = 8
-DISTANCE_BLOCK = 1024     # query points per block of distance_to_boundary
+DISTANCE_BLOCK = 2**15    # doubles per tile of distance_to_boundary (256 KiB)
 # Largest mesh a configuration may ask for: 14x the 37,248 nodes of the
 # (96, 384) level.  It is checked from the resolution alone, so a larger
 # rung is refused before any mesh, operator or factor is built.
@@ -91,6 +91,9 @@ class DomainSpec:
             raise NonPositiveRadius(f"mean radius a0 must be positive, got {self.a0}")
         object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
+        if not np.all(np.isfinite([self.a, self.b, self.a0, *self.cos_coeffs,
+                                   *self.sin_coeffs])):
+            raise ConfigError(f"domain parameters must be finite, got {self!r}")
 
     @property
     def dim(self):
@@ -414,14 +417,24 @@ def distance_to_boundary(mesh, points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if mesh.dim == 1:
         return np.minimum(pts[:, 0] - mesh.spec.a, mesh.spec.b - pts[:, 0])
-    bx, by = mesh.boundary_xy[:, 0], mesh.boundary_xy[:, 1]
-    d2min = np.empty(len(pts))
-    for start in range(0, len(pts), DISTANCE_BLOCK):
-        block = pts[start:start + DISTANCE_BLOCK]
-        d2 = np.subtract.outer(block[:, 0], bx)
-        d2 *= d2
-        dy = np.subtract.outer(block[:, 1], by)
-        dy *= dy
-        d2 += dy
-        d2.min(axis=1, out=d2min[start:start + len(block)])
+    # A tile is boundary nodes x query points, the points on the contiguous
+    # axis, and holds at most DISTANCE_BLOCK doubles: 8 boundary nodes by
+    # DISTANCE_BLOCK // 8 points, or more boundary nodes for fewer points.
+    bx, by = mesh.boundary_xy[:, :1], mesh.boundary_xy[:, 1:]
+    width = max(1, min(len(pts), DISTANCE_BLOCK // 8))     # query points per tile
+    height = DISTANCE_BLOCK // width                       # boundary nodes per tile
+    d2_tile, dy_tile = np.empty((height, width)), np.empty((height, width))
+    d2min = np.full(len(pts), np.inf)
+    for start in range(0, len(pts), width):
+        px, py = pts[start:start + width].T.copy()
+        best = d2min[start:start + len(px)]
+        for k in range(0, len(bx), height):
+            d2 = d2_tile[:len(bx[k:k + height]), :len(px)]
+            dy = dy_tile[:len(d2), :len(px)]
+            np.subtract(px, bx[k:k + height], out=d2)
+            d2 *= d2
+            np.subtract(py, by[k:k + height], out=dy)
+            dy *= dy
+            d2 += dy
+            np.minimum(best, d2.min(axis=0), out=best)
     return np.sqrt(d2min)

@@ -16,6 +16,12 @@ normal_derivative(), which makes the discrete divergence theorem
 
 hold to rounding, not just to O(h^2).  The mean-zero and compatibility
 bookkeeping downstream relies on that exactness.
+
+In 2D a row (j, i) couples only to nodes (j + dr, i + dt) with dr in
+-2..2 and dt in -1..1, the boundary trace being ring n_r.  Assembly adds
+every flux term into one slot per (dr, dt) of its row, with the terms of
+an entry summed in the fixed order the fluxes are listed, and the CSR
+arrays are read off the nonzero slots.
 """
 
 from __future__ import annotations
@@ -315,34 +321,10 @@ def _assemble_1d(mesh):
                           (np.concatenate(rows), np.concatenate(cols))), shape=(N, N))
 
 
-def _us_stencil_2d(mesh, j, i):
-    """Stencil (cols, coefs) of u_s at logical nodes (j, i); vectorized over
-    equal-shaped index arrays restricted to one j-band."""
-    nt, hs = mesh.n_theta, mesh.h_s
-    Ni = mesh.n_interior
-
-    def idx(jj, ii):
-        return jj * nt + np.mod(ii, nt)
-
-    def bidx(ii):
-        return Ni + np.mod(ii, nt)
-
-    nr = mesh.n_r
-    j0 = int(j.flat[0])
-    if j0 == 0:
-        return [(idx(j, i), -3.0 / (2 * hs)), (idx(j + 1, i), 4.0 / (2 * hs)),
-                (idx(j + 2, i), -1.0 / (2 * hs))]
-    if j0 == nr - 1:
-        return [(idx(j - 1, i), -1.0 / (3 * hs)), (idx(j, i), -1.0 / hs),
-                (bidx(i), 4.0 / (3 * hs))]
-    return [(idx(j + 1, i), 1.0 / (2 * hs)), (idx(j - 1, i), -1.0 / (2 * hs))]
-
-
 def _assemble_2d(mesh):
     nr, nt = mesh.n_r, mesh.n_theta
     hs, ht = mesh.h_s, mesh.h_theta
-    Ni = nr * nt
-    N = Ni + nt
+    N = (nr + 1) * nt
     R, Rp = mesh.R, mesh.Rp
     inv = 1.0 / (mesh.jdet * hs * ht)      # (nr, nt)
     edge = np.sqrt(R**2 + Rp**2)
@@ -351,81 +333,60 @@ def _assemble_2d(mesh):
     cB = edge / R**2                        # normal-derivative coefficients
     cT = Rp / (R * edge)
 
-    # The triplets are the assembly's peak memory (about 24 per node before
-    # duplicates sum), so indices are kept as the int32 the CSR result uses
-    # and each list is released as soon as it is concatenated.
-    rows, cols, vals = [], [], []
+    # The boundary nodes are ring nr.  Row (j, i) couples to the nodes
+    # (j + dr, i + dt), dr in -2..2 and dt in -1..1, and the entry's terms
+    # are summed in slot[dr + 2, dt + 1, j, i] in the order added below.
+    slot = np.zeros((5, 3, nr + 1, nt))
 
-    def add(r, c, v):
-        r, c, v = np.broadcast_arrays(r, c, v)
-        rows.append(r.astype(np.int32).ravel())
-        cols.append(c.astype(np.int32).ravel())
-        vals.append(np.asarray(v, dtype=float).ravel())
-
-    def take(chunks):
-        out = np.concatenate(chunks)
-        chunks.clear()
-        return out
-
-    def idx(j, i):
-        return j * nt + np.mod(i, nt)
-
-    def bidx(i):
-        return Ni + np.mod(i, nt)
-
-    # --- radial faces between rings jf and jf+1 ------------------------------
-    JF, I = np.meshgrid(np.arange(nr - 1), np.arange(nt), indexing="ij")
-    A_face = (JF + 1) * hs * ((R**2 + Rp**2) / R**2)[I]
-    Bn = B_node[I]
-    face_stencil = [
-        (idx(JF + 1, I), A_face / hs),
-        (idx(JF, I), -A_face / hs),
-        (idx(JF, I + 1), -Bn / (4 * ht)),
-        (idx(JF, I - 1), Bn / (4 * ht)),
-        (idx(JF + 1, I + 1), -Bn / (4 * ht)),
-        (idx(JF + 1, I - 1), Bn / (4 * ht)),
-    ]
-    for row_j, sgn in ((JF, 1.0), (JF + 1, -1.0)):
-        scale = sgn * inv[row_j, I] * ht
-        for c, v in face_stencil:
-            add(idx(row_j, I), c, scale * v)
+    # --- radial faces between rings jf and jf+1: (dr, dt) from (jf, i) -------
+    A_face = (np.arange(1, nr) * hs)[:, None] * ((R**2 + Rp**2) / R**2)
+    face_stencil = [(1, 0, A_face / hs), (0, 0, -A_face / hs),
+                    (0, 1, -B_node / (4 * ht)), (0, -1, B_node / (4 * ht)),
+                    (1, 1, -B_node / (4 * ht)), (1, -1, B_node / (4 * ht))]
+    for lo, sgn in ((0, 1.0), (1, -1.0)):          # rows in ring jf, then jf + 1
+        rows = slice(lo, lo + nr - 1)
+        scale = sgn * inv[rows] * ht
+        for dr, dt, v in face_stencil:
+            slot[dr - lo + 2, dt + 1, rows] += scale * v
 
     # --- outer boundary face: flux = edge * (normal derivative stencil) ------
-    i = np.arange(nt)
-    dn_stencil = [
-        (bidx(i), cB * 8.0 / (3 * hs)),
-        (idx(nr - 1, i), cB * (-3.0) / hs),
-        (idx(nr - 2, i), cB / (3 * hs)),
-        (bidx(i + 1), -cT / (2 * ht)),
-        (bidx(i - 1), cT / (2 * ht)),
-    ]
-    scale = inv[nr - 1, i] * ht * edge
-    for c, v in dn_stencil:
-        add(idx(nr - 1, i), c, scale * v)
+    dn_stencil = [(0, 0, cB * 8.0 / (3 * hs)), (-1, 0, cB * (-3.0) / hs),
+                  (-2, 0, cB / (3 * hs)), (0, 1, -cT / (2 * ht)), (0, -1, cT / (2 * ht))]
+    scale = inv[nr - 1] * ht * edge
+    for dr, dt, v in dn_stencil:
+        slot[dr + 3, dt + 1, nr - 1] += scale * v
 
-    # --- angular faces between columns fi and fi+1 ---------------------------
-    for band in (np.array([0]), np.arange(1, nr - 1), np.array([nr - 1])):
-        if band.size == 0:
-            continue
-        J, FI = np.meshgrid(band, np.arange(nt), indexing="ij")
-        Bh = B_half[FI]
-        inv_s = (1.0 / mesh.s)[J]
-        c_term = [(idx(J, FI + 1), inv_s / ht), (idx(J, FI), -inv_s / ht)]
-        cross = []
-        for cc, vv in _us_stencil_2d(mesh, J, FI):
-            cross.append((cc, -Bh * 0.5 * vv))
-        for cc, vv in _us_stencil_2d(mesh, J, FI + 1):
-            cross.append((cc, -Bh * 0.5 * vv))
-        for row_i, sgn in ((FI, 1.0), (FI + 1, -1.0)):
-            scale = sgn * inv[J, np.mod(row_i, nt)] * hs
-            for c, v in c_term + cross:
-                add(idx(J, row_i), c, scale * v)
+    # --- angular faces between columns fi and fi+1: (dr, dt) from (j, fi) ----
+    # u_s at (j, fi + dt) is one-sided in the first and the last ring
+    us_stencils = ((slice(0, 1), [(0, -3.0 / (2 * hs)), (1, 4.0 / (2 * hs)),
+                                  (2, -1.0 / (2 * hs))]),
+                   (slice(1, nr - 1), [(1, 1.0 / (2 * hs)), (-1, -1.0 / (2 * hs))]),
+                   (slice(nr - 1, nr), [(-1, -1.0 / (3 * hs)), (0, -1.0 / hs),
+                                        (1, 4.0 / (3 * hs))]))
+    for rows, us in us_stencils:
+        inv_s = (1.0 / mesh.s)[rows, None]
+        terms = [(0, 1, inv_s / ht), (0, 0, -inv_s / ht)]
+        terms += [(dr, dt, -B_half * 0.5 * c) for dt in (0, 1) for dr, c in us]
+        for shift, sgn in ((0, 1.0), (1, -1.0)):   # rows in column fi, then fi + 1
+            scale = sgn * inv[rows] * hs
+            for dr, dt, v in terms:
+                slot[dr + 2, dt - shift + 1, rows] += scale * np.roll(v, shift, axis=-1)
 
     # --- boundary condition rows ---------------------------------------------
-    for c, v in dn_stencil:
-        add(bidx(i), c, v)
+    for dr, dt, v in dn_stencil:
+        slot[dr + 2, dt + 1, nr] += v
 
-    A = sp.csr_matrix((take(vals), (take(rows), take(cols))), shape=(N, N))
-    A.sum_duplicates()
-    A.eliminate_zeros()    # terms in R' vanish on a disk; keep them out of the LU
-    return A
+    # CSR wants each row's columns ascending.  Within a ring, dt = -1, 0, +1
+    # ascend except where i + dt wraps, at i = 0 and i = nt - 1.
+    theta = (np.arange(nt)[:, None] + np.arange(-1, 2)) % nt
+    order = np.argsort(theta, axis=1)
+    for i in (0, nt - 1):
+        slot[:, :, :, i] = slot[:, :, :, i][:, order[i]]
+    indptr = np.zeros(N + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(slot, axis=(0, 1)), out=indptr[1:])
+    slot = np.ascontiguousarray(slot.transpose(2, 3, 0, 1))      # (ring, i, dr, dt)
+    offsets = (np.arange(-2, 3) * nt)[:, None] + np.sort(theta, axis=1)[:, None, :]
+    cols = (np.arange(nr + 1) * nt)[:, None] + offsets.reshape(1, -1)
+    keep = slot != 0       # terms in R' vanish on a disk; keep them out of the LU
+    return sp.csr_matrix((slot[keep], cols[keep.reshape(nr + 1, -1)].astype(np.int32), indptr),
+                         shape=(N, N))

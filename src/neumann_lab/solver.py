@@ -177,11 +177,12 @@ def _inf_norm(M):
 
 
 def _regularized_lu(mesh):
-    """(A - S, its inf-norm, its factor), S the identity on interior nodes."""
+    """(||A - S||_inf, factor of A - S), S the identity on interior nodes;
+    A - S itself is not kept (residuals apply it as A x - S x)."""
     def build():
         shift = np.concatenate([np.ones(mesh.n_interior), np.zeros(mesh.n_boundary)])
         A_reg = (neumann_operator(mesh) - sp.diags(shift)).tocsr()
-        return A_reg, _inf_norm(A_reg), _factor(mesh, A_reg)
+        return _inf_norm(A_reg), _factor(mesh, A_reg)
     return mesh.cached("regularized", build)
 
 
@@ -225,17 +226,28 @@ def _split(mesh, vec):
     return GridFunction(mesh, vec[:mesh.n_interior], vec[mesh.n_interior:])
 
 
-def _checked_residual(A, anorm, x, b, tol, route):
+def _check_tolerances(**tols):
+    """Raise ConfigError unless every named tolerance is finite and > 0."""
+    for name, tol in tols.items():
+        if not 0.0 < tol < np.inf:
+            raise ConfigError(f"{name} must be finite and > 0, got {tol!r}")
+
+
+def _checked_residual(A, anorm, x, b, tol, route, n_shift=0):
     """Normwise backward error ||Ax - b|| / (||A||_inf ||x|| + ||b||), with
-    anorm = ||A||_inf; raises LinearSolveFailure above tol.
+    anorm = ||A||_inf; raises LinearSolveFailure unless it is <= tol, so a
+    NaN fails.  With n_shift > 0 the matrix is A - S, S the identity on the
+    first n_shift unknowns.
 
     Scale-invariant: the plain relative residual inflates with the
     operator's 1/h^2 entry scale and would fail a fixed tolerance on
     fine meshes even for fully converged solves.
     """
     denom = anorm * np.linalg.norm(x) + np.linalg.norm(b)
-    res = float(np.linalg.norm(A @ x - b) / (denom if denom > 0 else 1.0))
-    if not np.isfinite(res) or res > tol:
+    r = A @ x
+    r[:n_shift] -= x[:n_shift]
+    res = float(np.linalg.norm(r - b) / (denom if denom > 0 else 1.0))
+    if not res <= tol:
         raise LinearSolveFailure(f"{route} residual {res:.3e} > {tol:.1e}")
     return res
 
@@ -256,12 +268,14 @@ def data_scale(f, g):
 def solve_regularized(f, g, tol=DEFAULT_LINEAR_TOL):
     """Solve (lap - 1) u = f, du/dn = g.  Well posed for any data."""
     _require_same_mesh(f, g)
+    _check_tolerances(tol=tol)
     mesh = f.mesh
     t0 = time.perf_counter()
-    A_reg, anorm, lu = _regularized_lu(mesh)
+    anorm, lu = _regularized_lu(mesh)
     b = _rhs(f, g)
     x = lu.solve(b)
-    res = _checked_residual(A_reg, anorm, x, b, tol, "regularized solve")
+    res = _checked_residual(neumann_operator(mesh), anorm, x, b, tol, "regularized solve",
+                            n_shift=mesh.n_interior)
     return SolveReport(solution=_split(mesh, x), strategy="regularized",
                        residual=res, iterations=0,
                        defect=check_compatibility(f, g), multiplier=0.0,
@@ -280,7 +294,7 @@ def apply_screened_inverse(f, tol=DEFAULT_LINEAR_TOL):
     m = mean(f)
     if abs(m) > 1e-10 * max(1.0, float(np.abs(f.all_values()).max())):
         raise NonZeroMeanInput(f"input mean {m:.3e} is not numerically zero")
-    lu = _regularized_lu(mesh)[2]
+    lu = _regularized_lu(mesh)[1]
     b = np.concatenate([-f.interior, np.zeros(mesh.n_boundary)])
     x = lu.solve(b)
     if not np.all(np.isfinite(x)):
@@ -341,6 +355,7 @@ def solve_neumann(f, g, strategy="direct_augmented", compat_policy="reject",
     _require_same_mesh(f, g)
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
+    _check_tolerances(tol_compat=tol_compat, tol_linear=tol_linear, krylov_tol=krylov_tol)
     mesh = f.mesh
     t0 = time.perf_counter()
     f_eff, delta = _apply_policy(f, g, compat_policy, tol_compat)
@@ -353,7 +368,7 @@ def solve_neumann(f, g, strategy="direct_augmented", compat_policy="reject",
         u = _split(mesh, x)
         iters = 0
     else:
-        lu = _regularized_lu(mesh)[2]
+        lu = _regularized_lu(mesh)[1]
         n_i, n_b = mesh.n_interior, mesh.n_boundary
         v = lu.solve(b)
 

@@ -24,6 +24,7 @@ import numpy as np
 from .domain import DomainSpec, build_mesh, check_mesh_size, distance_to_boundary
 from .errors import (BallNotContained, ConfigError, DegenerateData,
                      IncompatibleData, InvalidExponent)
+from .expr import parse
 from .field import (BoundaryFunction, GridFunction, boundary_trace, gradient,
                     integrate_boundary, integrate_volume, mean, subtract_mean)
 from .norms import holder_reports, l2_norm
@@ -100,15 +101,20 @@ MANUFACTURED_CASES = {
 @dataclass(frozen=True)
 class FamilyInstance:
     """One (f, g) data pair, stored as expressions so every refinement
-    level samples the same underlying functions."""
+    level samples the same underlying functions; each is parsed once."""
 
     index: int
     f_expr: str
     g_expr: str
+    _asts: tuple = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_asts", (parse(self.f_expr), parse(self.g_expr)))
 
     def realize(self, mesh):
-        return (GridFunction.from_expression(mesh, self.f_expr),
-                BoundaryFunction.from_expression(mesh, self.g_expr))
+        f_ast, g_ast = self._asts
+        return (GridFunction.from_expression(mesh, f_ast),
+                BoundaryFunction.from_expression(mesh, g_ast))
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,25 @@ def test_huge_rung_exits_4_before_allocating(tmp_path, capsys, args):
     assert "a mesh may have" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "--f", "1", "--g", "0.5", "--tol-linear", "nan"],
+    ["solve", "--f", "1", "--g", "0.5", "--tol-compat", "inf"],
+    ["solve", "--f", "1", "--g", "0.5", "--tol-linear", "0"],
+    ["solve", "--f", "1", "--g", "0.5", "--radius", "inf"],
+    ["solve", "--f", "1", "--g", "0.5", "--alpha", "2"],
+    ["oracle1d", "--f-coeffs", "abc"],
+    ["oracle1d", "--f-coeffs", "1", "--g0", "nan", "--g1", "0.5"],
+    ["oracle1d", "--levels", "0"],
+    ["sweep", "--f", "1", "--g", "0.5", "--levels", "0"],
+    ["sweep", "--f", "1", "--g", "0.5", "--levels", "-1"]])
+def test_bad_value_exits_4_without_traceback(tmp_path, capsys, args):
+    assert run(args + ["--nr", "8", "--ntheta", "16"] * (args[0] != "oracle1d")
+               + ["--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "bad configuration" in err and "Traceback" not in err
+    assert not os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"], ["verify", "--help"]])
 def test_help_exits_0(args, capsys):
     assert run(args) == 0

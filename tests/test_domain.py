@@ -137,6 +137,16 @@ def test_interval_requires_ordered_bounds():
         DomainSpec.interval(1.0, 0.0)
 
 
+@pytest.mark.parametrize("make", [lambda: DomainSpec.disk(float("inf")),
+                                  lambda: DomainSpec.star_shaped(1.0, (0.1, float("nan"))),
+                                  lambda: DomainSpec.star_shaped(1.0, (), (float("inf"),)),
+                                  lambda: DomainSpec.interval(-float("inf"), 1.0)],
+                         ids=["radius", "cos", "sin", "interval"])
+def test_non_finite_domain_parameters_rejected(make):
+    with pytest.raises(ConfigError, match="finite"):
+        make()
+
+
 def test_domain_json_round_trip():
     spec = DomainSpec.star_shaped(1.5, (0.1, 0.2), (0.0, 0.05))
     obj = spec.to_json(resolution=(8, 16))
@@ -165,10 +175,14 @@ def test_distance_to_boundary():
 def test_distance_to_boundary_blocks_match_dense():
     mesh = build_mesh(DomainSpec.star_shaped(1.0, (0.0, 0.3)), (24, 96))
     pts = mesh.interior_xy
-    assert len(pts) > 2 * DISTANCE_BLOCK
+    assert len(pts) * mesh.n_boundary > 2 * DISTANCE_BLOCK
     diff = pts[:, None, :] - mesh.boundary_xy[None, :, :]
     dense = np.sqrt((diff**2).sum(axis=2)).min(axis=1)
     assert (distance_to_boundary(mesh, pts) == dense).all()
+    # more points than two tiles are wide, the last tile partly filled
+    many = np.tile(pts, (4, 1))
+    assert len(many) > 2 * (DISTANCE_BLOCK // 8)
+    assert (distance_to_boundary(mesh, many) == np.tile(dense, 4)).all()
     # the per-mesh copy is computed once, equal and read-only
     assert mesh.interior_depth is mesh.interior_depth
     assert (mesh.interior_depth == dense).all() and not mesh.interior_depth.flags.writeable

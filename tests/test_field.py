@@ -5,10 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from neumann_lab.domain import DomainSpec, build_mesh
 from neumann_lab.errors import MeshMismatch
-from neumann_lab.field import (BoundaryFunction, GridFunction, boundary_trace,
+from neumann_lab.field import (BoundaryFunction, GridFunction, _assemble_2d, boundary_trace,
                                gradient, integrate_boundary, integrate_volume,
                                laplacian, mean, neumann_operator, normal_derivative,
                                subtract_mean)
@@ -135,12 +136,136 @@ def test_discrete_divergence_theorem(star_mesh, rng):
     assert abs(lhs - rhs) <= 1e-12 * scale
 
 
+def _us_stencil_reference(mesh, j, i):
+    """Stencil (cols, coefs) of u_s at logical nodes (j, i); vectorized over
+    equal-shaped index arrays restricted to one j-band."""
+    nt, hs = mesh.n_theta, mesh.h_s
+    Ni = mesh.n_interior
+
+    def idx(jj, ii):
+        return jj * nt + np.mod(ii, nt)
+
+    def bidx(ii):
+        return Ni + np.mod(ii, nt)
+
+    nr = mesh.n_r
+    j0 = int(j.flat[0])
+    if j0 == 0:
+        return [(idx(j, i), -3.0 / (2 * hs)), (idx(j + 1, i), 4.0 / (2 * hs)),
+                (idx(j + 2, i), -1.0 / (2 * hs))]
+    if j0 == nr - 1:
+        return [(idx(j - 1, i), -1.0 / (3 * hs)), (idx(j, i), -1.0 / hs),
+                (bidx(i), 4.0 / (3 * hs))]
+    return [(idx(j + 1, i), 1.0 / (2 * hs)), (idx(j - 1, i), -1.0 / (2 * hs))]
+
+
+def _assemble_2d_reference(mesh):
+    """The 2-D operator from (row, col, value) triplets, duplicates summed
+    by scipy's COO -> CSR conversion."""
+    nr, nt = mesh.n_r, mesh.n_theta
+    hs, ht = mesh.h_s, mesh.h_theta
+    Ni = nr * nt
+    N = Ni + nt
+    R, Rp = mesh.R, mesh.Rp
+    inv = 1.0 / (mesh.jdet * hs * ht)
+    edge = np.sqrt(R**2 + Rp**2)
+    B_node = Rp / R
+    B_half = mesh.Rp_half / mesh.R_half
+    cB = edge / R**2
+    cT = Rp / (R * edge)
+    rows, cols, vals = [], [], []
+
+    def add(r, c, v):
+        r, c, v = np.broadcast_arrays(r, c, v)
+        rows.append(r.astype(np.int32).ravel())
+        cols.append(c.astype(np.int32).ravel())
+        vals.append(np.asarray(v, dtype=float).ravel())
+
+    def idx(j, i):
+        return j * nt + np.mod(i, nt)
+
+    def bidx(i):
+        return Ni + np.mod(i, nt)
+
+    # radial faces between rings jf and jf+1
+    JF, I = np.meshgrid(np.arange(nr - 1), np.arange(nt), indexing="ij")
+    A_face = (JF + 1) * hs * ((R**2 + Rp**2) / R**2)[I]
+    Bn = B_node[I]
+    face_stencil = [
+        (idx(JF + 1, I), A_face / hs),
+        (idx(JF, I), -A_face / hs),
+        (idx(JF, I + 1), -Bn / (4 * ht)),
+        (idx(JF, I - 1), Bn / (4 * ht)),
+        (idx(JF + 1, I + 1), -Bn / (4 * ht)),
+        (idx(JF + 1, I - 1), Bn / (4 * ht)),
+    ]
+    for row_j, sgn in ((JF, 1.0), (JF + 1, -1.0)):
+        scale = sgn * inv[row_j, I] * ht
+        for c, v in face_stencil:
+            add(idx(row_j, I), c, scale * v)
+
+    # outer boundary face
+    i = np.arange(nt)
+    dn_stencil = [
+        (bidx(i), cB * 8.0 / (3 * hs)),
+        (idx(nr - 1, i), cB * (-3.0) / hs),
+        (idx(nr - 2, i), cB / (3 * hs)),
+        (bidx(i + 1), -cT / (2 * ht)),
+        (bidx(i - 1), cT / (2 * ht)),
+    ]
+    scale = inv[nr - 1, i] * ht * edge
+    for c, v in dn_stencil:
+        add(idx(nr - 1, i), c, scale * v)
+
+    # angular faces between columns fi and fi+1
+    for band in (np.array([0]), np.arange(1, nr - 1), np.array([nr - 1])):
+        J, FI = np.meshgrid(band, np.arange(nt), indexing="ij")
+        Bh = B_half[FI]
+        inv_s = (1.0 / mesh.s)[J]
+        c_term = [(idx(J, FI + 1), inv_s / ht), (idx(J, FI), -inv_s / ht)]
+        cross = []
+        for cc, vv in _us_stencil_reference(mesh, J, FI):
+            cross.append((cc, -Bh * 0.5 * vv))
+        for cc, vv in _us_stencil_reference(mesh, J, FI + 1):
+            cross.append((cc, -Bh * 0.5 * vv))
+        for row_i, sgn in ((FI, 1.0), (FI + 1, -1.0)):
+            scale = sgn * inv[J, np.mod(row_i, nt)] * hs
+            for c, v in c_term + cross:
+                add(idx(J, row_i), c, scale * v)
+
+    # boundary condition rows
+    for c, v in dn_stencil:
+        add(bidx(i), c, v)
+
+    A = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(N, N))
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    return A
+
+
+@pytest.mark.parametrize("spec, res", [
+    (DomainSpec.disk(), (4, 8)), (DomainSpec.disk(), (12, 48)), (DomainSpec.disk(), (96, 384)),
+    (DomainSpec.star_shaped(1.0, (0.0, 0.3)), (160, 320)),
+    (DomainSpec.star_shaped(1.0, (0.2, 0.2, 0.2)), (48, 192)),
+    (DomainSpec.star_shaped(1.0, (0.1,), (0.05, 0.0, 0.1)), (24, 96))],
+    ids=["disk4", "disk12", "disk96", "star_cos2", "star_cos123", "star_sin"])
+def test_slot_assembly_matches_triplets(spec, res):
+    # same pattern; the entries differ only in the order their terms are summed
+    mesh = build_mesh(spec, res)
+    A, ref = _assemble_2d(mesh), _assemble_2d_reference(mesh)
+    assert A.shape == ref.shape and A.has_canonical_format
+    assert np.array_equal(A.indptr, ref.indptr) and np.array_equal(A.indices, ref.indices)
+    row_max = np.repeat(np.maximum.reduceat(np.abs(ref.data), ref.indptr[:-1]), np.diff(ref.indptr))
+    assert np.all(np.abs(A.data - ref.data) <= 1e-13 * row_max)
+
+
 @pytest.mark.parametrize("spec", [DomainSpec.disk(1.0),
                                   DomainSpec.star_shaped(1.0, (0.2, 0.2, 0.2))])
 def test_operator_assembly_peak_memory(spec):
-    # The assembly's transient triplets dwarf the operator it returns.  At
-    # about 1,600 bytes per node they left ~100 MiB of freed heap on a
-    # (160, 320) mesh, which later allocations may or may not reuse; that
+    # The assembly's transients must not dwarf the operator it returns.
+    # Triplets at about 1,600 bytes per node left ~100 MiB of freed heap on
+    # a (160, 320) mesh, which later allocations may or may not reuse; that
     # made a process's peak RSS vary by tens of MiB from run to run.
     mesh = build_mesh(spec, (24, 96))
     tracemalloc.start()

@@ -349,8 +349,9 @@ def test_disk_factors_solve_through_theta_modes(res):
     groups = coo.data[np.argsort(group, kind="stable")].reshape(-1, nt)
     assert np.all(np.ptp(groups, axis=1) <= 1e-15 * np.abs(groups).max(axis=1))
     rng = np.random.default_rng(11)
+    shifted = A - sp.diags(np.r_[np.ones(mesh.n_interior), np.zeros(mesh.n_boundary)])
     for factor, M in ((solver._deflated_lu(mesh), _ring0_deflated(mesh)),
-                      (solver._regularized_lu(mesh)[2], solver._regularized_lu(mesh)[0])):
+                      (solver._regularized_lu(mesh)[1], shifted.tocsr())):
         assert isinstance(factor, solver._FourierFactor)
         b = rng.standard_normal(M.shape[0])
         x = factor.solve(b)
@@ -365,7 +366,7 @@ def test_disk_factors_solve_through_theta_modes(res):
 def test_other_meshes_keep_their_sparse_lu(spec, res, fill):
     # the fill of both factors before the disk got its own path
     mesh = build_mesh(spec, res)
-    factors = (solver._deflated_lu(mesh), solver._regularized_lu(mesh)[2])
+    factors = (solver._deflated_lu(mesh), solver._regularized_lu(mesh)[1])
     assert all(isinstance(lu, spla.SuperLU) for lu in factors)
     assert tuple(lu.L.nnz + lu.U.nnz for lu in factors) == fill
 
@@ -399,6 +400,35 @@ def test_pinned_solve_checks_its_residual(disk_mesh_small, monkeypatch):
     monkeypatch.setattr(solver, "DEFAULT_LINEAR_TOL", 1e-30)
     with pytest.raises(LinearSolveFailure, match="pinned solve"):
         solve_neumann_pinned(f, g, compat_policy="project")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-8])
+def test_tolerances_must_be_finite_and_positive(disk_mesh_small, bad):
+    f = GridFunction.from_expression(disk_mesh_small, "x*y")
+    g = BoundaryFunction.zeros(disk_mesh_small)
+    for name in ("tol_compat", "tol_linear", "krylov_tol"):
+        with pytest.raises(ConfigError, match=name):
+            solve_neumann(f, g, compat_policy="project", **{name: bad})
+    with pytest.raises(ConfigError):
+        solve_regularized(f, g, tol=bad)
+    # the guard itself fails closed: no residual passes a NaN tolerance
+    A = neumann_operator(disk_mesh_small)
+    x = f.all_values()
+    with pytest.raises(LinearSolveFailure):
+        solver._checked_residual(A, solver._inf_norm(A), x, A @ x, float("nan"), "exact")
+
+
+def test_shifted_residual_applies_a_minus_s(disk_mesh_small, rng):
+    # the regularized route keeps no A - S; its residual applies A x - S x
+    mesh = disk_mesh_small
+    A = neumann_operator(mesh)
+    A_reg = (A - sp.diags(np.r_[np.ones(mesh.n_interior), np.zeros(mesh.n_boundary)])).tocsr()
+    x, b = rng.standard_normal((2, A.shape[0]))
+    anorm = solver._regularized_lu(mesh)[0]
+    assert anorm == solver._inf_norm(A_reg)
+    shifted = solver._checked_residual(A, anorm, x, b, 1e3, "shifted", n_shift=mesh.n_interior)
+    explicit = solver._checked_residual(A_reg, anorm, x, b, 1e3, "explicit")
+    assert shifted == pytest.approx(explicit, rel=1e-14)
 
 
 def test_bordered_solve_catches_nonconservative_operator(monkeypatch):

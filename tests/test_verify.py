@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from neumann_lab import field, norms, solver
+from neumann_lab import expr, field, norms, solver
 from neumann_lab.domain import DomainSpec, build_mesh
 from neumann_lab.errors import (BallNotContained, ConfigError, DegenerateData,
                                 InvalidExponent)
@@ -328,6 +328,16 @@ def test_family_study_rejects_rung_coarser_than_eps(monkeypatch):
     config = _tiny_config(resolutions=((16, 64), (8, 32)), eps_values=(0.1, 0.05))
     with pytest.raises(ConfigError, match=r"rung \(8, 32\).*eps = 0\.05"):
         run_family_study(config)
+
+
+def test_family_study_parses_each_instance_once(monkeypatch):
+    parsed = []
+    parse = expr._Parser.parse
+    monkeypatch.setattr(expr._Parser, "parse", lambda self: parsed.append(1) or parse(self))
+    config = _tiny_config(count=3)
+    run_family_study(config)
+    # f and g of each instance, whatever the number of levels
+    assert len(parsed) == 2 * config.count
 
 
 def test_family_study_rejects_empty():
