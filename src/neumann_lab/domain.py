@@ -37,14 +37,17 @@ MAX_NODES = 2**19
 _workspace_lock = threading.RLock()   # builds nest: a factor needs the operator
 
 
-def check_mesh_size(resolution):
-    """Raise ConfigError if a mesh of this resolution exceeds MAX_NODES.
-
-    resolution: n cells of an interval, or (n_r, n_theta).
-    """
+def mesh_nodes(resolution):
+    """Node count of a mesh: resolution is n cells of an interval, or (n_r, n_theta)."""
     res = [int(v) for v in np.atleast_1d(resolution)]
-    nodes = res[0] + 2 if len(res) == 1 else (res[0] + 1) * res[-1]
+    return res[0] + 2 if len(res) == 1 else (res[0] + 1) * res[-1]
+
+
+def check_mesh_size(resolution):
+    """Raise ConfigError if a mesh of this resolution exceeds MAX_NODES."""
+    nodes = mesh_nodes(resolution)
     if nodes > MAX_NODES:
+        res = [int(v) for v in np.atleast_1d(resolution)]
         raise ConfigError(f"resolution {tuple(res)} has {nodes} nodes, more than the "
                           f"{MAX_NODES} a mesh may have")
 

@@ -6,16 +6,21 @@ computes it for every component and exponent stacked into a call.  The
 nodes are cut into chunks of TILE, and each chunk into leaves of LEAF --
 nested k-d boxes in the plane, runs of the sorted order on a line or
 loop.  The k-d boxes are split level by level: every node's rank along
-each axis is sorted once, and one stable sort of (box, rank) keys per
+each axis is sorted once, and one sort of distinct (box, rank) keys per
 level cuts all boxes of that level together.  A tile is a pair of
-chunks, a leaf pair a pair of leaves.  Leaf
-pairs are evaluated in batches: their squared distances axis by axis,
-the log once, the distance weight once per exponent, and the value
-differences once per component, in (LEAF, LEAF, batch) arrays.  Two
-strategies choose the leaf pairs:
+chunks, a leaf pair a pair of distinct leaves.  Every pair is evaluated
+with the same arithmetic: squared distances axis by axis, the log once,
+the distance weight once per exponent, and the value differences once
+per component.  The sweep first evaluates the pairs inside each leaf,
+unconditionally, in one pass over the upper triangles of a batch of
+leaves ((LEAF (LEAF - 1) / 2, batch) arrays); the base case of a
+dual-tree walk (Curtin et al., ICML 2013).  It then evaluates leaf
+pairs in batches, in (LEAF, LEAF, batch) arrays.  Two strategies choose
+the leaf pairs:
 
 * ``brute_force`` evaluates every leaf pair;
-* ``pruned`` runs a two-level best-first branch and bound.  Every tile
+* ``pruned`` runs a two-level best-first branch and bound, starting
+  from the running maxima of the leaves' own pairs.  Every tile
   gets an upper bound on its quotients per (component, exponent) entry:
   the value spread of both chunks times dmin^-a, where dmin is a lower
   bound on the distance of its pairs.  Tiles are walked best first, in
@@ -117,29 +122,35 @@ def _as_points(coords, n):
     return pts
 
 
-def _kd_split(coords, rank, order, starts, size):
+def _kd_split(pts, rank, order, starts, size):
     """order with each run order[starts[i]:starts[i + 1]] cut into k-d boxes of size.
 
     Level by level, every box of more than size nodes is sorted by
     rank along its axis of larger extent (the first such axis on a tie)
     and cut so that size * ceil(nboxes / 2) nodes go left, which leaves
-    every box but the last of each run full.  One stable sort of the
-    keys box * n + rank reorders all boxes of a level; boxes that are
-    not split keep their order.
+    every box but the last of each run full.  One sort of the keys
+    box * n + rank reorders all boxes of a level; a box that is not
+    split keys on its current position instead, so it keeps its order.
+    The keys are distinct, so an unstable sort gives the stable order.
+    pts: the (d, n) coordinates, one contiguous row per axis.
     """
     n = len(order)
+    position = np.arange(n)
     while True:
         counts = np.diff(starts, append=n)
         nboxes = -(-counts // size)
         split = nboxes > 1
         if not split.any():
             return order
-        P = coords[order]
-        extent = np.maximum.reduceat(P, starts) - np.minimum.reduceat(P, starts)
+        extent = np.empty((len(pts), len(starts)))
+        for a, x in enumerate(pts):
+            x = x[order]
+            extent[a] = np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
         box = np.repeat(np.arange(len(starts)), counts)
-        axis = np.argmax(extent, axis=1)[box]
-        key = box * n + np.where(split[box], rank[axis, order], 0)
-        order = order[np.argsort(key, kind="stable")]
+        axis = np.argmax(extent, axis=0)[box]
+        # rank[axis, order], gathered from the flat array
+        key = box * n + np.where(split[box], rank.take(axis * n + order), position)
+        order = order[np.argsort(key)]
         starts = np.sort(np.concatenate([starts, starts[split] + size * -(-nboxes[split] // 2)]))
 
 
@@ -158,21 +169,25 @@ def _layout(coords):
     n, d = coords.shape
     if d == 1:
         return np.argsort(coords[:, 0], kind="stable")
+    pts = np.ascontiguousarray(coords.T)
     rank = np.empty((d, n), dtype=np.int64)
     for a in range(d):
         # primary coordinate a, then the others last first, then node index
-        rank[a, np.lexsort((*np.delete(coords, a, axis=1).T, coords[:, a]))] = np.arange(n)
-    order = _kd_split(coords, rank, np.arange(n), np.zeros(1, dtype=np.int64), TILE)
-    return _kd_split(coords, rank, order, np.arange(0, n, TILE), LEAF)
+        rank[a, np.lexsort((*np.delete(pts, a, axis=0), pts[a]))] = np.arange(n)
+    order = _kd_split(pts, rank, np.arange(n), np.zeros(1, dtype=np.int64), TILE)
+    return _kd_split(pts, rank, order, np.arange(0, n, TILE), LEAF)
 
 
 # leaf offsets, within their chunks, of the leaf pairs of two chunks and
-# of one chunk with itself (each unordered pair once); the node pairs a
-# leaf shares with itself that do not count (the lower triangle)
+# of one chunk with itself (each unordered pair of distinct leaves once);
+# node slots, within their leaves, of the pairs of two leaves and of the
+# pairs inside one leaf
 _PER = TILE // LEAF
 _CROSS = np.divmod(np.arange(_PER * _PER), _PER)
-_DIAGONAL = np.triu_indices(_PER)
-_LOWER = np.tril_indices(LEAF)
+_DIAGONAL = np.triu_indices(_PER, 1)
+_SLOTS = np.arange(LEAF)
+_SQUARE = np.divmod(np.arange(LEAF * LEAF), LEAF)
+_UPPER = np.triu_indices(LEAF, 1)
 
 
 def _box_bounds(lo, hi, vlo, vhi, p, q, alphas, period):
@@ -206,7 +221,7 @@ class _Sweep:
     """One call's nodes in leaf layout, its running maxima and work arrays."""
 
     def __init__(self, coords, comps, alphas, period, wanted, order):
-        n = coords.shape[0]
+        n, self.dim = coords.shape
         order = _layout(coords) if order is None else order
         self.nleaf = -(-n // LEAF)
         # node k of leaf l is padded[l * LEAF + k].  The last leaf is padded
@@ -215,21 +230,22 @@ class _Sweep:
         self.padded = np.concatenate([order, np.full(self.nleaf * LEAF - n, order[-1])])
         self.size = np.full(self.nleaf, LEAF)
         self.size[-1] = n - (self.nleaf - 1) * LEAF
-        P = coords[self.padded].reshape(self.nleaf, LEAF, -1)
-        V = comps[:, self.padded].reshape(len(comps), self.nleaf, LEAF)
-        self.lo, self.hi = P.min(axis=1), P.max(axis=1)
-        self.vlo, self.vhi = V.min(axis=2).T, V.max(axis=2).T
-        # per leaf, its coordinates by axis and then its values by
-        # component: a batch gathers each side's leaves in one call
-        self.dim = P.shape[2]
-        self.rows = np.concatenate([P.transpose(0, 2, 1), V.transpose(1, 0, 2)], axis=1)
+        # the coordinates by axis, then the values by component, in leaf
+        # order: a batch gathers what it needs of each row from here.  take
+        # keeps every row contiguous, as [:, index] would not.
+        self.cols = np.vstack([coords.T, comps]).take(self.padded, axis=1)
+        ext = self.cols.reshape(len(self.cols), self.nleaf, LEAF)
+        low, high = ext.min(axis=2).T, ext.max(axis=2).T
+        self.lo, self.hi = low[:, :self.dim], high[:, :self.dim]
+        self.vlo, self.vhi = low[:, self.dim:], high[:, self.dim:]
         self.alphas, self.period, self.wanted = alphas, period, wanted
         self.best = np.full(wanted.shape, -np.inf)
         self.witnesses = np.zeros(wanted.shape + (2,), dtype=int)
         self.pairs = 0
-        # work arrays for BATCH leaf pairs, reused across batches: fresh
-        # arrays of this size cost more in page faults than the arithmetic;
-        # one distance weight per exponent, one value difference at a time
+        # work arrays for BATCH leaf pairs (or the upper triangles of BATCH
+        # leaves), reused across batches: fresh arrays of this size cost
+        # more in page faults than the arithmetic; one distance weight per
+        # exponent, one value difference at a time
         size = LEAF * LEAF * min(BATCH, self.nleaf * (self.nleaf + 1) // 2)
         self.work = [np.empty(size) for _ in range(3 + len(alphas))]
 
@@ -255,23 +271,49 @@ class _Sweep:
             pending = pending[size:]
 
     def evaluate(self, a, b, live):
-        """Exact quotients of the leaf pairs (a[i], b[i]) for the live entries.
+        """Exact quotients of the pairs of distinct leaves (a[i], b[i]).
 
-        Each entry's maximum over the batch updates its running maximum;
-        a batch that reaches the running maximum yields its
+        The (LEAF, LEAF, s) node pairs are broadcast from each side's
+        (LEAF, s) rows, the leaf pair innermost, so that every operation
+        runs along rows of s.
+        """
+        A = self.cols.take(a * LEAF + _SLOTS[:, None], axis=1)[:, :, None]
+        B = self.cols.take(b * LEAF + _SLOTS[:, None], axis=1)[:, None, :]
+        self.pairs += int((self.size[a] * self.size[b]).sum())
+        self._fold(lambda k, x, y: (A[k], B[k]), (LEAF, LEAF, len(a)), _SQUARE, a, b, live)
+
+    def evaluate_leaves(self, leaves, live):
+        """Exact quotients of the node pairs inside each of the leaves.
+
+        The (len(_UPPER[0]), s) pairs of the upper triangles are gathered
+        one row at a time into the work arrays.
+        """
+        i, j = (leaves * LEAF + slots[:, None] for slots in _UPPER)
+        size = self.size[leaves]
+        self.pairs += int((size * (size - 1) // 2).sum())
+        # i and j are in range; mode="clip" lets take write into out unbuffered
+        self._fold(lambda k, x, y: (self.cols[k].take(i, out=x, mode="clip"),
+                                    self.cols[k].take(j, out=y, mode="clip")),
+                   i.shape, _UPPER, leaves, leaves, live)
+
+    def _fold(self, sides, shape, slots, a, b, live):
+        """Fold a batch's quotients for the live entries into the running maxima.
+
+        sides(k, x, y) gives row k (an axis, then a component) of the
+        pairs' two ends, broadcastable to shape, and may use the work
+        arrays x and y for them; pair slot p of leaf pair i joins node
+        slots[0][p] of leaf a[i] to node slots[1][p] of leaf b[i].  Each
+        entry's maximum over the batch updates its running maximum; a
+        batch that reaches the running maximum yields its
         lexicographically smallest attaining node pair as the witness.
         """
-        s = len(a)
-        # (LEAF, LEAF, s) arrays, the leaf pair innermost, so that every
-        # broadcast runs along rows of s
-        d2, tmp, dv, *w = (buf[:LEAF * LEAF * s].reshape(LEAF, LEAF, s) for buf in self.work)
-        A = np.ascontiguousarray(self.rows[a].transpose(1, 2, 0))[:, :, None]
-        B = np.ascontiguousarray(self.rows[b].transpose(1, 2, 0))[:, None, :]
-        np.subtract(A[0], B[0], out=d2)
+        s, size = shape[-1], int(np.prod(shape))
+        d2, tmp, dv, *w = (buf[:size].reshape(shape) for buf in self.work)
+        np.subtract(*sides(0, tmp, dv), out=d2)
         if self.period is None:
             d2 *= d2
             for k in range(1, self.dim):
-                np.subtract(A[k], B[k], out=tmp)
+                np.subtract(*sides(k, tmp, dv), out=tmp)
                 tmp *= tmp
                 d2 += tmp
         else:
@@ -279,25 +321,19 @@ class _Sweep:
             np.subtract(self.period, d2, out=tmp)
             np.minimum(d2, tmp, out=d2)
             d2 *= d2
-        # pairs that do not count, coincident nodes and a diagonal leaf
-        # pair's lower triangle, get distance inf (weight 0) and quotient -1
+        # pairs of coincident nodes, a padding copy and its original among
+        # them, do not count: they get distance inf (weight 0) and quotient -1
         mask = d2 == 0.0
-        same = a == b
-        diagonal = np.flatnonzero(same)
-        if len(diagonal):
-            mask[_LOWER[0][:, None], _LOWER[1][:, None], diagonal] = True
         if mask.any():
             d2[mask] = np.inf
         else:
             mask = None
         ld = np.log(d2, out=d2)
-        self.pairs += int(np.where(same, self.size[a] * (self.size[a] - 1) // 2,
-                                   self.size[a] * self.size[b]).sum())
         for ia in np.flatnonzero(live.any(axis=0)):
             np.multiply(ld, -0.5 * self.alphas[ia], out=w[ia])
             np.exp(w[ia], out=w[ia])
         for ic in np.flatnonzero(live.any(axis=1)):
-            np.subtract(A[self.dim + ic], B[self.dim + ic], out=dv)
+            np.subtract(*sides(self.dim + ic, tmp, dv), out=dv)
             np.abs(dv, out=dv)
             for ia in np.flatnonzero(live[ic]):
                 quot = np.multiply(dv, w[ia], out=tmp)
@@ -306,10 +342,11 @@ class _Sweep:
                 top = float(quot.max())
                 if top < self.best[ic, ia]:
                     continue
-                rows = np.flatnonzero(quot.reshape(LEAF * LEAF, s).max(axis=0) == top)
-                ii, jj, kk = np.nonzero(quot[:, :, rows] == top)
-                oi = self.padded[a[rows[kk]] * LEAF + ii]
-                oj = self.padded[b[rows[kk]] * LEAF + jj]
+                quot = quot.reshape(-1, s)
+                rows = np.flatnonzero(quot.max(axis=0) == top)
+                pp, kk = np.nonzero(quot[:, rows] == top)
+                oi = self.padded[a[rows[kk]] * LEAF + slots[0][pp]]
+                oj = self.padded[b[rows[kk]] * LEAF + slots[1][pp]]
                 first, second = np.minimum(oi, oj), np.maximum(oi, oj)
                 k = np.lexsort((second, first))[0]
                 pair = (int(first[k]), int(second[k]))
@@ -351,6 +388,10 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
               else np.asarray(wanted, dtype=bool))
     sweep = _Sweep(coords, comps, alphas, period, wanted, order)
     pruned = strategy == "pruned"
+    # every leaf's own pairs first, unbounded, so that the branch and
+    # bound starts from a running maximum
+    for leaves, live in sweep.batches(sweep.nleaf, BATCH):
+        sweep.evaluate_leaves(leaves, live)
 
     # tiles are the pairs of chunks, whose boxes join their leaves' boxes
     starts = np.arange(0, sweep.nleaf, _PER)

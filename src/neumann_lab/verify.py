@@ -21,7 +21,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .domain import DomainSpec, build_mesh, check_mesh_size, distance_to_boundary
+from .domain import (MAX_NODES, DomainSpec, build_mesh, check_mesh_size, distance_to_boundary,
+                     mesh_nodes)
 from .errors import (BallNotContained, ConfigError, DegenerateData,
                      IncompatibleData, InvalidExponent)
 from .expr import parse
@@ -583,12 +584,16 @@ def _worker_count(config):
 
 def _first_passing_n(domain, res, gap, eps):
     """Smallest radial (2D) or cell (1D) count, from res's, whose outer
-    nodes lie within eps of the boundary; the gap scales like 1/n."""
-    res = list(np.atleast_1d(res))
-    n = max(res[0] + 1, int(gap * res[0] / eps))
-    while build_mesh(domain, tuple([n] + res[1:])).interior_depth.min() > eps:
+    nodes lie within eps of the boundary; the gap scales like 1/n.
+    None when every such count exceeds MAX_NODES."""
+    res = [int(v) for v in np.atleast_1d(res)]
+    # capped before int(): on a huge domain the gap, and so the estimate, is inf
+    n = max(res[0] + 1, int(min(gap * res[0] / eps, MAX_NODES)))
+    while mesh_nodes([n] + res[1:]) <= MAX_NODES:
+        if not build_mesh(domain, tuple([n] + res[1:])).interior_depth.min() > eps:
+            return n
         n += 1
-    return n
+    return None
 
 
 def run_family_study(config):
@@ -611,11 +616,12 @@ def run_family_study(config):
         # boundary_sup_gap bridges to the boundary over eps only
         gap = float(mesh.interior_depth.min())
         if gap > eps:
+            n = _first_passing_n(config.domain, res, gap, eps)
             name = "n" if mesh.dim == 1 else "n_r"
+            passing = (f"no rung within the {MAX_NODES}-node cap passes" if n is None
+                       else f"the first {name} that passes is {n}")
             raise ConfigError(f"rung {res} is too coarse for eps = {eps}: its outer "
-                              f"nodes lie {gap:.4g} from the boundary; the first "
-                              f"{name} that passes is "
-                              f"{_first_passing_n(config.domain, res, gap, eps)}")
+                              f"nodes lie {gap:.4g} from the boundary; {passing}")
 
     levels = []
     for lvl, (res, with_holder) in enumerate(ladder):

@@ -8,6 +8,7 @@ import pytest
 
 from neumann_lab import verify
 from neumann_lab.cli import main
+from neumann_lab.domain import build_mesh
 from neumann_lab.errors import ConfigError
 
 
@@ -202,9 +203,10 @@ def test_huge_rung_exits_4_before_allocating(tmp_path, capsys, args):
     ["oracle1d", "--f-coeffs", "1", "--g0", "nan", "--g1", "0.5"],
     ["oracle1d", "--levels", "0"],
     ["sweep", "--f", "1", "--g", "0.5", "--levels", "0"],
-    ["sweep", "--f", "1", "--g", "0.5", "--levels", "-1"]])
+    ["sweep", "--f", "1", "--g", "0.5", "--levels", "-1"],
+    ["verify", "--count", "1", "--levels", "1", "--no-pinned", "--radius", "1e300"]])
 def test_bad_value_exits_4_without_traceback(tmp_path, capsys, args):
-    assert run(args + ["--nr", "8", "--ntheta", "16"] * (args[0] != "oracle1d")
+    assert run(args + ["--nr", "8", "--ntheta", "16"] * (args[0] in ("solve", "sweep"))
                + ["--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert "bad configuration" in err and "Traceback" not in err
@@ -231,6 +233,24 @@ def test_verify_large_domain_needs_finer_rung(tmp_path, capsys):
     assert run(base + ["--nr0", "12"]) == 4
     assert "the first n_r that passes is 20" in capsys.readouterr().err
     assert run(base + ["--nr0", "20"]) == 0
+
+
+@pytest.mark.parametrize("radius", ["1e6", "1e300"])
+def test_verify_rung_beyond_node_cap_exits_4_without_probing(tmp_path, capsys, monkeypatch,
+                                                             radius):
+    # the first passing n_r is estimated over MAX_NODES (on a 1e300 disk the
+    # outer nodes lie inf from the boundary): no finer mesh is built
+    built = []
+
+    def counted(spec, res):
+        built.append(tuple(res))
+        return build_mesh(spec, res)
+
+    monkeypatch.setattr(verify, "build_mesh", counted)
+    assert run(["verify", "--radius", radius, "--count", "1", "--levels", "1",
+                "--no-pinned", "--out", str(tmp_path)]) == 4
+    assert built == [(12, 48)]
+    assert "no rung within the 524288-node cap passes" in capsys.readouterr().err
 
 
 def test_verify_report_identical_across_threads(tmp_path):

@@ -190,6 +190,38 @@ def test_pruned_equals_brute_bitwise_multi_tile(seed, n, layout, rough, alphas):
     _attains(coords, values, p, wp, alphas, period)
 
 
+def _edge_case(case):
+    """(coords, period) of a node set at a corner of the self-pair pass."""
+    rng = np.random.default_rng(7)
+    if case == "last_leaf_one_node":
+        return rng.random((TILE + 1, 2)), None      # TILE + 1 = 9 * LEAF + 1
+    if case == "one_partial_leaf":
+        return rng.random((LEAF - 5, 2)), None
+    if case == "loop_in_one_leaf":
+        return np.sort(rng.uniform(0.0, 3.0, LEAF - 2))[:, None], 3.0
+    coords = rng.random((2 * LEAF + 5, 2))
+    coords[-1] = coords[3]                           # coincident with node 3
+    return coords, None
+
+
+@pytest.mark.parametrize("case", ["last_leaf_one_node", "one_partial_leaf",
+                                  "loop_in_one_leaf", "coincident_in_one_leaf"])
+def test_leaf_self_pairs_at_the_edges(case):
+    coords, period = _edge_case(case)
+    n = len(coords)
+    if case == "coincident_in_one_leaf":
+        place = np.argsort(_layout(coords))
+        assert place[3] // LEAF == place[n - 1] // LEAF
+    values = np.random.default_rng(8).standard_normal((2, n))
+    alphas = (0.3, 0.7)
+    b, wb, pb = pairwise_holder_max(coords, values, alphas, "brute_force", period)
+    p, wp, pp = pairwise_holder_max(coords, values, alphas, "pruned", period)
+    assert (b == p).all() and np.isfinite(b).all()
+    assert pp <= pb == n * (n - 1) // 2
+    _attains(coords, values, b, wb, alphas, period)
+    _attains(coords, values, p, wp, alphas, period)
+
+
 def _boxes(P, groups):
     return (np.array([P[g].min(axis=0) for g in groups]),
             np.array([P[g].max(axis=0) for g in groups]))
@@ -296,20 +328,32 @@ def test_pruning_skips_most_pairs_on_smooth_study_data():
         assert pairs <= 0.15 * n * (n - 1) // 2
 
 
-def test_kernel_memory_is_bounded_by_the_batch():
-    # ten stacked smooth fields on the (48,192) disk: the kernel's transient
-    # memory follows the batch and the tile count, not the 173k leaf pairs
+def _ten_smooth_disk_fields():
     mesh = build_mesh(DomainSpec.disk(), (48, 192))
     fields = [inst.realize(mesh)[0] for inst in ProblemFamily(seed=0, count=10).instances()]
-    xy = fields[0].all_xy()
-    values = np.vstack([f.all_values() for f in fields])
-    tracemalloc.start()
-    try:
-        pairwise_holder_max(xy, values, (0.3, 0.5, 0.7), "pruned")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    return fields[0].all_xy(), np.vstack([f.all_values() for f in fields])
+
+
+def _rough_lattice_field():
+    xs = np.linspace(0.0, 1.0, 100)
+    X, Y = np.meshgrid(xs, xs)
+    return (np.column_stack([X.ravel(), Y.ravel()]),
+            np.random.default_rng(0).standard_normal((1, X.size)))
+
+
+def test_kernel_memory_is_bounded_by_the_batch():
+    # ten stacked smooth fields on the (48,192) disk, and one rough field on
+    # the 100x100 lattice, whose leaf self pairs are all evaluated: the
+    # kernel's transient memory follows the batch and the tile count, not
+    # the number of leaf pairs (173k on the disk)
+    for xy, values in (_ten_smooth_disk_fields(), _rough_lattice_field()):
+        tracemalloc.start()
+        try:
+            pairwise_holder_max(xy, values, (0.3, 0.5, 0.7), "pruned")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("shape", [(1200,), (30, 30)])
