@@ -17,6 +17,7 @@ included), 1 unexpected error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -96,6 +97,8 @@ def _write_report(outdir, name, payload, fmt, wall_time, csv_text=None):
 
 
 def _domain_from_args(args, problem):
+    """(spec, resolution or None): the problem file's domain unless
+    --domain is given, else the shape flags' domain (default the disk)."""
     if "domain" in problem and args.domain is None:
         return problem["domain"]
     kind = args.domain or "disk"
@@ -114,9 +117,9 @@ def _star_domain(text):
         raise ConfigError("star domain needs --radius-coeffs JSON")
     try:
         return DomainSpec.from_radius_coeffs(json.loads(text))
-    except ConfigError:
-        raise ConfigError('--radius-coeffs must be a JSON object {"a0": number, '
-                          f'"cos": [numbers], "sin": [numbers]}}, got {text!r}') from None
+    except ConfigError as exc:
+        raise ConfigError(f"--radius-coeffs must be the JSON of a star domain, got {text!r}: "
+                          f"{exc}") from None
 
 
 def _resolution_from_args(args, spec, file_res):
@@ -153,13 +156,16 @@ def _load_problem(args):
     return problem
 
 
-def _add_domain_flags(p):
+def _add_shape_flags(p):
     p.add_argument("--domain", choices=("disk", "interval", "star"),
                    help="domain kind (default disk)")
     p.add_argument("--radius", type=float, default=1.0, help="disk radius")
     p.add_argument("--radius-coeffs", help='star boundary JSON: {"a0":1,"cos":[...],"sin":[...]}')
     p.add_argument("--a", type=float, default=0.0, help="interval left endpoint")
     p.add_argument("--b", type=float, default=1.0, help="interval right endpoint")
+
+
+def _add_resolution_flags(p):
     p.add_argument("--nr", type=int, help="radial cells (2D)")
     p.add_argument("--ntheta", type=int, help="angular cells (2D)")
     p.add_argument("--n", type=int, help="cells (1D)")
@@ -205,7 +211,6 @@ def cmd_solve(args):
             np.abs((rep.solution - exact).all_values()).max())
     csv_text = None
     if args.format in ("csv", "both"):
-        import io
         buf = io.StringIO()
         rep.solution.to_csv(buf)
         csv_text = buf.getvalue()
@@ -221,27 +226,18 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def _parse_levels_2d(args):
-    nr, nt = args.nr0, args.ntheta0
-    return tuple((nr * 2**k, nt * 2**k) for k in range(args.levels))
-
-
 def cmd_verify(args):
     if args.count < 1:
         raise ConfigError("verify needs --count >= 1 (zero-instance family rejected)")
     if args.levels < 1:
         raise ConfigError("verify needs --levels >= 1")
-    if args.domain == "interval":
-        domain = DomainSpec.interval(args.a, args.b)
+    domain, _ = _domain_from_args(args, {})
+    if domain.dim == 1:
         resolutions = tuple(args.n0 * 2**k for k in range(args.levels))
-        pinned = 128 if not args.no_pinned else None
+        pinned = 128
     else:
-        if args.domain == "star":
-            domain = _star_domain(args.radius_coeffs)
-        else:
-            domain = DomainSpec.disk(args.radius)
-        resolutions = _parse_levels_2d(args)
-        pinned = (64, 256) if not args.no_pinned else None
+        resolutions = tuple((args.nr0 * 2**k, args.ntheta0 * 2**k) for k in range(args.levels))
+        pinned = (64, 256)
     try:
         alphas = tuple(float(a) for a in args.alphas.split(","))
     except ValueError:
@@ -249,14 +245,13 @@ def cmd_verify(args):
             f"--alphas must be comma-separated numbers, got {args.alphas!r}") from None
     config = VerifyConfig(domain=domain, family_kind=args.family, count=args.count,
                           seed=args.seed, resolutions=resolutions,
-                          pinned_resolution=pinned, alphas=alphas,
+                          pinned_resolution=None if args.no_pinned else pinned, alphas=alphas,
                           alpha_main=args.alpha, pair_strategy=args.pair_strategy,
                           threads=args.threads)
     t0 = time.perf_counter()
     report = run_family_study(config)
     wall = time.perf_counter() - t0
 
-    import io
     buf = io.StringIO()
     report.to_csv(buf)
     written = _write_report(args.out, "estimate_report", report.to_json(),
@@ -384,7 +379,6 @@ def cmd_report(args):
                              levels=payload["levels"],
                              criteria=payload.get("criteria", []),
                              passed=payload.get("passed", True))
-        import io
         buf = io.StringIO()
         rep.to_csv(buf)
         path = os.path.join(args.out, f"{base}.csv")
@@ -416,7 +410,8 @@ def build_parser():
                        epilog=GRAMMAR_HELP,
                        formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--problem", help="problem JSON file")
-    _add_domain_flags(p)
+    _add_shape_flags(p)
+    _add_resolution_flags(p)
     p.add_argument("--f", help="forcing expression")
     p.add_argument("--g", help="boundary flux expression")
     p.add_argument("--alpha", type=float, default=0.5)
@@ -430,11 +425,7 @@ def build_parser():
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="run the estimate-verification suite")
-    p.add_argument("--domain", choices=("disk", "interval", "star"), default="disk")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--radius-coeffs")
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=1.0)
+    _add_shape_flags(p)
     p.add_argument("--family", default="random_trigonometric",
                    choices=("random_trigonometric", "paper_special_cases",
                             "manufactured_polynomial"))
@@ -458,7 +449,8 @@ def build_parser():
                        epilog=GRAMMAR_HELP,
                        formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--problem")
-    _add_domain_flags(p)
+    _add_shape_flags(p)
+    _add_resolution_flags(p)
     p.add_argument("--f")
     p.add_argument("--g")
     p.add_argument("--levels", type=int, default=3)

@@ -34,6 +34,13 @@ DISTANCE_BLOCK = 2**15    # doubles per tile of distance_to_boundary (256 KiB)
 # (96, 384) level.  It is checked from the resolution alone, so a larger
 # rung is refused before any mesh, operator or factor is built.
 MAX_NODES = 2**19
+# Range of a domain's scale L: b - a and max(|a|, |b|) for an interval, a
+# bound on R and |R'| for a star domain.  The volume weights go like L^2,
+# ell.ell like L^4 and the operator entries like L^-2, so within the range
+# these stay inside 1e+-120 and leave the data's own magnitude 1e+-180 of
+# room before a product the solvers form overflows or goes subnormal.
+# DomainSpec refuses a domain outside it, before any mesh is built.
+MIN_SCALE, MAX_SCALE = 1e-30, 1e30
 _workspace_lock = threading.RLock()   # builds nest: a factor needs the operator
 
 
@@ -97,6 +104,19 @@ class DomainSpec:
         if not np.all(np.isfinite([self.a, self.b, self.a0, *self.cos_coeffs,
                                    *self.sin_coeffs])):
             raise ConfigError(f"domain parameters must be finite, got {self!r}")
+        # Python floats: an overflow here gives inf, not a numpy warning
+        if self.kind == "interval":
+            a, b = float(self.a), float(self.b)
+            small, large = b - a, max(abs(a), abs(b))
+            what = f"interval ({a:g}, {b:g}): b - a or max(|a|, |b|)"
+        else:
+            # a0 + sum k (|a_k| + |b_k|) bounds both R and |R'|
+            small = large = float(self.a0) + sum(
+                k * abs(c) for coeffs in (self.cos_coeffs, self.sin_coeffs)
+                for k, c in enumerate(coeffs, start=1))
+            what = f"star domain scale {small:g} (a bound on R and |R'|)"
+        if not (MIN_SCALE <= small and large <= MAX_SCALE):
+            raise ConfigError(f"{what} lies outside [{MIN_SCALE:g}, {MAX_SCALE:g}]")
 
     @property
     def dim(self):

@@ -114,24 +114,14 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def to_csv(self, path_or_file):
-        """Write nodes as CSV: x[, y], value, is_boundary."""
-        close = False
-        if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-            fh = open(path_or_file, "w", encoding="utf-8")
-            close = True
-        else:
-            fh = path_or_file
-        try:
-            cols = "x,value,is_boundary" if self.mesh.dim == 1 else "x,y,value,is_boundary"
-            fh.write(cols + "\n")
-            for xy, v in zip(self.mesh.interior_xy, self.interior):
-                fh.write(",".join(repr(c) for c in xy) + f",{v!r},0\n")
-            for xy, v in zip(self.mesh.boundary_xy, self.boundary):
-                fh.write(",".join(repr(c) for c in xy) + f",{v!r},1\n")
-        finally:
-            if close:
-                fh.close()
+    def to_csv(self, fh):
+        """Write nodes as CSV to an open text file: x[, y], value, is_boundary."""
+        cols = "x,value,is_boundary" if self.mesh.dim == 1 else "x,y,value,is_boundary"
+        fh.write(cols + "\n")
+        for xy, v in zip(self.mesh.interior_xy, self.interior):
+            fh.write(",".join(repr(c) for c in xy) + f",{v!r},0\n")
+        for xy, v in zip(self.mesh.boundary_xy, self.boundary):
+            fh.write(",".join(repr(c) for c in xy) + f",{v!r},1\n")
 
 
 @dataclass(frozen=True, eq=False)

@@ -61,17 +61,14 @@ STRATEGIES = ("brute_force", "pruned")
 
 @dataclass(frozen=True)
 class HolderParams:
-    """Exponent, derivative order and pair strategy for Holder norms."""
+    """Exponent and pair strategy of a Holder seminorm."""
 
     alpha: float
-    derivative_order: int = 0
     pair_strategy: str = "brute_force"
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.derivative_order not in (0, 1, 2):
-            raise ConfigError(f"derivative order must be 0, 1 or 2, got {self.derivative_order}")
         if self.pair_strategy not in STRATEGIES:
             raise ConfigError(f"unknown pair strategy {self.pair_strategy!r}")
 
@@ -426,69 +423,60 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
 # ---------------------------------------------------------------------------
 # public norm operations
 
-def _field_samples(values, coords, period):
-    """Normalize op input to (values, coords, period)."""
-    if isinstance(values, GridFunction):
-        return values.all_values(), values.all_xy(), None
-    if isinstance(values, BoundaryFunction):
-        mesh = values.mesh
-        if mesh.dim == 2:
-            return values.values, mesh.arc[:, None], mesh.boundary_measure
-        return values.values, mesh.boundary_xy, None
-    if coords is None:
-        raise ConfigError("raw sample arrays need explicit coordinates")
-    return np.asarray(values, dtype=float), np.asarray(coords, dtype=float), period
-
-
 def holder_seminorm(values, params, coords=None, period=None):
     """Exact pairwise Holder seminorm of sampled values.
 
-    ``values`` may be a GridFunction (Euclidean node distances), a
-    BoundaryFunction (arclength distances along the loop), or a raw
-    array with explicit ``coords``.  Returns (seminorm, witness) with
-    the witness as a pair of node coordinates.
+    ``values`` may be a GridFunction (Euclidean node distances) or a
+    BoundaryFunction (arclength distances along the loop), measured as
+    ``c_k_alpha_norm(values, 0, alpha)`` measures them, or a raw array
+    with explicit ``coords`` (and ``period`` on a loop).  Returns
+    (seminorm, witness) with the witness as a pair of node coordinates.
     """
-    vals, xy, per = _field_samples(values, coords, period)
-    vals = np.asarray(vals, dtype=float)
-    xy = _as_points(xy, vals.shape[0])
+    if isinstance(values, (GridFunction, BoundaryFunction)):
+        [reports] = holder_reports([(values, 0, (params.alpha,))], params.pair_strategy)
+        rep = reports[float(params.alpha)]
+        return rep.seminorm, rep.witness
+    if coords is None:
+        raise ConfigError("raw sample arrays need explicit coordinates")
+    vals = np.asarray(values, dtype=float)
+    xy = _as_points(coords, vals.shape[0])
     best, wit, _ = pairwise_holder_max(xy, vals[None, :], (params.alpha,),
-                                       strategy=params.pair_strategy, period=per)
+                                       strategy=params.pair_strategy, period=period)
     i, j = wit[0, 0]
     return float(best[0, 0]), (xy[i].copy(), xy[j].copy())
 
 
+def _node_set(u):
+    """(coords, period) of the nodes a field lives on: a mesh's volume
+    nodes, or its boundary loop by arclength (an interval's endpoints)."""
+    if isinstance(u, GridFunction):
+        return u.all_xy(), None
+    mesh = u.mesh
+    if mesh.dim == 2:
+        return mesh.arc[:, None], mesh.boundary_measure
+    return mesh.boundary_xy, None
+
+
 def _derivative_stack(u, k):
-    """Component fields of each derivative order 0..k."""
+    """Node values of the component fields of each derivative order 0..k."""
     if isinstance(u, GridFunction):
         stack = [[u]]
-        current = [u]
         for _ in range(k):
-            current = [c for comp in current for c in gradient(comp)]
-            stack.append(current)
-        return stack
+            stack.append([c for comp in stack[-1] for c in gradient(comp)])
+        return [[c.all_values() for c in comps] for comps in stack]
     # boundary field: derivatives along the boundary
     mesh = u.mesh
-    stack = [[u]]
     if mesh.dim == 1:
         # a two-point boundary has no tangential direction; higher
         # derivative orders contribute nothing
-        zero = BoundaryFunction.zeros(mesh)
-        for _ in range(k):
-            stack.append([zero])
-        return stack
+        return [[u.values]] + [[np.zeros(mesh.n_boundary)]] * k
     edge = mesh.w_bnd / mesh.h_theta      # dl/dtheta at the nodes
-    current = u
+    stack = [[u.values]]
     for _ in range(k):
-        dv = (np.roll(current.values, -1) - np.roll(current.values, 1)) / (2 * mesh.h_theta)
-        current = BoundaryFunction(mesh, dv / edge)
-        stack.append([current])
+        [v] = stack[-1]
+        dv = (np.roll(v, -1) - np.roll(v, 1)) / (2 * mesh.h_theta)
+        stack.append([BoundaryFunction(mesh, dv / edge).values])   # checked finite
     return stack
-
-
-def _comp_values(comp):
-    if isinstance(comp, GridFunction):
-        return comp.all_values()
-    return comp.values
 
 
 def holder_reports(items, pair_strategy="pruned"):
@@ -507,9 +495,8 @@ def holder_reports(items, pair_strategy="pruned"):
         if k not in (0, 1, 2):
             raise ConfigError(f"derivative order must be 0, 1 or 2, got {k}")
         stack = _derivative_stack(u, k)
-        sup_norms = tuple(
-            float(max(np.abs(_comp_values(c)).max() for c in comps)) for comps in stack)
-        top = np.vstack([_comp_values(c) for c in stack[k]])
+        sup_norms = tuple(float(max(np.abs(c).max() for c in comps)) for comps in stack)
+        top = np.vstack(stack[k])
         key = (id(u.mesh), isinstance(u, BoundaryFunction))
         groups.setdefault(key, []).append(len(prepared))
         prepared.append((u, sup_norms, top, tuple(float(a) for a in alphas)))
@@ -517,7 +504,7 @@ def holder_reports(items, pair_strategy="pruned"):
     out = [None] * len(prepared)
     for (_, boundary), members in groups.items():
         group = [prepared[i] for i in members]
-        _, xy, per = _field_samples(group[0][0], None, None)
+        xy, per = _node_set(group[0][0])
         alphas = tuple(dict.fromkeys(a for *_, item_alphas in group for a in item_alphas))
         vals = np.vstack([top for _, _, top, _ in group])
         wanted = np.vstack([np.tile(np.isin(alphas, item_alphas), (len(top), 1))

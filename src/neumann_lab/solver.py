@@ -13,16 +13,17 @@ operator A:
   lam = ell.b is the compatibility defect integral(f) -
   boundary_integral(g), b - lam ell/(ell.ell) is compatible, and B x = b'
   then solves A x = b' with x_p = 0 (on a disk, with ring 0 summing to
-  zero; see below).  A constant shift imposes the mean or pin
+  zero; see below).  A constant shift imposes the mean-zero or pin
   constraint.  This is the bordered system [[A, ell/(ell.ell)], [row, 0]]
-  solved by block elimination, without factoring the dense border; mean,
-  pin at any node and the multiplier probe share the LU.
+  solved by block elimination, without factoring the dense border; mean
+  zero, pin at any node and the multiplier probe share the LU.
 * ``solve_neumann`` with ``fredholm_iteration``: a matrix-free Krylov
   route.  With K the zero-flux screened-Poisson inverse (the solution
   operator w of (1 - lap) w = f, dw/dn = 0), the Neumann solution
   solves (I - K) u = v where v is the regularized solve of (f, g).
-  Restarted GMRES converges in a handful of iterations because the
-  spectrum of I - K on mean-zero fields is clustered in (0, 1).
+  Restarted GMRES (KRYLOV_TOL, KRYLOV_RESTART, KRYLOV_CYCLES) converges
+  in a handful of iterations because the spectrum of I - K on mean-zero
+  fields is clustered in (0, 1).
 
 Both per-mesh LUs (of B and of the shifted operator) go through one
 SuperLU call in symmetric mode: minimum degree ordering of M + M^T and
@@ -59,7 +60,6 @@ than approximate.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,14 +68,13 @@ import scipy.sparse.linalg as spla
 
 from .errors import (ConfigError, IncompatibleData, LinearSolveFailure, NonConvergence,
                      NonZeroMeanInput)
-from .field import (BoundaryFunction, GridFunction, integrate_boundary,
-                    integrate_volume, mean, neumann_operator, subtract_mean,
-                    _require_same_mesh)
+from .field import (GridFunction, integrate_boundary, integrate_volume, mean,
+                    neumann_operator, subtract_mean, _require_same_mesh)
 
 DEFAULT_LINEAR_TOL = 1e-10
 DEFAULT_COMPAT_TOL = 1e-8
 KRYLOV_RESTART = 30
-KRYLOV_MAXITER = 500          # total inner iterations
+KRYLOV_CYCLES = 17            # restart cycles: 510 inner iterations at most
 KRYLOV_TOL = 1e-10
 FREDHOLM_RESIDUAL_TOL = 1e-8  # Neumann-system residual accepted for the Krylov route
 DEFLATION_NODE = 0            # p of B = A + A_pp e_p e_p^T (mode 0, ring 0 on a disk)
@@ -93,10 +92,9 @@ class SolveReport:
     iterations: int
     defect: float            # integral(f) - boundary_integral(g), volume units
     multiplier: float        # bordered-system multiplier (equals the defect)
-    wall_time: float
 
     def summary(self):
-        """Deterministic scalar summary (wall time excluded on purpose)."""
+        """Deterministic scalar summary."""
         u = self.solution
         return {
             "strategy": self.strategy,
@@ -112,9 +110,14 @@ class SolveReport:
 def _splu(M):
     """Sparse LU of a CSC matrix with A's nearly symmetric pattern: minimum
     degree ordering of M + M^T, and the diagonal entry as pivot unless it
-    is below 1e-3 times the largest candidate of its column."""
-    return spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
-                     options={"SymmetricMode": True})
+    is below 1e-3 times the largest candidate of its column.  A zero
+    pivot is a LinearSolveFailure: A - S is singular in floating point
+    on domains small enough that the unit shift vanishes beside A."""
+    try:
+        return spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:         # "Factor is exactly singular"
+        raise LinearSolveFailure(f"sparse LU failed: {exc}") from None
 
 
 def _rotation_invariant(mesh):
@@ -199,19 +202,20 @@ def _operator_norm(mesh):
     return mesh.cached("operator_norm", lambda: _inf_norm(neumann_operator(mesh)))
 
 
-def _deflated_solve(mesh, b, constraint="mean", node=0, value=0.0):
+def _deflated_solve(mesh, b, pin=None):
     """(x, lam, b'): A x = b' = b - lam ell/(ell.ell) with lam = ell.b,
-    and the constraint integral(x) = value ("mean") or x[node] = value
-    ("pin") imposed by a constant shift."""
+    and integral(x) = 0, or x[node] = value for pin = (node, value),
+    imposed by a constant shift."""
     # ell^T A = 0 because the scheme is conservative, and for b = (f, g)
     # ell.b = integral(f) - boundary_integral(g), the compatibility defect
     ell = np.concatenate([mesh.w_vol, -mesh.w_bnd])
     lam = float(np.dot(ell, b))
     b_compat = b - (lam / np.dot(ell, ell)) * ell
     x = _deflated_lu(mesh).solve(b_compat)
-    if constraint == "mean":
-        x -= (np.dot(mesh.w_vol, x[:mesh.n_interior]) - value) / mesh.area
+    if pin is None:
+        x -= np.dot(mesh.w_vol, x[:mesh.n_interior]) / mesh.area
     else:
+        node, value = pin
         x -= x[node] - value
     if not np.all(np.isfinite(x)):
         raise LinearSolveFailure("constrained Neumann solve produced non-finite values")
@@ -265,24 +269,28 @@ def data_scale(f, g):
     return 1.0 + sup_f + sup_g
 
 
-def solve_regularized(f, g, tol=DEFAULT_LINEAR_TOL):
+def solve_regularized(f, g):
     """Solve (lap - 1) u = f, du/dn = g.  Well posed for any data."""
     _require_same_mesh(f, g)
-    _check_tolerances(tol=tol)
     mesh = f.mesh
-    t0 = time.perf_counter()
     anorm, lu = _regularized_lu(mesh)
     b = _rhs(f, g)
     x = lu.solve(b)
-    res = _checked_residual(neumann_operator(mesh), anorm, x, b, tol, "regularized solve",
-                            n_shift=mesh.n_interior)
+    res = _checked_residual(neumann_operator(mesh), anorm, x, b, DEFAULT_LINEAR_TOL,
+                            "regularized solve", n_shift=mesh.n_interior)
     return SolveReport(solution=_split(mesh, x), strategy="regularized",
                        residual=res, iterations=0,
-                       defect=check_compatibility(f, g), multiplier=0.0,
-                       wall_time=time.perf_counter() - t0)
+                       defect=check_compatibility(f, g), multiplier=0.0)
 
 
-def apply_screened_inverse(f, tol=DEFAULT_LINEAR_TOL):
+def _screened(mesh, f_interior):
+    """All node values of w with (1 - lap) w = f, dw/dn = 0, for f's
+    interior values."""
+    lu = _regularized_lu(mesh)[1]
+    return lu.solve(np.concatenate([-f_interior, np.zeros(mesh.n_boundary)]))
+
+
+def apply_screened_inverse(f):
     """Apply the zero-flux screened-Poisson inverse to a mean-zero field.
 
     Returns the solution w of (1 - lap) w = f with dw/dn = 0.  The
@@ -294,28 +302,25 @@ def apply_screened_inverse(f, tol=DEFAULT_LINEAR_TOL):
     m = mean(f)
     if abs(m) > 1e-10 * max(1.0, float(np.abs(f.all_values()).max())):
         raise NonZeroMeanInput(f"input mean {m:.3e} is not numerically zero")
-    lu = _regularized_lu(mesh)[1]
-    b = np.concatenate([-f.interior, np.zeros(mesh.n_boundary)])
-    x = lu.solve(b)
+    x = _screened(mesh, f.interior)
     if not np.all(np.isfinite(x)):
         raise LinearSolveFailure("screened inverse produced non-finite values")
     return _split(mesh, x)
 
 
-def solve_bordered(f, g, constraint="mean", node=0, value=0.0):
+def solve_bordered(f, g):
     """Raw bordered solve; absorbs any incompatibility into the multiplier.
 
-    Returns (u, multiplier).  The constraint is integral(u) = value
-    ("mean") or u[node] = value ("pin", node indexes interior then
-    boundary values).  With compatible data the multiplier vanishes; for
-    incompatible data it equals the defect and u solves the data with
-    the defect removed along ell.  The multiplier holds by construction;
+    Returns (u, multiplier) with integral(u) = 0 (solve_neumann_pinned
+    pins a node instead).  With compatible data the multiplier
+    vanishes; for incompatible data it equals the defect and u solves
+    the data with the defect removed along ell.  The multiplier holds by construction;
     the residual check against the compatible data is what fails when
     ell is not a left null vector of A.
     """
     _require_same_mesh(f, g)
     mesh = f.mesh
-    x, lam, b_compat = _deflated_solve(mesh, _rhs(f, g), constraint, node, value)
+    x, lam, b_compat = _deflated_solve(mesh, _rhs(f, g))
     _checked_residual(neumann_operator(mesh), _operator_norm(mesh), x, b_compat,
                       DEFAULT_LINEAR_TOL, "bordered solve")
     return _split(mesh, x), lam
@@ -336,28 +341,27 @@ def _apply_policy(f, g, compat_policy, tol_compat):
 
 
 def solve_neumann(f, g, strategy="direct_augmented", compat_policy="reject",
-                  tol_compat=DEFAULT_COMPAT_TOL, tol_linear=DEFAULT_LINEAR_TOL,
-                  krylov_tol=KRYLOV_TOL, krylov_restart=KRYLOV_RESTART,
-                  krylov_maxiter=KRYLOV_MAXITER):
+                  tol_compat=DEFAULT_COMPAT_TOL, tol_linear=DEFAULT_LINEAR_TOL):
     """Solve lap u = f, du/dn = g for the mean-zero solution.
 
     Parameters
     ----------
     f, g : GridFunction, BoundaryFunction on the same mesh.
     strategy : "direct_augmented" (the deflated sparse LU) or
-        "fredholm_iteration" (matrix-free restarted GMRES).
+        "fredholm_iteration" (matrix-free restarted GMRES with the module
+        constants KRYLOV_TOL, KRYLOV_RESTART and KRYLOV_CYCLES).
     compat_policy : "reject" raises IncompatibleData when the defect
         exceeds tol_compat * (1 + sup|f| + sup|g|); "project" shifts f
         by a constant so the discrete defect vanishes exactly.
+    tol_linear : bound on the direct route's normwise backward error.
 
     Returns a SolveReport whose solution has discrete mean zero.
     """
     _require_same_mesh(f, g)
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    _check_tolerances(tol_compat=tol_compat, tol_linear=tol_linear, krylov_tol=krylov_tol)
+    _check_tolerances(tol_compat=tol_compat, tol_linear=tol_linear)
     mesh = f.mesh
-    t0 = time.perf_counter()
     f_eff, delta = _apply_policy(f, g, compat_policy, tol_compat)
     A = neumann_operator(mesh)
     b = _rhs(f_eff, g)
@@ -368,41 +372,28 @@ def solve_neumann(f, g, strategy="direct_augmented", compat_policy="reject",
         u = _split(mesh, x)
         iters = 0
     else:
-        lu = _regularized_lu(mesh)[1]
-        n_i, n_b = mesh.n_interior, mesh.n_boundary
-        v = lu.solve(b)
-
-        def apply_i_minus_k(x):
-            w = lu.solve(np.concatenate([-x[:n_i], np.zeros(n_b)]))
-            return x - w
-
-        op = spla.LinearOperator((n_i + n_b, n_i + n_b), matvec=apply_i_minus_k)
-        count = [0]
-
-        def tick(_):
-            count[0] += 1
-
-        cycles = max(1, int(np.ceil(krylov_maxiter / krylov_restart)))
-        x, info = spla.gmres(op, v, rtol=krylov_tol, atol=0.0,
-                             restart=krylov_restart, maxiter=cycles,
-                             callback=tick, callback_type="pr_norm")
+        n_i = mesh.n_interior
+        v = _regularized_lu(mesh)[1].solve(b)
+        op = spla.LinearOperator((len(b), len(b)),
+                                 matvec=lambda x: x - _screened(mesh, x[:n_i]))
+        residuals = []          # one per inner iteration
+        x, info = spla.gmres(op, v, rtol=KRYLOV_TOL, atol=0.0, restart=KRYLOV_RESTART,
+                             maxiter=KRYLOV_CYCLES, callback=residuals.append,
+                             callback_type="pr_norm")
+        iters = len(residuals)
         if info != 0:
-            raise NonConvergence(
-                f"GMRES did not reach rtol {krylov_tol:.1e} within "
-                f"{count[0]} iterations (info={info})")
+            raise NonConvergence(f"GMRES did not reach rtol {KRYLOV_TOL:.1e} within "
+                                 f"{iters} iterations (info={info})")
         u = subtract_mean(_split(mesh, x))
         res = _checked_residual(A, _operator_norm(mesh), u.all_values(), b,
                                 FREDHOLM_RESIDUAL_TOL, "fredholm")
         lam = 0.0
-        iters = count[0]
 
     return SolveReport(solution=u, strategy=strategy, residual=res,
-                       iterations=iters, defect=delta, multiplier=lam,
-                       wall_time=time.perf_counter() - t0)
+                       iterations=iters, defect=delta, multiplier=lam)
 
 
-def solve_neumann_pinned(f, g, node=0, value=0.0, compat_policy="reject",
-                         tol_compat=DEFAULT_COMPAT_TOL):
+def solve_neumann_pinned(f, g, node=0, value=0.0, compat_policy="reject"):
     """Neumann solve with the mean constraint replaced by u[node] = value.
 
     Used by the uniqueness-up-to-constants experiment: the result must
@@ -410,36 +401,32 @@ def solve_neumann_pinned(f, g, node=0, value=0.0, compat_policy="reject",
     direct route's factorization and residual check.
     """
     mesh = f.mesh
-    f_eff, delta = _apply_policy(f, g, compat_policy, tol_compat)
-    t0 = time.perf_counter()
+    f_eff, delta = _apply_policy(f, g, compat_policy, DEFAULT_COMPAT_TOL)
     b = _rhs(f_eff, g)
-    x, lam, _ = _deflated_solve(mesh, b, "pin", node, value)
+    x, lam, _ = _deflated_solve(mesh, b, pin=(node, value))
     res = _checked_residual(neumann_operator(mesh), _operator_norm(mesh), x, b,
                             DEFAULT_LINEAR_TOL, "pinned solve")
     return SolveReport(solution=_split(mesh, x), strategy="direct_augmented", residual=res,
-                       iterations=0, defect=delta, multiplier=lam,
-                       wall_time=time.perf_counter() - t0)
+                       iterations=0, defect=delta, multiplier=lam)
 
 
-def solve_1d_oracle(f_coeffs, g0, g1, interval=(0.0, 1.0)):
-    """Closed-form mean-zero solution of the 1D Neumann problem.
+def solve_1d_oracle(f_coeffs, g0, g1):
+    """Closed-form mean-zero solution of the 1D Neumann problem on (0, 1).
 
     f is a polynomial (coefficient list, low order first); g0, g1 are
     the outward normal derivative data at the left and right endpoint,
-    so u'(a) = -g0 and u'(b) = g1.  Exact polynomial integration; the
+    so u'(0) = -g0 and u'(1) = g1.  Exact polynomial integration; the
     compatibility condition integral(f) = g0 + g1 must hold exactly.
     Returns a numpy Polynomial.
     """
-    a, b = float(interval[0]), float(interval[1])
     p = np.polynomial.Polynomial(np.asarray(f_coeffs, dtype=float))
-    F = p.integ(lbnd=a)                      # F(x) = int_a^x f
-    total = F(b)
+    F = p.integ()                            # F(x) = int_0^x f
+    total = F(1.0)
     scale = 1.0 + abs(total) + abs(g0) + abs(g1)
     if abs(total - (g0 + g1)) > 1e-12 * scale:
         raise IncompatibleData(
             f"1D compatibility violated: integral(f) = {total:.6e}, "
             f"g0 + g1 = {g0 + g1:.6e}", total - (g0 + g1))
-    du = F - g0                               # u'(x) = -g0 + int_a^x f
-    u = du.integ(lbnd=a)
-    avg = u.integ(lbnd=a)(b) / (b - a)
-    return u - avg
+    du = F - g0                               # u'(x) = -g0 + int_0^x f
+    u = du.integ()
+    return u - u.integ()(1.0)

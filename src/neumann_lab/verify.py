@@ -66,11 +66,10 @@ class ManufacturedCase:
         g_vals = sum(gv.values * mesh.normals[:, k] for k, gv in enumerate(grads))
         return u_star, f, BoundaryFunction(mesh, g_vals)
 
-    def exact_mean_zero(self, mesh, u_star=None):
-        if u_star is None:
-            u_star = GridFunction.from_expression(mesh, self.u_expr)
+    def exact_mean_zero(self, u_star):
+        """u_star, realized on a mesh, minus its analytic or sampled mean."""
         m = self.analytic_mean if self.analytic_mean is not None else mean(u_star)
-        return GridFunction(mesh, u_star.interior - m, u_star.boundary - m)
+        return GridFunction(u_star.mesh, u_star.interior - m, u_star.boundary - m)
 
 
 MANUFACTURED_CASES = {
@@ -123,7 +122,7 @@ class ProblemFamily:
     """Generator of problem instances.
 
     Kinds: ``random_trigonometric`` (low trigonometric modes with
-    amplitudes uniform in [-amplitude, amplitude]; compatibility is
+    amplitudes uniform in [-1, 1]; compatibility is
     restored by projection at solve time), ``paper_special_cases``
     (the canonical quadratic-disk data and the zero problem), and
     ``manufactured_polynomial`` (data of the manufactured catalog).
@@ -132,7 +131,6 @@ class ProblemFamily:
     kind: str = "random_trigonometric"
     seed: int = 0
     count: int = 20
-    amplitude: float = 1.0
     dim: int = 2
 
     def instances(self):
@@ -158,11 +156,11 @@ class ProblemFamily:
         for i in range(self.count):
             f_terms, g_terms = [], []
             for k in range(1, 5):
-                c = [float(v) for v in rng.uniform(-self.amplitude, self.amplitude, size=4)]
+                c = [float(v) for v in rng.uniform(-1.0, 1.0, size=4)]
                 f_terms += [f"{c[0]!r}*cos({k}*x)", f"{c[1]!r}*sin({k}*x)"]
                 if self.dim == 2:
                     f_terms += [f"{c[2]!r}*cos({k}*y)", f"{c[3]!r}*sin({k}*y)"]
-                d = [float(v) for v in rng.uniform(-self.amplitude, self.amplitude, size=2)]
+                d = [float(v) for v in rng.uniform(-1.0, 1.0, size=2)]
                 if self.dim == 2:
                     g_terms += [f"{d[0]!r}*cos({k}*theta)", f"{d[1]!r}*sin({k}*theta)"]
                 else:
@@ -193,7 +191,7 @@ def _ratio(num, den):
     return num / den
 
 
-def _ratio_terms(problems, pair_strategy):
+def _ratio_terms(problems, pair_strategy="pruned"):
     """(num, den) of the estimate ratios of (u, f, g, alphas) problems.
 
     All norms come from one holder_reports call; u is measured as given.
@@ -218,23 +216,25 @@ def _ratio_terms(problems, pair_strategy):
     return out
 
 
-def l2_lemma_ratio(u, f, g, alpha=0.5, pair_strategy="pruned"):
+def _one_ratio(kind, u, f, g, alpha):
+    [terms] = _ratio_terms([(subtract_mean(u), f, g, (alpha,))])
+    return _ratio(*terms[kind, alpha])
+
+
+def l2_lemma_ratio(u, f, g, alpha=0.5):
     """||u - mean||_L2 over the Holder data norms."""
-    [terms] = _ratio_terms([(subtract_mean(u), f, g, (alpha,))], pair_strategy)
-    return _ratio(*terms["l2", alpha])
+    return _one_ratio("l2", u, f, g, alpha)
 
 
-def schauder_ratio(u, f, g, alpha, pair_strategy="pruned"):
+def schauder_ratio(u, f, g, alpha):
     """||u - mean||_{C^{2,alpha}} over the Holder data norms."""
-    [terms] = _ratio_terms([(subtract_mean(u), f, g, (alpha,))], pair_strategy)
-    return _ratio(*terms["schauder", alpha])
+    return _one_ratio("schauder", u, f, g, alpha)
 
 
-def intermediate_ratio(u, f, g, alpha, pair_strategy="pruned"):
+def intermediate_ratio(u, f, g, alpha):
     """Ratio with the augmented denominator (adds ||u||_C0); never
     exceeds schauder_ratio on the same data."""
-    [terms] = _ratio_terms([(subtract_mean(u), f, g, (alpha,))], pair_strategy)
-    return _ratio(*terms["intermediate", alpha])
+    return _one_ratio("intermediate", u, f, g, alpha)
 
 
 def serrin_local_ratio(u, f, center, radius, p=None):
@@ -310,14 +310,15 @@ def observed_orders(errors):
             for coarse, fine in zip(errors[:-1], errors[1:])]
 
 
-def convergence_study(case, resolutions, compat_policy="project"):
+def convergence_study(case, resolutions):
     """Solve a manufactured case across a refinement ladder.
 
     Errors are sup-norm distances to the exact mean-zero solution; the
     observed order is log2 of consecutive error quotients.  Errors at
     rounding level are flagged ``exact`` instead of producing noise
     orders.  A non-exact study whose finest order drops below 1.9 is
-    flagged as not converged (no exception).
+    flagged as not converged (no exception).  Every level's data is
+    projected onto compatibility.
     """
     if isinstance(case, str):
         case = MANUFACTURED_CASES[case]
@@ -328,8 +329,8 @@ def convergence_study(case, resolutions, compat_policy="project"):
     for res in resolutions:
         mesh = build_mesh(case.domain, res)
         u_star, f, g = case.realize(mesh)
-        rep = solve_neumann(f, g, compat_policy=compat_policy)
-        target = case.exact_mean_zero(mesh, u_star)
+        rep = solve_neumann(f, g, compat_policy="project")
+        target = case.exact_mean_zero(u_star)
         errors.append(float(np.abs((rep.solution - target).all_values()).max()))
         scale = max(scale, float(np.abs(u_star.all_values()).max()))
     exact = errors[-1] <= 1e-11 * scale
@@ -340,12 +341,11 @@ def convergence_study(case, resolutions, compat_policy="project"):
                             converged=converged)
 
 
-def oracle1d_discrepancy(f_coeffs, g0, g1, n, interval=(0.0, 1.0)):
-    """Max node discrepancy between the discrete 1D solve and the
-    closed-form polynomial solution, after aligning means on the grid."""
-    poly = solve_1d_oracle(f_coeffs, g0, g1, interval)
-    spec = DomainSpec.interval(*interval)
-    mesh = build_mesh(spec, n)
+def oracle1d_discrepancy(f_coeffs, g0, g1, n):
+    """Max node discrepancy on (0, 1) between the discrete 1D solve and
+    the closed-form polynomial solution, after aligning means on the grid."""
+    poly = solve_1d_oracle(f_coeffs, g0, g1)
+    mesh = build_mesh(DomainSpec.interval(), n)
     terms = " + ".join(f"{float(c)!r}*x^{k}" if k else f"{float(c)!r}"
                        for k, c in enumerate(np.asarray(f_coeffs, dtype=float)))
     f = GridFunction.from_expression(mesh, terms)
@@ -356,19 +356,19 @@ def oracle1d_discrepancy(f_coeffs, g0, g1, n, interval=(0.0, 1.0)):
     return float(np.abs((rep.solution - exact).all_values()).max())
 
 
-def incompatibility_probe(f, g, tol_compat=1e-8):
+def incompatibility_probe(f, g):
     """Check the solvability condition machinery on (deliberately)
     incompatible data.
 
     Returns a dict with the measured defect, whether the reject policy
-    fired, the defect the exception carried, and the bordered-system
-    multiplier (documented to equal the defect).
+    fired (at DEFAULT_COMPAT_TOL), the defect the exception carried, and
+    the bordered-system multiplier (documented to equal the defect).
     """
     delta = check_compatibility(f, g)
     rejected = False
     reported = 0.0
     try:
-        solve_neumann(f, g, compat_policy="reject", tol_compat=tol_compat)
+        solve_neumann(f, g, compat_policy="reject")
     except IncompatibleData as exc:
         rejected = True
         reported = exc.defect
@@ -490,7 +490,7 @@ def _measure_instance(inst, mesh, config, check_scaling, with_holder):
         float(np.abs(reg.solution.all_values()).max()) / sup_f if sup_f > 0 else 0.0)
 
     row["boundary_sup_gap"] = max(boundary_sup_gap(u, eps) for eps in config.eps_values)
-    return row, f, g, u, direct
+    return row, f, g, u
 
 
 def _agreement_measures(row, f, g, u_direct):
@@ -629,7 +629,7 @@ def run_family_study(config):
         h = mesh.h if mesh.dim == 1 else mesh.h_s
 
         def measure(inst, _mesh=mesh, _lvl=lvl, _holder=with_holder):
-            row, f, g, u, direct = _measure_instance(
+            row, f, g, u = _measure_instance(
                 inst, _mesh, config, check_scaling=(inst.index == 0),
                 with_holder=_holder)
             if _lvl == pinned_level:

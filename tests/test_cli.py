@@ -3,6 +3,7 @@
 import json
 import os
 import time
+import warnings
 
 import pytest
 
@@ -204,13 +205,31 @@ def test_huge_rung_exits_4_before_allocating(tmp_path, capsys, args):
     ["oracle1d", "--levels", "0"],
     ["sweep", "--f", "1", "--g", "0.5", "--levels", "0"],
     ["sweep", "--f", "1", "--g", "0.5", "--levels", "-1"],
-    ["verify", "--count", "1", "--levels", "1", "--no-pinned", "--radius", "1e300"]])
+    ["verify", "--count", "1", "--levels", "1", "--no-pinned", "--radius", "1e300"],
+    # domains outside the scale range
+    ["solve", "--f", "1", "--g", "0.5", "--radius", "1e300"],
+    ["solve", "--domain", "interval", "--a=-1e308", "--b=1e308", "--n", "16",
+     "--f", "1", "--g", "0.5"],
+    ["solve", "--domain", "interval", "--b=1e200", "--n", "16", "--f", "1", "--g", "0.5"],
+    ["solve", "--domain", "interval", "--b=1e-200", "--n", "16", "--f", "1", "--g", "0.5"],
+    ["solve", "--f", "1", "--g", "0.5", "--radius", "1e100"],
+    ["solve", "--domain", "star", "--radius-coeffs", '{"a0": 1, "cos": [1e31]}',
+     "--f", "1", "--g", "0.5"]])
 def test_bad_value_exits_4_without_traceback(tmp_path, capsys, args):
     assert run(args + ["--nr", "8", "--ntheta", "16"] * (args[0] in ("solve", "sweep"))
                + ["--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert "bad configuration" in err and "Traceback" not in err
     assert not os.listdir(tmp_path)
+
+
+def test_singular_shifted_factor_exits_3_without_traceback(tmp_path, capsys):
+    # on a tiny interval the unit shift of A - S vanishes beside A's entries
+    assert run(["solve", "--domain", "interval", "--a=-1e-6", "--b=1e-6", "--n", "256",
+                "--f", "x", "--g", "0.5", "--compat", "project",
+                "--strategy", "fredholm_iteration", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure: sparse LU failed" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"], ["verify", "--help"]])
@@ -235,11 +254,10 @@ def test_verify_large_domain_needs_finer_rung(tmp_path, capsys):
     assert run(base + ["--nr0", "20"]) == 0
 
 
-@pytest.mark.parametrize("radius", ["1e6", "1e300"])
+@pytest.mark.parametrize("radius", ["1e6"])
 def test_verify_rung_beyond_node_cap_exits_4_without_probing(tmp_path, capsys, monkeypatch,
                                                              radius):
-    # the first passing n_r is estimated over MAX_NODES (on a 1e300 disk the
-    # outer nodes lie inf from the boundary): no finer mesh is built
+    # the first passing n_r is estimated over MAX_NODES: no finer mesh is built
     built = []
 
     def counted(spec, res):
@@ -251,6 +269,20 @@ def test_verify_rung_beyond_node_cap_exits_4_without_probing(tmp_path, capsys, m
                 "--no-pinned", "--out", str(tmp_path)]) == 4
     assert built == [(12, 48)]
     assert "no rung within the 524288-node cap passes" in capsys.readouterr().err
+
+
+def test_verify_domain_beyond_scale_range_exits_4_before_any_mesh(tmp_path, capsys,
+                                                                   monkeypatch):
+    # on a 1e300 disk the boundary distances overflow: the domain is refused first
+    built = []
+    monkeypatch.setattr(verify, "build_mesh", lambda *a: built.append(a) or build_mesh(*a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["verify", "--radius", "1e300", "--count", "1", "--levels", "1",
+                    "--no-pinned", "--out", str(tmp_path)]) == 4
+    assert built == []
+    err = capsys.readouterr().err
+    assert "lies outside [1e-30, 1e+30]" in err and "Traceback" not in err
 
 
 def test_verify_report_identical_across_threads(tmp_path):

@@ -416,6 +416,28 @@ def test_boundary_seminorm_uses_arclength(disk_mesh_small):
     assert val == pytest.approx(1.0 / np.sqrt(disk_mesh_small.h_theta), rel=1e-10)
 
 
+@pytest.mark.parametrize("spec, res", [(DomainSpec.disk(), (12, 48)),
+                                       (DomainSpec.star_shaped(1.0, (0.2, 0.1)), (12, 48)),
+                                       (DomainSpec.interval(0.0, 2.0), 200)])
+def test_field_seminorm_is_the_order_0_norm(spec, res, monkeypatch):
+    import neumann_lab.norms as norms
+    mesh = build_mesh(spec, res)
+    layouts = []
+    layout = norms._layout
+    monkeypatch.setattr(norms, "_layout", lambda xy: layouts.append(1) or layout(xy))
+    u = GridFunction.from_expression(mesh, "sqrt(abs(x)) + x^2 - 3*x")
+    g = BoundaryFunction.from_expression(mesh, "abs(x - 0.3)")
+    for field in (u, g):
+        for strategy in ("brute_force", "pruned"):
+            for alpha in (0.3, 0.7):
+                val, wit = holder_seminorm(field, HolderParams(alpha, pair_strategy=strategy))
+                rep = c_k_alpha_norm(field, 0, alpha, pair_strategy=strategy)
+                assert val == rep.seminorm
+                assert all(np.array_equal(p, q) for p, q in zip(wit, rep.witness))
+    # one layout per node set, kept by the mesh across calls
+    assert len(layouts) == 2
+
+
 def test_witness_tie_break_lexicographic():
     # two pairs attain the same quotient; the smallest index pair wins
     xs = np.array([0.0, 1.0, 2.0, 3.0])
@@ -437,8 +459,6 @@ def test_degenerate_inputs():
 def test_holder_params_validation():
     with pytest.raises(ConfigError):
         HolderParams(alpha=1.0)
-    with pytest.raises(ConfigError):
-        HolderParams(alpha=0.5, derivative_order=3)
     with pytest.raises(ConfigError):
         HolderParams(alpha=0.5, pair_strategy="magic")
 

@@ -291,8 +291,8 @@ def test_stacked_scaling_check_matches_schauder_ratio():
     config = _tiny_config(alphas=(0.3, 0.5))
     mesh = build_mesh(config.domain, (8, 32))
     inst = ProblemFamily(seed=3, count=1).instances()[0]
-    row, f, g, u, _ = _measure_instance(inst, mesh, config, check_scaling=True,
-                                        with_holder=True)
+    row, f, g, u = _measure_instance(inst, mesh, config, check_scaling=True,
+                                     with_holder=True)
     scaled = solve_neumann(2.0 * f, 2.0 * g, compat_policy="project").solution
     r1 = row["ratio_schauder_0.5"]
     r2 = schauder_ratio(scaled, 2.0 * f, 2.0 * g, 0.5)
