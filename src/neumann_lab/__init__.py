@@ -11,7 +11,7 @@ iteration route to the solution.
 
 __version__ = "0.1.0"
 
-from .domain import DomainSpec, Mesh, boundary_normal, build_mesh, distance_to_boundary
+from .domain import DomainSpec, Mesh, build_mesh, distance_to_boundary
 from .errors import (BallNotContained, ConfigError, DegenerateData,
                      DegenerateInput, EvalDomainError, ExprSyntaxError,
                      IncompatibleData, InvalidExponent, LinearSolveFailure,
@@ -21,8 +21,7 @@ from .errors import (BallNotContained, ConfigError, DegenerateData,
 from .field import (BoundaryFunction, GridFunction, boundary_trace, gradient,
                     integrate_boundary, integrate_volume, laplacian, mean,
                     normal_derivative, subtract_mean)
-from .norms import (HolderParams, HolderReport, c_k_alpha_norm, holder_seminorm,
-                    l2_norm, pairwise_holder_max)
+from .norms import HolderReport, c_k_alpha_norm, l2_norm, pairwise_holder_max
 from .solver import (SolveReport, apply_screened_inverse, check_compatibility,
                      solve_1d_oracle, solve_bordered, solve_neumann,
                      solve_neumann_pinned, solve_regularized)

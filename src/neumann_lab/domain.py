@@ -12,9 +12,12 @@ chart, so the mesh is a structured grid in mapped coordinates:
 
 Volume quadrature is the midpoint rule in s times the periodic
 trapezoid rule in theta (weights J h_s h_theta with J = s R^2);
-boundary quadrature is arclength trapezoid weights.  Meshes are
-immutable and bit-reproducible for fixed inputs; ``Mesh.cached`` keeps
-what is derived from a mesh alone.
+boundary quadrature is arclength trapezoid weights.  A 2D mesh keeps
+the map's samples s, theta, R(theta) and R'(theta) beside its nodes,
+weights, normals and boundary arclength; field derives the map's
+Jacobian from those samples where it needs it.  Meshes are immutable
+and bit-reproducible for fixed inputs; ``Mesh.cached`` keeps what is
+derived from a mesh alone.
 """
 
 from __future__ import annotations
@@ -222,7 +225,6 @@ class Mesh:
     # 1D fields
     n: int = 0
     h: float = 0.0
-    x: np.ndarray = None
     # 2D fields
     n_r: int = 0
     n_theta: int = 0
@@ -232,18 +234,6 @@ class Mesh:
     theta: np.ndarray = None     # (n_theta,)
     R: np.ndarray = None         # R(theta_i), R'(theta_i)
     Rp: np.ndarray = None
-    R_half: np.ndarray = None    # at theta_{i+1/2} (for angular face fluxes)
-    Rp_half: np.ndarray = None
-    x_s: np.ndarray = None       # mapping Jacobian entries at interior nodes
-    x_t: np.ndarray = None       # shaped (n_r, n_theta)
-    y_s: np.ndarray = None
-    y_t: np.ndarray = None
-    jdet: np.ndarray = None
-    bx_s: np.ndarray = None      # Jacobian entries on the boundary (n_theta,)
-    bx_t: np.ndarray = None
-    by_s: np.ndarray = None
-    by_t: np.ndarray = None
-    b_jdet: np.ndarray = None
     arc: np.ndarray = None       # boundary arclength coordinate (n_theta,)
     _workspace: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
@@ -356,8 +346,8 @@ def _build_interval(spec, n):
     w_bnd = np.array([1.0, 1.0])
     normals = np.array([[-1.0], [1.0]])
     mesh = Mesh(spec=spec, dim=1, interior_xy=interior_xy, boundary_xy=boundary_xy,
-                w_vol=w_vol, w_bnd=w_bnd, normals=normals, n=n, h=h, x=x)
-    _freeze(interior_xy, boundary_xy, w_vol, w_bnd, normals, x)
+                w_vol=w_vol, w_bnd=w_bnd, normals=normals, n=n, h=h)
+    _freeze(interior_xy, boundary_xy, w_vol, w_bnd, normals)
     return mesh
 
 
@@ -375,38 +365,20 @@ def _build_star(spec, n_r, n_theta):
     s = (np.arange(n_r) + 0.5) * h_s
     theta = np.arange(n_theta) * h_theta
     R, Rp = spec.radius(theta)
-    R_half, Rp_half = spec.radius(theta + 0.5 * h_theta)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
 
     S = s[:, None]
-    cos_t, sin_t = np.cos(theta)[None, :], np.sin(theta)[None, :]
-    Rg, Rpg = R[None, :], Rp[None, :]
-    X = S * Rg * cos_t
-    Y = S * Rg * sin_t
-    x_s = np.broadcast_to(Rg * cos_t, (n_r, n_theta)).copy()
-    y_s = np.broadcast_to(Rg * sin_t, (n_r, n_theta)).copy()
-    x_t = S * (Rpg * cos_t - Rg * sin_t)
-    y_t = S * (Rpg * sin_t + Rg * cos_t)
-    jdet = S * Rg**2
+    jdet = S * R**2                     # determinant of the map's Jacobian
     if np.any(jdet <= 0.0):
         raise NonPositiveRadius("mapping Jacobian not positive")
+    interior_xy = np.column_stack([(S * R * cos_t).ravel(), (S * R * sin_t).ravel()])
+    w_vol = (jdet * h_s * h_theta).ravel()
 
-    interior_xy = np.column_stack([X.ravel(), Y.ravel()])
-    w_vol = (jdet * h_s * h_theta).ravel().copy()
-
-    bx = R * np.cos(theta)
-    by = R * np.sin(theta)
-    boundary_xy = np.column_stack([bx, by])
+    boundary_xy = np.column_stack([R * cos_t, R * sin_t])
     edge = np.sqrt(R**2 + Rp**2)
     w_bnd = edge * h_theta
-    raw = np.column_stack([R * np.cos(theta) + Rp * np.sin(theta),
-                           R * np.sin(theta) - Rp * np.cos(theta)])
+    raw = np.column_stack([R * cos_t + Rp * sin_t, R * sin_t - Rp * cos_t])
     normals = raw / np.linalg.norm(raw, axis=1)[:, None]
-
-    bx_s = R * np.cos(theta)
-    by_s = R * np.sin(theta)
-    bx_t = Rp * np.cos(theta) - R * np.sin(theta)
-    by_t = Rp * np.sin(theta) + R * np.cos(theta)
-    b_jdet = R**2  # s = 1
 
     # arclength coordinate of boundary nodes (periodic trapezoid cumulative)
     seg = 0.5 * (edge + np.roll(edge, -1)) * h_theta  # arc from node i to i+1
@@ -415,19 +387,9 @@ def _build_star(spec, n_r, n_theta):
     mesh = Mesh(spec=spec, dim=2, interior_xy=interior_xy, boundary_xy=boundary_xy,
                 w_vol=w_vol, w_bnd=w_bnd, normals=normals,
                 n_r=n_r, n_theta=n_theta, h_s=h_s, h_theta=h_theta,
-                s=s, theta=theta, R=R, Rp=Rp, R_half=R_half, Rp_half=Rp_half,
-                x_s=x_s, x_t=x_t, y_s=y_s, y_t=y_t, jdet=jdet,
-                bx_s=bx_s, bx_t=bx_t, by_s=by_s, by_t=by_t, b_jdet=b_jdet,
-                arc=arc)
-    _freeze(interior_xy, boundary_xy, w_vol, w_bnd, normals, s, theta, R, Rp,
-            R_half, Rp_half, x_s, x_t, y_s, y_t, jdet, bx_s, bx_t, by_s, by_t,
-            b_jdet, arc)
+                s=s, theta=theta, R=R, Rp=Rp, arc=arc)
+    _freeze(interior_xy, boundary_xy, w_vol, w_bnd, normals, s, theta, R, Rp, arc)
     return mesh
-
-
-def boundary_normal(mesh, index):
-    """Outward unit normal at one boundary node."""
-    return mesh.normals[index]
 
 
 def distance_to_boundary(mesh, points):

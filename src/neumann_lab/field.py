@@ -5,7 +5,10 @@ boundary trace, so boundary integrals of products like u * g need no
 interpolation.  Derivatives are second-order: centered differences in
 the mapped coordinates (periodic in theta), one-sided three-point
 stencils at the radial boundary, chain-ruled through the analytic
-mapping Jacobian.
+Jacobian of the map (s, theta) -> s R(theta) (cos theta, sin theta).
+Its entries are formed here, on every call, from the mesh's s, theta, R
+and R': x_s = R cos, y_s = R sin, x_theta = s (R' cos - R sin),
+y_theta = s (R' sin + R cos) and the determinant s R^2.
 
 The Laplacian is assembled once per mesh in divergence (flux) form, kept
 in the mesh's workspace and shared with the solvers.  Its outermost-cell
@@ -32,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import expr as expr_mod
-from .errors import MeshMismatch, ResolutionTooSmall
+from .errors import ConfigError, MeshMismatch, ResolutionTooSmall
 
 
 def _require_same_mesh(a, b):
@@ -43,7 +46,7 @@ def _require_same_mesh(a, b):
 def _validated(arr, n, what):
     out = np.array(arr, dtype=float).reshape(n)
     if not np.all(np.isfinite(out)):
-        raise ValueError(f"{what} contains NaN/Inf")
+        raise ConfigError(f"{what} contains NaN/Inf")
     out.setflags(write=False)
     return out
 
@@ -79,11 +82,6 @@ class GridFunction:
         vb = expr_mod.evaluate(ast, mesh.boundary_coords())
         return cls(mesh, np.broadcast_to(vi, (mesh.n_interior,)),
                    np.broadcast_to(vb, (mesh.n_boundary,)))
-
-    @classmethod
-    def from_callable(cls, mesh, fn):
-        """Sample fn(x) or fn(x, y) at every node."""
-        return cls(mesh, fn(*mesh.interior_xy.T), fn(*mesh.boundary_xy.T))
 
     def all_values(self):
         return np.concatenate([self.interior, self.boundary])
@@ -235,10 +233,17 @@ def gradient(u):
                        (8 * vb[1] - 9 * v[-1] + v[-2]) / (3 * h)])
         return (GridFunction(m, d, db),)
     us, ut, us_b, ut_b = _logical_derivs_2d(u)
-    ux = (us * m.y_t - ut * m.y_s) / m.jdet
-    uy = (-us * m.x_t + ut * m.x_s) / m.jdet
-    ux_b = (us_b * m.by_t - ut_b * m.by_s) / m.b_jdet
-    uy_b = (-us_b * m.bx_t + ut_b * m.bx_s) / m.b_jdet
+    # the Jacobian's rows at s = 1; inside, x_t, y_t and det are s times these
+    cos_t, sin_t = np.cos(m.theta), np.sin(m.theta)
+    x_s, y_s = m.R * cos_t, m.R * sin_t
+    x_t, y_t = m.Rp * cos_t - m.R * sin_t, m.Rp * sin_t + m.R * cos_t
+    det = m.R**2
+    S = m.s[:, None]
+    jdet = S * det
+    ux = (us * (S * y_t) - ut * y_s) / jdet
+    uy = (-us * (S * x_t) + ut * x_s) / jdet
+    ux_b = (us_b * y_t - ut_b * y_s) / det
+    uy_b = (-us_b * x_t + ut_b * x_s) / det
     return (GridFunction(m, ux.ravel(), ux_b), GridFunction(m, uy.ravel(), uy_b))
 
 
@@ -316,10 +321,11 @@ def _assemble_2d(mesh):
     hs, ht = mesh.h_s, mesh.h_theta
     N = (nr + 1) * nt
     R, Rp = mesh.R, mesh.Rp
-    inv = 1.0 / (mesh.jdet * hs * ht)      # (nr, nt)
+    inv = 1.0 / (mesh.s[:, None] * R**2 * hs * ht)      # 1 / (jdet hs ht), (nr, nt)
     edge = np.sqrt(R**2 + Rp**2)
     B_node = Rp / R
-    B_half = mesh.Rp_half / mesh.R_half
+    R_half, Rp_half = mesh.spec.radius(mesh.theta + 0.5 * ht)   # at theta_{i+1/2}
+    B_half = Rp_half / R_half
     cB = edge / R**2                        # normal-derivative coefficients
     cT = Rp / (R * edge)
 

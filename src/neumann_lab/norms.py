@@ -59,20 +59,6 @@ BATCH = 128       # leaf pairs evaluated together in (LEAF, LEAF, BATCH) arrays
 STRATEGIES = ("brute_force", "pruned")
 
 
-@dataclass(frozen=True)
-class HolderParams:
-    """Exponent and pair strategy of a Holder seminorm."""
-
-    alpha: float
-    pair_strategy: str = "brute_force"
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.pair_strategy not in STRATEGIES:
-            raise ConfigError(f"unknown pair strategy {self.pair_strategy!r}")
-
-
 @dataclass
 class HolderReport:
     """Norm breakdown: per-order sup norms, top-order seminorm, witness."""
@@ -81,22 +67,6 @@ class HolderReport:
     seminorm: float           # max over top-order components of the pairwise seminorm
     witness: tuple            # pair of node coordinates attaining the seminorm
     total: float              # sum(sup_norms) + seminorm
-    pairs_evaluated: int
-
-    def to_json(self):
-        return {
-            "sup_norms": [float(v) for v in self.sup_norms],
-            "seminorm": float(self.seminorm),
-            "witness": [[float(c) for c in np.atleast_1d(p)] for p in self.witness],
-            "total": float(self.total),
-            "pairs_evaluated": int(self.pairs_evaluated),
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(sup_norms=tuple(obj["sup_norms"]), seminorm=obj["seminorm"],
-                   witness=tuple(np.asarray(p) for p in obj["witness"]),
-                   total=obj["total"], pairs_evaluated=obj["pairs_evaluated"])
 
 
 def l2_norm(u):
@@ -423,29 +393,6 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
 # ---------------------------------------------------------------------------
 # public norm operations
 
-def holder_seminorm(values, params, coords=None, period=None):
-    """Exact pairwise Holder seminorm of sampled values.
-
-    ``values`` may be a GridFunction (Euclidean node distances) or a
-    BoundaryFunction (arclength distances along the loop), measured as
-    ``c_k_alpha_norm(values, 0, alpha)`` measures them, or a raw array
-    with explicit ``coords`` (and ``period`` on a loop).  Returns
-    (seminorm, witness) with the witness as a pair of node coordinates.
-    """
-    if isinstance(values, (GridFunction, BoundaryFunction)):
-        [reports] = holder_reports([(values, 0, (params.alpha,))], params.pair_strategy)
-        rep = reports[float(params.alpha)]
-        return rep.seminorm, rep.witness
-    if coords is None:
-        raise ConfigError("raw sample arrays need explicit coordinates")
-    vals = np.asarray(values, dtype=float)
-    xy = _as_points(coords, vals.shape[0])
-    best, wit, _ = pairwise_holder_max(xy, vals[None, :], (params.alpha,),
-                                       strategy=params.pair_strategy, period=period)
-    i, j = wit[0, 0]
-    return float(best[0, 0]), (xy[i].copy(), xy[j].copy())
-
-
 def _node_set(u):
     """(coords, period) of the nodes a field lives on: a mesh's volume
     nodes, or its boundary loop by arclength (an interval's endpoints)."""
@@ -510,8 +457,8 @@ def holder_reports(items, pair_strategy="pruned"):
         wanted = np.vstack([np.tile(np.isin(alphas, item_alphas), (len(top), 1))
                             for _, _, top, item_alphas in group])
         order = group[0][0].mesh.cached(("holder_layout", boundary), lambda: _layout(xy))
-        best, wit, pairs = pairwise_holder_max(xy, vals, alphas, strategy=pair_strategy,
-                                               period=per, wanted=wanted, order=order)
+        best, wit, _ = pairwise_holder_max(xy, vals, alphas, strategy=pair_strategy,
+                                           period=per, wanted=wanted, order=order)
         start = 0
         for i, (_, sup_norms, top, item_alphas) in zip(members, group):
             rows = slice(start, start + len(top))
@@ -527,7 +474,6 @@ def holder_reports(items, pair_strategy="pruned"):
                     seminorm=seminorm,
                     witness=(np.atleast_1d(xy[p]).copy(), np.atleast_1d(xy[q]).copy()),
                     total=float(sum(sup_norms) + seminorm),
-                    pairs_evaluated=int(pairs) * len(top),
                 )
             out[i] = reports
     return out

@@ -247,10 +247,15 @@ def _checked_residual(A, anorm, x, b, tol, route, n_shift=0):
     operator's 1/h^2 entry scale and would fail a fixed tolerance on
     fine meshes even for fully converged solves.
     """
-    denom = anorm * np.linalg.norm(x) + np.linalg.norm(b)
-    r = A @ x
-    r[:n_shift] -= x[:n_shift]
-    res = float(np.linalg.norm(r - b) / (denom if denom > 0 else 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = anorm * np.linalg.norm(x) + np.linalg.norm(b)
+        r = A @ x
+        r[:n_shift] -= x[:n_shift]
+        rnorm = np.linalg.norm(r - b)
+    if not np.isfinite(denom + rnorm):
+        raise LinearSolveFailure(f"{route} residual norms are not finite: the data or "
+                                 f"the solution overflows")
+    res = float(rnorm / (denom if denom > 0 else 1.0))
     if not res <= tol:
         raise LinearSolveFailure(f"{route} residual {res:.3e} > {tol:.1e}")
     return res
@@ -327,7 +332,11 @@ def solve_bordered(f, g):
 
 
 def _apply_policy(f, g, compat_policy, tol_compat):
-    delta = check_compatibility(f, g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = check_compatibility(f, g)
+    if not np.isfinite(delta):
+        raise ConfigError(f"the compatibility defect of the data is {delta}: the integrals "
+                          f"of f and g overflow")
     if compat_policy == "reject":
         if abs(delta) > tol_compat * data_scale(f, g):
             raise IncompatibleData(
@@ -377,9 +386,10 @@ def solve_neumann(f, g, strategy="direct_augmented", compat_policy="reject",
         op = spla.LinearOperator((len(b), len(b)),
                                  matvec=lambda x: x - _screened(mesh, x[:n_i]))
         residuals = []          # one per inner iteration
-        x, info = spla.gmres(op, v, rtol=KRYLOV_TOL, atol=0.0, restart=KRYLOV_RESTART,
-                             maxiter=KRYLOV_CYCLES, callback=residuals.append,
-                             callback_type="pr_norm")
+        with np.errstate(over="ignore", invalid="ignore"):   # overflow fails below
+            x, info = spla.gmres(op, v, rtol=KRYLOV_TOL, atol=0.0, restart=KRYLOV_RESTART,
+                                 maxiter=KRYLOV_CYCLES, callback=residuals.append,
+                                 callback_type="pr_norm")
         iters = len(residuals)
         if info != 0:
             raise NonConvergence(f"GMRES did not reach rtol {KRYLOV_TOL:.1e} within "

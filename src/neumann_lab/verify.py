@@ -237,6 +237,15 @@ def intermediate_ratio(u, f, g, alpha):
     return _one_ratio("intermediate", u, f, g, alpha)
 
 
+def _check_ball(mesh, center, radius, error):
+    """Raise error unless B(center, 2 radius) lies inside the domain: 2 radius
+    at most the sampled boundary distance of center minus one cell."""
+    dist = float(distance_to_boundary(mesh, center[None, :])[0])
+    if 2.0 * radius > dist - mesh.cell_size:
+        raise error(f"ball of radius 2R = {2 * radius} around {center} exceeds the "
+                    f"sampled boundary distance {dist:.4f} minus one cell")
+
+
 def serrin_local_ratio(u, f, center, radius, p=None):
     """sup over B(center, R) of |u| against local L2 and global Lp data.
 
@@ -250,11 +259,7 @@ def serrin_local_ratio(u, f, center, radius, p=None):
     if p <= ndim / 2.0:
         raise InvalidExponent(f"need p > N/2 = {ndim / 2}, got {p}")
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    dist = float(distance_to_boundary(mesh, center[None, :])[0])
-    if 2.0 * radius > dist - mesh.cell_size:
-        raise BallNotContained(
-            f"ball of radius 2R = {2 * radius} around {center} exceeds the "
-            f"sampled boundary distance {dist:.4f} minus one cell")
+    _check_ball(mesh, center, radius, BallNotContained)
     d = np.linalg.norm(mesh.interior_xy - center[None, :], axis=1)
     in_r = d <= radius
     in_2r = d <= 2.0 * radius
@@ -295,11 +300,6 @@ class ConvergenceStudy:
     orders: list              # between consecutive levels
     exact: bool               # finest error at rounding level
     converged: bool           # exact, or finest-pair order >= 1.9
-
-    def to_json(self):
-        return {"case": self.case, "resolutions": [[int(v) for v in np.atleast_1d(r)] for r in self.resolutions],
-                "errors": self.errors, "orders": self.orders,
-                "exact": self.exact, "converged": self.converged}
 
 
 def observed_orders(errors):
@@ -351,7 +351,7 @@ def oracle1d_discrepancy(f_coeffs, g0, g1, n):
     f = GridFunction.from_expression(mesh, terms)
     g = BoundaryFunction(mesh, np.array([g0, g1], dtype=float))
     rep = solve_neumann(f, g, compat_policy="project")
-    exact = GridFunction(mesh, poly(mesh.x), poly(mesh.boundary_xy[:, 0]))
+    exact = GridFunction(mesh, poly(mesh.interior_xy[:, 0]), poly(mesh.boundary_xy[:, 0]))
     exact = subtract_mean(exact)
     return float(np.abs((rep.solution - exact).all_values()).max())
 
@@ -445,7 +445,7 @@ class VerifyConfig:
 def _serrin_center(mesh):
     if mesh.dim == 1:
         mid = 0.5 * (mesh.spec.a + mesh.spec.b)
-        j = int(np.argmin(np.abs(mesh.x - mid)))
+        j = int(np.argmin(np.abs(mesh.interior_xy[:, 0] - mid)))
     else:
         j = int(np.argmin(np.linalg.norm(mesh.interior_xy, axis=1)))
     return mesh.interior_xy[j]
@@ -622,6 +622,9 @@ def run_family_study(config):
                        else f"the first {name} that passes is {n}")
             raise ConfigError(f"rung {res} is too coarse for eps = {eps}: its outer "
                               f"nodes lie {gap:.4g} from the boundary; {passing}")
+        # the largest Serrin ball is the one that may not fit
+        if config.serrin_radii:
+            _check_ball(mesh, _serrin_center(mesh), max(config.serrin_radii), ConfigError)
 
     levels = []
     for lvl, (res, with_holder) in enumerate(ladder):

@@ -232,6 +232,38 @@ def test_singular_shifted_factor_exits_3_without_traceback(tmp_path, capsys):
     assert "solver failure: sparse LU failed" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args, code", [
+    (["solve", "--f", "1", "--g", "1e308", "--compat", "project"], 4),
+    (["solve", "--f", "1e308", "--g", "0", "--compat", "project"], 4),
+    (["sweep", "--f", "1", "--g", "1e308", "--compat", "project", "--levels", "1"], 4),
+    # finite defect, but the residual's norms overflow
+    (["solve", "--f", "1e300*x", "--g", "1e300", "--compat", "project"], 3),
+    (["solve", "--f", "1e300*x", "--g", "1e300", "--compat", "project",
+      "--strategy", "fredholm_iteration"], 3)])
+def test_overflowing_data_exits_without_traceback(tmp_path, capsys, args, code):
+    assert run(args + ["--nr", "8", "--ntheta", "16", "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert ("bad configuration" if code == 4 else "solver failure") in err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("args", [
+    ["--radius", "0.3"],
+    ["--domain", "interval", "--a", "0", "--b", "0.2", "--n0", "64"]])
+def test_verify_serrin_ball_outside_the_domain_exits_4_before_any_solve(
+        tmp_path, capsys, monkeypatch, args):
+    # the 2R = 0.4 ball of the default radii fits in neither domain
+    solves = []
+    monkeypatch.setattr(verify, "solve_neumann", lambda *a, **k: solves.append(a))
+    assert run(["verify", "--count", "1", "--levels", "1", "--no-pinned", *args,
+                "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "bad configuration" in err and "ball of radius 2R = 0.4" in err
+    assert "Traceback" not in err
+    assert solves == [] and not os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"], ["verify", "--help"]])
 def test_help_exits_0(args, capsys):
     assert run(args) == 0

@@ -5,8 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from neumann_lab.domain import (DISTANCE_BLOCK, DomainSpec, boundary_normal, build_mesh,
-                                distance_to_boundary)
+from neumann_lab.domain import DISTANCE_BLOCK, DomainSpec, build_mesh, distance_to_boundary
 from neumann_lab.errors import ConfigError, NonPositiveRadius, ResolutionTooSmall
 
 STAR_AREA = 209.0 * np.pi / 200.0          # (1/2) int (1 + 0.3 cos 2t)^2
@@ -28,9 +27,9 @@ def test_interval_weights_partition_of_unity():
 
 def test_disk_normal_at_theta_zero():
     mesh = build_mesh(DomainSpec.disk(), (16, 32))
-    np.testing.assert_allclose(boundary_normal(mesh, 0), [1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(mesh.normals[0], [1.0, 0.0], atol=1e-12)
     quarter = mesh.n_theta // 4      # node at theta = pi/2
-    np.testing.assert_allclose(boundary_normal(mesh, quarter), [0.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(mesh.normals[quarter], [0.0, 1.0], atol=1e-12)
 
 
 def test_normals_unit_length_on_star(star_mesh):
@@ -87,7 +86,8 @@ def test_angular_trig_integrands_exact():
 
 
 def test_jacobian_positive_and_no_pole_node(disk_mesh_small):
-    assert (disk_mesh_small.jdet > 0).all()
+    jdet = disk_mesh_small.s[:, None] * disk_mesh_small.R**2     # of the map at the nodes
+    assert (jdet > 0).all()
     assert np.linalg.norm(disk_mesh_small.interior_xy, axis=1).min() > 0
 
 

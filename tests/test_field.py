@@ -8,11 +8,11 @@ import pytest
 import scipy.sparse as sp
 
 from neumann_lab.domain import DomainSpec, build_mesh
-from neumann_lab.errors import MeshMismatch
-from neumann_lab.field import (BoundaryFunction, GridFunction, _assemble_2d, boundary_trace,
-                               gradient, integrate_boundary, integrate_volume,
-                               laplacian, mean, neumann_operator, normal_derivative,
-                               subtract_mean)
+from neumann_lab.errors import ConfigError, MeshMismatch
+from neumann_lab.field import (BoundaryFunction, GridFunction, _assemble_2d,
+                               _logical_derivs_2d, boundary_trace, gradient,
+                               integrate_boundary, integrate_volume, laplacian, mean,
+                               neumann_operator, normal_derivative, subtract_mean)
 
 
 def test_gradient_of_constant(disk_mesh):
@@ -61,7 +61,7 @@ def test_gradient_second_order_on_star(star_mesh):
 
 def test_gradient_1d(interval_mesh):
     (du,) = gradient(GridFunction.from_expression(interval_mesh, "x^2 - x"))
-    exact = np.concatenate([2 * interval_mesh.x - 1.0,
+    exact = np.concatenate([2 * interval_mesh.interior_xy[:, 0] - 1.0,
                             2 * interval_mesh.boundary_xy[:, 0] - 1.0])
     assert np.abs(du.all_values() - exact).max() <= 1e-12
 
@@ -167,10 +167,12 @@ def _assemble_2d_reference(mesh):
     Ni = nr * nt
     N = Ni + nt
     R, Rp = mesh.R, mesh.Rp
-    inv = 1.0 / (mesh.jdet * hs * ht)
+    jdet = mesh.s[:, None] * R**2
+    inv = 1.0 / (jdet * hs * ht)
     edge = np.sqrt(R**2 + Rp**2)
     B_node = Rp / R
-    B_half = mesh.Rp_half / mesh.R_half
+    R_half, Rp_half = mesh.spec.radius(mesh.theta + 0.5 * ht)
+    B_half = Rp_half / R_half
     cB = edge / R**2
     cT = Rp / (R * edge)
     rows, cols, vals = [], [], []
@@ -244,6 +246,44 @@ def _assemble_2d_reference(mesh):
     return A
 
 
+def _gradient_reference(u):
+    """The physical gradient chain-ruled through Jacobian entries stored per
+    node: (n_r, n_theta) arrays inside and (n_theta,) rows on the boundary."""
+    m = u.mesh
+    S = m.s[:, None]
+    cos_t, sin_t = np.cos(m.theta)[None, :], np.sin(m.theta)[None, :]
+    Rg, Rpg = m.R[None, :], m.Rp[None, :]
+    x_s = np.broadcast_to(Rg * cos_t, (m.n_r, m.n_theta)).copy()
+    y_s = np.broadcast_to(Rg * sin_t, (m.n_r, m.n_theta)).copy()
+    x_t = S * (Rpg * cos_t - Rg * sin_t)
+    y_t = S * (Rpg * sin_t + Rg * cos_t)
+    jdet = S * Rg**2
+    bx_s, by_s = m.R * np.cos(m.theta), m.R * np.sin(m.theta)
+    bx_t = m.Rp * np.cos(m.theta) - m.R * np.sin(m.theta)
+    by_t = m.Rp * np.sin(m.theta) + m.R * np.cos(m.theta)
+    b_jdet = m.R**2
+    us, ut, us_b, ut_b = _logical_derivs_2d(u)
+    ux = (us * y_t - ut * y_s) / jdet
+    uy = (-us * x_t + ut * x_s) / jdet
+    ux_b = (us_b * by_t - ut_b * by_s) / b_jdet
+    uy_b = (-us_b * bx_t + ut_b * bx_s) / b_jdet
+    return GridFunction(m, ux.ravel(), ux_b), GridFunction(m, uy.ravel(), uy_b)
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec.disk(), DomainSpec.star_shaped(1.0, (0.1,), (0.05, 0.0, 0.1)),
+    DomainSpec.star_shaped(1e-3, (1e-4,), (5e-5, 0.0, 1e-4))],
+    ids=["disk", "star", "star_1e-3"])
+def test_gradient_chain_rule_matches_reference(spec):
+    # the Jacobian formed per call gives every bit of the stored-entry form
+    mesh = build_mesh(spec, (24, 96))
+    u = GridFunction.from_expression(mesh, "sin(3000*x)*cos(2000*y) + x*y*y + sin(3*x)")
+    for first, ref in zip(gradient(u), _gradient_reference(u)):
+        assert np.array_equal(first.all_values(), ref.all_values())
+        for second, ref2 in zip(gradient(first), _gradient_reference(first)):
+            assert np.array_equal(second.all_values(), ref2.all_values())
+
+
 @pytest.mark.parametrize("spec, res", [
     (DomainSpec.disk(), (4, 8)), (DomainSpec.disk(), (12, 48)), (DomainSpec.disk(), (96, 384)),
     (DomainSpec.star_shaped(1.0, (0.0, 0.3)), (160, 320)),
@@ -304,7 +344,7 @@ def test_mesh_mismatch_rejected(disk_mesh, disk_mesh_small):
 def test_nan_values_rejected(disk_mesh_small):
     vals = np.zeros(disk_mesh_small.n_interior)
     vals[0] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="contains NaN/Inf"):
         GridFunction(disk_mesh_small, vals, np.zeros(disk_mesh_small.n_boundary))
 
 
@@ -318,8 +358,3 @@ def test_csv_serialization(interval_mesh, disk_mesh_small):
         assert lines[0].endswith("value,is_boundary")
         assert lines[-1].endswith(",1")
 
-
-def test_from_callable(disk_mesh_small):
-    u = GridFunction.from_callable(disk_mesh_small, lambda x, y: x + 2 * y)
-    expect = disk_mesh_small.interior_xy @ np.array([1.0, 2.0])
-    np.testing.assert_allclose(u.interior, expect, atol=1e-15)

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from neumann_lab.domain import DomainSpec, build_mesh
 from neumann_lab.errors import ConfigError, DegenerateInput
 from neumann_lab.field import BoundaryFunction, GridFunction, gradient
-from neumann_lab.norms import (LEAF, TILE, HolderParams, HolderReport, _box_bounds, _layout,
-                               c_k_alpha_norm, holder_report_bundle, holder_reports,
-                               holder_seminorm, l2_norm, pairwise_holder_max)
+from neumann_lab.norms import (LEAF, TILE, _box_bounds, _layout, c_k_alpha_norm,
+                               holder_report_bundle, holder_reports, l2_norm,
+                               pairwise_holder_max)
 from neumann_lab.verify import ProblemFamily
 
 
@@ -32,6 +32,14 @@ def oracle_seminorm(values, coords, alpha):
             if q > best:
                 best, witness = q, (i, j)
     return best, witness
+
+
+def seminorm(values, coords, alpha, strategy="brute_force"):
+    """(seminorm, witness as a pair of node coordinates) of one sampled field."""
+    xy = np.asarray(coords, dtype=float).reshape(len(values), -1)
+    best, wit, _ = pairwise_holder_max(xy, np.asarray(values)[None, :], (alpha,), strategy)
+    i, j = wit[0, 0]
+    return float(best[0, 0]), (xy[i], xy[j])
 
 
 # ---------------------------------------------------------------------------
@@ -56,13 +64,13 @@ def test_l2_manufactured(disk_mesh_fine):
 
 def test_seminorm_constant_field():
     xs = np.linspace(0.0, 1.0, 9)
-    val, _ = holder_seminorm(np.full(9, 2.0), HolderParams(0.5), coords=xs)
+    val, _ = seminorm(np.full(9, 2.0), xs, 0.5)
     assert val == 0.0
 
 
 def test_seminorm_linear_unit_grid():
     xs = np.linspace(0.0, 1.0, 5)
-    val, wit = holder_seminorm(xs.copy(), HolderParams(0.5), coords=xs)
+    val, wit = seminorm(xs.copy(), xs, 0.5)
     # quotient |x-y|^(1-alpha) peaks at maximal separation
     assert val == pytest.approx(1.0, rel=1e-12)
     assert wit[0][0] == 0.0 and wit[1][0] == 1.0
@@ -70,7 +78,7 @@ def test_seminorm_linear_unit_grid():
 
 def test_seminorm_quadratic_quarter_grid():
     xs = np.linspace(0.0, 1.0, 5)     # spacing 0.25
-    val, wit = holder_seminorm(xs**2, HolderParams(0.5), coords=xs)
+    val, wit = seminorm(xs**2, xs, 0.5)
     # brute force over all 10 pairs: max is (x+y)|x-y|^(1/2) at (0.25, 1)
     assert val == pytest.approx(1.25 * np.sqrt(0.75), rel=1e-12)
     assert (wit[0][0], wit[1][0]) == (0.25, 1.0)
@@ -85,8 +93,7 @@ def test_seminorm_matches_oracle_random(strategy, rng):
         coords = rng.random((n, 2))
         values = rng.standard_normal(n)
         alpha = float(rng.uniform(0.1, 0.9))
-        val, wit = holder_seminorm(values, HolderParams(alpha, pair_strategy=strategy),
-                                   coords=coords)
+        val, wit = seminorm(values, coords, alpha, strategy)
         ref, ref_wit = oracle_seminorm(values, coords, alpha)
         assert val == pytest.approx(ref, rel=1e-12)
 
@@ -412,7 +419,7 @@ def test_boundary_seminorm_uses_arclength(disk_mesh_small):
     vals = np.zeros(disk_mesh_small.n_boundary)
     vals[::2] = 1.0
     g = BoundaryFunction(disk_mesh_small, vals)
-    val, _ = holder_seminorm(g, HolderParams(0.5))
+    val = c_k_alpha_norm(g, 0, 0.5).seminorm
     assert val == pytest.approx(1.0 / np.sqrt(disk_mesh_small.h_theta), rel=1e-10)
 
 
@@ -420,20 +427,30 @@ def test_boundary_seminorm_uses_arclength(disk_mesh_small):
                                        (DomainSpec.star_shaped(1.0, (0.2, 0.1)), (12, 48)),
                                        (DomainSpec.interval(0.0, 2.0), 200)])
 def test_field_seminorm_is_the_order_0_norm(spec, res, monkeypatch):
+    # the order-0 seminorm is the kernel's maximum on the field's node set:
+    # the volume nodes, or the boundary loop by arclength (a 1D boundary's
+    # two endpoints)
     import neumann_lab.norms as norms
     mesh = build_mesh(spec, res)
+    u = GridFunction.from_expression(mesh, "sqrt(abs(x)) + x^2 - 3*x")
+    g = BoundaryFunction.from_expression(mesh, "abs(x - 0.3)")
+    loop = (mesh.arc[:, None], mesh.boundary_measure) if mesh.dim == 2 else (
+        mesh.boundary_xy, None)
+    cases = [(u, u.all_values(), u.all_xy(), None), (g, g.values, *loop)]
+    strategies, alphas = ("brute_force", "pruned"), (0.3, 0.7)
+    expected = {(k, s, a): pairwise_holder_max(xy, vals[None, :], (a,), s, period)[:2]
+                for k, (_, vals, xy, period) in enumerate(cases)
+                for s in strategies for a in alphas}
     layouts = []
     layout = norms._layout
     monkeypatch.setattr(norms, "_layout", lambda xy: layouts.append(1) or layout(xy))
-    u = GridFunction.from_expression(mesh, "sqrt(abs(x)) + x^2 - 3*x")
-    g = BoundaryFunction.from_expression(mesh, "abs(x - 0.3)")
-    for field in (u, g):
-        for strategy in ("brute_force", "pruned"):
-            for alpha in (0.3, 0.7):
-                val, wit = holder_seminorm(field, HolderParams(alpha, pair_strategy=strategy))
+    for k, (field, _, xy, _) in enumerate(cases):
+        for strategy in strategies:
+            for alpha in alphas:
                 rep = c_k_alpha_norm(field, 0, alpha, pair_strategy=strategy)
-                assert val == rep.seminorm
-                assert all(np.array_equal(p, q) for p, q in zip(wit, rep.witness))
+                best, wit = expected[k, strategy, alpha]
+                assert rep.seminorm == best[0, 0]
+                assert all(np.array_equal(p, xy[i]) for p, i in zip(rep.witness, wit[0, 0]))
     # one layout per node set, kept by the mesh across calls
     assert len(layouts) == 2
 
@@ -442,25 +459,30 @@ def test_witness_tie_break_lexicographic():
     # two pairs attain the same quotient; the smallest index pair wins
     xs = np.array([0.0, 1.0, 2.0, 3.0])
     vals = np.array([0.0, 1.0, 0.0, 1.0])
-    val, wit = holder_seminorm(vals, HolderParams(0.5, pair_strategy="brute_force"),
-                               coords=xs)
+    val, wit = seminorm(vals, xs, 0.5, "brute_force")
     assert val == pytest.approx(1.0, rel=1e-12)
     assert (wit[0][0], wit[1][0]) == (0.0, 1.0)
 
 
 def test_degenerate_inputs():
     with pytest.raises(DegenerateInput):
-        holder_seminorm(np.array([1.0]), HolderParams(0.5), coords=np.array([0.0]))
+        pairwise_holder_max(np.array([0.0]), np.array([[1.0]]), (0.5,))
     with pytest.raises(DegenerateInput):
-        holder_seminorm(np.array([1.0, 2.0]), HolderParams(0.5),
-                        coords=np.array([0.5, 0.5]))
+        pairwise_holder_max(np.array([0.5, 0.5]), np.array([[1.0, 2.0]]), (0.5,))
 
 
-def test_holder_params_validation():
+def test_holder_params_validation(disk_mesh_small):
+    # the exponent and the pair strategy, checked by the kernel on every path
+    xs = np.linspace(0.0, 1.0, 5)
+    u = GridFunction.from_expression(disk_mesh_small, "x")
     with pytest.raises(ConfigError):
-        HolderParams(alpha=1.0)
+        pairwise_holder_max(xs, xs[None, :], (1.0,))
     with pytest.raises(ConfigError):
-        HolderParams(alpha=0.5, pair_strategy="magic")
+        pairwise_holder_max(xs, xs[None, :], (0.5,), "magic")
+    with pytest.raises(ConfigError):
+        c_k_alpha_norm(u, 0, 1.0)
+    with pytest.raises(ConfigError):
+        c_k_alpha_norm(u, 0, 0.5, "magic")
 
 
 # ---------------------------------------------------------------------------
@@ -540,14 +562,3 @@ def test_monotonicity_in_k(disk_mesh_small, rng):
         assert sup <= norms[0] + 1e-12
         assert norms[0] <= norms[1] + 1e-12
         assert norms[1] <= norms[2] + 1e-12
-
-
-def test_report_json_round_trip(disk_mesh_small):
-    rep = c_k_alpha_norm(GridFunction.from_expression(disk_mesh_small, "x"), 1, 0.5)
-    obj = rep.to_json()
-    back = HolderReport.from_json(obj)
-    assert back.total == rep.total
-    assert back.seminorm == rep.seminorm
-    assert tuple(back.sup_norms) == tuple(rep.sup_norms)
-    assert obj["pairs_evaluated"] == rep.pairs_evaluated
-    assert len(obj["witness"]) == 2
