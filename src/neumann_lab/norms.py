@@ -2,44 +2,63 @@
 
 The Holder seminorm of a sampled field is the exact maximum of
 |v(x) - v(y)| / |x - y|^alpha over all unordered node pairs.  One sweep
-computes it for every component and exponent stacked into a call.  The
-nodes are cut into chunks of TILE, and each chunk into leaves of LEAF --
-nested k-d boxes in the plane, runs of the sorted order on a line or
-loop.  The k-d boxes are split level by level: every node's rank along
-each axis is sorted once, and one sort of distinct (box, rank) keys per
-level cuts all boxes of that level together.  A tile is a pair of
-chunks, a leaf pair a pair of distinct leaves.  Every pair is evaluated
-with the same arithmetic: squared distances axis by axis, the log once,
-the distance weight once per exponent, and the value differences once
-per component.  The sweep first evaluates the pairs inside each leaf,
-unconditionally, in one pass over the upper triangles of a batch of
-leaves ((LEAF (LEAF - 1) / 2, batch) arrays); the base case of a
-dual-tree walk (Curtin et al., ICML 2013).  It then evaluates leaf
-pairs in batches, in (LEAF, LEAF, batch) arrays.  Two strategies choose
-the leaf pairs:
+computes it for every group of components and every exponent stacked
+into a call; a group's quotient is the largest of its rows', so one
+running maximum serves each (group, exponent) entry.  The nodes are cut
+into chunks of TILE, and each chunk into leaves of LEAF -- nested k-d
+boxes in the plane, runs of the sorted order on a line or loop.  The
+k-d boxes are split level by level: every node's rank along each axis
+is sorted once, and one sort of distinct (box, rank) keys per level cuts
+all boxes of that level together.  A tile is a pair of chunks, a leaf
+pair a pair of distinct leaves.  Every pair is evaluated with the same
+arithmetic: squared distances axis by axis, the log once, the distance
+weight once per exponent, a group's value difference as the largest
+|difference| of its rows, and one product per exponent.  Rounding is
+monotone, so max_r fl(|dv_r| w) = fl(max_r |dv_r| w): a group's maximum
+equals the largest of its rows' maxima bitwise.  The sweep first
+evaluates the pairs inside each leaf, unconditionally, in one pass over
+the upper triangles of a batch of leaves ((LEAF (LEAF - 1) / 2, batch)
+arrays); the base case of a dual-tree walk (Curtin et al., ICML 2013).
+It then evaluates leaf pairs in batches, in (LEAF, LEAF, batch) arrays.
+Two strategies choose the leaf pairs:
 
 * ``brute_force`` evaluates every leaf pair;
 * ``pruned`` runs a two-level best-first branch and bound, starting
-  from the running maxima of the leaves' own pairs.  Every tile
-  gets an upper bound on its quotients per (component, exponent) entry:
-  the value spread of both chunks times dmin^-a, where dmin is a lower
-  bound on the distance of its pairs.  Tiles are walked best first, in
-  batches; a tile whose bound cannot beat the running maximum of any
-  wanted entry is dropped, and the survivors are split into their leaf
-  pairs, which are bounded the same way, sorted best first and
-  evaluated in batches, each re-checked against the running maxima
-  just before it runs.  Small leaves keep spreads small on smooth
-  fields, and the best-first order finds the maxima early, so most
-  pairs are never evaluated.
+  from the running maxima of the leaves' own pairs.  Every tile, and
+  then every leaf pair of a tile that survives, gets an upper bound per
+  entry, the smaller of two:
 
-Both strategies apply identical per-pair arithmetic, so the returned
+  - the spread bound: the value spread of both boxes times dmin^-a,
+    where dmin is a lower bound on the distance of their pairs;
+  - in the plane, for the pairs the spread bound keeps, the first-order
+    bound of dual-tree methods (Lee, Gray & Moore, NIPS 2005): each box
+    gets an affine model c + g . (x - centre) of each row, fitted by
+    least squares, with eps the largest |residual| at its own nodes, so
+    the bound holds at the only points that count.  Two boxes differ by
+    at most N + |gbar| |x - y|, gbar the mean slope and N the rest (the
+    models' offset, slope mismatch and residuals), plus a rounding
+    allowance of 2^-40 times |c|, |gbar| |centre_a - centre_b| and
+    max|v|.
+
+  Both bounds carry a relative slack for pow against exp(log).  Tiles
+  are walked best first, ranked by the largest ratio of a bound to its
+  running maximum, in batches; a tile whose bound cannot beat the
+  running maximum of any wanted entry is dropped, and the survivors'
+  leaf pairs are bounded, merged into a queue sorted the same way and
+  evaluated in full batches from its head, each re-checked against the
+  running maxima just before it runs.  On smooth fields the affine
+  models leave only the pairs near the maximising configuration.
+
+Both strategies apply identical per-pair arithmetic, and a pair is
+dropped only when it cannot exceed a running maximum, so the returned
 maxima agree bitwise.  A batch that reaches the running maximum yields
 its lexicographically smallest attaining pair as the witness, inside
 the sweep; only witness tie-breaking may differ between strategies.
 Volume fields use Euclidean distance between nodes; boundary fields use
-arclength along the boundary loop, with distances and pruning bounds
-taken the short way round.  ``holder_reports`` stacks all fields on one
-node set into a single sweep.
+arclength along the boundary loop, with distances and spread bounds
+taken the short way round (loops use the spread bound alone).
+``holder_reports`` stacks all fields on one node set into a single
+sweep, one group per item.
 """
 
 from __future__ import annotations
@@ -53,8 +72,10 @@ from .field import BoundaryFunction, GridFunction, gradient
 
 TILE = 128        # nodes per chunk; a tile is a pair of chunks
 LEAF = 16         # nodes per leaf; a chunk holds TILE // LEAF leaves
-TILE_BATCH = 16   # tiles bounded, expanded and sorted together
+TILE_BATCH = 32   # tiles bounded, expanded and sorted together
 BATCH = 128       # leaf pairs evaluated together in (LEAF, LEAF, BATCH) arrays
+SLACK = 1.0 + 1e-9     # relative slack of every bound, for pow here against exp(log)
+ROUNDING = 2.0**-40    # the affine bound's rounding allowance per unit of magnitude
 
 STRATEGIES = ("brute_force", "pruned")
 
@@ -65,7 +86,7 @@ class HolderReport:
 
     sup_norms: tuple          # orders 0..k, each the max over derivative components
     seminorm: float           # max over top-order components of the pairwise seminorm
-    witness: tuple            # pair of node coordinates attaining the seminorm
+    witness: tuple            # coordinates of the smallest attaining node pair over them
     total: float              # sum(sup_norms) + seminorm
 
 
@@ -157,37 +178,128 @@ _SQUARE = np.divmod(np.arange(LEAF * LEAF), LEAF)
 _UPPER = np.triu_indices(LEAF, 1)
 
 
-def _box_bounds(lo, hi, vlo, vhi, p, q, alphas, period):
+def _box_bounds(lo, hi, vlo, vhi, p, q, alphas, period, rows=None):
     """Upper bounds on the quotients of the box pairs (p[i], q[i]).
 
     lo, hi: (boxes, d) coordinate boxes; vlo, vhi: (boxes, m) value
-    ranges.  dmin, the gap between the boxes (on a loop also the gap
-    around the seam, period minus the span of both), is a lower bound on
-    every pair distance, and the value spread of both boxes an upper
-    bound on every |v(x) - v(y)|; it never exceeds 2 max|v|.  Returns
-    the (len(p), m, len(alphas)) bounds spread * dmin**-a, with a slack
-    for the rounding gap between pow here and exp(log) in the per-pair
-    arithmetic, and a key that ranks the pairs best first: the largest
-    spread times dmin**-a for the mean exponent, inf where dmin is 0.
+    ranges, read by component row.  dmin, the gap between the boxes (on
+    a loop also the gap around the seam, period minus the span of both),
+    is a lower bound on every pair distance, and the value spread of
+    both boxes an upper bound on every |v(x) - v(y)|; it never exceeds 2
+    max|v|.  rows: the first row of each group of components, whose
+    spread is the largest of its rows'.  Returns the bounds spread *
+    dmin**-a times SLACK, a (len(p), groups, len(alphas)) view of
+    pair-last memory, and dmin.
     """
-    gap = np.maximum(0.0, np.maximum(lo[q] - hi[p], lo[p] - hi[q]))
-    dmin = np.sqrt((gap**2).sum(axis=1))
+    lo, hi, vlo, vhi = lo.T, hi.T, vlo.T, vhi.T
+    d2 = 0.0
+    for k in range(len(lo)):
+        gap = np.maximum(lo[k].take(q) - hi[k].take(p), lo[k].take(p) - hi[k].take(q))
+        d2 = d2 + np.maximum(gap, 0.0) ** 2
+    dmin = np.sqrt(d2)
     if period is not None:
-        span = np.maximum(hi[p, 0], hi[q, 0]) - np.minimum(lo[p, 0], lo[q, 0])
+        span = (np.maximum(hi[0].take(p), hi[0].take(q))
+                - np.minimum(lo[0].take(p), lo[0].take(q)))
         dmin = np.minimum(dmin, np.maximum(0.0, period - span))
-    spread = np.maximum(vhi[p], vhi[q]) - np.minimum(vlo[p], vlo[q])
+    spread = (np.maximum(vhi.take(p, axis=1), vhi.take(q, axis=1))
+              - np.minimum(vlo.take(p, axis=1), vlo.take(q, axis=1)))
+    if rows is not None:
+        spread = np.maximum.reduceat(spread, rows, axis=0)
     near = dmin == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        bound = spread[:, :, None] * (dmin[:, None] ** -alphas)[:, None, :] * (1.0 + 1e-9)
-        key = np.where(near, np.inf, spread.max(axis=1) * dmin ** -alphas.mean())
-    bound[near] = np.where(spread[near, :, None] > 0.0, np.inf, 0.0)
-    return bound, key
+        bound = spread[:, None, :] * (dmin ** -alphas[:, None] * SLACK)
+    bound[:, :, near] = np.where(spread[:, None, near] > 0.0, np.inf, 0.0)
+    return bound.transpose(2, 0, 1), dmin
+
+
+def _affine_models(cols, dim, index):
+    """Affine models c + g . (x - z) of every value row on runs of nodes.
+
+    cols: the coordinate rows, then the value rows; index: (size, runs)
+    columns of each run's nodes.  z is a run's centroid and r its largest
+    distance from it.  The slope is a least-squares fit on the centred
+    nodes, with a ridge of ROUNDING times the trace so that collinear and
+    coincident nodes still give one; any slope is sound, since resid is
+    the largest |residual| at the run's own nodes.  mag, |c| + |g| r +
+    max|v|, scales the rounding allowance.  Returns (z, r, g, c, resid,
+    mag), shaped (d, runs), (runs,), (d, m, runs) and (m, runs) thrice.
+    """
+    x = cols[:dim].take(index, axis=1)                    # (d, size, runs)
+    centre = x.mean(axis=1)
+    x -= centre[:, None, :]
+    radius = np.sqrt(np.einsum("aij,aij->ij", x, x)).max(axis=0)
+    gram = np.empty((x.shape[2], dim, dim))
+    for a in range(dim):
+        for b in range(a + 1):
+            gram[:, a, b] = gram[:, b, a] = np.einsum("ij,ij->j", x[a], x[b])
+    trace = np.trace(gram, axis1=1, axis2=2)
+    gram += np.where(trace > 0.0, ROUNDING * trace, 1.0)[:, None, None] * np.eye(dim)
+    inverse = np.linalg.inv(gram)
+    m = len(cols) - dim
+    slope = np.empty((dim, m, len(radius)))
+    const, resid, vmax = (np.empty((m, len(radius))) for _ in range(3))
+    for r in range(m):
+        v = cols[dim + r].take(index)                     # (size, runs)
+        vmax[r] = np.maximum(-v.min(axis=0), v.max(axis=0))
+        const[r] = v.mean(axis=0)
+        v -= const[r]
+        slope[:, r] = np.einsum("rab,br->ar", inverse, np.einsum("aij,ij->aj", x, v))
+        for a in range(dim):
+            v -= slope[a, r] * x[a]
+        resid[r] = np.abs(v).max(axis=0)
+    mag = np.abs(const) + np.sqrt((slope * slope).sum(axis=0)) * radius + vmax
+    return centre, radius, slope, const, resid, mag
+
+
+def _affine_bounds(models, lo, hi, p, q, dmin, alphas, rows):
+    """First-order upper bounds on the quotients of the run pairs (p[i], q[i]).
+
+    With each run's model v = c + g . (x - z) + e, |e| <= resid, and
+    gbar the mean slope of the two runs, every pair x in p, y in q has
+    |v(x) - v(y)| <= N + |gbar| |x - y|, where N = |K| + |g_p - g_q|
+    (r_p + r_q) / 2 + resid_p + resid_q and K = c_p - c_q - gbar .
+    (z_p - z_q), plus a rounding allowance for |c|, |gbar| |z_p - z_q|
+    and max|v|: the first-order bound of Lee, Gray & Moore (NIPS 2005).
+    The quotient is then at most (N + |gbar| d) d**-a at d = |x - y|,
+    which falls and then rises in d, so its largest value over [dmin,
+    dmax] is at an end; dmax is the smaller of |z_p - z_q| + r_p + r_q
+    and the diagonal of the (boxes, d) boxes lo, hi of both runs.
+    Returns the (groups, len(alphas), len(p)) bounds times SLACK, NaN
+    where N and dmin are both 0.
+    """
+    centre, radius, g, c, resid, mag = models
+    K = c.take(p, axis=1) - c.take(q, axis=1)
+    slope, twist, dist, diagonal = 0.0, 0.0, 0.0, 0.0
+    lo, hi = lo.T, hi.T
+    for a in range(len(centre)):
+        dz = centre[a].take(p) - centre[a].take(q)
+        gp, gq = g[a].take(p, axis=1), g[a].take(q, axis=1)
+        gp -= gq
+        twist = twist + gp * gp
+        gq += 0.5 * gp                                  # the mean slope along a
+        K -= gq * dz
+        slope = slope + gq * gq
+        dist = dist + dz * dz
+        diagonal = diagonal + (np.maximum(hi[a].take(p), hi[a].take(q))
+                               - np.minimum(lo[a].take(p), lo[a].take(q))) ** 2
+    slope, twist = np.sqrt(slope), np.sqrt(twist)
+    rsum = radius.take(p) + radius.take(q)
+    reach = np.sqrt(dist) + rsum
+    N = (np.abs(K) + 0.5 * twist * rsum + resid.take(p, axis=1) + resid.take(q, axis=1)
+         + ROUNDING * (mag.take(p, axis=1) + mag.take(q, axis=1) + (slope + twist) * reach))
+    dmax = np.minimum(reach, np.sqrt(diagonal))
+    bound = np.empty((len(N), len(alphas), len(p)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for ia, a in enumerate(alphas):
+            bound[:, ia] = np.maximum((N + slope * dmin) * (dmin ** -a * SLACK),
+                                      (N + slope * dmax) * (dmax ** -a * SLACK))
+    return np.maximum.reduceat(bound, rows, axis=0)
 
 
 class _Sweep:
     """One call's nodes in leaf layout, its running maxima and work arrays."""
 
-    def __init__(self, coords, comps, alphas, period, wanted, order):
+    def __init__(self, coords, comps, alphas, period, wanted, order, rows):
         n, self.dim = coords.shape
         order = _layout(coords) if order is None else order
         self.nleaf = -(-n // LEAF)
@@ -201,14 +313,22 @@ class _Sweep:
         # order: a batch gathers what it needs of each row from here.  take
         # keeps every row contiguous, as [:, index] would not.
         self.cols = np.vstack([coords.T, comps]).take(self.padded, axis=1)
-        ext = self.cols.reshape(len(self.cols), self.nleaf, LEAF)
-        low, high = ext.min(axis=2).T, ext.max(axis=2).T
-        self.lo, self.hi = low[:, :self.dim], high[:, :self.dim]
-        self.vlo, self.vhi = low[:, self.dim:], high[:, self.dim:]
+        self.leaves = np.arange(self.nleaf) * LEAF + _SLOTS[:, None]     # (LEAF, leaves)
+        nodes = self.cols.take(self.leaves, axis=1)
+        low, high = nodes.min(axis=1), nodes.max(axis=1)
+        self.lo, self.hi = low[:self.dim], high[:self.dim]       # (d, leaves) rows
+        self.vlo, self.vhi = low[self.dim:], high[self.dim:]    # (m, leaves) rows
+        self.rows = rows        # the first row of each group
+        self.group = np.repeat(np.arange(len(rows)), np.diff(rows, append=len(comps)))
         self.alphas, self.period, self.wanted = alphas, period, wanted
         self.best = np.full(wanted.shape, -np.inf)
         self.witnesses = np.zeros(wanted.shape + (2,), dtype=int)
         self.pairs = 0
+        self.models = None
+        # leaf pairs bounded but not yet evaluated, best first, with their
+        # (entries, pairs) bounds
+        self.queue = (np.empty(0, dtype=int), np.empty(0, dtype=int),
+                      np.empty((wanted.size, 0)), np.empty(0))
         # work arrays for BATCH leaf pairs (or the upper triangles of BATCH
         # leaves), reused across batches: fresh arrays of this size cost
         # more in page faults than the arithmetic; one distance weight per
@@ -216,26 +336,89 @@ class _Sweep:
         size = LEAF * LEAF * min(BATCH, self.nleaf * (self.nleaf + 1) // 2)
         self.work = [np.empty(size) for _ in range(3 + len(alphas))]
 
+    def threshold(self):
+        """(entries, 1) running maxima of the wanted entries, inf for the others."""
+        return np.where(self.wanted, self.best, np.inf).reshape(-1, 1)
+
     def batches(self, count, size, bound=None):
         """Batches of up to size of count pairs, in order, with their entries.
 
-        Yields (indices, live) with live the (m, len(alphas)) entries to
-        compute.  Given the pairs' (count, m, len(alphas)) upper bounds,
-        a pair is dropped once no wanted entry's bound exceeds its running
+        Yields (indices, live) with live the (groups, len(alphas)) entries
+        to compute.  Given the pairs' (entries, count) upper bounds, a pair
+        is dropped once no wanted entry's bound exceeds its running
         maximum, checked just before each batch is taken.
         """
         pending = np.arange(count)
         live = self.wanted
         while len(pending):
             if bound is not None:
-                alive = self.wanted & (bound[pending] > self.best)
-                keep = alive.any(axis=(1, 2))
+                alive = bound[:, pending] > self.threshold()
+                keep = alive.any(axis=0)
                 pending = pending[keep]
                 if not len(pending):
                     return
-                live = alive[keep][:size].any(axis=0)
+                live = alive[:, keep][:, :size].any(axis=1).reshape(self.wanted.shape)
             yield pending[:size], live
             pending = pending[size:]
+
+    def bounds(self, lo, hi, vlo, vhi, models, p, q):
+        """(p, q, bounds, keys) of the box pairs (p[i], q[i]) that may beat
+        a running maximum.
+
+        A pair's bound is the smaller of the spread bound and, on the
+        plane, the affine bound of models(), computed only for the pairs
+        the spread bound keeps.  The key ranks pairs best first: the
+        largest ratio of a wanted entry's bound to its running maximum.
+        """
+        bound, dmin = _box_bounds(lo, hi, vlo, vhi, p, q, self.alphas, self.period, self.rows)
+        bound = np.moveaxis(bound, 0, -1).reshape(self.wanted.size, -1)
+        keep = (bound > self.threshold()).any(axis=0)
+        p, q, bound = p[keep], q[keep], bound[:, keep]
+        if self.period is None and len(p):
+            models, dmin = models(), dmin[keep]
+            # in slices of 2 * BATCH pairs, to bound the transient memory
+            for s in range(0, len(p), 2 * BATCH):
+                part = slice(s, s + 2 * BATCH)
+                affine = _affine_bounds(models, lo, hi, p[part], q[part], dmin[part],
+                                        self.alphas, self.rows)
+                np.fmin(bound[:, part], affine.reshape(len(bound), -1), out=bound[:, part])
+            keep = (bound > self.threshold()).any(axis=0)
+            p, q, bound = p[keep], q[keep], bound[:, keep]
+        scale = np.where(self.wanted, np.maximum(self.best, np.finfo(float).tiny), np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            key = np.fmax.reduce(bound / scale.reshape(-1, 1), axis=0)
+        return p, q, bound, key
+
+    def leaf_models(self):
+        """The leaves' affine models, fitted on first use."""
+        if self.models is None:
+            self.models = _affine_models(self.cols, self.dim, self.leaves)
+        return self.models
+
+    def push(self, a, b):
+        """Queue the leaf pairs (a[i], b[i]) that may beat a running maximum,
+        best first, and evaluate full batches from the queue's head."""
+        fresh = self.bounds(self.lo.T, self.hi.T, self.vlo.T, self.vhi.T, self.leaf_models,
+                            a, b)
+        queue = [np.concatenate(pair, axis=-1) for pair in zip(self.queue, fresh)]
+        scan = np.argsort(-queue[3], kind="stable")
+        self.queue = tuple(x[..., scan] for x in queue)
+        self.flush(BATCH)
+
+    def flush(self, least=1):
+        """Evaluate the queue's head in batches of BATCH while at least
+        least pairs in it may still beat a running maximum."""
+        a, b, bound, key = self.queue
+        while True:
+            alive = bound > self.threshold()
+            keep = alive.any(axis=0)
+            a, b, bound, key, alive = a[keep], b[keep], bound[:, keep], key[keep], alive[:, keep]
+            if len(a) < least:
+                break
+            self.evaluate(a[:BATCH], b[:BATCH],
+                          alive[:, :BATCH].any(axis=1).reshape(self.wanted.shape))
+            a, b, bound, key = a[BATCH:], b[BATCH:], bound[:, BATCH:], key[BATCH:]
+        self.queue = a, b, bound, key
 
     def evaluate(self, a, b, live):
         """Exact quotients of the pairs of distinct leaves (a[i], b[i]).
@@ -269,10 +452,11 @@ class _Sweep:
         sides(k, x, y) gives row k (an axis, then a component) of the
         pairs' two ends, broadcastable to shape, and may use the work
         arrays x and y for them; pair slot p of leaf pair i joins node
-        slots[0][p] of leaf a[i] to node slots[1][p] of leaf b[i].  Each
-        entry's maximum over the batch updates its running maximum; a
-        batch that reaches the running maximum yields its
-        lexicographically smallest attaining node pair as the witness.
+        slots[0][p] of leaf a[i] to node slots[1][p] of leaf b[i].  A
+        group's value difference is the largest |difference| of its rows,
+        and each of its entries' maximum over the batch updates the
+        running maximum; a batch that reaches the running maximum yields
+        its lexicographically smallest attaining node pair as the witness.
         """
         s, size = shape[-1], int(np.prod(shape))
         d2, tmp, dv, *w = (buf[:size].reshape(shape) for buf in self.work)
@@ -299,15 +483,21 @@ class _Sweep:
         for ia in np.flatnonzero(live.any(axis=0)):
             np.multiply(ld, -0.5 * self.alphas[ia], out=w[ia])
             np.exp(w[ia], out=w[ia])
-        for ic in np.flatnonzero(live.any(axis=1)):
-            np.subtract(*sides(self.dim + ic, tmp, dv), out=dv)
+        # d2 is free from here: a group's further rows go through it
+        for ig in np.flatnonzero(live.any(axis=1)):
+            head, *rest = np.flatnonzero(self.group == ig) + self.dim
+            np.subtract(*sides(head, tmp, dv), out=dv)
             np.abs(dv, out=dv)
-            for ia in np.flatnonzero(live[ic]):
+            for row in rest:
+                np.subtract(*sides(row, tmp, d2), out=d2)
+                np.abs(d2, out=d2)
+                np.maximum(dv, d2, out=dv)
+            for ia in np.flatnonzero(live[ig]):
                 quot = np.multiply(dv, w[ia], out=tmp)
                 if mask is not None:
                     quot[mask] = -1.0
                 top = float(quot.max())
-                if top < self.best[ic, ia]:
+                if top < self.best[ig, ia]:
                     continue
                 quot = quot.reshape(-1, s)
                 rows = np.flatnonzero(quot.max(axis=0) == top)
@@ -317,26 +507,39 @@ class _Sweep:
                 first, second = np.minimum(oi, oj), np.maximum(oi, oj)
                 k = np.lexsort((second, first))[0]
                 pair = (int(first[k]), int(second[k]))
-                if top > self.best[ic, ia] or pair < tuple(self.witnesses[ic, ia]):
-                    self.best[ic, ia] = top
-                    self.witnesses[ic, ia] = pair
+                if top > self.best[ig, ia] or pair < tuple(self.witnesses[ig, ia]):
+                    self.best[ig, ia] = top
+                    self.witnesses[ig, ia] = pair
+
+
+def _leaf_pairs(p, q, nleaf):
+    """The leaf pairs of the tiles (p[i], q[i]), tile by tile."""
+    cross = p != q
+    la = np.concatenate([(p[cross, None] * _PER + _CROSS[0]).ravel(),
+                         (p[~cross, None] * _PER + _DIAGONAL[0]).ravel()])
+    lb = np.concatenate([(q[cross, None] * _PER + _CROSS[1]).ravel(),
+                         (q[~cross, None] * _PER + _DIAGONAL[1]).ravel()])
+    inside = lb < nleaf      # the last chunk may hold fewer leaves
+    return la[inside], lb[inside]
 
 
 def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=None,
-                        wanted=None, order=None):
-    """Maximum Holder quotients for several components and exponents.
+                        wanted=None, order=None, groups=None):
+    """Maximum Holder quotients for several groups of components and exponents.
 
     coords: (n, d) node positions (with ``period`` set, coords[:, 0] is
     an arclength coordinate on a loop of that length).  comps: (m, n)
-    sampled fields sharing those nodes.  wanted: optional (m, len(alphas))
-    mask of the entries to compute; the others stay -inf.  order: the
-    ``_layout(coords)`` a mesh keeps, computed here when unset.  Returns
-    (best, witnesses, pairs_evaluated) where best has shape
-    (m, len(alphas)) and witnesses holds the lexicographically smallest
-    attaining node-index pair per entry, taken inside the sweep from
-    each batch that reaches the running maximum.  Pruning skips leaf
-    pairs that can only tie the maximum, so its witness ties may resolve
-    differently.
+    sampled fields sharing those nodes.  groups: the row counts of
+    consecutive groups of comps, one row each by default; a group's
+    quotient is the largest of its rows'.  wanted: optional (groups,
+    len(alphas)) mask of the entries to compute; the others stay -inf.
+    order: the ``_layout(coords)`` a mesh keeps, computed here when
+    unset.  Returns (best, witnesses, pairs_evaluated) where best has
+    shape (groups, len(alphas)) and witnesses holds the lexicographically
+    smallest attaining node-index pair per entry, over the group's rows,
+    taken inside the sweep from each batch that reaches the running
+    maximum.  Pruning skips leaf pairs that can only tie the maximum, so
+    its witness ties may resolve differently.
     """
     comps = np.atleast_2d(np.asarray(comps, dtype=float))
     coords = _as_points(coords, comps.shape[1])
@@ -351,10 +554,13 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
             raise ConfigError(f"alpha must lie in (0, 1), got {a}")
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown pair strategy {strategy!r}")
-    wanted = (np.ones((comps.shape[0], len(alphas)), dtype=bool) if wanted is None
+    counts = np.ones(len(comps), dtype=int) if groups is None else np.asarray(groups, dtype=int)
+    if counts.sum() != len(comps) or (counts < 1).any():
+        raise ConfigError(f"groups {counts.tolist()} do not partition {len(comps)} rows")
+    rows = np.cumsum(counts) - counts
+    wanted = (np.ones((len(counts), len(alphas)), dtype=bool) if wanted is None
               else np.asarray(wanted, dtype=bool))
-    sweep = _Sweep(coords, comps, alphas, period, wanted, order)
-    pruned = strategy == "pruned"
+    sweep = _Sweep(coords, comps, alphas, period, wanted, order, rows)
     # every leaf's own pairs first, unbounded, so that the branch and
     # bound starts from a running maximum
     for leaves, live in sweep.batches(sweep.nleaf, BATCH):
@@ -364,29 +570,26 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
     starts = np.arange(0, sweep.nleaf, _PER)
     tp, tq = np.triu_indices(len(starts))
     tbound = None
+    pruned = strategy == "pruned"
     if pruned:
-        tbound, key = _box_bounds(
-            np.minimum.reduceat(sweep.lo, starts), np.maximum.reduceat(sweep.hi, starts),
-            np.minimum.reduceat(sweep.vlo, starts), np.maximum.reduceat(sweep.vhi, starts),
-            tp, tq, alphas, period)
-        scan = np.lexsort((tq, tp, -key))
-        tp, tq, tbound = tp[scan], tq[scan], tbound[scan]
+        # a chunk's runs of columns, the last padded with the last column
+        chunks = np.minimum(starts * LEAF + np.arange(TILE)[:, None], sweep.cols.shape[1] - 1)
+        tp, tq, tbound, key = sweep.bounds(
+            np.minimum.reduceat(sweep.lo, starts, axis=1).T,
+            np.maximum.reduceat(sweep.hi, starts, axis=1).T,
+            np.minimum.reduceat(sweep.vlo, starts, axis=1).T,
+            np.maximum.reduceat(sweep.vhi, starts, axis=1).T,
+            lambda: _affine_models(sweep.cols, sweep.dim, chunks), tp, tq)
+        scan = np.argsort(-key, kind="stable")
+        tp, tq, tbound = tp[scan], tq[scan], tbound[:, scan]
     for tiles, _ in sweep.batches(len(tp), TILE_BATCH, tbound):
-        p, q = tp[tiles], tq[tiles]
-        cross = p != q
-        la = np.concatenate([(p[cross, None] * _PER + _CROSS[0]).ravel(),
-                             (p[~cross, None] * _PER + _DIAGONAL[0]).ravel()])
-        lb = np.concatenate([(q[cross, None] * _PER + _CROSS[1]).ravel(),
-                             (q[~cross, None] * _PER + _DIAGONAL[1]).ravel()])
-        inside = lb < sweep.nleaf      # the last chunk may hold fewer leaves
-        la, lb, bound = la[inside], lb[inside], None
+        la, lb = _leaf_pairs(tp[tiles], tq[tiles], sweep.nleaf)
         if pruned:
-            bound, key = _box_bounds(sweep.lo, sweep.hi, sweep.vlo, sweep.vhi, la, lb,
-                                     alphas, period)
-            scan = np.lexsort((lb, la, -key))
-            la, lb, bound = la[scan], lb[scan], bound[scan]
-        for leaves, live in sweep.batches(len(la), BATCH, bound):
-            sweep.evaluate(la[leaves], lb[leaves], live)
+            sweep.push(la, lb)
+        else:
+            for leaves, live in sweep.batches(len(la), BATCH):
+                sweep.evaluate(la[leaves], lb[leaves], live)
+    sweep.flush()
     return sweep.best, sweep.witnesses, sweep.pairs
 
 
@@ -432,12 +635,14 @@ def holder_reports(items, pair_strategy="pruned"):
     items: sequence of (field, k, alphas).  The top-order components of
     all items whose fields live on the same node set -- a mesh's volume
     nodes, or its boundary loop -- are stacked into one
-    pairwise_holder_max call, which also shares the distance work across
-    exponents, and whose leaf layout the mesh builds once.  Each item's
-    reports come from its own rows, so they equal what a call for that
-    item alone gives.  Returns one {alpha: HolderReport} dict per item.
+    pairwise_holder_max call, one group of rows per item, which also
+    shares the distance work across exponents, and whose leaf layout the
+    mesh builds once.  Each item's seminorm is its group's maximum, the
+    largest over its rows, so it equals what a call for that item alone
+    gives; its witness is the smallest attaining node pair over those
+    rows.  Returns one {alpha: HolderReport} dict per item.
     """
-    prepared, groups = [], {}
+    prepared, sets = [], {}
     for u, k, alphas in items:
         if k not in (0, 1, 2):
             raise ConfigError(f"derivative order must be 0, 1 or 2, got {k}")
@@ -445,30 +650,26 @@ def holder_reports(items, pair_strategy="pruned"):
         sup_norms = tuple(float(max(np.abs(c).max() for c in comps)) for comps in stack)
         top = np.vstack(stack[k])
         key = (id(u.mesh), isinstance(u, BoundaryFunction))
-        groups.setdefault(key, []).append(len(prepared))
+        sets.setdefault(key, []).append(len(prepared))
         prepared.append((u, sup_norms, top, tuple(float(a) for a in alphas)))
 
     out = [None] * len(prepared)
-    for (_, boundary), members in groups.items():
+    for (_, boundary), members in sets.items():
         group = [prepared[i] for i in members]
         xy, per = _node_set(group[0][0])
         alphas = tuple(dict.fromkeys(a for *_, item_alphas in group for a in item_alphas))
         vals = np.vstack([top for _, _, top, _ in group])
-        wanted = np.vstack([np.tile(np.isin(alphas, item_alphas), (len(top), 1))
-                            for _, _, top, item_alphas in group])
+        wanted = np.array([np.isin(alphas, item_alphas) for *_, item_alphas in group])
         order = group[0][0].mesh.cached(("holder_layout", boundary), lambda: _layout(xy))
         best, wit, _ = pairwise_holder_max(xy, vals, alphas, strategy=pair_strategy,
-                                           period=per, wanted=wanted, order=order)
-        start = 0
-        for i, (_, sup_norms, top, item_alphas) in zip(members, group):
-            rows = slice(start, start + len(top))
-            start = rows.stop
+                                           period=per, wanted=wanted, order=order,
+                                           groups=[len(top) for _, _, top, _ in group])
+        for ig, (i, (_, sup_norms, _, item_alphas)) in enumerate(zip(members, group)):
             reports = {}
             for a in item_alphas:
                 ia = alphas.index(a)
-                ic = rows.start + int(np.argmax(best[rows, ia]))
-                p, q = wit[ic, ia]
-                seminorm = float(best[ic, ia])
+                p, q = wit[ig, ia]
+                seminorm = float(best[ig, ia])
                 reports[a] = HolderReport(
                     sup_norms=sup_norms,
                     seminorm=seminorm,

@@ -237,6 +237,14 @@ def _check_tolerances(**tols):
             raise ConfigError(f"{name} must be finite and > 0, got {tol!r}")
 
 
+def _residual_norms(A, anorm, x, b, n_shift):
+    """(||A||_inf ||x|| + ||b||, ||Ax - b||), A shifted by -1 on the first
+    n_shift unknowns."""
+    r = A @ x
+    r[:n_shift] -= x[:n_shift]
+    return anorm * np.linalg.norm(x) + np.linalg.norm(b), np.linalg.norm(r - b)
+
+
 def _checked_residual(A, anorm, x, b, tol, route, n_shift=0):
     """Normwise backward error ||Ax - b|| / (||A||_inf ||x|| + ||b||), with
     anorm = ||A||_inf; raises LinearSolveFailure unless it is <= tol, so a
@@ -245,13 +253,16 @@ def _checked_residual(A, anorm, x, b, tol, route, n_shift=0):
 
     Scale-invariant: the plain relative residual inflates with the
     operator's 1/h^2 entry scale and would fail a fixed tolerance on
-    fine meshes even for fully converged solves.
+    fine meshes even for fully converged solves.  The backward error is
+    homogeneous in (x, b), so where the norms overflow (data beyond about
+    1e154) it is measured on (x, b) / max(|x|_inf, |b|_inf) instead.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        denom = anorm * np.linalg.norm(x) + np.linalg.norm(b)
-        r = A @ x
-        r[:n_shift] -= x[:n_shift]
-        rnorm = np.linalg.norm(r - b)
+        denom, rnorm = _residual_norms(A, anorm, x, b, n_shift)
+        if not np.isfinite(denom + rnorm):
+            scale = max(np.abs(x).max(), np.abs(b).max())
+            if np.isfinite(scale):
+                denom, rnorm = _residual_norms(A, anorm, x / scale, b / scale, n_shift)
     if not np.isfinite(denom + rnorm):
         raise LinearSolveFailure(f"{route} residual norms are not finite: the data or "
                                  f"the solution overflows")

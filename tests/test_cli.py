@@ -236,8 +236,9 @@ def test_singular_shifted_factor_exits_3_without_traceback(tmp_path, capsys):
     (["solve", "--f", "1", "--g", "1e308", "--compat", "project"], 4),
     (["solve", "--f", "1e308", "--g", "0", "--compat", "project"], 4),
     (["sweep", "--f", "1", "--g", "1e308", "--compat", "project", "--levels", "1"], 4),
-    # finite defect, but the residual's norms overflow
-    (["solve", "--f", "1e300*x", "--g", "1e300", "--compat", "project"], 3),
+    # finite defect, but the Krylov route's own norms overflow
+    (["solve", "--f", "1e160*x", "--g", "1e160", "--compat", "project",
+      "--strategy", "fredholm_iteration"], 3),
     (["solve", "--f", "1e300*x", "--g", "1e300", "--compat", "project",
       "--strategy", "fredholm_iteration"], 3)])
 def test_overflowing_data_exits_without_traceback(tmp_path, capsys, args, code):
@@ -246,6 +247,18 @@ def test_overflowing_data_exits_without_traceback(tmp_path, capsys, args, code):
     assert err.count("error:") == 1 and "Traceback" not in err
     assert ("bad configuration" if code == 4 else "solver failure") in err
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("scale", ["1e160", "1e300"])
+def test_direct_solve_of_large_data_measures_its_residual(tmp_path, capsys, scale):
+    # the residual's plain norms overflow; the backward error, homogeneous
+    # in (x, b), is measured on the rescaled pair instead
+    assert run(["solve", "--f", f"{scale}*x", "--g", scale, "--compat", "project",
+                "--nr", "8", "--ntheta", "16", "--out", str(tmp_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["solve_report.json"]
+    residual = read_json(tmp_path / "solve_report.json")["report"]["solve"]["residual"]
+    assert 0.0 < residual <= 1e-10
 
 
 @pytest.mark.parametrize("args", [

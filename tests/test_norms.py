@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from neumann_lab.domain import DomainSpec, build_mesh
 from neumann_lab.errors import ConfigError, DegenerateInput
 from neumann_lab.field import BoundaryFunction, GridFunction, gradient
-from neumann_lab.norms import (LEAF, TILE, _box_bounds, _layout, c_k_alpha_norm,
-                               holder_report_bundle, holder_reports, l2_norm,
-                               pairwise_holder_max)
+from neumann_lab.norms import (LEAF, TILE, _box_bounds, _derivative_stack, _layout,
+                               c_k_alpha_norm, holder_report_bundle, holder_reports,
+                               l2_norm, pairwise_holder_max)
+from neumann_lab.solver import solve_neumann
 from neumann_lab.verify import ProblemFamily
 
 
@@ -197,6 +198,86 @@ def test_pruned_equals_brute_bitwise_multi_tile(seed, n, layout, rough, alphas):
     _attains(coords, values, p, wp, alphas, period)
 
 
+def _site_set(rng, n, layout):
+    """(coords, period) of n sites; lattice sites are dyadic, so that
+    affine data on them is exact."""
+    if layout == "loop":
+        period = float(rng.uniform(1.0, 10.0))
+        return np.sort(rng.uniform(0.0, period, n))[:, None], period
+    if layout == "line":
+        return rng.random((n, 1)), None
+    if layout == "space":
+        return rng.random((n, 3)), None
+    if layout == "lattice":
+        return rng.integers(0, 16, (n, 2)) / 4.0, None
+    return _cloud(rng, n, layout), None
+
+
+def _rows(rng, coords, period, data, m):
+    """m value rows on the sites: smooth, affine, kinked or rough; every
+    third row is twice the one before, so that rows of a group tie."""
+    x = coords / period if period is not None else coords
+    out = []
+    for r in range(m):
+        if r % 3 == 2:
+            out.append(2.0 * out[-1])
+        elif data == "rough":
+            out.append(rng.standard_normal(len(coords)))
+        elif data == "affine":
+            out.append(coords @ rng.integers(-3, 4, coords.shape[1]).astype(float))
+        elif data == "kinked":
+            # affine on either side of a fold: the slopes of two leaves differ
+            fold = rng.uniform(0.2, 0.8, coords.shape[1])
+            out.append(np.abs(coords - fold) @ rng.integers(-3, 4, coords.shape[1]))
+        else:
+            k = rng.uniform(0.5, 3.0, x.shape[1])
+            out.append(np.sin(2 * np.pi * x @ k) + (x * x).sum(axis=1))
+    return np.vstack(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), leaves=st.integers(TILE // LEAF, 3 * TILE // LEAF),
+       tail=st.integers(1, 7),
+       layout=st.sampled_from(["uniform", "clustered", "collinear_x", "duplicates",
+                               "lattice", "line", "space", "loop"]),
+       data=st.sampled_from(["smooth", "affine", "kinked", "rough"]),
+       offset=st.sampled_from([0.0, 1e8]), scale=st.sampled_from([1e-6, 1.0, 1e6]),
+       groups=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       alphas=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3, unique=True))
+def test_grouped_maxima_equal_brute_force_and_the_rows_maxima(
+        seed, leaves, tail, layout, data, offset, scale, groups, alphas):
+    # more than one tile, with a last leaf of 1-7 nodes; a group's maximum
+    # is the largest of its rows' maxima, bitwise, under both strategies
+    rng = np.random.default_rng(seed)
+    coords, period = _site_set(rng, leaves * LEAF + tail, layout)
+    assume(np.ptp(coords, axis=0).any())      # all nodes coinciding is degenerate
+    values = _rows(rng, coords, period, data, sum(groups)) + offset
+    coords = coords * scale
+    period = None if period is None else period * scale
+    first = np.cumsum(groups) - groups
+    found = {}
+    for strategy in ("brute_force", "pruned"):
+        best, wit, pairs = pairwise_holder_max(coords, values, alphas, strategy, period,
+                                               groups=groups)
+        rows, _, _ = pairwise_holder_max(coords, values, alphas, strategy, period)
+        assert np.array_equal(best, np.maximum.reduceat(rows, first, axis=0))
+        found[strategy] = best, pairs
+        # every witness attains its maximum on one of its group's rows
+        for ig, (start, count) in enumerate(zip(first, groups)):
+            sub = values[start:start + count]
+            for ia, a in enumerate(alphas):
+                i, j = wit[ig, ia]
+                d = np.abs(coords[i] - coords[j])
+                if period is not None:
+                    d = np.minimum(d, period - d)
+                q = np.abs(sub[:, i] - sub[:, j]).max() / float(np.sqrt((d * d).sum()))**a
+                assert i < j and q == pytest.approx(best[ig, ia], rel=1e-12)
+    (b, pb), (p, pp) = found["brute_force"], found["pruned"]
+    assert np.array_equal(b, p)
+    n = len(coords)
+    assert pp <= pb == n * (n - 1) // 2
+
+
 def _edge_case(case):
     """(coords, period) of a node set at a corner of the self-pair pass."""
     rng = np.random.default_rng(7)
@@ -335,6 +416,23 @@ def test_pruning_skips_most_pairs_on_smooth_study_data():
         assert pairs <= 0.15 * n * (n - 1) // 2
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_pruning_work_on_the_study_stacks(seed):
+    # instance 0's f and u'' on the finest default rung, as the estimate
+    # stacks them (two groups), and f alone: the share of all node pairs
+    # the pruned sweep evaluates
+    mesh = build_mesh(DomainSpec.disk(), (48, 192))
+    n = mesh.n_interior + mesh.n_boundary
+    f, g = ProblemFamily(seed=seed, count=1).instances()[0].realize(mesh)
+    u = solve_neumann(f, g, compat_policy="project").solution
+    rows = np.vstack([f.all_values()] + [c.all_values() for d in gradient(u) for c in gradient(d)])
+    alphas = (0.3, 0.5, 0.7)
+    _, _, stacked = pairwise_holder_max(f.all_xy(), rows, alphas, "pruned", groups=[1, 4])
+    _, _, alone = pairwise_holder_max(f.all_xy(), rows[:1], alphas, "pruned")
+    assert stacked <= 0.04 * n * (n - 1) // 2
+    assert alone <= 0.025 * n * (n - 1) // 2
+
+
 def _ten_smooth_disk_fields():
     mesh = build_mesh(DomainSpec.disk(), (48, 192))
     fields = [inst.realize(mesh)[0] for inst in ProblemFamily(seed=0, count=10).instances()]
@@ -412,6 +510,32 @@ def test_stacked_call_equals_separate_calls(disk_mesh_small, rng):
             assert (b[ic] == bi[0]).all()
             if strategy == "brute_force":
                 assert (w[ic] == wi[0]).all()
+
+
+def test_reports_take_each_item_over_its_rows(disk_mesh_small, rng):
+    # an item's seminorm is the largest of separate per-row maxima, and its
+    # witness attains it on one of its rows
+    mesh = disk_mesh_small
+    f = GridFunction(mesh, rng.standard_normal(mesh.n_interior),
+                     rng.standard_normal(mesh.n_boundary))
+    u = GridFunction.from_expression(mesh, "sin(3*x)*cos(2*y) + x*y")
+    g = BoundaryFunction.from_expression(mesh, "cos(theta) + 0.3*sin(5*theta)")
+    items = [(f, 0, (0.3, 0.7)), (u, 2, (0.5,)), (g, 1, (0.3, 0.7)), (u, 1, (0.3,))]
+    for strategy in ("brute_force", "pruned"):
+        for (fld, k, alphas), reports in zip(items, holder_reports(items, strategy)):
+            xy, period = ((fld.all_xy(), None) if isinstance(fld, GridFunction)
+                          else (mesh.arc[:, None], mesh.boundary_measure))
+            rows = np.vstack(_derivative_stack(fld, k)[k])
+            for a in alphas:
+                alone = [pairwise_holder_max(xy, row[None, :], (a,), strategy, period)[0][0, 0]
+                         for row in rows]
+                assert reports[a].seminorm == max(alone)
+                p, q = (np.flatnonzero((xy == w).all(axis=1)) for w in reports[a].witness)
+                d = np.abs(xy[p[0]] - xy[q[0]])
+                if period is not None:
+                    d = np.minimum(d, period - d)
+                quot = np.abs(rows[:, p[0]] - rows[:, q[0]]).max() / np.sqrt((d * d).sum())**a
+                assert quot == pytest.approx(reports[a].seminorm, rel=1e-12)
 
 
 def test_boundary_seminorm_uses_arclength(disk_mesh_small):

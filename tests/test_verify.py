@@ -270,6 +270,19 @@ def test_family_study_smoke_and_determinism():
     assert skipped and rep1.passed
 
 
+def test_family_study_payload_does_not_depend_on_the_pair_strategy():
+    # every pruned maximum equals the all-pairs one, so the reports agree
+    # byte for byte but for the strategy named in the config
+    payloads = []
+    for strategy in ("brute_force", "pruned"):
+        rep = run_family_study(VerifyConfig(count=2, resolutions=((12, 48), (24, 96)),
+                                            pinned_resolution=None, pair_strategy=strategy))
+        payload = rep.to_json()
+        assert payload["config"].pop("pair_strategy") == strategy
+        payloads.append(json.dumps(payload, sort_keys=True))
+    assert payloads[0] == payloads[1]
+
+
 def test_family_study_csv_rows():
     rep = run_family_study(_tiny_config())
     rows = rep.csv_rows()
