@@ -10,8 +10,8 @@ Reports are written atomically (temp file, then rename) as
 deterministic function of the configuration and seed; timestamps and
 wall times live under ``meta`` so byte comparison of the ``report``
 payload is meaningful.  Exit codes: 0 success, 2 incompatible data,
-3 solver failure, 4 configuration error (flag values the parser rejects
-included), 1 unexpected error.
+3 solver failure, 4 configuration error (rejected flag values, and
+unreadable input or unwritable output files, included), 1 unexpected error.
 """
 
 from __future__ import annotations
@@ -133,6 +133,19 @@ def _resolution_from_args(args, spec, file_res):
     return (64, 128)
 
 
+def _read_json_object(path, what):
+    """The JSON object held by the file at path.  A file that cannot be
+    read or decoded, or holds anything but an object, is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a {what} must hold a JSON object, got {doc!r}")
+    return doc
+
+
 def _load_problem(args):
     """The --problem file as a dict, {} without one.
 
@@ -143,10 +156,7 @@ def _load_problem(args):
     """
     if not getattr(args, "problem", None):
         return {}
-    with open(args.problem, encoding="utf-8") as fh:
-        problem = json.load(fh)
-    if not isinstance(problem, dict):
-        raise ConfigError(f"a problem file must hold a JSON object, got {problem!r}")
+    problem = _read_json_object(args.problem, "problem file")
     for key in ("f", "g", "strategy", "compat_policy"):
         if not isinstance(problem.get(key, ""), str):
             raise ConfigError(f"problem file entry {key!r} must be a string, "
@@ -364,15 +374,11 @@ def cmd_oracle1d(args):
 
 
 def cmd_report(args):
-    with open(args.input, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json_object(args.input, "report file")
     payload = doc.get("report", doc)
-    base = os.path.splitext(os.path.basename(args.input))[0]
-    written = []
-    if args.strip_meta:
-        path = os.path.join(args.out, f"{base}.canonical.json")
-        _atomic_write(path, _dump_json(payload))
-        written.append(path)
+    if not isinstance(payload, dict):
+        raise ConfigError(f"the report in {args.input!r} must be a JSON object, got {payload!r}")
+    csv_text = None
     if args.format in ("csv", "both") and "levels" in payload:
         from .verify import EstimateReport
         rep = EstimateReport(config=payload.get("config", {}),
@@ -380,9 +386,20 @@ def cmd_report(args):
                              criteria=payload.get("criteria", []),
                              passed=payload.get("passed", True))
         buf = io.StringIO()
-        rep.to_csv(buf)
+        try:
+            rep.to_csv(buf)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot render the levels in {args.input!r}: {exc!r}") from None
+        csv_text = buf.getvalue()
+    base = os.path.splitext(os.path.basename(args.input))[0]
+    written = []
+    if args.strip_meta:
+        path = os.path.join(args.out, f"{base}.canonical.json")
+        _atomic_write(path, _dump_json(payload))
+        written.append(path)
+    if csv_text is not None:
         path = os.path.join(args.out, f"{base}.csv")
-        _atomic_write(path, buf.getvalue())
+        _atomic_write(path, csv_text)
         written.append(path)
     if args.format in ("json", "both") and not args.strip_meta:
         path = os.path.join(args.out, f"{base}.rendered.json")
@@ -494,8 +511,7 @@ def main(argv=None):
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (ConfigError, ExprSyntaxError, UnknownIdentifier, EvalDomainError,
-            NonPositiveRadius, ResolutionTooSmall, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+            NonPositiveRadius, ResolutionTooSmall, OSError, json.JSONDecodeError) as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NeumannLabError as exc:

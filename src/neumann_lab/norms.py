@@ -16,17 +16,17 @@ weight once per exponent, a group's value difference as the largest
 |difference| of its rows, and one product per exponent.  Rounding is
 monotone, so max_r fl(|dv_r| w) = fl(max_r |dv_r| w): a group's maximum
 equals the largest of its rows' maxima bitwise.  The sweep first
-evaluates the pairs inside each leaf, unconditionally, in one pass over
-the upper triangles of a batch of leaves ((LEAF (LEAF - 1) / 2, batch)
-arrays); the base case of a dual-tree walk (Curtin et al., ICML 2013).
-It then evaluates leaf pairs in batches, in (LEAF, LEAF, batch) arrays.
-Two strategies choose the leaf pairs:
+evaluates the pairs inside each leaf, unconditionally, in a plain loop
+over batches of leaves ((LEAF (LEAF - 1) / 2, batch) arrays), then leaf
+pairs in batches, in (LEAF, LEAF, batch) arrays.  Two strategies choose
+the leaf pairs:
 
-* ``brute_force`` evaluates every leaf pair;
-* ``pruned`` runs a two-level best-first branch and bound, starting
-  from the running maxima of the leaves' own pairs.  Every tile, and
-  then every leaf pair of a tile that survives, gets an upper bound per
-  entry, the smaller of two:
+* ``brute_force`` evaluates every leaf pair, in plain loops over batches
+  of tiles and of their leaf pairs, with no bound or queue;
+* ``pruned`` runs a best-first branch and bound, starting from the
+  running maxima of the leaves' own pairs.  Every tile, and then every
+  leaf pair of a tile that survives, gets an upper bound per entry, the
+  smaller of two:
 
   - the spread bound: the value spread of both boxes times dmin^-a,
     where dmin is a lower bound on the distance of their pairs;
@@ -40,14 +40,15 @@ Two strategies choose the leaf pairs:
     allowance of 2^-40 times |c|, |gbar| |centre_a - centre_b| and
     max|v|.
 
-  Both bounds carry a relative slack for pow against exp(log).  Tiles
-  are walked best first, ranked by the largest ratio of a bound to its
-  running maximum, in batches; a tile whose bound cannot beat the
-  running maximum of any wanted entry is dropped, and the survivors'
-  leaf pairs are bounded, merged into a queue sorted the same way and
-  evaluated in full batches from its head, each re-checked against the
-  running maxima just before it runs.  On smooth fields the affine
-  models leave only the pairs near the maximising configuration.
+  Both bounds carry a relative slack for pow against exp(log).  One
+  drain walks both levels, a dual-tree traversal (Curtin et al., ICML
+  2013): it takes a queue of box pairs best first, ranked by the largest
+  ratio of a bound to its running maximum, in batches, and just before
+  each batch drops every pair whose bound cannot beat the running
+  maximum of any wanted entry.  Tiles drain in batches; each batch's
+  leaf pairs are bounded, merged into one carried queue and drained in
+  full batches, and a last drain empties it.  On smooth fields the
+  affine models leave only the pairs near the maximising configuration.
 
 Both strategies apply identical per-pair arithmetic, and a pair is
 dropped only when it cannot exceed a running maximum, so the returned
@@ -340,26 +341,24 @@ class _Sweep:
         """(entries, 1) running maxima of the wanted entries, inf for the others."""
         return np.where(self.wanted, self.best, np.inf).reshape(-1, 1)
 
-    def batches(self, count, size, bound=None):
-        """Batches of up to size of count pairs, in order, with their entries.
-
-        Yields (indices, live) with live the (groups, len(alphas)) entries
-        to compute.  Given the pairs' (entries, count) upper bounds, a pair
-        is dropped once no wanted entry's bound exceeds its running
-        maximum, checked just before each batch is taken.
+    def drain(self, queue, size, visit, least=1):
+        """Visit queue = (p, q, bounds, keys) best first, highest key first,
+        in batches of size; return the rest once fewer than least pairs may
+        still beat a running maximum.  Just before each batch, a pair is
+        dropped once no wanted entry's bound exceeds its running maximum;
+        visit(p, q, live) gets the batch, with live the (groups,
+        len(alphas)) entries any of its pairs may still beat.
         """
-        pending = np.arange(count)
-        live = self.wanted
-        while len(pending):
-            if bound is not None:
-                alive = bound[:, pending] > self.threshold()
-                keep = alive.any(axis=0)
-                pending = pending[keep]
-                if not len(pending):
-                    return
-                live = alive[:, keep][:, :size].any(axis=1).reshape(self.wanted.shape)
-            yield pending[:size], live
-            pending = pending[size:]
+        scan = np.argsort(-queue[3], kind="stable")
+        p, q, bound, key = (x[..., scan] for x in queue)
+        while True:
+            alive = bound > self.threshold()
+            keep = alive.any(axis=0)
+            p, q, bound, key, alive = p[keep], q[keep], bound[:, keep], key[keep], alive[:, keep]
+            if len(p) < least:
+                return p, q, bound, key
+            visit(p[:size], q[:size], alive[:, :size].any(axis=1).reshape(self.wanted.shape))
+            p, q, bound, key = p[size:], q[size:], bound[:, size:], key[size:]
 
     def bounds(self, lo, hi, vlo, vhi, models, p, q):
         """(p, q, bounds, keys) of the box pairs (p[i], q[i]) that may beat
@@ -395,30 +394,13 @@ class _Sweep:
             self.models = _affine_models(self.cols, self.dim, self.leaves)
         return self.models
 
-    def push(self, a, b):
-        """Queue the leaf pairs (a[i], b[i]) that may beat a running maximum,
-        best first, and evaluate full batches from the queue's head."""
-        fresh = self.bounds(self.lo.T, self.hi.T, self.vlo.T, self.vhi.T, self.leaf_models,
-                            a, b)
-        queue = [np.concatenate(pair, axis=-1) for pair in zip(self.queue, fresh)]
-        scan = np.argsort(-queue[3], kind="stable")
-        self.queue = tuple(x[..., scan] for x in queue)
-        self.flush(BATCH)
-
-    def flush(self, least=1):
-        """Evaluate the queue's head in batches of BATCH while at least
-        least pairs in it may still beat a running maximum."""
-        a, b, bound, key = self.queue
-        while True:
-            alive = bound > self.threshold()
-            keep = alive.any(axis=0)
-            a, b, bound, key, alive = a[keep], b[keep], bound[:, keep], key[keep], alive[:, keep]
-            if len(a) < least:
-                break
-            self.evaluate(a[:BATCH], b[:BATCH],
-                          alive[:, :BATCH].any(axis=1).reshape(self.wanted.shape))
-            a, b, bound, key = a[BATCH:], b[BATCH:], bound[:, BATCH:], key[BATCH:]
-        self.queue = a, b, bound, key
+    def push(self, p, q, _live):
+        """Queue the leaf pairs of the tiles (p[i], q[i]) that may beat a
+        running maximum, and evaluate full batches from the queue's head."""
+        a, b = _leaf_pairs(p, q, self.nleaf)
+        fresh = self.bounds(self.lo.T, self.hi.T, self.vlo.T, self.vhi.T, self.leaf_models, a, b)
+        queue = tuple(np.concatenate(pair, axis=-1) for pair in zip(self.queue, fresh))
+        self.queue = self.drain(queue, BATCH, self.evaluate, BATCH)
 
     def evaluate(self, a, b, live):
         """Exact quotients of the pairs of distinct leaves (a[i], b[i]).
@@ -432,7 +414,7 @@ class _Sweep:
         self.pairs += int((self.size[a] * self.size[b]).sum())
         self._fold(lambda k, x, y: (A[k], B[k]), (LEAF, LEAF, len(a)), _SQUARE, a, b, live)
 
-    def evaluate_leaves(self, leaves, live):
+    def evaluate_leaves(self, leaves):
         """Exact quotients of the node pairs inside each of the leaves.
 
         The (len(_UPPER[0]), s) pairs of the upper triangles are gathered
@@ -444,7 +426,7 @@ class _Sweep:
         # i and j are in range; mode="clip" lets take write into out unbuffered
         self._fold(lambda k, x, y: (self.cols[k].take(i, out=x, mode="clip"),
                                     self.cols[k].take(j, out=y, mode="clip")),
-                   i.shape, _UPPER, leaves, leaves, live)
+                   i.shape, _UPPER, leaves, leaves, self.wanted)
 
     def _fold(self, sides, shape, slots, a, b, live):
         """Fold a batch's quotients for the live entries into the running maxima.
@@ -538,8 +520,10 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
     shape (groups, len(alphas)) and witnesses holds the lexicographically
     smallest attaining node-index pair per entry, over the group's rows,
     taken inside the sweep from each batch that reaches the running
-    maximum.  Pruning skips leaf pairs that can only tie the maximum, so
-    its witness ties may resolve differently.
+    maximum.  ``brute_force`` runs plain loops with no bound, key or
+    queue; ``pruned`` walks tiles and leaf pairs with one best-first
+    drain and skips leaf pairs that can only tie the maximum, so its
+    witness ties may resolve differently.
     """
     comps = np.atleast_2d(np.asarray(comps, dtype=float))
     coords = _as_points(coords, comps.shape[1])
@@ -563,33 +547,28 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
     sweep = _Sweep(coords, comps, alphas, period, wanted, order, rows)
     # every leaf's own pairs first, unbounded, so that the branch and
     # bound starts from a running maximum
-    for leaves, live in sweep.batches(sweep.nleaf, BATCH):
-        sweep.evaluate_leaves(leaves, live)
+    for s in range(0, sweep.nleaf, BATCH):
+        sweep.evaluate_leaves(np.arange(s, min(s + BATCH, sweep.nleaf)))
 
     # tiles are the pairs of chunks, whose boxes join their leaves' boxes
     starts = np.arange(0, sweep.nleaf, _PER)
     tp, tq = np.triu_indices(len(starts))
-    tbound = None
-    pruned = strategy == "pruned"
-    if pruned:
+    if strategy == "brute_force":
+        for s in range(0, len(tp), TILE_BATCH):
+            la, lb = _leaf_pairs(tp[s:s + TILE_BATCH], tq[s:s + TILE_BATCH], sweep.nleaf)
+            for t in range(0, len(la), BATCH):
+                sweep.evaluate(la[t:t + BATCH], lb[t:t + BATCH], wanted)
+    else:
         # a chunk's runs of columns, the last padded with the last column
         chunks = np.minimum(starts * LEAF + np.arange(TILE)[:, None], sweep.cols.shape[1] - 1)
-        tp, tq, tbound, key = sweep.bounds(
+        tiles = sweep.bounds(
             np.minimum.reduceat(sweep.lo, starts, axis=1).T,
             np.maximum.reduceat(sweep.hi, starts, axis=1).T,
             np.minimum.reduceat(sweep.vlo, starts, axis=1).T,
             np.maximum.reduceat(sweep.vhi, starts, axis=1).T,
             lambda: _affine_models(sweep.cols, sweep.dim, chunks), tp, tq)
-        scan = np.argsort(-key, kind="stable")
-        tp, tq, tbound = tp[scan], tq[scan], tbound[:, scan]
-    for tiles, _ in sweep.batches(len(tp), TILE_BATCH, tbound):
-        la, lb = _leaf_pairs(tp[tiles], tq[tiles], sweep.nleaf)
-        if pruned:
-            sweep.push(la, lb)
-        else:
-            for leaves, live in sweep.batches(len(la), BATCH):
-                sweep.evaluate(la[leaves], lb[leaves], live)
-    sweep.flush()
+        sweep.drain(tiles, TILE_BATCH, sweep.push)
+        sweep.drain(sweep.queue, BATCH, sweep.evaluate)
     return sweep.best, sweep.witnesses, sweep.pairs
 
 

@@ -35,6 +35,7 @@ from .solver import (check_compatibility, solve_1d_oracle, solve_bordered,
 BOUNDARY_SUP_SLACK = 1e-8
 RATIO_FLOOR = 1e-14       # denominators below this are degenerate
 ZERO_DATA_FLOOR = 1e-12   # numerators below this count as zero data
+MAX_PRINCIPLE_BOUND = 1.01  # largest maximum-principle ratio allowed at the pinned level
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +409,16 @@ class VerifyConfig:
     alphas: tuple = (0.3, 0.5, 0.7)
     alpha_main: float = 0.5
     serrin_radii: tuple = (0.1, 0.2)
-    serrin_p: float = None          # None: dimension + 1
     eps_values: tuple = (0.05, 0.1)
     pair_strategy: str = "pruned"
-    max_principle_bound: float = 1.01
     threads: int = 0                # 0: honor NEUMANN_LAB_THREADS, default 1
 
     def __post_init__(self):
         for a in self.alphas:
             if not 0.0 < a < 1.0:
                 raise ConfigError(f"alpha must lie in (0, 1), got {a}")
+        if len(set(self.alphas)) != len(self.alphas):
+            raise ConfigError(f"alphas must be distinct, got {tuple(self.alphas)}")
         if self.alpha_main not in self.alphas:
             raise ConfigError(f"alpha_main {self.alpha_main} is not one of the alphas "
                               f"{tuple(self.alphas)}")
@@ -435,10 +436,10 @@ class VerifyConfig:
             "pinned_resolution": (None if self.pinned_resolution is None
                                   else [int(v) for v in np.atleast_1d(self.pinned_resolution)]),
             "alphas": list(self.alphas), "alpha_main": self.alpha_main,
-            "serrin_radii": list(self.serrin_radii), "serrin_p": self.serrin_p,
+            "serrin_radii": list(self.serrin_radii), "serrin_p": None,
             "eps_values": list(self.eps_values),
             "pair_strategy": self.pair_strategy,
-            "max_principle_bound": self.max_principle_bound,
+            "max_principle_bound": MAX_PRINCIPLE_BOUND,
         }
 
 
@@ -480,9 +481,8 @@ def _measure_instance(inst, mesh, config, check_scaling, with_holder):
             row["scaling_deviation"] = abs(r2 - r1) / (abs(r1) if r1 else 1.0)
 
     center = _serrin_center(mesh)
-    p = config.serrin_p if config.serrin_p is not None else mesh.dim + 1
     for k, radius in enumerate(config.serrin_radii):
-        row[f"serrin_ratio_{k}"] = serrin_local_ratio(u, f, center, radius, p)
+        row[f"serrin_ratio_{k}"] = serrin_local_ratio(u, f, center, radius)
 
     reg = solve_regularized(f, BoundaryFunction.zeros(mesh))
     sup_f = float(np.abs(f.all_values()).max())
@@ -755,7 +755,7 @@ def evaluate_criteria(levels, config, pinned_level):
         add_band(f"serrin_local_R_{radius}", f"serrin_ratio_{k}", holder_levels)
 
     ratios = _family_max(levels, "max_principle_ratio")
-    bound_ok = ratios[pinned_level] <= config.max_principle_bound
+    bound_ok = ratios[pinned_level] <= MAX_PRINCIPLE_BOUND
     excess = [max(0.0, r - 1.0) for r in ratios]
     shrink = excess[-1] <= excess[0] + 1e-12 if len(levels) > 1 else True
     add("max_principle", bound_ok and shrink,

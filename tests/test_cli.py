@@ -158,7 +158,8 @@ def test_verify_zero_instances_exits_4(tmp_path):
 
 @pytest.mark.parametrize("flags", [["--alphas", "0.5,abc"],
                                    ["--alphas", "0.3,0.7", "--alpha", "0.5"],
-                                   ["--alphas", "0.5,1.5"]])
+                                   ["--alphas", "0.5,1.5"],
+                                   ["--alphas", "0.5,0.5"]])
 def test_verify_bad_alphas_exit_4(tmp_path, flags):
     assert run(["verify", "--count", "1", "--levels", "1", "--no-pinned",
                 "--nr0", "12", "--ntheta0", "32", "--out", str(tmp_path)] + flags) == 4
@@ -408,6 +409,42 @@ def test_report_rerenders_estimate_csv(tmp_path):
                 "--format", "csv", "--out", str(tmp_path / "re")])
     assert code == 0
     assert (tmp_path / "re" / "estimate_report.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["report_directory", "report_not_utf8", "report_list",
+                                  "report_csv_bad_levels", "report_of_a_number",
+                                  "problem_directory",
+                                  "problem_not_utf8", "out_is_a_file"])
+def test_unreadable_files_exit_4(tmp_path, capsys, case):
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    (inputs / "latin1.json").write_bytes(b'{"f": "1", "g": "caf\xe9"}')
+    (inputs / "list.json").write_text("[1, 2]")
+    (inputs / "levels.json").write_text('{"levels": 5}')
+    (inputs / "number.json").write_text('{"report": 5}')
+    (inputs / "taken").write_text("a regular file")
+    before = sorted(os.listdir(inputs))
+    argv = {
+        "report_directory": ["report", "--input", str(inputs)],
+        "report_not_utf8": ["report", "--input", str(inputs / "latin1.json")],
+        "report_list": ["report", "--input", str(inputs / "list.json")],
+        "report_csv_bad_levels": ["report", "--input", str(inputs / "levels.json"),
+                                  "--format", "csv"],
+        "report_of_a_number": ["report", "--input", str(inputs / "number.json"),
+                               "--format", "csv"],
+        "problem_directory": ["solve", "--problem", str(inputs)],
+        "problem_not_utf8": ["solve", "--problem", str(inputs / "latin1.json")],
+        "out_is_a_file": ["solve", "--f", "1", "--g", "0.5", "--compat", "project",
+                          "--nr", "8", "--ntheta", "16"],
+    }[case]
+    target = inputs / "taken" if case == "out_is_a_file" else out
+    assert run(argv + ["--out", str(target)]) == 4
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "Traceback" not in err
+    assert not out.exists() and sorted(os.listdir(inputs)) == before
+    assert (inputs / "taken").read_text() == "a regular file"
 
 
 def test_report_missing_file_exits_4(tmp_path):

@@ -17,8 +17,9 @@ from neumann_lab.solver import solve_neumann
 from neumann_lab.verify import ProblemFamily
 
 
-def oracle_seminorm(values, coords, alpha):
-    """Independent reference: plain double loop over all pairs."""
+def oracle_seminorm(values, coords, alpha, period=None):
+    """Independent reference: plain double loop over all pairs (on a loop
+    of length period, distances the short way round)."""
     coords = np.atleast_2d(coords)
     if coords.shape[0] == 1:
         coords = coords.T
@@ -27,6 +28,8 @@ def oracle_seminorm(values, coords, alpha):
     for i in range(n):
         for j in range(i + 1, n):
             d = float(np.linalg.norm(coords[i] - coords[j]))
+            if period is not None:
+                d = min(d, period - d)
             if d == 0.0:
                 continue
             q = abs(values[i] - values[j]) / d**alpha
@@ -97,6 +100,32 @@ def test_seminorm_matches_oracle_random(strategy, rng):
         val, wit = seminorm(values, coords, alpha, strategy)
         ref, ref_wit = oracle_seminorm(values, coords, alpha)
         assert val == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("layout", ["plane", "loop"])
+def test_brute_force_touches_no_bound_key_or_queue_code(layout, monkeypatch):
+    # the reference path stands alone: with the bounds, the affine models
+    # and the best-first drain all raising, brute force still gives the
+    # double loop's maxima and evaluates every pair, on node sets a little
+    # wider than one tile
+    def unreachable(*args, **kwargs):
+        raise AssertionError("brute force reached pruning code")
+    for name in ("_box_bounds", "_affine_models", "_affine_bounds", "_Sweep.drain"):
+        monkeypatch.setattr(f"neumann_lab.norms.{name}", unreachable)
+    rng = np.random.default_rng(5)
+    n = TILE + 22
+    if layout == "plane":
+        coords, period = rng.random((n, 2)), None
+    else:
+        coords, period = np.sort(rng.uniform(0.0, 3.0, n))[:, None], 3.0
+    values = rng.standard_normal(n)
+    alphas = (0.3, 0.7)
+    best, _, pairs = pairwise_holder_max(coords, values[None, :], alphas, "brute_force",
+                                         period)
+    assert pairs == n * (n - 1) // 2
+    for ia, alpha in enumerate(alphas):
+        ref, _ = oracle_seminorm(values, coords, alpha, period)
+        assert best[0, ia] == pytest.approx(ref, rel=1e-12)
 
 
 def test_pruned_equals_brute_bitwise(rng):
