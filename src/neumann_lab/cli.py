@@ -9,15 +9,18 @@ Reports are written atomically (temp file, then rename) as
 ``{"meta": ..., "report": ...}``.  Everything under ``report`` is a
 deterministic function of the configuration and seed; timestamps and
 wall times live under ``meta`` so byte comparison of the ``report``
-payload is meaningful.  Exit codes: 0 success, 2 incompatible data,
-3 solver failure, 4 configuration error (rejected flag values, and
-unreadable input or unwritable output files, included), 1 unexpected error.
+payload is meaningful.  Every CSV is rendered by _csv_text: a verify,
+sweep or oracle1d CSV from _report_rows of its payload, which ``report
+--format csv`` re-renders byte for byte (a solve report has no CSV form
+there: exit 4); ``solve`` writes its nodes (x[, y], value, is_boundary).
+Exit codes: 0 success, 2 incompatible data, 3 solver failure, 4
+configuration error (rejected flag values, and unreadable input or
+unwritable output files, included), 1 unexpected error.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -36,8 +39,8 @@ from .errors import (ConfigError, EvalDomainError, ExprSyntaxError,
 from .expr import GRAMMAR_HELP
 from .field import BoundaryFunction, GridFunction
 from .solver import solve_neumann
-from .verify import (VerifyConfig, observed_orders, oracle1d_discrepancy,
-                     run_family_study, solve_1d_oracle)
+from .verify import (BOUNDARY_SUP_SLACK, VerifyConfig, observed_orders,
+                     oracle1d_discrepancy, run_family_study, solve_1d_oracle)
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -74,26 +77,98 @@ def _atomic_write(path, text):
         raise
 
 
-def _write_report(outdir, name, payload, fmt, wall_time, csv_text=None):
-    """Write the JSON (and optional CSV) forms of one report."""
-    written = []
-    doc = {
-        "meta": {
-            "tool": f"neumann-lab {__version__}",
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-            "wall_time_s": wall_time,
-        },
-        "report": payload,
-    }
-    if fmt in ("json", "both"):
-        path = os.path.join(outdir, f"{name}.json")
-        _atomic_write(path, _dump_json(doc))
-        written.append(path)
-    if fmt in ("csv", "both") and csv_text is not None:
-        path = os.path.join(outdir, f"{name}.csv")
-        _atomic_write(path, csv_text)
-        written.append(path)
-    return written
+def _report_rows(payload):
+    """The CSV rows of a stored report payload, None for one with no CSV
+    form.  The kind is known by the payload's keys: criteria and levels
+    (verify: one row per instance and level), levels and observed_orders
+    (sweep: one row per level), cases (oracle1d: one row per case index
+    and level, with the observed order that ends at that level).  A solve
+    payload holds no node values.  Rows that cannot be read are a
+    ConfigError."""
+    try:
+        if "criteria" in payload and "levels" in payload:
+            config = payload.get("config", {})
+            alpha = config.get("alpha_main", 0.5)
+            measured = ("max_principle_ratio", "boundary_sup_gap", "agreement",
+                        "krylov_iterations", "uniqueness_std", "scaling_deviation")
+            rows = []
+            for lvl, level in enumerate(payload["levels"]):
+                for row in level["rows"]:
+                    finite = all(np.isfinite(v) for v in row.values() if isinstance(v, float))
+                    rows.append({
+                        "seed": config.get("seed", 0),
+                        "instance": row["instance"],
+                        "level": lvl,
+                        "h": level["h"],
+                        "ratio_schauder": row.get(f"ratio_schauder_{alpha}"),
+                        "ratio_intermediate": row.get(f"ratio_intermediate_{alpha}"),
+                        "ratio_l2": row.get("ratio_l2"),
+                        "energy_defect": row.get("energy_defect"),
+                        "serrin_ratio": row.get("serrin_ratio_0"),
+                        "pass": int(finite and row.get("boundary_sup_gap", 0.0)
+                                    <= BOUNDARY_SUP_SLACK),
+                        **{key: row[key] for key in sorted(row) if key in measured
+                           or key.startswith(("ratio_schauder_", "ratio_intermediate_",
+                                              "serrin_ratio_"))}})
+            return rows
+        if "levels" in payload and "observed_orders" in payload:
+            return [{"level": k, "h": level["h"], "residual": level["residual"],
+                     "defect": level["defect"],
+                     "error_sup_vs_exact": level.get("error_sup_vs_exact")}
+                    for k, level in enumerate(payload["levels"])]
+        if "cases" in payload:
+            return [{"case": i, "n": n, "max_discrepancy": d,
+                     "observed_order": ([None] + case["observed_orders"])[k]}
+                    for i, case in enumerate(payload["cases"])
+                    for k, (n, d) in enumerate(zip(case["n"], case["max_discrepancy"]))]
+        return None
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read the rows of the report: {exc!r}") from None
+
+
+def _csv_text(rows):
+    """The CSV of a list of row dicts: the header is the union of their
+    keys in first-seen order, a cell the repr of a plain int or float,
+    empty for a missing value or None.  None (no CSV form) and any other
+    cell are a ConfigError."""
+    if rows is None:
+        raise ConfigError("this report has no CSV form (verify, sweep and oracle1d "
+                          "reports have one)")
+    cols = list(dict.fromkeys(key for row in rows for key in row))
+    lines = [",".join(cols)]
+    for row in rows:
+        cells = [row.get(c) for c in cols]
+        for col, v in zip(cols, cells):
+            if v is not None and type(v) not in (int, float):
+                raise ConfigError(f"CSV column {col!r} holds {v!r}, not a number")
+        lines.append(",".join("" if v is None else repr(v) for v in cells))
+    return "\n".join(lines) + "\n"
+
+
+def _write_files(outdir, texts):
+    """Write each {file name: text} atomically into outdir, in order; the
+    paths written."""
+    paths = []
+    for name, text in texts.items():
+        paths.append(os.path.join(outdir, name))
+        _atomic_write(paths[-1], text)
+    return paths
+
+
+def _write_report(outdir, name, payload, fmt, wall_time, rows=None):
+    """Write the JSON and/or CSV forms of one report, both rendered before
+    either is written.  The CSV renders rows, by default the payload's
+    own (_report_rows)."""
+    texts = {}
+    if fmt != "csv":
+        texts[f"{name}.json"] = _dump_json({
+            "meta": {"tool": f"neumann-lab {__version__}",
+                     "timestamp": datetime.now(timezone.utc).isoformat(),
+                     "wall_time_s": wall_time},
+            "report": payload})
+    if fmt != "json":
+        texts[f"{name}.csv"] = _csv_text(_report_rows(payload) if rows is None else rows)
+    return _write_files(outdir, texts)
 
 
 def _domain_from_args(args, problem):
@@ -135,11 +210,12 @@ def _resolution_from_args(args, spec, file_res):
 
 def _read_json_object(path, what):
     """The JSON object held by the file at path.  A file that cannot be
-    read or decoded, or holds anything but an object, is a ConfigError."""
+    read or decoded (an integer of over 4300 digits included), or holds
+    anything but an object, is a ConfigError."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:    # ValueError: UnicodeDecodeError, JSONDecodeError
         raise ConfigError(f"cannot read {what} {path!r}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"a {what} must hold a JSON object, got {doc!r}")
@@ -166,6 +242,21 @@ def _load_problem(args):
     return problem
 
 
+def _problem_inputs(args, default_policy):
+    """(spec, resolution, f, g, strategy, policy) of solve and sweep: each
+    from its flag, else the --problem file, else its default."""
+    problem = _load_problem(args)
+    spec, file_res = _domain_from_args(args, problem)
+    f_text = args.f or problem.get("f")
+    g_text = args.g if args.g is not None else problem.get("g")
+    if f_text is None or g_text is None:
+        raise ConfigError(f"{args.command} needs --f and --g expressions "
+                          f"(or a problem file)")
+    return (spec, _resolution_from_args(args, spec, file_res), f_text, g_text,
+            args.strategy or problem.get("strategy", "direct_augmented"),
+            args.compat or problem.get("compat_policy", default_policy))
+
+
 def _add_shape_flags(p):
     p.add_argument("--domain", choices=("disk", "interval", "star"),
                    help="domain kind (default disk)")
@@ -187,19 +278,10 @@ def _add_output_flags(p):
 
 
 def cmd_solve(args):
-    if not 0.0 < args.alpha < 1.0:
-        raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
-    problem = _load_problem(args)
-    spec, file_res = _domain_from_args(args, problem)
-    mesh = build_mesh(spec, _resolution_from_args(args, spec, file_res))
-    f_text = args.f or problem.get("f")
-    g_text = args.g if args.g is not None else problem.get("g")
-    if f_text is None or g_text is None:
-        raise ConfigError("solve needs --f and --g expressions (or a problem file)")
+    spec, res, f_text, g_text, strategy, policy = _problem_inputs(args, "reject")
+    mesh = build_mesh(spec, res)
     f = GridFunction.from_expression(mesh, f_text)
     g = BoundaryFunction.from_expression(mesh, g_text)
-    strategy = args.strategy or problem.get("strategy", "direct_augmented")
-    policy = args.compat or problem.get("compat_policy", "reject")
 
     t0 = time.perf_counter()
     rep = solve_neumann(f, g, strategy=strategy, compat_policy=policy,
@@ -210,8 +292,7 @@ def cmd_solve(args):
         "config": {
             "domain": spec.to_json(resolution=(mesh.n,) if spec.dim == 1
                                    else (mesh.n_r, mesh.n_theta)),
-            "f": f_text, "g": g_text, "alpha": args.alpha,
-            "strategy": strategy, "compat_policy": policy, "seed": args.seed,
+            "f": f_text, "g": g_text, "strategy": strategy, "compat_policy": policy,
         },
         "solve": rep.summary(),
     }
@@ -219,13 +300,13 @@ def cmd_solve(args):
         exact = GridFunction.from_expression(mesh, args.exact)
         payload["error_sup_vs_exact"] = float(
             np.abs((rep.solution - exact).all_values()).max())
-    csv_text = None
-    if args.format in ("csv", "both"):
-        buf = io.StringIO()
-        rep.solution.to_csv(buf)
-        csv_text = buf.getvalue()
-    written = _write_report(args.out, "solve_report", payload, args.format, wall,
-                            csv_text)
+    rows = None
+    if args.format != "json":    # one row per node: x[, y], value, is_boundary
+        rows = [{**dict(zip("xy", xy)), "value": v, "is_boundary": flag}
+                for nodes, values, flag in ((mesh.interior_xy, rep.solution.interior, 0),
+                                            (mesh.boundary_xy, rep.solution.boundary, 1))
+                for xy, v in zip(nodes.tolist(), values.tolist())]
+    written = _write_report(args.out, "solve_report", payload, args.format, wall, rows)
     msg = (f"solved ({strategy}): residual {rep.residual:.3e}, "
            f"defect {rep.defect:.3e}, iterations {rep.iterations}")
     if "error_sup_vs_exact" in payload:
@@ -262,10 +343,8 @@ def cmd_verify(args):
     report = run_family_study(config)
     wall = time.perf_counter() - t0
 
-    buf = io.StringIO()
-    report.to_csv(buf)
     written = _write_report(args.out, "estimate_report", report.to_json(),
-                            args.format, wall, buf.getvalue())
+                            args.format, wall)
     skipped = 0
     for c in report.criteria:
         mark = "SKIP" if c["skipped"] else ("PASS" if c["passed"] else "FAIL")
@@ -286,14 +365,7 @@ def cmd_verify(args):
 def cmd_sweep(args):
     if args.levels < 1:
         raise ConfigError("sweep needs --levels >= 1")
-    problem = _load_problem(args)
-    spec, file_res = _domain_from_args(args, problem)
-    f_text = args.f or problem.get("f")
-    g_text = args.g if args.g is not None else problem.get("g")
-    if f_text is None or g_text is None:
-        raise ConfigError("sweep needs --f and --g expressions (or a problem file)")
-    base = _resolution_from_args(args, spec, file_res)
-    policy = args.compat or problem.get("compat_policy", "project")
+    spec, base, f_text, g_text, strategy, policy = _problem_inputs(args, "project")
     ladder = [base * 2**k if spec.dim == 1 else (base[0] * 2**k, base[1] * 2**k)
               for k in range(args.levels)]
     for res in ladder:
@@ -305,8 +377,7 @@ def cmd_sweep(args):
         mesh = build_mesh(spec, res)
         f = GridFunction.from_expression(mesh, f_text)
         g = BoundaryFunction.from_expression(mesh, g_text)
-        rep = solve_neumann(f, g, compat_policy=policy, strategy=args.strategy
-                            or "direct_augmented")
+        rep = solve_neumann(f, g, compat_policy=policy, strategy=strategy)
         row = {"resolution": [int(v) for v in np.atleast_1d(res)],
                "h": mesh.h if spec.dim == 1 else mesh.h_s}
         row.update(rep.summary())
@@ -321,13 +392,8 @@ def cmd_sweep(args):
                           "levels": args.levels, "compat_policy": policy,
                           "exact": args.exact},
                "levels": rows, "observed_orders": orders}
-    csv_lines = ["level,h,residual,defect,error_sup_vs_exact"]
-    for k, row in enumerate(rows):
-        csv_lines.append(
-            f"{k},{row['h']!r},{row['residual']!r},{row['defect']!r},"
-            f"{row.get('error_sup_vs_exact', '')!r}")
     written = _write_report(args.out, "sweep_report", payload, args.format,
-                            time.perf_counter() - t0, "\n".join(csv_lines) + "\n")
+                            time.perf_counter() - t0)
     print(f"sweep over {args.levels} level(s); observed orders: "
           f"{[f'{o:.2f}' for o in orders] or 'n/a (no --exact)'}")
     for path in written:
@@ -378,38 +444,16 @@ def cmd_report(args):
     payload = doc.get("report", doc)
     if not isinstance(payload, dict):
         raise ConfigError(f"the report in {args.input!r} must be a JSON object, got {payload!r}")
-    csv_text = None
-    if args.format in ("csv", "both") and "levels" in payload:
-        from .verify import EstimateReport
-        rep = EstimateReport(config=payload.get("config", {}),
-                             levels=payload["levels"],
-                             criteria=payload.get("criteria", []),
-                             passed=payload.get("passed", True))
-        buf = io.StringIO()
-        try:
-            rep.to_csv(buf)
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise ConfigError(f"cannot render the levels in {args.input!r}: {exc!r}") from None
-        csv_text = buf.getvalue()
     base = os.path.splitext(os.path.basename(args.input))[0]
-    written = []
+    texts = {}
     if args.strip_meta:
-        path = os.path.join(args.out, f"{base}.canonical.json")
-        _atomic_write(path, _dump_json(payload))
-        written.append(path)
-    if csv_text is not None:
-        path = os.path.join(args.out, f"{base}.csv")
-        _atomic_write(path, csv_text)
-        written.append(path)
-    if args.format in ("json", "both") and not args.strip_meta:
-        path = os.path.join(args.out, f"{base}.rendered.json")
-        _atomic_write(path, _dump_json(doc))
-        written.append(path)
-    for path in written:
+        texts[f"{base}.canonical.json"] = _dump_json(payload)
+    if args.format != "json":
+        texts[f"{base}.csv"] = _csv_text(_report_rows(payload))
+    if args.format != "csv" and not args.strip_meta:
+        texts[f"{base}.rendered.json"] = _dump_json(doc)
+    for path in _write_files(args.out, texts):
         print(f"wrote {path}")
-    if not written:
-        print("nothing to write (csv requested for a report without levels?)",
-              file=sys.stderr)
     return EXIT_OK
 
 
@@ -431,12 +475,10 @@ def build_parser():
     _add_resolution_flags(p)
     p.add_argument("--f", help="forcing expression")
     p.add_argument("--g", help="boundary flux expression")
-    p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--strategy", choices=solver.STRATEGIES)
     p.add_argument("--compat", choices=("reject", "project"))
     p.add_argument("--tol-linear", type=float, default=1e-10)
     p.add_argument("--tol-compat", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exact", help="exact mean-zero solution expression (for error reporting)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_solve)

@@ -112,15 +112,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def to_csv(self, fh):
-        """Write nodes as CSV to an open text file: x[, y], value, is_boundary."""
-        cols = "x,value,is_boundary" if self.mesh.dim == 1 else "x,y,value,is_boundary"
-        fh.write(cols + "\n")
-        for xy, v in zip(self.mesh.interior_xy, self.interior):
-            fh.write(",".join(repr(c) for c in xy) + f",{v!r},0\n")
-        for xy, v in zip(self.mesh.boundary_xy, self.boundary):
-            fh.write(",".join(repr(c) for c in xy) + f",{v!r},1\n")
-
 
 @dataclass(frozen=True, eq=False)
 class BoundaryFunction:

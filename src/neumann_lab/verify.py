@@ -520,48 +520,6 @@ class EstimateReport:
                 "aggregates": self.aggregates,
                 "criteria": self.criteria, "passed": self.passed}
 
-    def csv_rows(self):
-        seed = self.config.get("seed", 0)
-        alpha = self.config.get("alpha_main", 0.5)
-        rows = []
-        for lvl, level in enumerate(self.levels):
-            for row in level["rows"]:
-                finite = all(np.isfinite(v) for v in row.values()
-                             if isinstance(v, float))
-                row_pass = finite and row.get("boundary_sup_gap", 0.0) <= BOUNDARY_SUP_SLACK
-                out = {
-                    "seed": seed,
-                    "instance": row["instance"],
-                    "level": lvl,
-                    "h": level["h"],
-                    "ratio_schauder": row.get(f"ratio_schauder_{alpha}"),
-                    "ratio_intermediate": row.get(f"ratio_intermediate_{alpha}"),
-                    "ratio_l2": row.get("ratio_l2"),
-                    "energy_defect": row.get("energy_defect"),
-                    "serrin_ratio": row.get("serrin_ratio_0"),
-                    "pass": int(row_pass),
-                }
-                for key in sorted(row):
-                    if key.startswith(("ratio_schauder_", "ratio_intermediate_",
-                                       "serrin_ratio_")) or key in (
-                            "max_principle_ratio", "boundary_sup_gap", "agreement",
-                            "krylov_iterations", "uniqueness_std", "scaling_deviation"):
-                        out[key] = row[key]
-                rows.append(out)
-        return rows
-
-    def to_csv(self, fh):
-        rows = self.csv_rows()
-        cols = []
-        for row in rows:
-            for key in row:
-                if key not in cols:
-                    cols.append(key)
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join("" if row.get(c) is None else repr(row.get(c))
-                              for c in cols) + "\n")
-
 
 def _worker_count(config):
     """Instance threads: config.threads, else NEUMANN_LAB_THREADS, else 1.

@@ -1,15 +1,21 @@
 """CLI contract: exit codes, report files, precedence, reproducibility."""
 
+import contextlib
+import csv
+import io
 import json
 import os
+import tempfile
 import time
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neumann_lab import verify
 from neumann_lab.cli import main
-from neumann_lab.domain import build_mesh
+from neumann_lab.domain import DomainSpec, build_mesh
 from neumann_lab.errors import ConfigError
 
 
@@ -200,7 +206,6 @@ def test_huge_rung_exits_4_before_allocating(tmp_path, capsys, args):
     ["solve", "--f", "1", "--g", "0.5", "--tol-compat", "inf"],
     ["solve", "--f", "1", "--g", "0.5", "--tol-linear", "0"],
     ["solve", "--f", "1", "--g", "0.5", "--radius", "inf"],
-    ["solve", "--f", "1", "--g", "0.5", "--alpha", "2"],
     ["oracle1d", "--f-coeffs", "abc"],
     ["oracle1d", "--f-coeffs", "1", "--g0", "nan", "--g1", "0.5"],
     ["oracle1d", "--levels", "0"],
@@ -351,9 +356,10 @@ def test_verify_small_ladder(tmp_path):
     assert code == 0
     csv_path = tmp_path / "estimate_report.csv"
     assert csv_path.exists()
-    header = csv_path.read_text().splitlines()[0]
-    for col in ("seed", "level", "h", "ratio_schauder", "ratio_l2",
-                "energy_defect", "serrin_ratio"):
+    header, *rows = numeric_csv(csv_path)
+    assert len(rows) == 2 * 2     # instances x levels
+    for col in ("seed", "level", "h", "ratio_schauder", "ratio_intermediate",
+                "ratio_l2", "energy_defect", "serrin_ratio"):
         assert col in header
 
 
@@ -391,6 +397,127 @@ def test_sweep_orders_with_exact_zero_errors(tmp_path):
     assert doc["report"]["observed_orders"] == [float("inf")] * 2
 
 
+def numeric_csv(path):
+    """The rows of a CSV file, header first, after checking that every
+    other cell is an int, a float or empty."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    for row in rows:
+        assert len(row) == len(header)
+        for cell in row:
+            if cell:
+                float(cell)
+    return [header, *rows]
+
+
+SWEEP = ["sweep", "--f", "1", "--g", "0.5", "--nr", "8", "--ntheta", "16",
+         "--levels", "2", "--compat", "project"]
+REPORTING_COMMANDS = {
+    "verify": ["verify", "--count", "1", "--levels", "1", "--no-pinned",
+               "--nr0", "12", "--ntheta0", "32"],
+    "sweep": SWEEP,
+    "sweep_exact": SWEEP + ["--exact", "r^2/4 - 1/8"],
+    "oracle1d": ["oracle1d", "--n", "16", "--levels", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORTING_COMMANDS))
+def test_report_rerenders_the_csv_each_command_wrote(tmp_path, command):
+    argv = REPORTING_COMMANDS[command]
+    name = {"verify": "estimate_report", "sweep": "sweep_report",
+            "oracle1d": "oracle1d_report"}[argv[0]]
+    assert run(argv + ["--format", "both", "--out", str(tmp_path)]) == 0
+    assert run(["report", "--input", str(tmp_path / f"{name}.json"), "--format", "csv",
+                "--out", str(tmp_path / "re")]) == 0
+    written = (tmp_path / f"{name}.csv").read_bytes()
+    assert (tmp_path / "re" / f"{name}.csv").read_bytes() == written
+    header, *rows = numeric_csv(tmp_path / f"{name}.csv")
+    if argv[0] == "verify":
+        assert len(rows) == 1
+        for col in ("seed", "instance", "level", "h", "ratio_schauder",
+                    "ratio_intermediate", "ratio_l2", "energy_defect", "serrin_ratio",
+                    "pass"):
+            assert col in header
+    elif argv[0] == "sweep":
+        assert header == ["level", "h", "residual", "defect", "error_sup_vs_exact"]
+        assert [row[0] for row in rows] == ["0", "1"]
+        assert all(bool(row[4]) == (command == "sweep_exact") for row in rows)
+    else:
+        assert header == ["case", "n", "max_discrepancy", "observed_order"]
+        assert [row[:2] for row in rows] == [["0", "16"], ["0", "32"], ["1", "16"], ["1", "32"]]
+        assert [bool(row[3]) for row in rows] == [False, True, False, True]
+
+
+@pytest.mark.parametrize("domain", [["--domain", "interval", "--n", "32"],
+                                    ["--nr", "16", "--ntheta", "32"]])
+def test_solve_csv_has_one_numeric_row_per_node(tmp_path, domain):
+    assert run(["solve", "--f", "x", "--g", "0.5", "--compat", "project", *domain,
+                "--format", "csv", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "solve_report.csv"
+    assert "np." not in path.read_text()
+    header, *rows = numeric_csv(path)
+    mesh = (build_mesh(DomainSpec.interval(0.0, 1.0), 32) if "interval" in domain
+            else build_mesh(DomainSpec.disk(), (16, 32)))
+    assert header == ["x", "y"][:mesh.dim] + ["value", "is_boundary"]
+    assert [row[-1] for row in rows] == ["0"] * mesh.n_interior + ["1"] * mesh.n_boundary
+
+
+@pytest.mark.parametrize("fmt", ["csv", "both"])
+def test_report_csv_of_a_solve_report_exits_4(tmp_path, capsys, fmt):
+    assert run(["solve", "--f", "1", "--g", "0.5", "--nr", "8", "--ntheta", "16",
+                "--compat", "project", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "re"
+    assert run(["report", "--input", str(tmp_path / "solve_report.json"),
+                "--format", fmt, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "no CSV form" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+REPORT_KEYS = ["report", "config", "levels", "criteria", "cases", "observed_orders", "solve"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=10)
+# payloads shaped like the three kinds with a CSV form, their cells drawn at random
+numbers = st.none() | st.booleans() | st.integers() | st.floats()
+number_lists = st.lists(numbers, max_size=3)
+estimate_rows = st.fixed_dictionaries(
+    dict.fromkeys(("instance", "boundary_sup_gap", "ratio_schauder_0.5"), numbers))
+levels = st.fixed_dictionaries(dict.fromkeys(("h", "residual", "defect"), numbers),
+                               optional={"error_sup_vs_exact": numbers,
+                                         "rows": st.lists(estimate_rows, max_size=2)})
+shaped_payloads = st.fixed_dictionaries({}, optional={
+    "config": st.fixed_dictionaries({}, optional={"seed": numbers, "alpha_main": numbers}),
+    "levels": st.lists(levels, max_size=3),
+    "criteria": st.just([]),
+    "observed_orders": number_lists,
+    "cases": st.lists(st.fixed_dictionaries(dict.fromkeys(
+        ("n", "max_discrepancy", "observed_orders"), number_lists)), max_size=2)})
+report_payloads = (st.dictionaries(st.sampled_from(REPORT_KEYS), json_values, max_size=4)
+                   | shaped_payloads)
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(report_payloads, st.fixed_dictionaries({"report": report_payloads})))
+def test_report_csv_of_any_document_exits_0_or_4(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "doc.json"), os.path.join(tmp, "out")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["report", "--input", path, "--format", "csv", "--out", out])
+        err = err.getvalue()
+        assert code in (0, 4), err
+        assert err.count("error:") <= 1 and "Traceback" not in err
+        if code == 4:
+            assert not os.path.exists(out)
+        else:
+            numeric_csv(os.path.join(out, "doc.csv"))
+
+
 def test_report_strip_meta(tmp_path):
     run(["solve", "--f", "0", "--g", "0", "--nr", "8", "--ntheta", "16",
          "--out", str(tmp_path)])
@@ -413,7 +540,8 @@ def test_report_rerenders_estimate_csv(tmp_path):
 
 @pytest.mark.parametrize("case", ["report_directory", "report_not_utf8", "report_list",
                                   "report_csv_bad_levels", "report_of_a_number",
-                                  "problem_directory",
+                                  "report_huge_integer", "problem_directory",
+                                  "problem_huge_integer",
                                   "problem_not_utf8", "out_is_a_file"])
 def test_unreadable_files_exit_4(tmp_path, capsys, case):
     inputs, out = tmp_path / "in", tmp_path / "out"
@@ -422,6 +550,7 @@ def test_unreadable_files_exit_4(tmp_path, capsys, case):
     (inputs / "list.json").write_text("[1, 2]")
     (inputs / "levels.json").write_text('{"levels": 5}')
     (inputs / "number.json").write_text('{"report": 5}')
+    (inputs / "huge.json").write_text('{"levels": ' + "9" * 5000 + "}")
     (inputs / "taken").write_text("a regular file")
     before = sorted(os.listdir(inputs))
     argv = {
@@ -432,6 +561,8 @@ def test_unreadable_files_exit_4(tmp_path, capsys, case):
                                   "--format", "csv"],
         "report_of_a_number": ["report", "--input", str(inputs / "number.json"),
                                "--format", "csv"],
+        "report_huge_integer": ["report", "--input", str(inputs / "huge.json")],
+        "problem_huge_integer": ["solve", "--problem", str(inputs / "huge.json")],
         "problem_directory": ["solve", "--problem", str(inputs)],
         "problem_not_utf8": ["solve", "--problem", str(inputs / "latin1.json")],
         "out_is_a_file": ["solve", "--f", "1", "--g", "0.5", "--compat", "project",

@@ -1,6 +1,5 @@
 """Grid-function calculus: derivatives, integrals, conservation, linearity."""
 
-import io
 import tracemalloc
 
 import numpy as np
@@ -346,15 +345,3 @@ def test_nan_values_rejected(disk_mesh_small):
     vals[0] = np.nan
     with pytest.raises(ConfigError, match="contains NaN/Inf"):
         GridFunction(disk_mesh_small, vals, np.zeros(disk_mesh_small.n_boundary))
-
-
-def test_csv_serialization(interval_mesh, disk_mesh_small):
-    for mesh in (interval_mesh, disk_mesh_small):
-        u = GridFunction.constant(mesh, 1.5)
-        buf = io.StringIO()
-        u.to_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert len(lines) == 1 + mesh.n_interior + mesh.n_boundary
-        assert lines[0].endswith("value,is_boundary")
-        assert lines[-1].endswith(",1")
-

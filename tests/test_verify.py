@@ -283,15 +283,6 @@ def test_family_study_payload_does_not_depend_on_the_pair_strategy():
     assert payloads[0] == payloads[1]
 
 
-def test_family_study_csv_rows():
-    rep = run_family_study(_tiny_config())
-    rows = rep.csv_rows()
-    assert len(rows) == 2 * 2     # instances x levels
-    for col in ("seed", "level", "h", "ratio_schauder", "ratio_intermediate",
-                "ratio_l2", "energy_defect", "serrin_ratio"):
-        assert col in rows[0]
-
-
 def test_verify_config_rejects_bad_alphas():
     with pytest.raises(ConfigError):
         VerifyConfig(alphas=(0.3, 0.7), alpha_main=0.5)
