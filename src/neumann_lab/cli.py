@@ -129,11 +129,11 @@ def _report_rows(payload):
 def _csv_text(rows):
     """The CSV of a list of row dicts: the header is the union of their
     keys in first-seen order, a cell the repr of a plain int or float,
-    empty for a missing value or None.  None (no CSV form) and any other
-    cell are a ConfigError."""
-    if rows is None:
+    empty for a missing value or None.  None or no rows (no CSV form) and
+    any other cell are a ConfigError."""
+    if not rows:
         raise ConfigError("this report has no CSV form (verify, sweep and oracle1d "
-                          "reports have one)")
+                          "reports with at least one row have one)")
     cols = list(dict.fromkeys(key for row in rows for key in row))
     lines = [",".join(cols)]
     for row in rows:

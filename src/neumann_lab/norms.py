@@ -45,10 +45,10 @@ the leaf pairs:
   2013): it takes a queue of box pairs best first, ranked by the largest
   ratio of a bound to its running maximum, in batches, and just before
   each batch drops every pair whose bound cannot beat the running
-  maximum of any wanted entry.  Tiles drain in batches; each batch's
-  leaf pairs are bounded, merged into one carried queue and drained in
-  full batches, and a last drain empties it.  On smooth fields the
-  affine models leave only the pairs near the maximising configuration.
+  maximum of any entry.  Tiles drain in batches; each batch's leaf pairs
+  are bounded, merged into one carried queue and drained in full
+  batches, and a last drain empties it.  On smooth fields the affine
+  models leave only the pairs near the maximising configuration.
 
 Both strategies apply identical per-pair arithmetic, and a pair is
 dropped only when it cannot exceed a running maximum, so the returned
@@ -300,7 +300,7 @@ def _affine_bounds(models, lo, hi, p, q, dmin, alphas, rows):
 class _Sweep:
     """One call's nodes in leaf layout, its running maxima and work arrays."""
 
-    def __init__(self, coords, comps, alphas, period, wanted, order, rows):
+    def __init__(self, coords, comps, alphas, period, order, rows):
         n, self.dim = coords.shape
         order = _layout(coords) if order is None else order
         self.nleaf = -(-n // LEAF)
@@ -321,15 +321,15 @@ class _Sweep:
         self.vlo, self.vhi = low[self.dim:], high[self.dim:]    # (m, leaves) rows
         self.rows = rows        # the first row of each group
         self.group = np.repeat(np.arange(len(rows)), np.diff(rows, append=len(comps)))
-        self.alphas, self.period, self.wanted = alphas, period, wanted
-        self.best = np.full(wanted.shape, -np.inf)
-        self.witnesses = np.zeros(wanted.shape + (2,), dtype=int)
+        self.alphas, self.period = alphas, period
+        self.best = np.full((len(rows), len(alphas)), -np.inf)
+        self.witnesses = np.zeros(self.best.shape + (2,), dtype=int)
         self.pairs = 0
         self.models = None
         # leaf pairs bounded but not yet evaluated, best first, with their
         # (entries, pairs) bounds
         self.queue = (np.empty(0, dtype=int), np.empty(0, dtype=int),
-                      np.empty((wanted.size, 0)), np.empty(0))
+                      np.empty((self.best.size, 0)), np.empty(0))
         # work arrays for BATCH leaf pairs (or the upper triangles of BATCH
         # leaves), reused across batches: fresh arrays of this size cost
         # more in page faults than the arithmetic; one distance weight per
@@ -337,27 +337,23 @@ class _Sweep:
         size = LEAF * LEAF * min(BATCH, self.nleaf * (self.nleaf + 1) // 2)
         self.work = [np.empty(size) for _ in range(3 + len(alphas))]
 
-    def threshold(self):
-        """(entries, 1) running maxima of the wanted entries, inf for the others."""
-        return np.where(self.wanted, self.best, np.inf).reshape(-1, 1)
-
     def drain(self, queue, size, visit, least=1):
         """Visit queue = (p, q, bounds, keys) best first, highest key first,
         in batches of size; return the rest once fewer than least pairs may
         still beat a running maximum.  Just before each batch, a pair is
-        dropped once no wanted entry's bound exceeds its running maximum;
+        dropped once no entry's bound exceeds its running maximum;
         visit(p, q, live) gets the batch, with live the (groups,
         len(alphas)) entries any of its pairs may still beat.
         """
         scan = np.argsort(-queue[3], kind="stable")
         p, q, bound, key = (x[..., scan] for x in queue)
         while True:
-            alive = bound > self.threshold()
+            alive = bound > self.best.reshape(-1, 1)
             keep = alive.any(axis=0)
             p, q, bound, key, alive = p[keep], q[keep], bound[:, keep], key[keep], alive[:, keep]
             if len(p) < least:
                 return p, q, bound, key
-            visit(p[:size], q[:size], alive[:, :size].any(axis=1).reshape(self.wanted.shape))
+            visit(p[:size], q[:size], alive[:, :size].any(axis=1).reshape(self.best.shape))
             p, q, bound, key = p[size:], q[size:], bound[:, size:], key[size:]
 
     def bounds(self, lo, hi, vlo, vhi, models, p, q):
@@ -367,11 +363,11 @@ class _Sweep:
         A pair's bound is the smaller of the spread bound and, on the
         plane, the affine bound of models(), computed only for the pairs
         the spread bound keeps.  The key ranks pairs best first: the
-        largest ratio of a wanted entry's bound to its running maximum.
+        largest ratio of an entry's bound to its running maximum.
         """
         bound, dmin = _box_bounds(lo, hi, vlo, vhi, p, q, self.alphas, self.period, self.rows)
-        bound = np.moveaxis(bound, 0, -1).reshape(self.wanted.size, -1)
-        keep = (bound > self.threshold()).any(axis=0)
+        bound = np.moveaxis(bound, 0, -1).reshape(self.best.size, -1)
+        keep = (bound > self.best.reshape(-1, 1)).any(axis=0)
         p, q, bound = p[keep], q[keep], bound[:, keep]
         if self.period is None and len(p):
             models, dmin = models(), dmin[keep]
@@ -381,9 +377,9 @@ class _Sweep:
                 affine = _affine_bounds(models, lo, hi, p[part], q[part], dmin[part],
                                         self.alphas, self.rows)
                 np.fmin(bound[:, part], affine.reshape(len(bound), -1), out=bound[:, part])
-            keep = (bound > self.threshold()).any(axis=0)
+            keep = (bound > self.best.reshape(-1, 1)).any(axis=0)
             p, q, bound = p[keep], q[keep], bound[:, keep]
-        scale = np.where(self.wanted, np.maximum(self.best, np.finfo(float).tiny), np.inf)
+        scale = np.maximum(self.best, np.finfo(float).tiny)
         with np.errstate(over="ignore", invalid="ignore"):
             key = np.fmax.reduce(bound / scale.reshape(-1, 1), axis=0)
         return p, q, bound, key
@@ -402,7 +398,7 @@ class _Sweep:
         queue = tuple(np.concatenate(pair, axis=-1) for pair in zip(self.queue, fresh))
         self.queue = self.drain(queue, BATCH, self.evaluate, BATCH)
 
-    def evaluate(self, a, b, live):
+    def evaluate(self, a, b, live=None):
         """Exact quotients of the pairs of distinct leaves (a[i], b[i]).
 
         The (LEAF, LEAF, s) node pairs are broadcast from each side's
@@ -426,10 +422,10 @@ class _Sweep:
         # i and j are in range; mode="clip" lets take write into out unbuffered
         self._fold(lambda k, x, y: (self.cols[k].take(i, out=x, mode="clip"),
                                     self.cols[k].take(j, out=y, mode="clip")),
-                   i.shape, _UPPER, leaves, leaves, self.wanted)
+                   i.shape, _UPPER, leaves, leaves)
 
-    def _fold(self, sides, shape, slots, a, b, live):
-        """Fold a batch's quotients for the live entries into the running maxima.
+    def _fold(self, sides, shape, slots, a, b, live=None):
+        """Fold a batch's quotients for the live entries, all by default, into the maxima.
 
         sides(k, x, y) gives row k (an axis, then a component) of the
         pairs' two ends, broadcastable to shape, and may use the work
@@ -441,6 +437,7 @@ class _Sweep:
         its lexicographically smallest attaining node pair as the witness.
         """
         s, size = shape[-1], int(np.prod(shape))
+        live = np.ones(self.best.shape, dtype=bool) if live is None else live
         d2, tmp, dv, *w = (buf[:size].reshape(shape) for buf in self.work)
         np.subtract(*sides(0, tmp, dv), out=d2)
         if self.period is None:
@@ -506,21 +503,20 @@ def _leaf_pairs(p, q, nleaf):
 
 
 def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=None,
-                        wanted=None, order=None, groups=None):
+                        order=None, groups=None):
     """Maximum Holder quotients for several groups of components and exponents.
 
     coords: (n, d) node positions (with ``period`` set, coords[:, 0] is
     an arclength coordinate on a loop of that length).  comps: (m, n)
     sampled fields sharing those nodes.  groups: the row counts of
     consecutive groups of comps, one row each by default; a group's
-    quotient is the largest of its rows'.  wanted: optional (groups,
-    len(alphas)) mask of the entries to compute; the others stay -inf.
-    order: the ``_layout(coords)`` a mesh keeps, computed here when
-    unset.  Returns (best, witnesses, pairs_evaluated) where best has
-    shape (groups, len(alphas)) and witnesses holds the lexicographically
-    smallest attaining node-index pair per entry, over the group's rows,
-    taken inside the sweep from each batch that reaches the running
-    maximum.  ``brute_force`` runs plain loops with no bound, key or
+    quotient is the largest of its rows'.  order: the ``_layout(coords)``
+    a mesh keeps, computed here when unset.  Every (group, exponent)
+    entry is computed.  Returns (best, witnesses, pairs_evaluated) where
+    best has shape (groups, len(alphas)) and witnesses holds the
+    lexicographically smallest attaining node-index pair per entry, over
+    the group's rows, taken inside the sweep from each batch that reaches
+    the running maximum.  ``brute_force`` runs plain loops with no bound, key or
     queue; ``pruned`` walks tiles and leaf pairs with one best-first
     drain and skips leaf pairs that can only tie the maximum, so its
     witness ties may resolve differently.
@@ -542,9 +538,7 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
     if counts.sum() != len(comps) or (counts < 1).any():
         raise ConfigError(f"groups {counts.tolist()} do not partition {len(comps)} rows")
     rows = np.cumsum(counts) - counts
-    wanted = (np.ones((len(counts), len(alphas)), dtype=bool) if wanted is None
-              else np.asarray(wanted, dtype=bool))
-    sweep = _Sweep(coords, comps, alphas, period, wanted, order, rows)
+    sweep = _Sweep(coords, comps, alphas, period, order, rows)
     # every leaf's own pairs first, unbounded, so that the branch and
     # bound starts from a running maximum
     for s in range(0, sweep.nleaf, BATCH):
@@ -557,7 +551,7 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
         for s in range(0, len(tp), TILE_BATCH):
             la, lb = _leaf_pairs(tp[s:s + TILE_BATCH], tq[s:s + TILE_BATCH], sweep.nleaf)
             for t in range(0, len(la), BATCH):
-                sweep.evaluate(la[t:t + BATCH], lb[t:t + BATCH], wanted)
+                sweep.evaluate(la[t:t + BATCH], lb[t:t + BATCH])
     else:
         # a chunk's runs of columns, the last padded with the last column
         chunks = np.minimum(starts * LEAF + np.arange(TILE)[:, None], sweep.cols.shape[1] - 1)
@@ -619,7 +613,9 @@ def holder_reports(items, pair_strategy="pruned"):
     mesh builds once.  Each item's seminorm is its group's maximum, the
     largest over its rows, so it equals what a call for that item alone
     gives; its witness is the smallest attaining node pair over those
-    rows.  Returns one {alpha: HolderReport} dict per item.
+    rows.  A sweep computes every exponent any of its items asks for, for
+    every item.  Returns one {alpha: HolderReport} dict per item, over its
+    own exponents.
     """
     prepared, sets = [], {}
     for u, k, alphas in items:
@@ -638,10 +634,9 @@ def holder_reports(items, pair_strategy="pruned"):
         xy, per = _node_set(group[0][0])
         alphas = tuple(dict.fromkeys(a for *_, item_alphas in group for a in item_alphas))
         vals = np.vstack([top for _, _, top, _ in group])
-        wanted = np.array([np.isin(alphas, item_alphas) for *_, item_alphas in group])
         order = group[0][0].mesh.cached(("holder_layout", boundary), lambda: _layout(xy))
         best, wit, _ = pairwise_holder_max(xy, vals, alphas, strategy=pair_strategy,
-                                           period=per, wanted=wanted, order=order,
+                                           period=per, order=order,
                                            groups=[len(top) for _, _, top, _ in group])
         for ig, (i, (_, sup_norms, _, item_alphas)) in enumerate(zip(members, group)):
             reports = {}

@@ -442,8 +442,11 @@ def solve_1d_oracle(f_coeffs, g0, g1):
     """
     p = np.polynomial.Polynomial(np.asarray(f_coeffs, dtype=float))
     F = p.integ()                            # F(x) = int_0^x f
-    total = F(1.0)
-    scale = 1.0 + abs(total) + abs(g0) + abs(g1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = F(1.0)
+        scale = 1.0 + abs(total) + abs(g0) + abs(g1)
+    if not np.isfinite(scale):     # so integral(f) and g0 + g1 are finite below
+        raise ConfigError(f"1D data overflows: integral(f) = {total}, g0 = {g0}, g1 = {g1}")
     if abs(total - (g0 + g1)) > 1e-12 * scale:
         raise IncompatibleData(
             f"1D compatibility violated: integral(f) = {total:.6e}, "

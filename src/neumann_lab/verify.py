@@ -15,6 +15,7 @@ reproducible bit-for-bit from its recorded seed and configuration.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -137,6 +138,8 @@ class ProblemFamily:
     def instances(self):
         if self.count < 1:
             raise ConfigError("problem family needs at least one instance")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.kind == "random_trigonometric":
             return self._random_instances()
         if self.kind == "paper_special_cases":
@@ -192,33 +195,32 @@ def _ratio(num, den):
     return num / den
 
 
-def _ratio_terms(problems, pair_strategy="pruned"):
-    """(num, den) of the estimate ratios of (u, f, g, alphas) problems.
+def _ratio_terms(problems, alphas, pair_strategy="pruned"):
+    """(num, den) of the estimate ratios of (u, f, g) problems at each of alphas.
 
     All norms come from one holder_reports call; u is measured as given.
     Returns one dict per problem mapping ("schauder" | "intermediate" |
     "l2", alpha) to the pair _ratio turns into that ratio.
     """
-    items = [item for u, f, g, alphas in problems
+    items = [item for u, f, g in problems
              for item in ((f, 0, alphas), (g, 1, alphas), (u, 2, alphas))]
     reports = holder_reports(items, pair_strategy)
     out = []
-    for k, (u, _, _, alphas) in enumerate(problems):
+    for k, (u, _, _) in enumerate(problems):
         fb, gb, ub = reports[3 * k:3 * k + 3]
-        sup_u = float(np.abs(u.all_values()).max())
         l2_u = l2_norm(u)
         terms = {}
         for a in alphas:
             den = fb[a].total + gb[a].total
             terms["schauder", a] = (ub[a].total, den)
-            terms["intermediate", a] = (ub[a].total, sup_u + den)
+            terms["intermediate", a] = (ub[a].total, ub[a].sup_norms[0] + den)
             terms["l2", a] = (l2_u, den)
         out.append(terms)
     return out
 
 
 def _one_ratio(kind, u, f, g, alpha):
-    [terms] = _ratio_terms([(subtract_mean(u), f, g, (alpha,))])
+    [terms] = _ratio_terms([(subtract_mean(u), f, g)], (alpha,))
     return _ratio(*terms[kind, alpha])
 
 
@@ -452,8 +454,16 @@ def _serrin_center(mesh):
     return mesh.interior_xy[j]
 
 
-def _measure_instance(inst, mesh, config, check_scaling, with_holder):
-    """All per-instance measures on one mesh level."""
+def _measure_instance(inst, mesh, config, holder, pinned):
+    """One instance's row of measures on one mesh level.
+
+    Every level: the direct solve's defect and residual, the energy
+    defect, the Serrin ratios, the maximum-principle ratio and the
+    boundary sup gap.  A Holder level adds the estimate ratios, and on
+    instance 0 the scaling deviation of the doubled problem, whose norms
+    join the same sweeps.  The pinned level, the study's last, adds the
+    Fredholm agreement, its Krylov iterations and the uniqueness spread.
+    """
     alphas = tuple(config.alphas)
     f, g = inst.realize(mesh)
     direct = solve_neumann(f, g, strategy="direct_augmented", compat_policy="project")
@@ -463,19 +473,18 @@ def _measure_instance(inst, mesh, config, check_scaling, with_holder):
            "residual": direct.residual,
            "energy_defect": energy_identity_defect(u, f, g)}
 
-    if with_holder:
+    if holder:
         main = config.alpha_main
-        problems = [(u, f, g, alphas)]
-        if check_scaling:
-            # the doubled problem's norms join the same sweeps
+        problems = [(u, f, g)]
+        if inst.index == 0:
             scaled = solve_neumann(2.0 * f, 2.0 * g, compat_policy="project")
-            problems.append((subtract_mean(scaled.solution), 2.0 * f, 2.0 * g, (main,)))
-        terms = _ratio_terms(problems, config.pair_strategy)
+            problems.append((subtract_mean(scaled.solution), 2.0 * f, 2.0 * g))
+        terms = _ratio_terms(problems, alphas, config.pair_strategy)
         for a in alphas:
             row[f"ratio_schauder_{a}"] = _ratio(*terms[0]["schauder", a])
             row[f"ratio_intermediate_{a}"] = _ratio(*terms[0]["intermediate", a])
         row["ratio_l2"] = _ratio(*terms[0]["l2", main])
-        if check_scaling:
+        if inst.index == 0:
             r1 = row[f"ratio_schauder_{main}"]
             r2 = _ratio(*terms[1]["schauder", main])
             row["scaling_deviation"] = abs(r2 - r1) / (abs(r1) if r1 else 1.0)
@@ -490,18 +499,14 @@ def _measure_instance(inst, mesh, config, check_scaling, with_holder):
         float(np.abs(reg.solution.all_values()).max()) / sup_f if sup_f > 0 else 0.0)
 
     row["boundary_sup_gap"] = max(boundary_sup_gap(u, eps) for eps in config.eps_values)
-    return row, f, g, u
 
-
-def _agreement_measures(row, f, g, u_direct):
-    fred = solve_neumann(f, g, strategy="fredholm_iteration", compat_policy="project")
-    diff = np.abs((fred.solution - u_direct).all_values()).max()
-    sup = max(float(np.abs(u_direct.all_values()).max()), 1e-30)
-    row["agreement"] = float(diff) / sup
-    row["krylov_iterations"] = fred.iterations
-    pinned = solve_neumann_pinned(f, g, node=0, value=1.0, compat_policy="project")
-    dvals = (pinned.solution - u_direct).all_values()
-    row["uniqueness_std"] = float(np.std(dvals)) / sup
+    if pinned:
+        fred = solve_neumann(f, g, strategy="fredholm_iteration", compat_policy="project")
+        sup = max(float(np.abs(u.all_values()).max()), 1e-30)
+        row["agreement"] = float(np.abs((fred.solution - u).all_values()).max()) / sup
+        row["krylov_iterations"] = fred.iterations
+        fixed = solve_neumann_pinned(f, g, node=0, value=1.0, compat_policy="project")
+        row["uniqueness_std"] = float(np.std((fixed.solution - u).all_values())) / sup
     return row
 
 
@@ -585,25 +590,18 @@ def run_family_study(config):
             _check_ball(mesh, _serrin_center(mesh), max(config.serrin_radii), ConfigError)
 
     levels = []
-    for lvl, (res, with_holder) in enumerate(ladder):
+    for lvl, (res, holder) in enumerate(ladder):
         mesh, meshes[lvl] = meshes[lvl], None   # a finished level's factors can go
         h = mesh.h if mesh.dim == 1 else mesh.h_s
-
-        def measure(inst, _mesh=mesh, _lvl=lvl, _holder=with_holder):
-            row, f, g, u = _measure_instance(
-                inst, _mesh, config, check_scaling=(inst.index == 0),
-                with_holder=_holder)
-            if _lvl == pinned_level:
-                row = _agreement_measures(row, f, g, u)
-            return row
-
+        measure = functools.partial(_measure_instance, mesh=mesh, config=config,
+                                    holder=holder, pinned=lvl == pinned_level)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(measure, instances))
         else:
             rows = [measure(inst) for inst in instances]
         levels.append({"resolution": [int(v) for v in np.atleast_1d(res)],
-                       "h": float(h), "holder": with_holder, "rows": rows})
+                       "h": float(h), "holder": holder, "rows": rows})
     criteria = evaluate_criteria(levels, config, pinned_level)
     return EstimateReport(config=config.to_json(), levels=levels,
                           criteria=criteria,

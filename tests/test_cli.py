@@ -209,9 +209,12 @@ def test_huge_rung_exits_4_before_allocating(tmp_path, capsys, args):
     ["oracle1d", "--f-coeffs", "abc"],
     ["oracle1d", "--f-coeffs", "1", "--g0", "nan", "--g1", "0.5"],
     ["oracle1d", "--levels", "0"],
+    # integral(f) is finite, the compatibility scale overflows (no RuntimeWarning)
+    ["oracle1d", "--n", "4", "--f-coeffs", "1e308,1e308", "--g0", "1e308", "--g1", "1e308"],
     ["sweep", "--f", "1", "--g", "0.5", "--levels", "0"],
     ["sweep", "--f", "1", "--g", "0.5", "--levels", "-1"],
     ["verify", "--count", "1", "--levels", "1", "--no-pinned", "--radius", "1e300"],
+    ["verify", "--seed", "-1", "--count", "1", "--levels", "1", "--no-pinned"],
     # domains outside the scale range
     ["solve", "--f", "1", "--g", "0.5", "--radius", "1e300"],
     ["solve", "--domain", "interval", "--a=-1e308", "--b=1e308", "--n", "16",
@@ -475,7 +478,19 @@ def test_report_csv_of_a_solve_report_exits_4(tmp_path, capsys, fmt):
     assert not out.exists()
 
 
-REPORT_KEYS = ["report", "config", "levels", "criteria", "cases", "observed_orders", "solve"]
+@pytest.mark.parametrize("doc", [
+    {"cases": []},
+    {"report": {"config": {"seed": 0}, "levels": [], "criteria": [], "passed": True}}])
+def test_report_csv_of_a_report_with_no_rows_exits_4(tmp_path, capsys, doc):
+    path, out = tmp_path / "doc.json", tmp_path / "out"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["report", "--input", str(path), "--format", "csv", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "no CSV form" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+REPORT_KEYS =["report", "config", "levels", "criteria", "cases", "observed_orders", "solve"]
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,

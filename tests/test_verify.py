@@ -295,12 +295,30 @@ def test_stacked_scaling_check_matches_schauder_ratio():
     config = _tiny_config(alphas=(0.3, 0.5))
     mesh = build_mesh(config.domain, (8, 32))
     inst = ProblemFamily(seed=3, count=1).instances()[0]
-    row, f, g, u = _measure_instance(inst, mesh, config, check_scaling=True,
-                                     with_holder=True)
+    row = _measure_instance(inst, mesh, config, holder=True, pinned=False)
+    f, g = inst.realize(mesh)
     scaled = solve_neumann(2.0 * f, 2.0 * g, compat_policy="project").solution
     r1 = row["ratio_schauder_0.5"]
     r2 = schauder_ratio(scaled, 2.0 * f, 2.0 * g, 0.5)
     assert row["scaling_deviation"] == abs(r2 - r1) / abs(r1)
+
+
+def test_family_study_stacks_each_instance_into_one_sweep_per_node_set(monkeypatch):
+    calls = []
+    kernel = norms.pairwise_holder_max
+
+    def traced(xy, comps, *a, **kw):
+        best, wit, pairs = kernel(xy, comps, *a, **kw)
+        calls.append((len(comps), best))
+        return best, wit, pairs
+
+    monkeypatch.setattr(norms, "pairwise_holder_max", traced)
+    run_family_study(_tiny_config(alphas=(0.3, 0.5, 0.7), threads=1))
+    # per rung, one volume and one loop sweep per instance: instance 0
+    # stacks f, u'' and the doubled problem's rows, the other f and u''
+    assert [rows for rows, _ in calls] == [10, 2, 5, 1] * 2
+    # every (group, exponent) entry is computed, the doubled problem's too
+    assert all(np.isfinite(best).all() for _, best in calls)
 
 
 def test_schauder_ratio_sweeps_each_node_set_once(monkeypatch, disk_mesh_small):
