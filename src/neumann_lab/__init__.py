@@ -14,10 +14,9 @@ __version__ = "0.1.0"
 from .domain import DomainSpec, Mesh, build_mesh, distance_to_boundary
 from .errors import (BallNotContained, ConfigError, DegenerateData,
                      DegenerateInput, EvalDomainError, ExprSyntaxError,
-                     IncompatibleData, InvalidExponent, LinearSolveFailure,
-                     MeshMismatch, NeumannLabError, NonConvergence,
-                     NonPositiveRadius, NonZeroMeanInput, ResolutionTooSmall,
-                     UnknownIdentifier)
+                     IncompatibleData, LinearSolveFailure, MeshMismatch,
+                     NeumannLabError, NonConvergence, NonPositiveRadius,
+                     NonZeroMeanInput, ResolutionTooSmall, UnknownIdentifier)
 from .field import (BoundaryFunction, GridFunction, boundary_trace, gradient,
                     integrate_boundary, integrate_volume, laplacian, mean,
                     normal_derivative, subtract_mean)

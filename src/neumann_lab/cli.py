@@ -30,7 +30,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, norms, solver
+from . import __version__, solver
 from .domain import DomainSpec, build_mesh, check_mesh_size
 from .errors import (ConfigError, EvalDomainError, ExprSyntaxError,
                      IncompatibleData, LinearSolveFailure, NeumannLabError,
@@ -198,14 +198,15 @@ def _star_domain(text):
 
 
 def _resolution_from_args(args, spec, file_res):
+    """The resolution flags', else the problem file's, else the default
+    resolution.  A 0 in a flag or the file counts as given (build_mesh
+    rejects it), not as absent."""
     if spec.dim == 1:
-        return args.n or (file_res if isinstance(file_res, int) else None) or 128
-    if args.nr or args.ntheta:
-        nr = args.nr or 64
-        return (nr, args.ntheta or 2 * nr)
-    if file_res is not None:
-        return file_res
-    return (64, 128)
+        return next(n for n in (args.n, file_res, 128) if n is not None)
+    if args.nr is not None or args.ntheta is not None:
+        nr = 64 if args.nr is None else args.nr
+        return (nr, 2 * nr if args.ntheta is None else args.ntheta)
+    return (64, 128) if file_res is None else file_res
 
 
 def _read_json_object(path, what):
@@ -318,17 +319,13 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
-    if args.count < 1:
-        raise ConfigError("verify needs --count >= 1 (zero-instance family rejected)")
-    if args.levels < 1:
-        raise ConfigError("verify needs --levels >= 1")
     domain, _ = _domain_from_args(args, {})
     if domain.dim == 1:
         resolutions = tuple(args.n0 * 2**k for k in range(args.levels))
         pinned = 128
     else:
         resolutions = tuple((args.nr0 * 2**k, args.ntheta0 * 2**k) for k in range(args.levels))
-        pinned = (64, 256)
+        pinned = VerifyConfig.pinned_resolution
     try:
         alphas = tuple(float(a) for a in args.alphas.split(","))
     except ValueError:
@@ -337,8 +334,7 @@ def cmd_verify(args):
     config = VerifyConfig(domain=domain, family_kind=args.family, count=args.count,
                           seed=args.seed, resolutions=resolutions,
                           pinned_resolution=None if args.no_pinned else pinned, alphas=alphas,
-                          alpha_main=args.alpha, pair_strategy=args.pair_strategy,
-                          threads=args.threads)
+                          alpha_main=args.alpha, threads=args.threads)
     t0 = time.perf_counter()
     report = run_family_study(config)
     wall = time.perf_counter() - t0
@@ -477,29 +473,31 @@ def build_parser():
     p.add_argument("--g", help="boundary flux expression")
     p.add_argument("--strategy", choices=solver.STRATEGIES)
     p.add_argument("--compat", choices=("reject", "project"))
-    p.add_argument("--tol-linear", type=float, default=1e-10)
-    p.add_argument("--tol-compat", type=float, default=1e-8)
+    p.add_argument("--tol-linear", type=float, default=solver.DEFAULT_LINEAR_TOL)
+    p.add_argument("--tol-compat", type=float, default=solver.DEFAULT_COMPAT_TOL)
     p.add_argument("--exact", help="exact mean-zero solution expression (for error reporting)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="run the estimate-verification suite")
     _add_shape_flags(p)
-    p.add_argument("--family", default="random_trigonometric",
-                   choices=("random_trigonometric", "paper_special_cases",
-                            "manufactured_polynomial"))
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--levels", type=int, default=3, help="ladder rungs (default 3)")
-    p.add_argument("--nr0", type=int, default=12, help="coarsest radial cells")
-    p.add_argument("--ntheta0", type=int, default=48, help="coarsest angular cells")
+    p.add_argument("--family", default=VerifyConfig.family_kind,
+                   choices=("random_trigonometric", "paper_special_cases"))
+    p.add_argument("--count", type=int, default=VerifyConfig.count)
+    p.add_argument("--seed", type=int, default=VerifyConfig.seed)
+    p.add_argument("--levels", type=int, default=len(VerifyConfig.resolutions),
+                   help="ladder rungs (default %(default)s)")
+    p.add_argument("--nr0", type=int, default=VerifyConfig.resolutions[0][0],
+                   help="coarsest radial cells")
+    p.add_argument("--ntheta0", type=int, default=VerifyConfig.resolutions[0][1],
+                   help="coarsest angular cells")
     p.add_argument("--n0", type=int, default=16, help="coarsest 1D cells")
     p.add_argument("--no-pinned", action="store_true",
                    help="skip the extra pinned level at n_r = 64")
-    p.add_argument("--alphas", default="0.3,0.5,0.7")
-    p.add_argument("--alpha", type=float, default=0.5, help="exponent for the L2 ratio")
-    p.add_argument("--pair-strategy", choices=norms.STRATEGIES, default="pruned")
-    p.add_argument("--threads", type=int, default=0,
+    p.add_argument("--alphas", default=",".join(map(str, VerifyConfig.alphas)))
+    p.add_argument("--alpha", type=float, default=VerifyConfig.alpha_main,
+                   help="exponent for the L2 ratio")
+    p.add_argument("--threads", type=int, default=VerifyConfig.threads,
                    help="instance parallelism (0: NEUMANN_LAB_THREADS or 1)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_verify)

@@ -57,10 +57,6 @@ class BallNotContained(NeumannLabError):
     """Requested ball sticks out of the computational domain."""
 
 
-class InvalidExponent(NeumannLabError):
-    """Integrability exponent outside the admissible range."""
-
-
 class ConfigError(NeumannLabError):
     """Run configuration is inconsistent or unusable."""
 

@@ -24,8 +24,7 @@ import numpy as np
 
 from .domain import (MAX_NODES, DomainSpec, build_mesh, check_mesh_size, distance_to_boundary,
                      mesh_nodes)
-from .errors import (BallNotContained, ConfigError, DegenerateData,
-                     IncompatibleData, InvalidExponent)
+from .errors import BallNotContained, ConfigError, DegenerateData, IncompatibleData
 from .expr import parse
 from .field import (BoundaryFunction, GridFunction, boundary_trace, gradient,
                     integrate_boundary, integrate_volume, mean, subtract_mean)
@@ -123,11 +122,10 @@ class FamilyInstance:
 class ProblemFamily:
     """Generator of problem instances.
 
-    Kinds: ``random_trigonometric`` (low trigonometric modes with
-    amplitudes uniform in [-1, 1]; compatibility is
-    restored by projection at solve time), ``paper_special_cases``
-    (the canonical quadratic-disk data and the zero problem), and
-    ``manufactured_polynomial`` (data of the manufactured catalog).
+    Two kinds: ``random_trigonometric`` (low trigonometric modes with
+    amplitudes uniform in [-1, 1]; compatibility is restored by
+    projection at solve time) and ``paper_special_cases`` (the canonical
+    quadratic-disk data and the zero problem).
     """
 
     kind: str = "random_trigonometric"
@@ -144,14 +142,7 @@ class ProblemFamily:
             return self._random_instances()
         if self.kind == "paper_special_cases":
             fixed = [FamilyInstance(0, "1", "0.5"), FamilyInstance(1, "0", "0")]
-            return fixed[:max(1, min(self.count, len(fixed)))]
-        if self.kind == "manufactured_polynomial":
-            names = ("disk_quadratic_centered", "disk_quadratic")
-            out = []
-            for i in range(min(self.count, len(names))):
-                case = MANUFACTURED_CASES[names[i]]
-                out.append(FamilyInstance(i, case.f_expr, "0.5"))
-            return out
+            return fixed[:self.count]
         raise ConfigError(f"unknown family kind {self.kind!r}")
 
     def _random_instances(self):
@@ -195,7 +186,7 @@ def _ratio(num, den):
     return num / den
 
 
-def _ratio_terms(problems, alphas, pair_strategy="pruned"):
+def _ratio_terms(problems, alphas):
     """(num, den) of the estimate ratios of (u, f, g) problems at each of alphas.
 
     All norms come from one holder_reports call; u is measured as given.
@@ -204,7 +195,7 @@ def _ratio_terms(problems, alphas, pair_strategy="pruned"):
     """
     items = [item for u, f, g in problems
              for item in ((f, 0, alphas), (g, 1, alphas), (u, 2, alphas))]
-    reports = holder_reports(items, pair_strategy)
+    reports = holder_reports(items)
     out = []
     for k, (u, _, _) in enumerate(problems):
         fb, gb, ub = reports[3 * k:3 * k + 3]
@@ -224,9 +215,9 @@ def _one_ratio(kind, u, f, g, alpha):
     return _ratio(*terms[kind, alpha])
 
 
-def l2_lemma_ratio(u, f, g, alpha=0.5):
-    """||u - mean||_L2 over the Holder data norms."""
-    return _one_ratio("l2", u, f, g, alpha)
+def l2_lemma_ratio(u, f, g):
+    """||u - mean||_L2 over the Holder data norms at alpha = 0.5."""
+    return _one_ratio("l2", u, f, g, 0.5)
 
 
 def schauder_ratio(u, f, g, alpha):
@@ -249,18 +240,16 @@ def _check_ball(mesh, center, radius, error):
                     f"sampled boundary distance {dist:.4f} minus one cell")
 
 
-def serrin_local_ratio(u, f, center, radius, p=None):
-    """sup over B(center, R) of |u| against local L2 and global Lp data.
+def serrin_local_ratio(u, f, center, radius):
+    """sup over B(center, R) of |u| against local L2 and global Lp data,
+    with p = N + 1 (N the dimension, so p > N/2).
 
     Requires B(center, 2R) inside the domain (sampled boundary distance
-    with a one-cell margin).  p defaults to dimension + 1.
+    with a one-cell margin).
     """
     mesh = u.mesh
     ndim = mesh.dim
-    if p is None:
-        p = ndim + 1
-    if p <= ndim / 2.0:
-        raise InvalidExponent(f"need p > N/2 = {ndim / 2}, got {p}")
+    p = ndim + 1
     center = np.atleast_1d(np.asarray(center, dtype=float))
     _check_ball(mesh, center, radius, BallNotContained)
     d = np.linalg.norm(mesh.interior_xy - center[None, :], axis=1)
@@ -400,6 +389,11 @@ class VerifyConfig:
     size (energy defect, maximum principle, strategy agreement,
     uniqueness).  Angular resolution runs at four times the radial one
     to balance the error contributions of the two directions.
+    ``family_kind`` names a ProblemFamily kind and ``alpha_main`` one of
+    ``alphas``: the exponent of the L2 ratio and of the scaling check.
+    Holder maxima are always taken by the pruned sweep, which equals the
+    all-pairs one bitwise, so ``to_json`` records ``"pair_strategy":
+    "pruned"`` as it records ``"serrin_p": None`` (p = N + 1).
     """
 
     domain: DomainSpec = dc_field(default_factory=DomainSpec.disk)
@@ -412,7 +406,6 @@ class VerifyConfig:
     alpha_main: float = 0.5
     serrin_radii: tuple = (0.1, 0.2)
     eps_values: tuple = (0.05, 0.1)
-    pair_strategy: str = "pruned"
     threads: int = 0                # 0: honor NEUMANN_LAB_THREADS, default 1
 
     def __post_init__(self):
@@ -440,7 +433,7 @@ class VerifyConfig:
             "alphas": list(self.alphas), "alpha_main": self.alpha_main,
             "serrin_radii": list(self.serrin_radii), "serrin_p": None,
             "eps_values": list(self.eps_values),
-            "pair_strategy": self.pair_strategy,
+            "pair_strategy": "pruned",
             "max_principle_bound": MAX_PRINCIPLE_BOUND,
         }
 
@@ -479,7 +472,7 @@ def _measure_instance(inst, mesh, config, holder, pinned):
         if inst.index == 0:
             scaled = solve_neumann(2.0 * f, 2.0 * g, compat_policy="project")
             problems.append((subtract_mean(scaled.solution), 2.0 * f, 2.0 * g))
-        terms = _ratio_terms(problems, alphas, config.pair_strategy)
+        terms = _ratio_terms(problems, alphas)
         for a in alphas:
             row[f"ratio_schauder_{a}"] = _ratio(*terms[0]["schauder", a])
             row[f"ratio_intermediate_{a}"] = _ratio(*terms[0]["intermediate", a])
@@ -561,8 +554,6 @@ def _first_passing_n(domain, res, gap, eps):
 
 def run_family_study(config):
     """Run every measure over the configured family and ladder."""
-    if config.count < 1:
-        raise ConfigError("family study needs count >= 1")
     if len(config.resolutions) < 1:
         raise ConfigError("family study needs at least one level")
     workers = _worker_count(config)

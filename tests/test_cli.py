@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neumann_lab import verify
+from neumann_lab import cli, verify
 from neumann_lab.cli import main
 from neumann_lab.domain import DomainSpec, build_mesh
 from neumann_lab.errors import ConfigError
@@ -158,10 +158,6 @@ def test_verify_degraded_single_level(tmp_path, capsys):
     assert doc["report"]["passed"] is True
 
 
-def test_verify_zero_instances_exits_4(tmp_path):
-    assert run(["verify", "--count", "0", "--out", str(tmp_path)]) == 4
-
-
 @pytest.mark.parametrize("flags", [["--alphas", "0.5,abc"],
                                    ["--alphas", "0.3,0.7", "--alpha", "0.5"],
                                    ["--alphas", "0.5,1.5"],
@@ -173,10 +169,12 @@ def test_verify_bad_alphas_exit_4(tmp_path, flags):
 
 @pytest.mark.parametrize("args", [["solve", "--strategy", "regularized", "--f", "1",
                                    "--g", "0.5"],
-                                  ["verify", "--pair-strategy", "exact"]])
+                                  ["verify", "--family", "manufactured_polynomial"],
+                                  ["verify", "--pair-strategy", "pruned"]])
 def test_bad_flag_value_exits_4(tmp_path, capsys, args):
     assert run(args + ["--out", str(tmp_path)]) == 4
     assert "usage:" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 @pytest.mark.parametrize("coeffs", ["[1]", '{"cos": 3}'])
@@ -223,12 +221,47 @@ def test_huge_rung_exits_4_before_allocating(tmp_path, capsys, args):
     ["solve", "--domain", "interval", "--b=1e-200", "--n", "16", "--f", "1", "--g", "0.5"],
     ["solve", "--f", "1", "--g", "0.5", "--radius", "1e100"],
     ["solve", "--domain", "star", "--radius-coeffs", '{"a0": 1, "cos": [1e31]}',
-     "--f", "1", "--g", "0.5"]])
+     "--f", "1", "--g", "0.5"],
+    ["verify", "--count", "0"],
+    ["verify", "--count", "-1"],
+    ["verify", "--levels", "0"],
+    ["verify", "--levels", "-1"],
+    # a zero resolution is given, not absent
+    ["solve", "--f", "1", "--g", "0.5", "--nr", "0"],
+    ["solve", "--f", "1", "--g", "0.5", "--ntheta", "0"],
+    ["solve", "--domain", "interval", "--n", "0", "--f", "1", "--g", "0.5"],
+    ["sweep", "--f", "1", "--g", "0.5", "--nr", "0", "--levels", "1"]])
 def test_bad_value_exits_4_without_traceback(tmp_path, capsys, args):
-    assert run(args + ["--nr", "8", "--ntheta", "16"] * (args[0] in ("solve", "sweep"))
-               + ["--out", str(tmp_path)]) == 4
+    # a case's own resolution flags come last, so they override these
+    res = ["--nr", "8", "--ntheta", "16"] * (args[0] in ("solve", "sweep"))
+    assert run(args[:1] + res + args[1:] + ["--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert "bad configuration" in err and "Traceback" not in err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("command", [["solve"], ["sweep", "--levels", "1"]])
+def test_zero_resolution_in_an_interval_problem_file_exits_4(tmp_path, capsys, command):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"domain": {"kind": "interval", "resolution": 0},
+                                "f": "1", "g": "0.5"}))
+    out = tmp_path / "out"
+    assert run(command + ["--problem", str(path), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "bad configuration" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_verify_flag_defaults_are_the_config_defaults(tmp_path, monkeypatch):
+    captured = []
+
+    def capture(config):
+        captured.append(config)
+        raise ConfigError("captured")
+
+    monkeypatch.setattr(cli, "run_family_study", capture)
+    assert run(["verify", "--out", str(tmp_path)]) == 4
+    assert [c.to_json() for c in captured] == [verify.VerifyConfig().to_json()]
     assert not os.listdir(tmp_path)
 
 
