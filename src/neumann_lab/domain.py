@@ -33,6 +33,8 @@ MIN_NODES_1D = 4
 MIN_RADIAL = 4
 MIN_ANGULAR = 8
 DISTANCE_BLOCK = 2**15    # doubles per tile of distance_to_boundary (256 KiB)
+DISTANCE_SLACK = 1e-9     # relative margin of distance_to_boundary's bounds
+NODE_BLOCK = 32           # boundary nodes per bound of distance_to_boundary
 # Largest mesh a configuration may ask for: 14x the 37,248 nodes of the
 # (96, 384) level.  It is checked from the resolution alone, so a larger
 # rung is refused before any mesh, operator or factor is built.
@@ -274,7 +276,10 @@ class Mesh:
 
     @property
     def interior_depth(self):
-        """Sampled boundary distance of every interior node, computed once."""
+        """Sampled boundary distance of every interior node, computed once:
+        bitwise the scan of every boundary node, from O(1) node distances
+        per point on a disk and the node blocks a bound admits on a star
+        (``distance_to_boundary``)."""
         return self.cached("interior_depth",
                            lambda: distance_to_boundary(self, self.interior_xy))
 
@@ -395,31 +400,107 @@ def _build_star(spec, n_r, n_theta):
 def distance_to_boundary(mesh, points):
     """Sampled distance from points to the boundary node set.
 
-    For intervals this is exact; for star-shaped domains it is the
-    minimum distance to the boundary nodes, accurate to O(boundary
-    spacing).  Callers add a one-cell safety margin where it matters.
+    For intervals this is exact; for star-shaped domains it is the least
+    sqrt((px - bx)^2 + (py - by)^2) over the boundary nodes b, accurate
+    to O(boundary spacing).  Callers add a one-cell safety margin where
+    it matters.
+
+    The result is bitwise that minimum, but a point evaluates only the
+    nodes that a bound cannot rule out (bound and prune: Friedman,
+    Bentley & Finkel, ACM TOMS 3(3), 1977).  With p at radius rho and
+    angle phi, and node k at radius R_k and angle theta_k,
+        |p - b_k|^2 = (rho - R_k)^2 + 4 rho R_k sin^2((phi - theta_k) / 2).
+    A node m angular steps from k0, the node nearest phi, is at least
+    (m - 1/2) h_theta from phi in angle.  So every node of a set with
+    radii in [R_lo, R_hi], whose nearest member to k0 is m steps away,
+    lies at least
+        max(R_lo - rho, rho - R_hi, 0)^2 + 4 rho R_lo sin^2((m - 1/2) h_theta / 2)
+    from p, the sine term being 0 for m = 0.  A point first takes
+    |p - b_k0|^2 and stops there if the bound over all other nodes
+    (m = 1) exceeds it.  On a disk every interior node stops there, O(1)
+    work per point, but for the innermost rings once n_theta^2 n_r
+    passes about 1.5e9, where the margin below outgrows the sine term.
+    Otherwise a point scans, block by block of NODE_BLOCK nodes, each
+    block whose own bound does not exceed its least squared distance so
+    far.  Radii, angles and comparisons carry a relative margin
+    DISTANCE_SLACK, far above their rounding errors on any mesh of at
+    most MAX_NODES, so a node left out is farther than a scanned one in
+    floating point as well: the scanned nodes hold the argmin of a scan
+    of every node.  A point with a NaN coordinate is at distance NaN
+    and any other non-finite point at inf, as that scan gives.  Points
+    go in blocks of DISTANCE_BLOCK // 4 and tiles hold at most
+    DISTANCE_BLOCK doubles.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if mesh.dim == 1:
         return np.minimum(pts[:, 0] - mesh.spec.a, mesh.spec.b - pts[:, 0])
-    # A tile is boundary nodes x query points, the points on the contiguous
-    # axis, and holds at most DISTANCE_BLOCK doubles: 8 boundary nodes by
-    # DISTANCE_BLOCK // 8 points, or more boundary nodes for fewer points.
-    bx, by = mesh.boundary_xy[:, :1], mesh.boundary_xy[:, 1:]
-    width = max(1, min(len(pts), DISTANCE_BLOCK // 8))     # query points per tile
-    height = DISTANCE_BLOCK // width                       # boundary nodes per tile
-    d2_tile, dy_tile = np.empty((height, width)), np.empty((height, width))
-    d2min = np.full(len(pts), np.inf)
-    for start in range(0, len(pts), width):
-        px, py = pts[start:start + width].T.copy()
-        best = d2min[start:start + len(px)]
-        for k in range(0, len(bx), height):
-            d2 = d2_tile[:len(bx[k:k + height]), :len(px)]
-            dy = dy_tile[:len(d2), :len(px)]
-            np.subtract(px, bx[k:k + height], out=d2)
-            d2 *= d2
-            np.subtract(py, by[k:k + height], out=dy)
-            dy *= dy
-            d2 += dy
-            np.minimum(best, d2.min(axis=0), out=best)
-    return np.sqrt(d2min)
+    bx, by = mesh.boundary_xy.T
+    n, h = len(bx), mesh.h_theta
+    radius = np.hypot(bx, by)
+    first = np.arange(0, n, NODE_BLOCK)                  # first node of each node block
+    r_lo = np.minimum.reduceat(radius, first) * (1 - DISTANCE_SLACK)
+    r_hi = np.maximum.reduceat(radius, first) * (1 + DISTANCE_SLACK)
+    # sin^2 of half the least angle to a node m = 0, ..., n // 2 steps from k0
+    m = np.arange(n // 2 + 1)
+    sine = np.sin(np.maximum(m - 0.5, 0.0) * (0.5 * h * (1 - DISTANCE_SLACK))) ** 2
+    # reach[k0 - a + n]: sine of the node of a, ..., a + NODE_BLOCK - 1
+    # (mod n) nearest to k0, a bound for the nodes of a shorter last block too
+    off = np.arange(2 * n) % n
+    reach = sine[np.where(off < NODE_BLOCK, 0, np.minimum(n - off, off - NODE_BLOCK + 1))]
+    x, y = pts[:, 0], pts[:, 1]
+    d2 = np.where(np.isnan(x) | np.isnan(y), np.nan, np.inf)
+    finite = np.flatnonzero(np.isfinite(x) & np.isfinite(y))
+    for start in range(0, len(finite), DISTANCE_BLOCK // 4):
+        block = finite[start:start + DISTANCE_BLOCK // 4]
+        px, py = x[block], y[block]
+        rho = np.hypot(px, py)
+        k0 = np.rint(np.arctan2(py, px) / h).astype(np.intp) % n
+        best = _squared_distance(px, py, bx[k0], by[k0])
+        # the points that a node other than k0 may be nearer to, by the
+        # bound over all nodes
+        wide = np.flatnonzero(_bound(rho, r_lo.min(), r_hi.max(), sine[1])
+                              <= best * (1 + DISTANCE_SLACK))
+        d2[block] = best
+        if not len(wide):
+            continue
+        px, py, rho, k0, near = px[wide], py[wide], rho[wide], k0[wide], best[wide]
+        # they scan each node block whose own bound does not exceed their best
+        for a, lo, hi in zip(first, r_lo, r_hi):
+            sel = np.flatnonzero(_bound(rho, lo, hi, reach[k0 + (n - a)])
+                                 <= near * (1 + DISTANCE_SLACK))
+            if len(sel):
+                nodes = slice(a, a + NODE_BLOCK)
+                near[sel] = np.minimum(near[sel], _scan(px[sel], py[sel], bx[nodes], by[nodes]))
+        d2[block[wide]] = near
+    return np.sqrt(d2)
+
+
+def _bound(rho, lo, hi, sine):
+    """Least squared distance from points at radius rho to nodes with radii
+    in [lo, hi] whose angle from the points has sin^2(angle / 2) >= sine,
+    the points' radii widened by the relative margin DISTANCE_SLACK."""
+    gap = np.maximum(np.maximum(lo - rho * (1 + DISTANCE_SLACK),
+                                rho * (1 - DISTANCE_SLACK) - hi), 0.0)
+    return gap * gap + 4.0 * lo * rho * sine
+
+
+def _scan(px, py, bx, by):
+    """Least squared distance from each point to every node of bx, by, in
+    tiles of at most DISTANCE_BLOCK doubles: rows of nodes by the points."""
+    height = max(1, DISTANCE_BLOCK // len(px))
+    best = np.full(len(px), np.inf)
+    for k in range(0, len(bx), height):
+        rows = slice(k, k + height)
+        d2 = _squared_distance(px, py, bx[rows, None], by[rows, None])
+        np.minimum(best, d2.min(axis=0), out=best)
+    return best
+
+
+def _squared_distance(px, py, bx, by):
+    """(px - bx)^2 + (py - by)^2, broadcast: the one distance expression."""
+    d2 = px - bx
+    d2 *= d2
+    dy = py - by
+    dy *= dy
+    d2 += dy
+    return d2

@@ -161,8 +161,15 @@ def _layout(coords):
     pts = np.ascontiguousarray(coords.T)
     rank = np.empty((d, n), dtype=np.int64)
     for a in range(d):
-        # primary coordinate a, then the others last first, then node index
-        rank[a, np.lexsort((*np.delete(pts, a, axis=0), pts[a]))] = np.arange(n)
+        # primary coordinate a, then the others last first, then node index;
+        # in the plane a stable sort of the complex keys x + iy and y + ix
+        # (real part first, then imaginary part) gives that order for finite
+        # coordinates, in less than half the time of lexsort
+        if d == 2:
+            order = np.argsort(pts[a] + 1j * pts[1 - a], kind="stable")
+        else:
+            order = np.lexsort((*np.delete(pts, a, axis=0), pts[a]))
+        rank[a, order] = np.arange(n)
     order = _kd_split(pts, rank, np.arange(n), np.zeros(1, dtype=np.int64), TILE)
     return _kd_split(pts, rank, order, np.arange(0, n, TILE), LEAF)
 
@@ -507,7 +514,8 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
     """Maximum Holder quotients for several groups of components and exponents.
 
     coords: (n, d) node positions (with ``period`` set, coords[:, 0] is
-    an arclength coordinate on a loop of that length).  comps: (m, n)
+    an arclength coordinate on a loop of that length), all finite, or
+    a ConfigError is raised.  comps: (m, n)
     sampled fields sharing those nodes.  groups: the row counts of
     consecutive groups of comps, one row each by default; a group's
     quotient is the largest of its rows'.  order: the ``_layout(coords)``
@@ -523,6 +531,8 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
     """
     comps = np.atleast_2d(np.asarray(comps, dtype=float))
     coords = _as_points(coords, comps.shape[1])
+    if not np.isfinite(coords).all():
+        raise ConfigError("node coordinates must be finite")
     n = coords.shape[0]
     if n < 2:
         raise DegenerateInput("need at least two nodes for a pairwise seminorm")

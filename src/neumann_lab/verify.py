@@ -186,23 +186,27 @@ def _ratio(num, den):
     return num / den
 
 
-def _ratio_terms(problems, alphas):
-    """(num, den) of the estimate ratios of (u, f, g) problems at each of alphas.
+def _ratio_terms(f, g, solutions, alphas):
+    """(num, den) of the estimate ratios at each of alphas, one dict per
+    (u, c) of solutions, u solving the problem with data (c f, c g).
 
-    All norms come from one holder_reports call; u is measured as given.
-    Returns one dict per problem mapping ("schauder" | "intermediate" |
-    "l2", alpha) to the pair _ratio turns into that ratio.
+    All norms come from one holder_reports call, which sweeps f, g and
+    every u (measured as given) once.  Each c is a power of two, so c f
+    and c g are exact and so is every step of their norms: their
+    HolderReports are c times those of f and g, and a problem's data
+    denominator is c times the first's.  That stops holding only where
+    c f overflows or a product in the norms of f or g is subnormal.
+    Returns dicts mapping ("schauder" | "intermediate" | "l2", alpha) to
+    the pair _ratio turns into that ratio.
     """
-    items = [item for u, f, g in problems
-             for item in ((f, 0, alphas), (g, 1, alphas), (u, 2, alphas))]
-    reports = holder_reports(items)
+    fb, gb, *ubs = holder_reports([(f, 0, alphas), (g, 1, alphas)]
+                                  + [(u, 2, alphas) for u, _ in solutions])
     out = []
-    for k, (u, _, _) in enumerate(problems):
-        fb, gb, ub = reports[3 * k:3 * k + 3]
+    for (u, c), ub in zip(solutions, ubs):
         l2_u = l2_norm(u)
         terms = {}
         for a in alphas:
-            den = fb[a].total + gb[a].total
+            den = c * (fb[a].total + gb[a].total)
             terms["schauder", a] = (ub[a].total, den)
             terms["intermediate", a] = (ub[a].total, ub[a].sup_norms[0] + den)
             terms["l2", a] = (l2_u, den)
@@ -211,7 +215,7 @@ def _ratio_terms(problems, alphas):
 
 
 def _one_ratio(kind, u, f, g, alpha):
-    [terms] = _ratio_terms([(subtract_mean(u), f, g)], (alpha,))
+    [terms] = _ratio_terms(f, g, [(subtract_mean(u), 1.0)], (alpha,))
     return _ratio(*terms[kind, alpha])
 
 
@@ -453,9 +457,11 @@ def _measure_instance(inst, mesh, config, holder, pinned):
     Every level: the direct solve's defect and residual, the energy
     defect, the Serrin ratios, the maximum-principle ratio and the
     boundary sup gap.  A Holder level adds the estimate ratios, and on
-    instance 0 the scaling deviation of the doubled problem, whose norms
-    join the same sweeps.  The pinned level, the study's last, adds the
-    Fredholm agreement, its Krylov iterations and the uniqueness spread.
+    instance 0 the scaling deviation of the doubled problem, whose
+    solution joins the same sweeps and whose data norms are exactly
+    twice those of (f, g) (``_ratio_terms``).  The pinned level, the
+    study's last, adds the Fredholm agreement, its Krylov iterations and
+    the uniqueness spread.
     """
     alphas = tuple(config.alphas)
     f, g = inst.realize(mesh)
@@ -468,11 +474,11 @@ def _measure_instance(inst, mesh, config, holder, pinned):
 
     if holder:
         main = config.alpha_main
-        problems = [(u, f, g)]
+        solutions = [(u, 1.0)]
         if inst.index == 0:
             scaled = solve_neumann(2.0 * f, 2.0 * g, compat_policy="project")
-            problems.append((subtract_mean(scaled.solution), 2.0 * f, 2.0 * g))
-        terms = _ratio_terms(problems, alphas)
+            solutions.append((subtract_mean(scaled.solution), 2.0))
+        terms = _ratio_terms(f, g, solutions, alphas)
         for a in alphas:
             row[f"ratio_schauder_{a}"] = _ratio(*terms[0]["schauder", a])
             row[f"ratio_intermediate_{a}"] = _ratio(*terms[0]["intermediate", a])

@@ -4,7 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from neumann_lab import domain
 from neumann_lab.domain import DISTANCE_BLOCK, DomainSpec, build_mesh, distance_to_boundary
 from neumann_lab.errors import ConfigError, NonPositiveRadius, ResolutionTooSmall
 
@@ -179,13 +182,63 @@ def test_distance_to_boundary_blocks_match_dense():
     diff = pts[:, None, :] - mesh.boundary_xy[None, :, :]
     dense = np.sqrt((diff**2).sum(axis=2)).min(axis=1)
     assert (distance_to_boundary(mesh, pts) == dense).all()
-    # more points than two tiles are wide, the last tile partly filled
+    # more points than one block holds, the last block partly filled
     many = np.tile(pts, (4, 1))
-    assert len(many) > 2 * (DISTANCE_BLOCK // 8)
+    assert len(many) > DISTANCE_BLOCK // 4
     assert (distance_to_boundary(mesh, many) == np.tile(dense, 4)).all()
     # the per-mesh copy is computed once, equal and read-only
     assert mesh.interior_depth is mesh.interior_depth
     assert (mesh.interior_depth == dense).all() and not mesh.interior_depth.flags.writeable
+
+
+def _dense_distance(mesh, pts):
+    return np.sqrt(((pts[:, None] - mesh.boundary_xy[None]) ** 2).sum(axis=2)).min(axis=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_radius=st.floats(-6.0, 6.0),
+       modes=st.integers(0, 3), n_theta=st.integers(8, 200), n_r=st.integers(4, 9))
+def test_distance_to_boundary_equals_the_dense_minimum(seed, log_radius, modes, n_theta, n_r):
+    # disks of radius 1e-6 to 1e6 and stars with up to 3 cos/sin modes,
+    # most of them not convex, at odd and even n_theta: the pruned search
+    # returns the scan of every node bitwise
+    rng = np.random.default_rng(seed)
+    radius = 10.0**log_radius
+    coeffs = rng.uniform(-1.0, 1.0, (2, modes))
+    coeffs *= 0.8 * radius / max(1.0, np.abs(coeffs).sum())    # R >= 0.2 radius
+    mesh = build_mesh(DomainSpec.star_shaped(radius, coeffs[0], coeffs[1]), (n_r, n_theta))
+    far = rng.uniform(-1e3, 1e3, (20, 2)) * radius
+    pts = np.vstack([mesh.interior_xy, mesh.boundary_xy, [[0.0, 0.0]],
+                     rng.uniform(-1.2, 1.2, (200, 2)) * radius, far])
+    assert np.array_equal(distance_to_boundary(mesh, pts), _dense_distance(mesh, pts))
+
+
+@pytest.mark.parametrize("resolution", [(4, 8), (12, 48), (24, 97), (96, 384)])
+def test_disk_interior_nodes_evaluate_one_boundary_node(resolution, monkeypatch):
+    # the bound over all other nodes rules them out for every interior node
+    # of a disk, so no node block is ever scanned
+    scans = []
+    scan = domain._scan
+    monkeypatch.setattr(domain, "_scan", lambda *a: scans.append(len(a[0])) or scan(*a))
+    mesh = build_mesh(DomainSpec.disk(2.5), resolution)
+    distance_to_boundary(mesh, mesh.interior_xy)
+    assert scans == []
+    # the origin needs them all
+    distance_to_boundary(mesh, np.zeros((1, 2)))
+    assert scans
+
+
+def test_distance_to_non_finite_points():
+    # what the scan of every node gives, with no RuntimeWarning: NaN for a
+    # NaN coordinate, inf for any other non-finite one
+    mesh = build_mesh(DomainSpec.star_shaped(1.0, (0.0, 0.3)), (8, 32))
+    nan, inf = np.nan, np.inf
+    pts = np.array([[nan, 0.0], [0.0, nan], [nan, inf], [inf, 0.0], [0.5, -inf],
+                    [inf, -inf], [-inf, -inf], [0.1, 0.2]])
+    d = distance_to_boundary(mesh, pts)
+    np.testing.assert_array_equal(d[:6], [nan, nan, nan, inf, inf, inf])
+    assert d[6] == inf and np.isfinite(d[7])
+    np.testing.assert_array_equal(d, _dense_distance(mesh, pts))
 
 
 def test_distance_to_boundary_memory_bounded():

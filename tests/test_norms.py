@@ -416,7 +416,8 @@ def _layout_reference(coords):
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5 * TILE + 17),
        layout=st.sampled_from(["uniform", "clustered", "collinear_x", "collinear_y",
-                               "duplicates", "lattice", "space", "space_duplicates"]))
+                               "duplicates", "lattice", "signed_zeros", "space",
+                               "space_duplicates"]))
 def test_layout_equals_recursive_split(seed, n, layout):
     # the level-by-level split gives the very permutation of the per-box
     # recursion, ties and duplicate sites included
@@ -424,6 +425,9 @@ def test_layout_equals_recursive_split(seed, n, layout):
     if layout == "lattice":
         side = int(np.ceil(np.sqrt(n)))
         coords = np.column_stack(np.divmod(rng.permutation(side * side)[:n], side)) * 0.1
+    elif layout == "signed_zeros":
+        coords = rng.integers(-2, 3, (n, 2)) / 2.0
+        coords[rng.random(n) < 0.3] *= -1.0       # -0.0 beside 0.0
     elif layout == "space":
         coords = rng.random((n, 3))
     elif layout == "space_duplicates":
@@ -636,6 +640,17 @@ def test_holder_params_validation(disk_mesh_small):
         c_k_alpha_norm(u, 0, 1.0)
     with pytest.raises(ConfigError):
         c_k_alpha_norm(u, 0, 0.5, "magic")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("strategy", ["brute_force", "pruned"])
+def test_non_finite_coordinates_are_a_config_error(bad, dim, strategy):
+    # the plane's rank sort keys on x + iy, where inf * 1j is not finite
+    coords = np.random.default_rng(dim).random((40, dim))
+    coords[7, dim - 1] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        pairwise_holder_max(coords, coords[:, :1].T, (0.5,), strategy)
 
 
 # ---------------------------------------------------------------------------

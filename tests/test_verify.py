@@ -306,8 +306,9 @@ def test_family_study_stacks_each_instance_into_one_sweep_per_node_set(monkeypat
     monkeypatch.setattr(norms, "pairwise_holder_max", traced)
     run_family_study(_tiny_config(alphas=(0.3, 0.5, 0.7), threads=1))
     # per rung, one volume and one loop sweep per instance: instance 0
-    # stacks f, u'' and the doubled problem's rows, the other f and u''
-    assert [rows for rows, _ in calls] == [10, 2, 5, 1] * 2
+    # stacks f, u'' and the doubled problem's u'' (its data norms are
+    # twice f's and g's), the other f and u''
+    assert [rows for rows, _ in calls] == [9, 1, 5, 1] * 2
     # every (group, exponent) entry is computed, the doubled problem's too
     assert all(np.isfinite(best).all() for _, best in calls)
 
