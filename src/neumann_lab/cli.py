@@ -14,8 +14,9 @@ sweep or oracle1d CSV from _report_rows of its payload, which ``report
 --format csv`` re-renders byte for byte (a solve report has no CSV form
 there: exit 4); ``solve`` writes its nodes (x[, y], value, is_boundary).
 Exit codes: 0 success, 2 incompatible data, 3 solver failure, 4
-configuration error (rejected flag values, and unreadable input or
-unwritable output files, included), 1 unexpected error.
+configuration error (every ConfigError, rejected flag values, and
+unreadable input or unwritable output files), 1 a failing verify
+criterion or any other error.
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ import numpy as np
 
 from . import __version__, solver
 from .domain import DomainSpec, build_mesh, check_mesh_size
-from .errors import (ConfigError, EvalDomainError, ExprSyntaxError,
-                     IncompatibleData, LinearSolveFailure, NeumannLabError,
-                     NonConvergence, NonPositiveRadius, ResolutionTooSmall,
-                     UnknownIdentifier)
+from .errors import (ConfigError, IncompatibleData, LinearSolveFailure, NeumannLabError,
+                     NonConvergence)
 from .expr import GRAMMAR_HELP
 from .field import BoundaryFunction, GridFunction
 from .solver import solve_neumann
@@ -49,18 +48,8 @@ EXIT_SOLVER = 3
 EXIT_CONFIG = 4
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _dump_json(obj):
-    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _atomic_write(path, text):
@@ -127,22 +116,30 @@ def _report_rows(payload):
 
 
 def _csv_text(rows):
-    """The CSV of a list of row dicts: the header is the union of their
-    keys in first-seen order, a cell the repr of a plain int or float,
-    empty for a missing value or None.  None or no rows (no CSV form) and
-    any other cell are a ConfigError."""
-    if not rows:
-        raise ConfigError("this report has no CSV form (verify, sweep and oracle1d "
-                          "reports with at least one row have one)")
-    cols = list(dict.fromkeys(key for row in rows for key in row))
-    lines = [",".join(cols)]
-    for row in rows:
+    """The CSV of an iterable of row dicts, each rendered as it comes, so
+    only its line is kept: the header is the union of their keys in
+    first-seen order, a cell the repr of a plain int or float, empty for
+    a missing value or None.  None or no rows (no CSV form) and any other
+    cell are a ConfigError."""
+    cols, lines, widths = {}, [], []
+    for row in rows or ():
+        if not row.keys() <= cols.keys():
+            cols.update(dict.fromkeys(row))
         cells = [row.get(c) for c in cols]
         for col, v in zip(cols, cells):
             if v is not None and type(v) not in (int, float):
                 raise ConfigError(f"CSV column {col!r} holds {v!r}, not a number")
         lines.append(",".join("" if v is None else repr(v) for v in cells))
-    return "\n".join(lines) + "\n"
+        widths.append(len(cols))
+    if not lines:
+        raise ConfigError("this report has no CSV form (verify, sweep and oracle1d "
+                          "reports with at least one row have one)")
+    # a column first seen after a row is missing from it: its cells are empty
+    for i, k in enumerate(widths):
+        if k == len(cols):
+            break    # widths never shrink, so every later row has every column
+        lines[i] = ",".join(([lines[i]] if k else []) + [""] * (len(cols) - k))
+    return "\n".join([",".join(cols), *lines, ""])
 
 
 def _write_files(outdir, texts):
@@ -173,7 +170,8 @@ def _write_report(outdir, name, payload, fmt, wall_time, rows=None):
 
 def _domain_from_args(args, problem):
     """(spec, resolution or None): the problem file's domain unless
-    --domain is given, else the shape flags' domain (default the disk)."""
+    --domain is given, else the shape flags' domain (default the disk;
+    argparse admits only disk, interval and star)."""
     if "domain" in problem and args.domain is None:
         return problem["domain"]
     kind = args.domain or "disk"
@@ -181,9 +179,7 @@ def _domain_from_args(args, problem):
         return DomainSpec.disk(args.radius), None
     if kind == "interval":
         return DomainSpec.interval(args.a, args.b), None
-    if kind == "star":
-        return _star_domain(args.radius_coeffs), None
-    raise ConfigError(f"unknown domain {kind!r}")
+    return _star_domain(args.radius_coeffs), None
 
 
 def _star_domain(text):
@@ -303,10 +299,10 @@ def cmd_solve(args):
             np.abs((rep.solution - exact).all_values()).max())
     rows = None
     if args.format != "json":    # one row per node: x[, y], value, is_boundary
-        rows = [{**dict(zip("xy", xy)), "value": v, "is_boundary": flag}
+        rows = ({**dict(zip("xy", xy)), "value": v, "is_boundary": flag}
                 for nodes, values, flag in ((mesh.interior_xy, rep.solution.interior, 0),
                                             (mesh.boundary_xy, rep.solution.boundary, 1))
-                for xy, v in zip(nodes.tolist(), values.tolist())]
+                for xy, v in zip(nodes.tolist(), values.tolist()))
     written = _write_report(args.out, "solve_report", payload, args.format, wall, rows)
     msg = (f"solved ({strategy}): residual {rep.residual:.3e}, "
            f"defect {rep.defect:.3e}, iterations {rep.iterations}")
@@ -550,8 +546,7 @@ def main(argv=None):
     except (LinearSolveFailure, NonConvergence) as exc:
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ConfigError, ExprSyntaxError, UnknownIdentifier, EvalDomainError,
-            NonPositiveRadius, ResolutionTooSmall, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NeumannLabError as exc:

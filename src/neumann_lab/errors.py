@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-Every error raised on purpose derives from NeumannLabError so callers
-(and the CLI exit-code mapping) can catch one base class.
+Every error raised on purpose derives from NeumannLabError, and every
+error a bad input causes from its subclass ConfigError (the CLI's exit
+code 4): a rejected expression, a boundary radius that is not positive,
+a resolution below the stencils' minimum, a ball outside the domain.
 """
 
 
@@ -9,11 +11,15 @@ class NeumannLabError(Exception):
     """Base class for all errors raised by neumann_lab."""
 
 
-class NonPositiveRadius(NeumannLabError):
+class ConfigError(NeumannLabError):
+    """Run configuration is inconsistent or unusable."""
+
+
+class NonPositiveRadius(ConfigError):
     """The boundary radius function dips to zero or below somewhere."""
 
 
-class ResolutionTooSmall(NeumannLabError):
+class ResolutionTooSmall(ConfigError):
     """Grid resolution below the minimum the stencils require."""
 
 
@@ -53,15 +59,11 @@ class IncompatibleData(NeumannLabError):
         self.defect = float(defect)
 
 
-class BallNotContained(NeumannLabError):
+class BallNotContained(ConfigError):
     """Requested ball sticks out of the computational domain."""
 
 
-class ConfigError(NeumannLabError):
-    """Run configuration is inconsistent or unusable."""
-
-
-class ExprSyntaxError(NeumannLabError):
+class ExprSyntaxError(ConfigError):
     """Expression text fails to parse.  Carries the byte offset."""
 
     def __init__(self, message, offset):
@@ -69,9 +71,9 @@ class ExprSyntaxError(NeumannLabError):
         self.offset = int(offset)
 
 
-class UnknownIdentifier(NeumannLabError):
+class UnknownIdentifier(ConfigError):
     """Expression references a variable the evaluation point lacks."""
 
 
-class EvalDomainError(NeumannLabError):
+class EvalDomainError(ConfigError):
     """Expression evaluation left the real domain (log/sqrt/division)."""

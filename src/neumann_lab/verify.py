@@ -36,6 +36,8 @@ BOUNDARY_SUP_SLACK = 1e-8
 RATIO_FLOOR = 1e-14       # denominators below this are degenerate
 ZERO_DATA_FLOOR = 1e-12   # numerators below this count as zero data
 MAX_PRINCIPLE_BOUND = 1.01  # largest maximum-principle ratio allowed at the pinned level
+SERRIN_RADII = (0.1, 0.2)   # radii R of the Serrin balls, each needing B(center, 2R) inside
+EPS_VALUES = (0.05, 0.1)    # depths eps of the boundary sup bound
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +237,14 @@ def intermediate_ratio(u, f, g, alpha):
     return _one_ratio("intermediate", u, f, g, alpha)
 
 
-def _check_ball(mesh, center, radius, error):
-    """Raise error unless B(center, 2 radius) lies inside the domain: 2 radius
-    at most the sampled boundary distance of center minus one cell."""
+def _check_ball(mesh, center, radius):
+    """Raise BallNotContained unless B(center, 2 radius) lies inside the
+    domain: 2 radius at most the sampled boundary distance of center minus
+    one cell."""
     dist = float(distance_to_boundary(mesh, center[None, :])[0])
     if 2.0 * radius > dist - mesh.cell_size:
-        raise error(f"ball of radius 2R = {2 * radius} around {center} exceeds the "
-                    f"sampled boundary distance {dist:.4f} minus one cell")
+        raise BallNotContained(f"ball of radius 2R = {2 * radius} around {center} exceeds "
+                               f"the sampled boundary distance {dist:.4f} minus one cell")
 
 
 def serrin_local_ratio(u, f, center, radius):
@@ -255,7 +258,7 @@ def serrin_local_ratio(u, f, center, radius):
     ndim = mesh.dim
     p = ndim + 1
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    _check_ball(mesh, center, radius, BallNotContained)
+    _check_ball(mesh, center, radius)
     d = np.linalg.norm(mesh.interior_xy - center[None, :], axis=1)
     in_r = d <= radius
     in_2r = d <= 2.0 * radius
@@ -395,9 +398,10 @@ class VerifyConfig:
     to balance the error contributions of the two directions.
     ``family_kind`` names a ProblemFamily kind and ``alpha_main`` one of
     ``alphas``: the exponent of the L2 ratio and of the scaling check.
-    Holder maxima are always taken by the pruned sweep, which equals the
-    all-pairs one bitwise, so ``to_json`` records ``"pair_strategy":
-    "pruned"`` as it records ``"serrin_p": None`` (p = N + 1).
+    Every field is set by a ``neumann-lab verify`` flag; ``to_json`` also
+    records the fixed settings: ``SERRIN_RADII`` (with ``"serrin_p":
+    None``, p = N + 1), ``EPS_VALUES`` and ``"pair_strategy": "pruned"``
+    (the pruned Holder sweep equals the all-pairs one bitwise).
     """
 
     domain: DomainSpec = dc_field(default_factory=DomainSpec.disk)
@@ -408,8 +412,6 @@ class VerifyConfig:
     pinned_resolution: tuple = (64, 256)
     alphas: tuple = (0.3, 0.5, 0.7)
     alpha_main: float = 0.5
-    serrin_radii: tuple = (0.1, 0.2)
-    eps_values: tuple = (0.05, 0.1)
     threads: int = 0                # 0: honor NEUMANN_LAB_THREADS, default 1
 
     def __post_init__(self):
@@ -435,8 +437,8 @@ class VerifyConfig:
             "pinned_resolution": (None if self.pinned_resolution is None
                                   else [int(v) for v in np.atleast_1d(self.pinned_resolution)]),
             "alphas": list(self.alphas), "alpha_main": self.alpha_main,
-            "serrin_radii": list(self.serrin_radii), "serrin_p": None,
-            "eps_values": list(self.eps_values),
+            "serrin_radii": list(SERRIN_RADII), "serrin_p": None,
+            "eps_values": list(EPS_VALUES),
             "pair_strategy": "pruned",
             "max_principle_bound": MAX_PRINCIPLE_BOUND,
         }
@@ -489,7 +491,7 @@ def _measure_instance(inst, mesh, config, holder, pinned):
             row["scaling_deviation"] = abs(r2 - r1) / (abs(r1) if r1 else 1.0)
 
     center = _serrin_center(mesh)
-    for k, radius in enumerate(config.serrin_radii):
+    for k, radius in enumerate(SERRIN_RADII):
         row[f"serrin_ratio_{k}"] = serrin_local_ratio(u, f, center, radius)
 
     reg = solve_regularized(f, BoundaryFunction.zeros(mesh))
@@ -497,7 +499,7 @@ def _measure_instance(inst, mesh, config, holder, pinned):
     row["max_principle_ratio"] = (
         float(np.abs(reg.solution.all_values()).max()) / sup_f if sup_f > 0 else 0.0)
 
-    row["boundary_sup_gap"] = max(boundary_sup_gap(u, eps) for eps in config.eps_values)
+    row["boundary_sup_gap"] = max(boundary_sup_gap(u, eps) for eps in EPS_VALUES)
 
     if pinned:
         fred = solve_neumann(f, g, strategy="fredholm_iteration", compat_policy="project")
@@ -571,7 +573,7 @@ def run_family_study(config):
         ladder.append((config.pinned_resolution, False))  # cheap measures only
     pinned_level = len(ladder) - 1
     meshes = [build_mesh(config.domain, res) for res, _ in ladder]
-    eps = min(config.eps_values)
+    eps = min(EPS_VALUES)
     for (res, _), mesh in zip(ladder, meshes):
         # boundary_sup_gap bridges to the boundary over eps only
         gap = float(mesh.interior_depth.min())
@@ -583,8 +585,7 @@ def run_family_study(config):
             raise ConfigError(f"rung {res} is too coarse for eps = {eps}: its outer "
                               f"nodes lie {gap:.4g} from the boundary; {passing}")
         # the largest Serrin ball is the one that may not fit
-        if config.serrin_radii:
-            _check_ball(mesh, _serrin_center(mesh), max(config.serrin_radii), ConfigError)
+        _check_ball(mesh, _serrin_center(mesh), max(SERRIN_RADII))
 
     levels = []
     for lvl, (res, holder) in enumerate(ladder):
@@ -599,11 +600,12 @@ def run_family_study(config):
             rows = [measure(inst) for inst in instances]
         levels.append({"resolution": [int(v) for v in np.atleast_1d(res)],
                        "h": float(h), "holder": holder, "rows": rows})
-    criteria = evaluate_criteria(levels, config, pinned_level)
+    aggregates = _aggregate(levels, config)
+    criteria = evaluate_criteria(levels, aggregates["per_measure"], config, pinned_level)
     return EstimateReport(config=config.to_json(), levels=levels,
                           criteria=criteria,
                           passed=all(c["passed"] for c in criteria),
-                          aggregates=_aggregate(levels, config))
+                          aggregates=aggregates)
 
 
 def _aggregate(levels, config):
@@ -612,7 +614,7 @@ def _aggregate(levels, config):
     keys = ["energy_defect", "ratio_l2", "max_principle_ratio"]
     keys += [f"ratio_schauder_{a}" for a in config.alphas]
     keys += [f"ratio_intermediate_{a}" for a in config.alphas]
-    keys += [f"serrin_ratio_{k}" for k in range(len(config.serrin_radii))]
+    keys += [f"serrin_ratio_{k}" for k in range(len(SERRIN_RADII))]
     per_measure = {}
     for key in keys:
         maxima, medians = [], []
@@ -625,17 +627,10 @@ def _aggregate(levels, config):
                 maxima.append(None)
                 medians.append(None)
         per_measure[key] = {"family_max": maxima, "family_median": medians}
-    holder = [level for level in levels if level["holder"]]
-    c_measured = {}
-    if holder:
-        for a in config.alphas:
-            vals = [row[f"ratio_schauder_{a}"] for row in holder[-1]["rows"]]
-            c_measured[f"schauder_alpha_{a}"] = float(np.max(vals))
+    finest = [k for k, level in enumerate(levels) if level["holder"]][-1]
+    c_measured = {f"schauder_alpha_{a}": per_measure[f"ratio_schauder_{a}"]["family_max"][finest]
+                  for a in config.alphas}
     return {"per_measure": per_measure, "C_measured": c_measured}
-
-
-def _family_max(levels, key):
-    return [max(row[key] for row in level["rows"]) for level in levels]
 
 
 def _band_ok(values, factor=2.0):
@@ -643,27 +638,31 @@ def _band_ok(values, factor=2.0):
     return bool(hi <= factor * max(lo, RATIO_FLOOR))
 
 
-def evaluate_criteria(levels, config, pinned_level):
+def evaluate_criteria(levels, per_measure, config, pinned_level):
     """Pass/fail verdicts for the family-study criteria.
 
+    Family maxima per level come from per_measure (``_aggregate``'s).
     Band and order checks run across the levels that carry Holder
     measures; the tolerances stated at n_r = 64 are checked at the
     pinned level.  With fewer than three ladder levels the band and
     order checks are reported as skipped (degraded mode).
     """
     out = []
-    holder_levels = [level for level in levels if level["holder"]]
+    holder = [k for k, level in enumerate(levels) if level["holder"]]
     pinned = levels[pinned_level]
-    multi = len(holder_levels) >= 3
+    multi = len(holder) >= 3
+
+    def family_max(key, on=range(len(levels))):
+        return [per_measure[key]["family_max"][k] for k in on]
 
     def add(name, passed, detail, skipped=False):
         out.append({"name": name, "passed": bool(passed), "skipped": bool(skipped),
                     "detail": detail})
 
-    def add_band(name, key, source):
-        vals = _family_max(source, key)
+    def add_band(name, key):
+        vals = family_max(key, holder)
         finite = all(np.isfinite(v) for v in vals)
-        if len(source) < 3:
+        if not multi:
             add(name, finite, f"band check skipped (needs >= 3 levels); max={vals}",
                 skipped=True)
         else:
@@ -674,11 +673,11 @@ def evaluate_criteria(levels, config, pinned_level):
     # second-order decay of the family max across the ladder.  The 1e-3
     # tolerance is stated at n_r = 64; on coarser degraded ladders it is
     # reported but not enforced.
-    defects = _family_max(levels, "energy_defect")
+    defects = family_max("energy_defect")
     pinned_nr = int(pinned["resolution"][0])
     level_ok = defects[pinned_level] <= 1e-3 if pinned_nr >= 64 else True
     if multi:
-        ladder = _family_max(holder_levels, "energy_defect")
+        ladder = family_max("energy_defect", holder)
         order = observed_orders(ladder[-2:])[0]
         add("energy_identity", level_ok and order >= 1.9,
             f"max defect per level {[f'{v:.3e}' for v in defects]}, finest order {order:.2f}")
@@ -687,27 +686,26 @@ def evaluate_criteria(levels, config, pinned_level):
             f"order check skipped (needs >= 3 levels); max defect {defects[-1]:.3e}",
             skipped=not multi)
 
-    add_band("l2_estimate", "ratio_l2", holder_levels)
+    add_band("l2_estimate", "ratio_l2")
     for a in config.alphas:
-        add_band(f"schauder_estimate_alpha_{a}", f"ratio_schauder_{a}", holder_levels)
+        add_band(f"schauder_estimate_alpha_{a}", f"ratio_schauder_{a}")
     scaling = max((row.get("scaling_deviation", 0.0)
                    for level in levels for row in level["rows"]), default=0.0)
     add("schauder_scaling_invariance", scaling <= 1e-8,
         f"max relative deviation under data doubling: {scaling:.2e}")
 
     ordered = all(row[f"ratio_intermediate_{a}"] <= row[f"ratio_schauder_{a}"] + 1e-12
-                  for level in holder_levels for row in level["rows"]
+                  for k in holder for row in levels[k]["rows"]
                   for a in config.alphas)
     add("intermediate_below_schauder", ordered,
         "intermediate ratio <= schauder ratio on every instance")
     for a in config.alphas:
-        add_band(f"intermediate_estimate_alpha_{a}", f"ratio_intermediate_{a}",
-                 holder_levels)
+        add_band(f"intermediate_estimate_alpha_{a}", f"ratio_intermediate_{a}")
 
-    for k, radius in enumerate(config.serrin_radii):
-        add_band(f"serrin_local_R_{radius}", f"serrin_ratio_{k}", holder_levels)
+    for k, radius in enumerate(SERRIN_RADII):
+        add_band(f"serrin_local_R_{radius}", f"serrin_ratio_{k}")
 
-    ratios = _family_max(levels, "max_principle_ratio")
+    ratios = family_max("max_principle_ratio")
     bound_ok = ratios[pinned_level] <= MAX_PRINCIPLE_BOUND
     excess = [max(0.0, r - 1.0) for r in ratios]
     shrink = excess[-1] <= excess[0] + 1e-12 if len(levels) > 1 else True

@@ -2,21 +2,23 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
 import tempfile
 import time
+import tracemalloc
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neumann_lab import cli, verify
+from neumann_lab import cli, solver, verify
 from neumann_lab.cli import main
 from neumann_lab.domain import DomainSpec, build_mesh
-from neumann_lab.errors import ConfigError
+from neumann_lab.errors import ConfigError, DegenerateData
 
 
 def run(args):
@@ -136,6 +138,16 @@ def test_problem_file_and_flag_precedence(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("problem", [{}, {"domain": {"kind": "star_shaped"}}])
+def test_solve_without_a_resolution_uses_64_by_128(tmp_path, problem):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"f": "1", "g": "0.5", **problem}))
+    assert run(["solve", "--problem", str(path), "--compat", "project",
+                "--out", str(tmp_path)]) == 0
+    domain = read_json(tmp_path / "solve_report.json")["report"]["config"]["domain"]
+    assert domain["kind"] == "star_shaped" and domain["resolution"] == [64, 128]
+
+
 def test_solve_report_reproducible(tmp_path):
     args = ["solve", "--f", "1", "--g", "0.5", "--nr", "16", "--ntheta", "32",
             "--compat", "project"]
@@ -230,7 +242,10 @@ def test_huge_rung_exits_4_before_allocating(tmp_path, capsys, args):
     ["solve", "--f", "1", "--g", "0.5", "--nr", "0"],
     ["solve", "--f", "1", "--g", "0.5", "--ntheta", "0"],
     ["solve", "--domain", "interval", "--n", "0", "--f", "1", "--g", "0.5"],
-    ["sweep", "--f", "1", "--g", "0.5", "--nr", "0", "--levels", "1"]])
+    ["sweep", "--f", "1", "--g", "0.5", "--nr", "0", "--levels", "1"],
+    # no --g and no problem file
+    ["solve", "--f", "1"],
+    ["sweep", "--f", "1", "--levels", "1"]])
 def test_bad_value_exits_4_without_traceback(tmp_path, capsys, args):
     # a case's own resolution flags come last, so they override these
     res = ["--nr", "8", "--ntheta", "16"] * (args[0] in ("solve", "sweep"))
@@ -252,7 +267,8 @@ def test_zero_resolution_in_an_interval_problem_file_exits_4(tmp_path, capsys, c
     assert not out.exists()
 
 
-def test_verify_flag_defaults_are_the_config_defaults(tmp_path, monkeypatch):
+def _verify_config(tmp_path, monkeypatch, flags):
+    """The VerifyConfig that `neumann-lab verify` builds from flags."""
     captured = []
 
     def capture(config):
@@ -260,8 +276,74 @@ def test_verify_flag_defaults_are_the_config_defaults(tmp_path, monkeypatch):
         raise ConfigError("captured")
 
     monkeypatch.setattr(cli, "run_family_study", capture)
-    assert run(["verify", "--out", str(tmp_path)]) == 4
-    assert [c.to_json() for c in captured] == [verify.VerifyConfig().to_json()]
+    assert run(["verify", *flags, "--out", str(tmp_path)]) == 4
+    assert not os.listdir(tmp_path)
+    [config] = captured
+    return config
+
+
+def test_verify_flag_defaults_are_the_config_defaults(tmp_path, monkeypatch):
+    config = _verify_config(tmp_path, monkeypatch, [])
+    assert config.to_json() == verify.VerifyConfig().to_json()
+
+
+# for every VerifyConfig field, verify flags that give it a value other than its default
+VERIFY_FIELD_FLAGS = {
+    "domain": ["--radius", "2"],
+    "family_kind": ["--family", "paper_special_cases"],
+    "count": ["--count", "3"],
+    "seed": ["--seed", "7"],
+    "resolutions": ["--levels", "2"],
+    "pinned_resolution": ["--no-pinned"],
+    "alphas": ["--alphas", "0.5"],
+    "alpha_main": ["--alpha", "0.3"],
+    "threads": ["--threads", "2"],
+}
+
+
+def test_every_verify_config_field_is_set_by_a_flag(tmp_path, monkeypatch):
+    # a study setting no flag sets is a constant of the verify module, not a field
+    assert list(VERIFY_FIELD_FLAGS) == [f.name for f in dataclasses.fields(verify.VerifyConfig)]
+    default = verify.VerifyConfig()
+    for name, flags in VERIFY_FIELD_FLAGS.items():
+        config = _verify_config(tmp_path, monkeypatch, flags)
+        assert getattr(config, name) != getattr(default, name), name
+
+
+def test_verify_with_failing_criteria_writes_its_report_and_exits_1(tmp_path, capsys,
+                                                                     monkeypatch):
+    criteria = [{"name": name, "passed": passed, "skipped": False, "detail": "measured"}
+                for name, passed in [("energy_identity", True), ("max_principle", False),
+                                     ("boundary_sup_bound", False)]]
+    report = verify.EstimateReport(config={}, levels=[], criteria=criteria, passed=False)
+    monkeypatch.setattr(cli, "run_family_study", lambda config: report)
+    assert run(["verify", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] max_principle: measured" in captured.out
+    assert captured.err == "failing criteria: max_principle, boundary_sup_bound\n"
+    assert os.listdir(tmp_path) == ["estimate_report.json"]
+
+
+def test_any_other_library_error_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise DegenerateData("ratio 1/0 has vanishing denominator")
+
+    monkeypatch.setattr(cli, "solve_neumann", degenerate)
+    assert run(["solve", "--f", "1", "--g", "0.5", "--nr", "8", "--ntheta", "16",
+                "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: ratio 1/0 has vanishing denominator\n"
+    assert not os.listdir(tmp_path)
+
+
+def test_gmres_non_convergence_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
+    # one restart cycle of two inner iterations cannot reach the tolerance
+    monkeypatch.setattr(solver, "KRYLOV_RESTART", 2)
+    monkeypatch.setattr(solver, "KRYLOV_CYCLES", 1)
+    assert run(["solve", "--f", "x*y", "--g", "x", "--nr", "8", "--ntheta", "16",
+                "--strategy", "fredholm_iteration", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver failure: GMRES did not reach rtol 1.0e-10 within 2 ")
+    assert err.count("error:") == 1 and "Traceback" not in err
     assert not os.listdir(tmp_path)
 
 
@@ -498,6 +580,60 @@ def test_solve_csv_has_one_numeric_row_per_node(tmp_path, domain):
     assert [row[-1] for row in rows] == ["0"] * mesh.n_interior + ["1"] * mesh.n_boundary
 
 
+def test_solve_csv_keeps_no_row_dict_per_node(tmp_path, monkeypatch):
+    # after the solve, the CSV's rows are rendered as they come: one dict per
+    # node held at once (about 8 times the CSV's size) is not kept
+    after_solve = []
+    solve = cli.solve_neumann
+
+    def traced(*args, **kwargs):
+        rep = solve(*args, **kwargs)
+        tracemalloc.reset_peak()
+        after_solve.append(tracemalloc.get_traced_memory()[0])
+        return rep
+
+    monkeypatch.setattr(cli, "solve_neumann", traced)
+    tracemalloc.start()
+    try:
+        assert run(["solve", "--f", "x*y + cos(y)", "--g", "0.5", "--compat", "project",
+                    "--nr", "48", "--ntheta", "96", "--format", "csv",
+                    "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - after_solve[0] < 6 * (tmp_path / "solve_report.csv").stat().st_size
+
+
+def _non_plain_leaves(obj, path):
+    """The paths in obj of every key that is not a str and of every value
+    that is not a plain dict, list, str, int, float, bool or None."""
+    if type(obj) is dict:
+        items, bad = obj.items(), [f"{path}[{key!r}]" for key in obj if type(key) is not str]
+    elif type(obj) is list:
+        items, bad = enumerate(obj), []
+    else:
+        return [] if type(obj) in (str, int, float, bool, type(None)) else [f"{path}: {obj!r}"]
+    return bad + [b for key, value in items for b in _non_plain_leaves(value, f"{path}[{key!r}]")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--count", "2", "--levels", "1", "--nr0", "12", "--ntheta0", "48"],
+    ["solve", "--f", "x*y", "--g", "x", "--nr", "8", "--ntheta", "16",
+     "--strategy", "fredholm_iteration", "--exact", "0"],
+    SWEEP + ["--exact", "r^2/4 - 1/8"],
+    ["oracle1d", "--n", "16", "--levels", "2"]], ids=lambda argv: argv[0])
+def test_every_payload_leaf_is_a_plain_json_value(tmp_path, monkeypatch, argv):
+    # what lets the JSON writer run without a fallback for numpy values
+    payloads = []
+    write = cli._write_report
+    monkeypatch.setattr(cli, "_write_report",
+                        lambda outdir, name, payload, *a: payloads.append(payload) or
+                        write(outdir, name, payload, *a))
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    [payload] = payloads
+    assert _non_plain_leaves(payload, "report") == []
+
+
 @pytest.mark.parametrize("fmt", ["csv", "both"])
 def test_report_csv_of_a_solve_report_exits_4(tmp_path, capsys, fmt):
     assert run(["solve", "--f", "1", "--g", "0.5", "--nr", "8", "--ntheta", "16",
@@ -575,6 +711,10 @@ def test_report_strip_meta(tmp_path):
     assert code == 0
     canon = read_json(tmp_path / "solve_report.canonical.json")
     assert "meta" not in canon and "solve" in canon
+    # without --strip-meta the whole document, meta included, is rendered again
+    assert run(["report", "--input", str(src), "--out", str(tmp_path / "re")]) == 0
+    assert os.listdir(tmp_path / "re") == ["solve_report.rendered.json"]
+    assert (tmp_path / "re" / "solve_report.rendered.json").read_bytes() == src.read_bytes()
 
 
 def test_report_rerenders_estimate_csv(tmp_path):

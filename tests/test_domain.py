@@ -140,6 +140,15 @@ def test_interval_requires_ordered_bounds():
         DomainSpec.interval(1.0, 0.0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: DomainSpec("hexagon"), "unknown domain kind 'hexagon'"),
+    (lambda: build_mesh(DomainSpec.disk(), 16), r"needs resolution \(n_r, n_theta\)")],
+    ids=["unknown_kind", "star_with_one_integer"])
+def test_malformed_domain_rejected(make, message):
+    with pytest.raises(ConfigError, match=message):
+        make()
+
+
 @pytest.mark.parametrize("make", [lambda: DomainSpec.disk(float("inf")),
                                   lambda: DomainSpec.star_shaped(1.0, (0.1, float("nan"))),
                                   lambda: DomainSpec.star_shaped(1.0, (), (float("inf"),)),

@@ -244,8 +244,10 @@ def test_manufactured_case_compatibility():
 
 
 def _tiny_config(**kw):
-    base = dict(count=2, resolutions=((8, 32), (16, 64)), pinned_resolution=None,
-                alphas=(0.5,), serrin_radii=(0.1,), eps_values=(0.1,))
+    # the default ladder's first rungs: their outer rings lie within 0.05, the smallest
+    # of EPS_VALUES, of the boundary
+    base = dict(count=2, resolutions=((12, 48), (24, 96)), pinned_resolution=None,
+                alphas=(0.5,))
     base.update(kw)
     return VerifyConfig(**base)
 
@@ -339,7 +341,7 @@ def test_family_study_rejects_rung_coarser_than_eps(monkeypatch):
 
     monkeypatch.setattr(verify, "_measure_instance", no_solve)
     # the (8, 32) outer ring lies 0.0625 from the boundary: fine for eps 0.1, not 0.05
-    config = _tiny_config(resolutions=((16, 64), (8, 32)), eps_values=(0.1, 0.05))
+    config = _tiny_config(resolutions=((16, 64), (8, 32)))
     with pytest.raises(ConfigError, match=r"rung \(8, 32\).*eps = 0\.05"):
         run_family_study(config)
 
