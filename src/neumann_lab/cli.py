@@ -46,6 +46,7 @@ EXIT_UNEXPECTED = 1
 EXIT_INCOMPATIBLE = 2
 EXIT_SOLVER = 3
 EXIT_CONFIG = 4
+CSV_BLOCK = 4096      # solve CSV rows whose numbers are made Python floats at once
 
 
 def _dump_json(obj):
@@ -281,8 +282,7 @@ def cmd_solve(args):
     g = BoundaryFunction.from_expression(mesh, g_text)
 
     t0 = time.perf_counter()
-    rep = solve_neumann(f, g, strategy=strategy, compat_policy=policy,
-                        tol_compat=args.tol_compat, tol_linear=args.tol_linear)
+    rep = solve_neumann(f, g, strategy=strategy, compat_policy=policy)
     wall = time.perf_counter() - t0
 
     payload = {
@@ -302,7 +302,9 @@ def cmd_solve(args):
         rows = ({**dict(zip("xy", xy)), "value": v, "is_boundary": flag}
                 for nodes, values, flag in ((mesh.interior_xy, rep.solution.interior, 0),
                                             (mesh.boundary_xy, rep.solution.boundary, 1))
-                for xy, v in zip(nodes.tolist(), values.tolist()))
+                for lo in range(0, len(values), CSV_BLOCK)
+                for xy, v in zip(nodes[lo:lo + CSV_BLOCK].tolist(),
+                                 values[lo:lo + CSV_BLOCK].tolist()))
     written = _write_report(args.out, "solve_report", payload, args.format, wall, rows)
     msg = (f"solved ({strategy}): residual {rep.residual:.3e}, "
            f"defect {rep.defect:.3e}, iterations {rep.iterations}")
@@ -469,8 +471,6 @@ def build_parser():
     p.add_argument("--g", help="boundary flux expression")
     p.add_argument("--strategy", choices=solver.STRATEGIES)
     p.add_argument("--compat", choices=("reject", "project"))
-    p.add_argument("--tol-linear", type=float, default=solver.DEFAULT_LINEAR_TOL)
-    p.add_argument("--tol-compat", type=float, default=solver.DEFAULT_COMPAT_TOL)
     p.add_argument("--exact", help="exact mean-zero solution expression (for error reporting)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_solve)

@@ -29,13 +29,14 @@ arrays are read off the nonzero slots.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import expr as expr_mod
-from .errors import ConfigError, MeshMismatch, ResolutionTooSmall
+from .errors import ConfigError, MeshMismatch
 
 
 def _require_same_mesh(a, b):
@@ -51,23 +52,57 @@ def _validated(arr, n, what):
     return out
 
 
+class _FieldAlgebra:
+    """Elementwise +, -, unary -, * (by a field of the same type or a
+    number) and zeros, shared by the field types.  Each works on the
+    value arrays a type names in _ARRAYS, and every result passes through
+    that type's own validation."""
+
+    @classmethod
+    def zeros(cls, mesh):
+        return cls.constant(mesh, 0.0)
+
+    def _apply(self, op, *operands):
+        """The field of op applied to each value array and its operands."""
+        return type(self)(self.mesh, *map(op, (getattr(self, a) for a in self._ARRAYS),
+                                          *operands))
+
+    def _operand_arrays(self, other):
+        """other's value arrays, once other is known to share self's mesh."""
+        _require_same_mesh(self, other)
+        return [getattr(other, a) for a in self._ARRAYS]
+
+    def __add__(self, other):
+        return self._apply(operator.add, self._operand_arrays(other))
+
+    def __sub__(self, other):
+        return self._apply(operator.sub, self._operand_arrays(other))
+
+    def __neg__(self):
+        return self._apply(operator.neg)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._apply(operator.mul, self._operand_arrays(other))
+        return self._apply(operator.mul, [float(other)] * len(self._ARRAYS))
+
+    __rmul__ = __mul__
+
+
 @dataclass(frozen=True, eq=False)
-class GridFunction:
+class GridFunction(_FieldAlgebra):
     """Real field on mesh nodes: interior values plus boundary trace."""
 
     mesh: object
     interior: np.ndarray
     boundary: np.ndarray
+    _ARRAYS = ("interior", "boundary")
 
     def __post_init__(self):
         object.__setattr__(self, "interior",
                            _validated(self.interior, self.mesh.n_interior, "interior"))
         object.__setattr__(self, "boundary",
                            _validated(self.boundary, self.mesh.n_boundary, "boundary trace"))
-
-    @classmethod
-    def zeros(cls, mesh):
-        return cls(mesh, np.zeros(mesh.n_interior), np.zeros(mesh.n_boundary))
 
     @classmethod
     def constant(cls, mesh, value):
@@ -89,44 +124,18 @@ class GridFunction:
     def all_xy(self):
         return np.vstack([self.mesh.interior_xy, self.mesh.boundary_xy])
 
-    def __add__(self, other):
-        _require_same_mesh(self, other)
-        return GridFunction(self.mesh, self.interior + other.interior,
-                            self.boundary + other.boundary)
-
-    def __sub__(self, other):
-        _require_same_mesh(self, other)
-        return GridFunction(self.mesh, self.interior - other.interior,
-                            self.boundary - other.boundary)
-
-    def __neg__(self):
-        return GridFunction(self.mesh, -self.interior, -self.boundary)
-
-    def __mul__(self, other):
-        if isinstance(other, GridFunction):
-            _require_same_mesh(self, other)
-            return GridFunction(self.mesh, self.interior * other.interior,
-                                self.boundary * other.boundary)
-        return GridFunction(self.mesh, self.interior * float(other),
-                            self.boundary * float(other))
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True, eq=False)
-class BoundaryFunction:
+class BoundaryFunction(_FieldAlgebra):
     """Real field on boundary nodes only."""
 
     mesh: object
     values: np.ndarray
+    _ARRAYS = ("values",)
 
     def __post_init__(self):
         object.__setattr__(self, "values",
                            _validated(self.values, self.mesh.n_boundary, "boundary values"))
-
-    @classmethod
-    def zeros(cls, mesh):
-        return cls(mesh, np.zeros(mesh.n_boundary))
 
     @classmethod
     def constant(cls, mesh, value):
@@ -137,25 +146,6 @@ class BoundaryFunction:
         ast = expr_mod.parse(text) if isinstance(text, str) else text
         vb = expr_mod.evaluate(ast, mesh.boundary_coords())
         return cls(mesh, np.broadcast_to(vb, (mesh.n_boundary,)))
-
-    def __add__(self, other):
-        _require_same_mesh(self, other)
-        return BoundaryFunction(self.mesh, self.values + other.values)
-
-    def __sub__(self, other):
-        _require_same_mesh(self, other)
-        return BoundaryFunction(self.mesh, self.values - other.values)
-
-    def __neg__(self):
-        return BoundaryFunction(self.mesh, -self.values)
-
-    def __mul__(self, other):
-        if isinstance(other, BoundaryFunction):
-            _require_same_mesh(self, other)
-            return BoundaryFunction(self.mesh, self.values * other.values)
-        return BoundaryFunction(self.mesh, self.values * float(other))
-
-    __rmul__ = __mul__
 
 
 def boundary_trace(u):
@@ -185,13 +175,6 @@ def subtract_mean(u):
 # ---------------------------------------------------------------------------
 # derivatives
 
-def _check_resolution(mesh):
-    if mesh.dim == 1 and mesh.n < 3:
-        raise ResolutionTooSmall("derivatives need >= 3 nodes")
-    if mesh.dim == 2 and (mesh.n_r < 3 or mesh.n_theta < 3):
-        raise ResolutionTooSmall("derivatives need >= 3 nodes per direction")
-
-
 def _logical_derivs_2d(u):
     """u_s, u_theta at interior nodes and at boundary nodes (s = 1)."""
     m = u.mesh
@@ -212,7 +195,6 @@ def _logical_derivs_2d(u):
 def gradient(u):
     """Physical gradient; a tuple of GridFunctions (one per dimension)."""
     m = u.mesh
-    _check_resolution(m)
     if m.dim == 1:
         h = m.h
         v, vb = u.interior, u.boundary
@@ -245,7 +227,6 @@ def laplacian(u):
     boundary trace is linear extrapolation from the last two rings
     (first-order there, used only for display/serialization).
     """
-    _check_resolution(u.mesh)
     A = neumann_operator(u.mesh)
     out = A @ u.all_values()
     vi = out[:u.mesh.n_interior]
@@ -259,7 +240,6 @@ def laplacian(u):
 
 def normal_derivative(u):
     """Outward normal derivative on the boundary (one-sided, second order)."""
-    _check_resolution(u.mesh)
     A = neumann_operator(u.mesh)
     out = A @ u.all_values()
     return BoundaryFunction(u.mesh, out[u.mesh.n_interior:])

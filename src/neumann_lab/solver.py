@@ -230,13 +230,6 @@ def _split(mesh, vec):
     return GridFunction(mesh, vec[:mesh.n_interior], vec[mesh.n_interior:])
 
 
-def _check_tolerances(**tols):
-    """Raise ConfigError unless every named tolerance is finite and > 0."""
-    for name, tol in tols.items():
-        if not 0.0 < tol < np.inf:
-            raise ConfigError(f"{name} must be finite and > 0, got {tol!r}")
-
-
 def _residual_norms(A, anorm, x, b, n_shift):
     """(||A||_inf ||x|| + ||b||, ||Ax - b||), A shifted by -1 on the first
     n_shift unknowns."""
@@ -342,14 +335,14 @@ def solve_bordered(f, g):
     return _split(mesh, x), lam
 
 
-def _apply_policy(f, g, compat_policy, tol_compat):
+def _apply_policy(f, g, compat_policy):
     with np.errstate(over="ignore", invalid="ignore"):
         delta = check_compatibility(f, g)
     if not np.isfinite(delta):
         raise ConfigError(f"the compatibility defect of the data is {delta}: the integrals "
                           f"of f and g overflow")
     if compat_policy == "reject":
-        if abs(delta) > tol_compat * data_scale(f, g):
+        if abs(delta) > DEFAULT_COMPAT_TOL * data_scale(f, g):
             raise IncompatibleData(
                 f"compatibility defect {delta:.6e} exceeds tolerance", delta)
         return f, delta
@@ -360,58 +353,63 @@ def _apply_policy(f, g, compat_policy, tol_compat):
     raise ConfigError(f"unknown compatibility policy {compat_policy!r}")
 
 
-def solve_neumann(f, g, strategy="direct_augmented", compat_policy="reject",
-                  tol_compat=DEFAULT_COMPAT_TOL, tol_linear=DEFAULT_LINEAR_TOL):
+def _direct_solve(f, g, compat_policy, route, pin=None):
+    """The direct route: the compatibility policy, the deflated solve
+    (mean zero, or u[node] = value for pin = (node, value)) and its
+    residual check against DEFAULT_LINEAR_TOL."""
+    mesh = f.mesh
+    f_eff, delta = _apply_policy(f, g, compat_policy)
+    A = neumann_operator(mesh)
+    b = _rhs(f_eff, g)
+    x, lam, _ = _deflated_solve(mesh, b, pin)
+    res = _checked_residual(A, _operator_norm(mesh), x, b, DEFAULT_LINEAR_TOL, route)
+    return SolveReport(solution=_split(mesh, x), strategy="direct_augmented", residual=res,
+                       iterations=0, defect=delta, multiplier=lam)
+
+
+def solve_neumann(f, g, strategy="direct_augmented", compat_policy="reject"):
     """Solve lap u = f, du/dn = g for the mean-zero solution.
 
     Parameters
     ----------
     f, g : GridFunction, BoundaryFunction on the same mesh.
-    strategy : "direct_augmented" (the deflated sparse LU) or
+    strategy : "direct_augmented" (the deflated sparse LU, whose normwise
+        backward error must be <= DEFAULT_LINEAR_TOL) or
         "fredholm_iteration" (matrix-free restarted GMRES with the module
         constants KRYLOV_TOL, KRYLOV_RESTART and KRYLOV_CYCLES).
     compat_policy : "reject" raises IncompatibleData when the defect
-        exceeds tol_compat * (1 + sup|f| + sup|g|); "project" shifts f
-        by a constant so the discrete defect vanishes exactly.
-    tol_linear : bound on the direct route's normwise backward error.
+        exceeds DEFAULT_COMPAT_TOL * (1 + sup|f| + sup|g|); "project"
+        shifts f by a constant so the discrete defect vanishes exactly.
 
     Returns a SolveReport whose solution has discrete mean zero.
     """
     _require_same_mesh(f, g)
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    _check_tolerances(tol_compat=tol_compat, tol_linear=tol_linear)
+    if strategy == "direct_augmented":
+        return _direct_solve(f, g, compat_policy, "direct solve")
     mesh = f.mesh
-    f_eff, delta = _apply_policy(f, g, compat_policy, tol_compat)
+    f_eff, delta = _apply_policy(f, g, compat_policy)
     A = neumann_operator(mesh)
     b = _rhs(f_eff, g)
-
-    if strategy == "direct_augmented":
-        x, lam, _ = _deflated_solve(mesh, b)
-        res = _checked_residual(A, _operator_norm(mesh), x, b, tol_linear, "direct solve")
-        u = _split(mesh, x)
-        iters = 0
-    else:
-        n_i = mesh.n_interior
-        v = _regularized_lu(mesh)[1].solve(b)
-        op = spla.LinearOperator((len(b), len(b)),
-                                 matvec=lambda x: x - _screened(mesh, x[:n_i]))
-        residuals = []          # one per inner iteration
-        with np.errstate(over="ignore", invalid="ignore"):   # overflow fails below
-            x, info = spla.gmres(op, v, rtol=KRYLOV_TOL, atol=0.0, restart=KRYLOV_RESTART,
-                                 maxiter=KRYLOV_CYCLES, callback=residuals.append,
-                                 callback_type="pr_norm")
-        iters = len(residuals)
-        if info != 0:
-            raise NonConvergence(f"GMRES did not reach rtol {KRYLOV_TOL:.1e} within "
-                                 f"{iters} iterations (info={info})")
-        u = subtract_mean(_split(mesh, x))
-        res = _checked_residual(A, _operator_norm(mesh), u.all_values(), b,
-                                FREDHOLM_RESIDUAL_TOL, "fredholm")
-        lam = 0.0
-
+    n_i = mesh.n_interior
+    v = _regularized_lu(mesh)[1].solve(b)
+    op = spla.LinearOperator((len(b), len(b)),
+                             matvec=lambda x: x - _screened(mesh, x[:n_i]))
+    residuals = []          # one per inner iteration
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow fails below
+        x, info = spla.gmres(op, v, rtol=KRYLOV_TOL, atol=0.0, restart=KRYLOV_RESTART,
+                             maxiter=KRYLOV_CYCLES, callback=residuals.append,
+                             callback_type="pr_norm")
+    iters = len(residuals)
+    if info != 0:
+        raise NonConvergence(f"GMRES did not reach rtol {KRYLOV_TOL:.1e} within "
+                             f"{iters} iterations (info={info})")
+    u = subtract_mean(_split(mesh, x))
+    res = _checked_residual(A, _operator_norm(mesh), u.all_values(), b,
+                            FREDHOLM_RESIDUAL_TOL, "fredholm")
     return SolveReport(solution=u, strategy=strategy, residual=res,
-                       iterations=iters, defect=delta, multiplier=lam)
+                       iterations=iters, defect=delta, multiplier=0.0)
 
 
 def solve_neumann_pinned(f, g, node=0, value=0.0, compat_policy="reject"):
@@ -421,14 +419,7 @@ def solve_neumann_pinned(f, g, node=0, value=0.0, compat_policy="reject"):
     differ from the mean-zero solution by a constant field.  Shares the
     direct route's factorization and residual check.
     """
-    mesh = f.mesh
-    f_eff, delta = _apply_policy(f, g, compat_policy, DEFAULT_COMPAT_TOL)
-    b = _rhs(f_eff, g)
-    x, lam, _ = _deflated_solve(mesh, b, pin=(node, value))
-    res = _checked_residual(neumann_operator(mesh), _operator_norm(mesh), x, b,
-                            DEFAULT_LINEAR_TOL, "pinned solve")
-    return SolveReport(solution=_split(mesh, x), strategy="direct_augmented", residual=res,
-                       iterations=0, defect=delta, multiplier=lam)
+    return _direct_solve(f, g, compat_policy, "pinned solve", pin=(node, value))
 
 
 def solve_1d_oracle(f_coeffs, g0, g1):

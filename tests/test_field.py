@@ -340,6 +340,59 @@ def test_mesh_mismatch_rejected(disk_mesh, disk_mesh_small):
         _ = boundary_trace(u) * boundary_trace(v)
 
 
+def _fields(kind, mesh, rng):
+    """Two random fields of one type on mesh, and their value arrays."""
+    if kind is GridFunction:
+        arrays = [(rng.standard_normal(mesh.n_interior), rng.standard_normal(mesh.n_boundary))
+                  for _ in range(2)]
+    else:
+        arrays = [(rng.standard_normal(mesh.n_boundary),) for _ in range(2)]
+    return [kind(mesh, *a) for a in arrays], arrays
+
+
+def _arrays(field):
+    return ((field.interior, field.boundary) if isinstance(field, GridFunction)
+            else (field.values,))
+
+
+@pytest.mark.parametrize("kind", [GridFunction, BoundaryFunction])
+def test_field_algebra_is_elementwise(kind, disk_mesh_small, rng):
+    (u, v), (a, b) = _fields(kind, disk_mesh_small, rng)
+    cases = [(u + v, [x + y for x, y in zip(a, b)]),
+             (u - v, [x - y for x, y in zip(a, b)]),
+             (-u, [-x for x in a]),
+             (u * v, [x * y for x, y in zip(a, b)]),
+             (u * 2.5, [x * 2.5 for x in a]),
+             (np.float64(-1.5) * u, [x * -1.5 for x in a])]
+    for out, expected in cases:
+        assert type(out) is kind and out.mesh is disk_mesh_small
+        got = _arrays(out)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e) and not g.flags.writeable
+    for z in _arrays(kind.zeros(disk_mesh_small)):
+        assert np.array_equal(z, np.zeros_like(z))
+
+
+@pytest.mark.parametrize("kind", [GridFunction, BoundaryFunction])
+def test_field_algebra_rejects_other_meshes(kind, disk_mesh, disk_mesh_small, rng):
+    (u, _), _ = _fields(kind, disk_mesh_small, rng)
+    w = kind.zeros(disk_mesh)
+    for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q):
+        with pytest.raises(MeshMismatch):
+            op(u, w)
+        with pytest.raises(MeshMismatch):
+            op(w, u)
+
+
+@pytest.mark.parametrize("kind", [GridFunction, BoundaryFunction])
+def test_field_algebra_validates_its_results(kind, disk_mesh_small, rng):
+    # a result passes through the type's own validation: an overflow is refused
+    (u, _), _ = _fields(kind, disk_mesh_small, rng)
+    with np.errstate(over="ignore"), pytest.raises(ConfigError, match="contains NaN/Inf"):
+        u * 1e300 * 1e300
+
+
 def test_nan_values_rejected(disk_mesh_small):
     vals = np.zeros(disk_mesh_small.n_interior)
     vals[0] = np.nan

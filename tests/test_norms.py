@@ -636,6 +636,9 @@ def test_holder_params_validation(disk_mesh_small):
         pairwise_holder_max(xs, xs[None, :], (1.0,))
     with pytest.raises(ConfigError):
         pairwise_holder_max(xs, xs[None, :], (0.5,), "magic")
+    for coords in (xs[:4], np.zeros((5, 2, 1)), np.zeros((6, 2))):
+        with pytest.raises(ConfigError, match="coordinates must have shape"):
+            pairwise_holder_max(coords, xs[None, :], (0.5,))
     with pytest.raises(ConfigError):
         c_k_alpha_norm(u, 0, 1.0)
     with pytest.raises(ConfigError):

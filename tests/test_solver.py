@@ -422,16 +422,20 @@ def test_pinned_solve_checks_its_residual(disk_mesh_small, monkeypatch):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-8])
 def test_tolerances_must_be_finite_and_positive(disk_mesh_small, bad):
-    f = GridFunction.from_expression(disk_mesh_small, "x*y")
-    g = BoundaryFunction.zeros(disk_mesh_small)
-    for name in ("tol_compat", "tol_linear"):
-        with pytest.raises(ConfigError, match=name):
-            solve_neumann(f, g, compat_policy="project", **{name: bad})
-    # the guard itself fails closed: no residual passes a NaN tolerance
+    # the solver's tolerances are fixed module constants
+    for tol in (solver.DEFAULT_COMPAT_TOL, solver.DEFAULT_LINEAR_TOL,
+                solver.FREDHOLM_RESIDUAL_TOL, solver.KRYLOV_TOL):
+        assert 0.0 < tol < np.inf
+    # the guard itself fails closed: no residual passes a NaN tolerance, and
+    # no tolerance, however bad, passes a non-finite solution
     A = neumann_operator(disk_mesh_small)
-    x = f.all_values()
+    x = GridFunction.from_expression(disk_mesh_small, "x*y").all_values()
     with pytest.raises(LinearSolveFailure):
         solver._checked_residual(A, solver._inf_norm(A), x, A @ x, float("nan"), "exact")
+    x_bad = x.copy()
+    x_bad[3] = np.nan
+    with pytest.raises(LinearSolveFailure, match="not finite"):
+        solver._checked_residual(A, solver._inf_norm(A), x_bad, A @ x, bad, "non-finite")
 
 
 def test_shifted_residual_applies_a_minus_s(disk_mesh_small, rng):

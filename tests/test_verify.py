@@ -214,6 +214,8 @@ def test_incompatibility_defect_scales(disk_mesh):
 def test_family_requires_instances():
     with pytest.raises(ConfigError):
         ProblemFamily(count=0).instances()
+    with pytest.raises(ConfigError, match="unknown family kind 'nope'"):
+        ProblemFamily(kind="nope").instances()
 
 
 def test_family_deterministic():
