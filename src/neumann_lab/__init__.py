@@ -16,17 +16,16 @@ from .errors import (BallNotContained, ConfigError, DegenerateData,
                      DegenerateInput, EvalDomainError, ExprSyntaxError,
                      IncompatibleData, LinearSolveFailure, MeshMismatch,
                      NeumannLabError, NonConvergence, NonPositiveRadius,
-                     NonZeroMeanInput, ResolutionTooSmall, UnknownIdentifier)
+                     ResolutionTooSmall, UnknownIdentifier)
 from .field import (BoundaryFunction, GridFunction, boundary_trace, gradient,
-                    integrate_boundary, integrate_volume, laplacian, mean,
-                    normal_derivative, subtract_mean)
+                    integrate_boundary, integrate_volume, mean, subtract_mean)
 from .norms import HolderReport, c_k_alpha_norm, l2_norm, pairwise_holder_max
-from .solver import (SolveReport, apply_screened_inverse, check_compatibility,
-                     solve_1d_oracle, solve_bordered, solve_neumann,
-                     solve_neumann_pinned, solve_regularized)
+from .solver import (SolveReport, check_compatibility, solve_1d_oracle,
+                     solve_bordered, solve_neumann, solve_neumann_pinned,
+                     solve_regularized)
 from .verify import (EstimateReport, ManufacturedCase, ProblemFamily,
                      VerifyConfig, convergence_study, energy_identity_defect,
-                     incompatibility_probe, intermediate_ratio, l2_lemma_ratio,
-                     run_family_study, schauder_ratio, serrin_local_ratio)
+                     incompatibility_probe, run_family_study, schauder_ratio,
+                     serrin_local_ratio)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -43,10 +43,6 @@ class NonConvergence(NeumannLabError):
     """Iterative solve hit its iteration cap before the tolerance."""
 
 
-class NonZeroMeanInput(NeumannLabError):
-    """Operator defined on mean-zero fields received data with a mean."""
-
-
 class IncompatibleData(NeumannLabError):
     """Volume/boundary data violate the solvability condition.
 

@@ -10,10 +10,11 @@ Its entries are formed here, on every call, from the mesh's s, theta, R
 and R': x_s = R cos, y_s = R sin, x_theta = s (R' cos - R sin),
 y_theta = s (R' sin + R cos) and the determinant s R^2.
 
-The Laplacian is assembled once per mesh in divergence (flux) form, kept
-in the mesh's workspace and shared with the solvers.  Its outermost-cell
-flux is the same one-sided normal-derivative stencil exposed by
-normal_derivative(), which makes the discrete divergence theorem
+The operator is assembled once per mesh in divergence (flux) form, kept
+in the mesh's workspace and shared with the solvers: its interior rows
+are lap_h, its boundary rows the one-sided outward normal derivative
+dn_h, and its outermost-cell flux is dn_h's stencil, which makes the
+discrete divergence theorem
 
     sum_i w_i (lap_h u)_i == sum_b wb_b (dn_h u)_b
 
@@ -68,7 +69,11 @@ class _FieldAlgebra:
                                           *operands))
 
     def _operand_arrays(self, other):
-        """other's value arrays, once other is known to share self's mesh."""
+        """other's value arrays, once other is known to be a field of self's
+        type on self's mesh."""
+        if not isinstance(other, type(self)):
+            raise TypeError(f"unsupported operand types: {type(self).__name__} and "
+                            f"{type(other).__name__}")
         _require_same_mesh(self, other)
         return [getattr(other, a) for a in self._ARRAYS]
 
@@ -218,31 +223,6 @@ def gradient(u):
     ux_b = (us_b * y_t - ut_b * y_s) / det
     uy_b = (-us_b * x_t + ut_b * x_s) / det
     return (GridFunction(m, ux.ravel(), ux_b), GridFunction(m, uy.ravel(), uy_b))
-
-
-def laplacian(u):
-    """Divergence-form discrete Laplacian.
-
-    Interior values come from the shared conservative operator; the
-    boundary trace is linear extrapolation from the last two rings
-    (first-order there, used only for display/serialization).
-    """
-    A = neumann_operator(u.mesh)
-    out = A @ u.all_values()
-    vi = out[:u.mesh.n_interior]
-    if u.mesh.dim == 1:
-        vb = np.array([1.5 * vi[0] - 0.5 * vi[1], 1.5 * vi[-1] - 0.5 * vi[-2]])
-    else:
-        v2 = u.mesh.reshape2d(vi)
-        vb = 1.5 * v2[-1] - 0.5 * v2[-2]
-    return GridFunction(u.mesh, vi, vb)
-
-
-def normal_derivative(u):
-    """Outward normal derivative on the boundary (one-sided, second order)."""
-    A = neumann_operator(u.mesh)
-    out = A @ u.all_values()
-    return BoundaryFunction(u.mesh, out[u.mesh.n_interior:])
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,7 @@ class HolderReport:
 
 
 def l2_norm(u):
-    """Quadrature-weighted L2 norm of a volume or boundary field."""
-    if isinstance(u, BoundaryFunction):
-        return float(np.sqrt(np.dot(u.mesh.w_bnd, u.values**2)))
+    """Quadrature-weighted L2 norm of a volume field."""
     return float(np.sqrt(np.dot(u.mesh.w_vol, u.interior**2)))
 
 

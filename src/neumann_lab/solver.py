@@ -66,8 +66,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (ConfigError, IncompatibleData, LinearSolveFailure, NonConvergence,
-                     NonZeroMeanInput)
+from .errors import ConfigError, IncompatibleData, LinearSolveFailure, NonConvergence
 from .field import (GridFunction, integrate_boundary, integrate_volume, mean,
                     neumann_operator, subtract_mean, _require_same_mesh)
 
@@ -297,24 +296,6 @@ def _screened(mesh, f_interior):
     interior values."""
     lu = _regularized_lu(mesh)[1]
     return lu.solve(np.concatenate([-f_interior, np.zeros(mesh.n_boundary)]))
-
-
-def apply_screened_inverse(f):
-    """Apply the zero-flux screened-Poisson inverse to a mean-zero field.
-
-    Returns the solution w of (1 - lap) w = f with dw/dn = 0.  The
-    discretization preserves the mean exactly, so mean-zero input gives
-    mean-zero output to solver precision.  Raises NonZeroMeanInput when
-    |mean(f)| > 1e-10 * max(1, sup|f|).
-    """
-    mesh = f.mesh
-    m = mean(f)
-    if abs(m) > 1e-10 * max(1.0, float(np.abs(f.all_values()).max())):
-        raise NonZeroMeanInput(f"input mean {m:.3e} is not numerically zero")
-    x = _screened(mesh, f.interior)
-    if not np.all(np.isfinite(x)):
-        raise LinearSolveFailure("screened inverse produced non-finite values")
-    return _split(mesh, x)
 
 
 def solve_bordered(f, g):

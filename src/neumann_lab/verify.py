@@ -216,25 +216,10 @@ def _ratio_terms(f, g, solutions, alphas):
     return out
 
 
-def _one_ratio(kind, u, f, g, alpha):
-    [terms] = _ratio_terms(f, g, [(subtract_mean(u), 1.0)], (alpha,))
-    return _ratio(*terms[kind, alpha])
-
-
-def l2_lemma_ratio(u, f, g):
-    """||u - mean||_L2 over the Holder data norms at alpha = 0.5."""
-    return _one_ratio("l2", u, f, g, 0.5)
-
-
 def schauder_ratio(u, f, g, alpha):
     """||u - mean||_{C^{2,alpha}} over the Holder data norms."""
-    return _one_ratio("schauder", u, f, g, alpha)
-
-
-def intermediate_ratio(u, f, g, alpha):
-    """Ratio with the augmented denominator (adds ||u||_C0); never
-    exceeds schauder_ratio on the same data."""
-    return _one_ratio("intermediate", u, f, g, alpha)
+    [terms] = _ratio_terms(f, g, [(subtract_mean(u), 1.0)], (alpha,))
+    return _ratio(*terms["schauder", alpha])
 
 
 def _check_ball(mesh, center, radius):

@@ -142,8 +142,9 @@ def test_interval_requires_ordered_bounds():
 
 @pytest.mark.parametrize("make, message", [
     (lambda: DomainSpec("hexagon"), "unknown domain kind 'hexagon'"),
-    (lambda: build_mesh(DomainSpec.disk(), 16), r"needs resolution \(n_r, n_theta\)")],
-    ids=["unknown_kind", "star_with_one_integer"])
+    (lambda: build_mesh(DomainSpec.disk(), 16), r"needs resolution \(n_r, n_theta\)"),
+    (lambda: DomainSpec.interval().radius(0.0), r"radius\(\) only applies to star-shaped")],
+    ids=["unknown_kind", "star_with_one_integer", "radius_of_interval"])
 def test_malformed_domain_rejected(make, message):
     with pytest.raises(ConfigError, match=message):
         make()

@@ -10,8 +10,14 @@ from neumann_lab.domain import DomainSpec, build_mesh
 from neumann_lab.errors import ConfigError, MeshMismatch
 from neumann_lab.field import (BoundaryFunction, GridFunction, _assemble_2d,
                                _logical_derivs_2d, boundary_trace, gradient,
-                               integrate_boundary, integrate_volume, laplacian, mean,
-                               neumann_operator, normal_derivative, subtract_mean)
+                               integrate_boundary, integrate_volume, mean,
+                               neumann_operator, subtract_mean)
+
+
+def _apply_operator(u):
+    """(lap_h u, dn_h u): the interior and boundary rows of the operator."""
+    out = neumann_operator(u.mesh) @ u.all_values()
+    return out[:u.mesh.n_interior], out[u.mesh.n_interior:]
 
 
 def test_gradient_of_constant(disk_mesh):
@@ -67,47 +73,47 @@ def test_gradient_1d(interval_mesh):
 
 def test_laplacian_of_constant(disk_mesh, interval_mesh):
     for mesh in (disk_mesh, interval_mesh):
-        lap = laplacian(GridFunction.constant(mesh, 2.5))
-        assert np.abs(lap.interior).max() <= 1e-9
+        lap, _ = _apply_operator(GridFunction.constant(mesh, 2.5))
+        assert np.abs(lap).max() <= 1e-9
 
 
 def test_laplacian_radial_quadratic_on_disk(disk_mesh):
-    lap = laplacian(GridFunction.from_expression(disk_mesh, "(x^2 + y^2)/4"))
-    assert np.abs(lap.interior - 1.0).max() <= 1e-11
+    lap, _ = _apply_operator(GridFunction.from_expression(disk_mesh, "(x^2 + y^2)/4"))
+    assert np.abs(lap - 1.0).max() <= 1e-11
 
 
 def test_laplacian_quadratic_1d(interval_mesh):
-    lap = laplacian(GridFunction.from_expression(interval_mesh, "x^2"))
-    assert np.abs(lap.interior - 2.0).max() <= 1e-10
+    lap, _ = _apply_operator(GridFunction.from_expression(interval_mesh, "x^2"))
+    assert np.abs(lap - 2.0).max() <= 1e-10
 
 
 def test_laplacian_second_order_on_star():
     errs = []
     for nr in (8, 16, 32):
         mesh = build_mesh(DomainSpec.star_shaped(1.0, (0.0, 0.3)), (nr, 2 * nr))
-        lap = laplacian(GridFunction.from_expression(mesh, "sin(x)*cos(y)"))
+        lap, _ = _apply_operator(GridFunction.from_expression(mesh, "sin(x)*cos(y)"))
         exact = GridFunction.from_expression(mesh, "-2*sin(x)*cos(y)")
         # flux-form truncation is O(1/nr) in the innermost ring; measure
         # convergence in the quadrature-weighted mean-square sense
-        diff = lap.interior - exact.interior
+        diff = lap - exact.interior
         errs.append(np.sqrt(np.dot(mesh.w_vol, diff**2)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert orders[-1] >= 1.7
 
 
 def test_normal_derivative_radial_quadratic(disk_mesh):
-    dn = normal_derivative(GridFunction.from_expression(disk_mesh, "r^2/4"))
-    assert np.abs(dn.values - 0.5).max() <= 1e-12
+    _, dn = _apply_operator(GridFunction.from_expression(disk_mesh, "r^2/4"))
+    assert np.abs(dn - 0.5).max() <= 1e-12
 
 
 def test_normal_derivative_of_constant(disk_mesh):
-    dn = normal_derivative(GridFunction.constant(disk_mesh, 4.0))
-    assert np.abs(dn.values).max() <= 1e-11
+    _, dn = _apply_operator(GridFunction.constant(disk_mesh, 4.0))
+    assert np.abs(dn).max() <= 1e-11
 
 
 def test_normal_derivative_1d(interval_mesh):
-    dn = normal_derivative(GridFunction.from_expression(interval_mesh, "x^2 - x"))
-    np.testing.assert_allclose(dn.values, [1.0, 1.0], atol=1e-12)
+    _, dn = _apply_operator(GridFunction.from_expression(interval_mesh, "x^2 - x"))
+    np.testing.assert_allclose(dn, [1.0, 1.0], atol=1e-12)
 
 
 def test_integrals_on_disk(disk_mesh_fine):
@@ -129,9 +135,10 @@ def test_subtract_mean_matches_analytic(disk_mesh):
 def test_discrete_divergence_theorem(star_mesh, rng):
     u = GridFunction(star_mesh, rng.standard_normal(star_mesh.n_interior),
                      rng.standard_normal(star_mesh.n_boundary))
-    lhs = np.dot(star_mesh.w_vol, laplacian(u).interior)
-    rhs = np.dot(star_mesh.w_bnd, normal_derivative(u).values)
-    scale = np.abs(star_mesh.w_vol * laplacian(u).interior).sum()
+    lap, dn = _apply_operator(u)
+    lhs = np.dot(star_mesh.w_vol, lap)
+    rhs = np.dot(star_mesh.w_bnd, dn)
+    scale = np.abs(star_mesh.w_vol * lap).sum()
     assert abs(lhs - rhs) <= 1e-12 * scale
 
 
@@ -322,13 +329,12 @@ def test_linearity_of_operators(disk_mesh_small, rng):
     v = GridFunction(disk_mesh_small, rng.standard_normal(disk_mesh_small.n_interior),
                      rng.standard_normal(disk_mesh_small.n_boundary))
     w = 2.0 * u + (-3.0) * v
-    for op in (laplacian, lambda q: gradient(q)[0], lambda q: gradient(q)[1]):
-        lhs = op(w).all_values()
-        rhs = 2.0 * op(u).all_values() - 3.0 * op(v).all_values()
+    ops = [lambda q: _apply_operator(q)[0], lambda q: _apply_operator(q)[1],
+           lambda q: gradient(q)[0].all_values(), lambda q: gradient(q)[1].all_values()]
+    for op in ops:
+        lhs = op(w)
+        rhs = 2.0 * op(u) - 3.0 * op(v)
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(lhs).max())
-    lhs = normal_derivative(w).values
-    rhs = 2.0 * normal_derivative(u).values - 3.0 * normal_derivative(v).values
-    assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(lhs).max())
 
 
 def test_mesh_mismatch_rejected(disk_mesh, disk_mesh_small):
@@ -383,6 +389,17 @@ def test_field_algebra_rejects_other_meshes(kind, disk_mesh, disk_mesh_small, rn
             op(u, w)
         with pytest.raises(MeshMismatch):
             op(w, u)
+
+
+@pytest.mark.parametrize("kind", [GridFunction, BoundaryFunction])
+def test_field_algebra_rejects_other_operand_types(kind, disk_mesh_small, rng):
+    # + and - take a field of the same type only; the error names both types
+    (u, _), _ = _fields(kind, disk_mesh_small, rng)
+    other = BoundaryFunction if kind is GridFunction else GridFunction
+    for w in (1.0, other.zeros(disk_mesh_small)):
+        for op in (lambda p, q: p + q, lambda p, q: p - q):
+            with pytest.raises(TypeError, match=f"{kind.__name__} and {type(w).__name__}"):
+                op(u, w)
 
 
 @pytest.mark.parametrize("kind", [GridFunction, BoundaryFunction])

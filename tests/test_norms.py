@@ -629,7 +629,7 @@ def test_degenerate_inputs():
 
 
 def test_holder_params_validation(disk_mesh_small):
-    # the exponent and the pair strategy, checked by the kernel on every path
+    # the exponent, the pair strategy, the row groups and the derivative order
     xs = np.linspace(0.0, 1.0, 5)
     u = GridFunction.from_expression(disk_mesh_small, "x")
     with pytest.raises(ConfigError):
@@ -643,6 +643,11 @@ def test_holder_params_validation(disk_mesh_small):
         c_k_alpha_norm(u, 0, 1.0)
     with pytest.raises(ConfigError):
         c_k_alpha_norm(u, 0, 0.5, "magic")
+    for groups in ((1,), (2, 0), (3, -1)):
+        with pytest.raises(ConfigError, match="do not partition 2 rows"):
+            pairwise_holder_max(xs, np.vstack([xs, xs]), (0.5,), groups=groups)
+    with pytest.raises(ConfigError, match="derivative order must be 0, 1 or 2, got 3"):
+        holder_reports([(u, 3, (0.5,))])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -12,14 +12,13 @@ import scipy.sparse.linalg as spla
 
 from neumann_lab import solver
 from neumann_lab.domain import DomainSpec, build_mesh
-from neumann_lab.errors import (ConfigError, IncompatibleData, LinearSolveFailure,
-                                NonZeroMeanInput)
+from neumann_lab.errors import ConfigError, IncompatibleData, LinearSolveFailure
 from neumann_lab.field import (BoundaryFunction, GridFunction, mean, neumann_operator,
                                subtract_mean)
 from neumann_lab.norms import c_k_alpha_norm, holder_reports
-from neumann_lab.solver import (STRATEGIES, apply_screened_inverse, check_compatibility,
-                                solve_1d_oracle, solve_bordered, solve_neumann,
-                                solve_neumann_pinned, solve_regularized)
+from neumann_lab.solver import (STRATEGIES, check_compatibility, solve_1d_oracle,
+                                solve_bordered, solve_neumann, solve_neumann_pinned,
+                                solve_regularized)
 from neumann_lab.verify import MANUFACTURED_CASES
 
 
@@ -106,28 +105,28 @@ def test_regularized_no_compatibility_needed(disk_mesh_small):
 # ---------------------------------------------------------------------------
 # screened inverse (the compact map of the iteration strategy)
 
+def _screened(f):
+    """w of (1 - lap) w = f, dw/dn = 0, through the Fredholm route's solve."""
+    return solver._split(f.mesh, solver._screened(f.mesh, f.interior))
+
+
 def test_screened_inverse_zero(disk_mesh_small):
-    out = apply_screened_inverse(GridFunction.zeros(disk_mesh_small))
+    out = _screened(GridFunction.zeros(disk_mesh_small))
     assert np.abs(out.all_values()).max() == 0.0
 
 
 def test_screened_inverse_preserves_zero_mean(disk_mesh):
     f = GridFunction.from_expression(disk_mesh, "x")   # odd: mean zero
     f = subtract_mean(f)
-    out = apply_screened_inverse(f)
+    out = _screened(f)
     assert abs(mean(out)) <= 1e-9 * max(1.0, np.abs(out.all_values()).max())
 
 
 def test_screened_inverse_linearity(disk_mesh, rng):
     f = subtract_mean(_random_field(disk_mesh, rng))
-    one = apply_screened_inverse(f)
-    two = apply_screened_inverse(2.0 * f)
+    one = _screened(f)
+    two = _screened(2.0 * f)
     assert np.abs((two - 2.0 * one).all_values()).max() <= 1e-9
-
-
-def test_screened_inverse_rejects_nonzero_mean(disk_mesh_small):
-    with pytest.raises(NonZeroMeanInput):
-        apply_screened_inverse(GridFunction.constant(disk_mesh_small, 1.0))
 
 
 def test_screened_inverse_bounded_under_refinement(rng):
@@ -140,7 +139,7 @@ def test_screened_inverse_bounded_under_refinement(rng):
         vals = []
         for _ in range(3):
             f = subtract_mean(_random_field(mesh, level_rng))
-            tf = apply_screened_inverse(f)
+            tf = _screened(f)
             num = c_k_alpha_norm(tf, 2, 0.5).total
             den = c_k_alpha_norm(f, 0, 0.5).total
             vals.append(num / den)

@@ -16,7 +16,6 @@ from neumann_lab.solver import solve_neumann
 from neumann_lab.verify import (MANUFACTURED_CASES, ProblemFamily, VerifyConfig,
                                 boundary_sup_gap, convergence_study,
                                 energy_identity_defect, incompatibility_probe,
-                                intermediate_ratio, l2_lemma_ratio,
                                 observed_orders, run_family_study, schauder_ratio,
                                 serrin_local_ratio)
 
@@ -55,11 +54,18 @@ def test_energy_identity_second_order():
     assert (orders >= 1.9).all()
 
 
+def _ratios(u, f, g, kind, alphas=(0.5,)):
+    """The study's estimate ratio of one kind at each of alphas, for the
+    solution u of the data (f, g), read from one _ratio_terms call."""
+    [terms] = verify._ratio_terms(f, g, [(subtract_mean(u), 1.0)], alphas)
+    return [verify._ratio(*terms[kind, a]) for a in alphas]
+
+
 def test_l2_ratio_zero_data(disk_mesh_small):
     u = GridFunction.zeros(disk_mesh_small)
     f = GridFunction.zeros(disk_mesh_small)
     g = BoundaryFunction.zeros(disk_mesh_small)
-    assert l2_lemma_ratio(u, f, g) == 0.0
+    assert _ratios(u, f, g, "l2") == [0.0]
 
 
 def test_l2_ratio_degenerate_data(disk_mesh_small):
@@ -67,14 +73,14 @@ def test_l2_ratio_degenerate_data(disk_mesh_small):
     f = GridFunction.zeros(disk_mesh_small)
     g = BoundaryFunction.zeros(disk_mesh_small)
     with pytest.raises(DegenerateData):
-        l2_lemma_ratio(u, f, g)
+        _ratios(u, f, g, "l2")
 
 
 def test_l2_ratio_manufactured(manufactured_solution):
     _, u, f, g = manufactured_solution
     # ||u||_L2 = sqrt(pi/192), data norms 1 + 1/2
     expect = np.sqrt(np.pi / 192.0) / 1.5
-    assert l2_lemma_ratio(u, f, g) == pytest.approx(expect, rel=2e-3)
+    assert _ratios(u, f, g, "l2") == [pytest.approx(expect, rel=2e-3)]
 
 
 def test_schauder_ratio_manufactured(manufactured_solution):
@@ -93,12 +99,12 @@ def test_schauder_scaling_invariance(manufactured_solution):
 
 def test_intermediate_below_schauder(manufactured_solution):
     _, u, f, g = manufactured_solution
-    for alpha in (0.3, 0.5, 0.7):
-        ri = intermediate_ratio(u, f, g, alpha)
-        rs = schauder_ratio(u, f, g, alpha)
+    alphas = (0.3, 0.5, 0.7)
+    intermediate = _ratios(u, f, g, "intermediate", alphas)
+    for ri, rs in zip(intermediate, _ratios(u, f, g, "schauder", alphas)):
         assert ri <= rs + 1e-12
     # manufactured value: 9/8 over (1/8 + 3/2)
-    assert intermediate_ratio(u, f, g, 0.5) == pytest.approx(9.0 / 13.0, rel=0.05)
+    assert intermediate[1] == pytest.approx(9.0 / 13.0, rel=0.05)
 
 
 def test_serrin_zero_solution(disk_mesh_small):
