@@ -24,8 +24,7 @@ from .solver import (SolveReport, check_compatibility, solve_1d_oracle,
                      solve_bordered, solve_neumann, solve_neumann_pinned,
                      solve_regularized)
 from .verify import (EstimateReport, ManufacturedCase, ProblemFamily,
-                     VerifyConfig, convergence_study, energy_identity_defect,
-                     incompatibility_probe, run_family_study, schauder_ratio,
-                     serrin_local_ratio)
+                     VerifyConfig, convergence_study, incompatibility_probe,
+                     run_family_study, schauder_ratio)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

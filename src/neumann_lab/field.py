@@ -30,6 +30,7 @@ arrays are read off the nonzero slots.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -54,10 +55,11 @@ def _validated(arr, n, what):
 
 
 class _FieldAlgebra:
-    """Elementwise +, -, unary -, * (by a field of the same type or a
+    """Elementwise +, -, unary -, * (by a field of the same type or a real
     number) and zeros, shared by the field types.  Each works on the
     value arrays a type names in _ARRAYS, and every result passes through
-    that type's own validation."""
+    that type's own validation; any other operand is a TypeError naming
+    both operand types."""
 
     @classmethod
     def zeros(cls, mesh):
@@ -87,9 +89,9 @@ class _FieldAlgebra:
         return self._apply(operator.neg)
 
     def __mul__(self, other):
-        if isinstance(other, type(self)):
-            return self._apply(operator.mul, self._operand_arrays(other))
-        return self._apply(operator.mul, [float(other)] * len(self._ARRAYS))
+        if isinstance(other, numbers.Real):
+            return self._apply(operator.mul, [float(other)] * len(self._ARRAYS))
+        return self._apply(operator.mul, self._operand_arrays(other))
 
     __rmul__ = __mul__
 

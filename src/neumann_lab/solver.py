@@ -39,17 +39,22 @@ workspace.
 
 On a disk mesh (constant radius) A commutes with a rotation by one
 theta-step, so the fast direct method of Hockney (J. ACM 12, 1965) and
-Swarztrauber & Sweet (SIAM J. Numer. Anal. 10, 1973) applies.  The
-(ring, ring, theta-offset) stencil is read from the first row of each
-ring of the assembled operator, each of the n_theta // 2 + 1 theta-modes
-gets its real radial block (rings couple to at most two rings inward and
-one outward), and all blocks are factored as one block-diagonal matrix by
-the same SuperLU call.  A solve is an rfft over theta, one LU solve for
-the real and imaginary parts and an irfft.  At (96, 384) a factor takes
-about 20 ms instead of 260 ms, and a solve 2 ms instead of 7.  There the
-deflation doubles mode 0's ring-0 diagonal c, which is the rank-one
-change B = A + (c / n_theta) 1_0 1_0^T with 1_0 the indicator of ring 0;
-B is nonsingular for the reason B is elsewhere, ell > 0 on ring 0.
+Swarztrauber & Sweet (SIAM J. Numer. Anal. 10, 1973) applies.  The rows
+of a ring then hold the same entries, in row 1's order but in rows 0 and
+n_theta - 1, whose columns wrap, so the norms and factors on a disk come
+from rows 0, 1 and n_theta - 1 of every ring (``_operator_rows``): both
+infinity norms (of A and of A - S) are bitwise those of the full
+matrices, and A - S is never formed over all N rows.  The (ring, ring,
+theta-offset) stencil is row 0 of each ring, each of the n_theta // 2 + 1
+theta-modes gets its real radial block (rings couple to at most two
+rings inward and one outward), and all blocks are factored as one
+block-diagonal matrix by the same SuperLU call.  A solve is an rfft over
+theta, one LU solve for the real and imaginary parts and an irfft.  At
+(96, 384) a factor takes about 20 ms instead of 260 ms, and a solve 2 ms
+instead of 7.  There the deflation doubles mode 0's ring-0 diagonal c,
+which is the rank-one change B = A + (c / n_theta) 1_0 1_0^T with 1_0
+the indicator of ring 0; B is nonsingular for the reason B is
+elsewhere, ell > 0 on ring 0.
 Stars and intervals are factored as before.
 
 Because the discretization is conservative to rounding, the discrete
@@ -124,24 +129,46 @@ def _rotation_invariant(mesh):
     return mesh.dim == 2 and bool(np.all(mesh.R == mesh.R[0])) and not np.any(mesh.Rp)
 
 
-def _mode_blocks(M, n_theta):
+def _operator_rows(mesh, shift=False):
+    """A, or A - S with shift (S the identity on interior nodes), in CSR.
+    On a disk mesh only rows 0, 1 and n_theta - 1 of every ring, in that
+    order: the other rows of a ring repeat row 1's entries in row 1's
+    order, so these rows give every row sum of |M| bitwise, and row 0 of
+    each ring holds the stencil (``_mode_blocks``)."""
+    M = neumann_operator(mesh)
+    rows = np.arange(M.shape[0])
+    if _rotation_invariant(mesh):
+        nt = mesh.n_theta
+        rows = (np.arange(mesh.n_r + 1)[:, None] * nt + [0, 1, nt - 1]).ravel()
+        M = M[rows]
+    if shift:
+        M = M.copy()
+        own = np.repeat(rows, np.diff(M.indptr))
+        M.data[(M.indices == own) & (own < mesh.n_interior)] -= 1.0
+    return M
+
+
+def _mode_blocks(rows, n_theta):
     """The real radial block of every theta-mode of a rotation-invariant M,
-    as one block-diagonal CSC matrix over the unknowns (mode, ring).
+    as one block-diagonal CSC matrix over the unknowns (mode, ring), from
+    M's rows 0, 1 and n_theta - 1 of every ring (``_operator_rows``).
 
     M[(jr, i), (jc, i + d)] = a(jr, jc, d) for every i, so the first row of
     each ring holds the stencil, and mode m's block is
     sum_d a(jr, jc, d) cos(2 pi m d / n_theta): the disk is mirror
     symmetric, a(jr, jc, d) = a(jr, jc, -d), so the sine part vanishes.
+    The cosines are looked up in one table of n_theta entries.
     """
     nt = n_theta
-    n_rings = M.shape[0] // nt
-    rows = M[np.arange(n_rings) * nt].tocoo()
+    first = rows[::3].tocoo()
+    n_rings = first.shape[0]
+    cosines = np.cos((2.0 * np.pi / nt) * np.arange(nt))
     modes = np.arange(nt // 2 + 1)[:, None]
-    vals = rows.data * np.cos((2.0 * np.pi / nt) * (modes * (rows.col % nt) % nt))
-    first = modes * n_rings
+    vals = first.data * cosines[modes * (first.col % nt) % nt]
+    head = modes * n_rings
     n = modes.size * n_rings
-    return sp.csc_matrix((vals.ravel(), ((first + rows.row).ravel(),
-                                         (first + rows.col // nt).ravel())), shape=(n, n))
+    return sp.csc_matrix((vals.ravel(), ((head + first.row).ravel(),
+                                         (head + first.col // nt).ravel())), shape=(n, n))
 
 
 class _FourierFactor:
@@ -160,10 +187,11 @@ class _FourierFactor:
 
 
 def _factor(mesh, M, deflate=False):
-    """The per-mesh factor of M (A, or A - S), with .solve(b): of its
-    theta-mode blocks on a disk, of M itself otherwise.  deflate doubles
-    the diagonal entry of unknown p = DEFLATION_NODE, which is node p of
-    A, or mode 0 at ring 0 of the blocks (see the module docstring)."""
+    """The per-mesh factor of M (A, or A - S, from ``_operator_rows``), with
+    .solve(b): of its theta-mode blocks on a disk, of M itself otherwise.
+    deflate doubles the diagonal entry of unknown p = DEFLATION_NODE,
+    which is node p of A, or mode 0 at ring 0 of the blocks (see the
+    module docstring)."""
     fourier = _rotation_invariant(mesh)
     B = _mode_blocks(M, mesh.n_theta) if fourier else M.tocsc()
     if deflate:
@@ -182,9 +210,8 @@ def _regularized_lu(mesh):
     """(||A - S||_inf, factor of A - S), S the identity on interior nodes;
     A - S itself is not kept (residuals apply it as A x - S x)."""
     def build():
-        shift = np.concatenate([np.ones(mesh.n_interior), np.zeros(mesh.n_boundary)])
-        A_reg = (neumann_operator(mesh) - sp.diags(shift)).tocsr()
-        return _inf_norm(A_reg), _factor(mesh, A_reg)
+        M = _operator_rows(mesh, shift=True)
+        return _inf_norm(M), _factor(mesh, M)
     return mesh.cached("regularized", build)
 
 
@@ -193,12 +220,12 @@ def _deflated_lu(mesh):
     w_vol[p] > 0 (ell > 0 on ring 0 for a disk's blocks).  Any nonzero
     multiple of the rank-one term would do; doubling the pivot keeps A's
     pattern and scale instead of cancelling the pivot."""
-    return mesh.cached("deflated", lambda: _factor(mesh, neumann_operator(mesh), deflate=True))
+    return mesh.cached("deflated", lambda: _factor(mesh, _operator_rows(mesh), deflate=True))
 
 
 def _operator_norm(mesh):
     """||A||_inf, computed once per mesh for the residual checks."""
-    return mesh.cached("operator_norm", lambda: _inf_norm(neumann_operator(mesh)))
+    return mesh.cached("operator_norm", lambda: _inf_norm(_operator_rows(mesh)))
 
 
 def _deflated_solve(mesh, b, pin=None):

@@ -171,7 +171,11 @@ class ProblemFamily:
 
 def energy_identity_defect(u, f, g):
     """|int |Du|^2 - (bnd_int u g - int u f)| / (1 + int |Du|^2)."""
-    comps = gradient(u)
+    return _energy_defect(u, f, g, gradient(u))
+
+
+def _energy_defect(u, f, g, comps):
+    """energy_identity_defect from comps, the gradient of u."""
     sq = comps[0] * comps[0]
     for c in comps[1:]:
         sq = sq + c * c
@@ -240,16 +244,32 @@ def serrin_local_ratio(u, f, center, radius):
     with a one-cell margin).
     """
     mesh = u.mesh
-    ndim = mesh.dim
-    p = ndim + 1
     center = np.atleast_1d(np.asarray(center, dtype=float))
     _check_ball(mesh, center, radius)
-    d = np.linalg.norm(mesh.interior_xy - center[None, :], axis=1)
+    return _serrin_ratio(u, _center_distances(mesh, center), radius, _lp_norm(f))
+
+
+def _center_distances(mesh, center):
+    """Distance of every interior node from center."""
+    return np.linalg.norm(mesh.interior_xy - center[None, :], axis=1)
+
+
+def _lp_norm(f):
+    """||f||_{L^p} over the interior, p = N + 1."""
+    p = f.mesh.dim + 1
+    return float(np.dot(f.mesh.w_vol, np.abs(f.interior)**p) ** (1.0 / p))
+
+
+def _serrin_ratio(u, d, radius, f_lp):
+    """serrin_local_ratio from d, the interior nodes' distances from the
+    center, and f_lp = ||f||_{L^p}; the ball is not checked here."""
+    mesh = u.mesh
+    ndim = mesh.dim
+    p = ndim + 1
     in_r = d <= radius
     in_2r = d <= 2.0 * radius
     sup_r = float(np.abs(u.interior[in_r]).max()) if in_r.any() else 0.0
     l2_2r = float(np.sqrt(np.dot(mesh.w_vol[in_2r], u.interior[in_2r]**2)))
-    f_lp = float(np.dot(mesh.w_vol, np.abs(f.interior)**p) ** (1.0 / p))
     den = radius**(-ndim / 2.0) * l2_2r + radius**(2.0 - ndim / p) * f_lp
     return _ratio(sup_r, den)
 
@@ -262,10 +282,18 @@ def boundary_sup_gap(u, eps):
     continuum maximizer by a grid offset.  Returns the normalized gap;
     values above the slack indicate a violation.
     """
-    mesh = u.mesh
-    comps = gradient(u)
+    return _sup_gap(u, eps, _sup_gradient(gradient(u)))
+
+
+def _sup_gradient(comps):
+    """sup |Du| over every node, from comps, the gradient of u."""
     grad_sq = sum(np.abs(c.all_values())**2 for c in comps)
-    sup_grad = float(np.sqrt(grad_sq.max()))
+    return float(np.sqrt(grad_sq.max()))
+
+
+def _sup_gap(u, eps, sup_grad):
+    """boundary_sup_gap from sup_grad = sup |Du|."""
+    mesh = u.mesh
     inside = mesh.interior_depth >= eps - mesh.cell_size
     sup_eps = float(np.abs(u.interior[inside]).max()) if inside.any() else 0.0
     sup_b = float(np.abs(u.boundary).max())
@@ -438,13 +466,30 @@ def _serrin_center(mesh):
     return mesh.interior_xy[j]
 
 
+def _serrin_distances(mesh):
+    """Distance of every interior node from the Serrin center, once per mesh."""
+    return mesh.cached("serrin_distances",
+                       lambda: _center_distances(mesh, _serrin_center(mesh)))
+
+
+def _gradient_measures(u, f, g):
+    """(energy defect, sup |Du|) from one gradient of u, which is gone on
+    return: it is not kept while the shifted operator is factored."""
+    comps = gradient(u)
+    return _energy_defect(u, f, g, comps), _sup_gradient(comps)
+
+
 def _measure_instance(inst, mesh, config, holder, pinned):
     """One instance's row of measures on one mesh level.
 
     Every level: the direct solve's defect and residual, the energy
     defect, the Serrin ratios, the maximum-principle ratio and the
-    boundary sup gap.  A Holder level adds the estimate ratios, and on
-    instance 0 the scaling deviation of the doubled problem, whose
+    boundary sup gap.  One gradient of u serves the energy defect and
+    both depths of the boundary sup gap; both Serrin radii share f's L^p
+    norm and the mesh's distances from the Serrin center, and their
+    balls are not checked here (``run_family_study`` checks the largest
+    on every mesh first).  A Holder level adds the estimate ratios, and
+    on instance 0 the scaling deviation of the doubled problem, whose
     solution joins the same sweeps and whose data norms are exactly
     twice those of (f, g) (``_ratio_terms``).  The pinned level, the
     study's last, adds the Fredholm agreement, its Krylov iterations and
@@ -454,10 +499,11 @@ def _measure_instance(inst, mesh, config, holder, pinned):
     f, g = inst.realize(mesh)
     direct = solve_neumann(f, g, strategy="direct_augmented", compat_policy="project")
     u = direct.solution
+    energy_defect, sup_grad = _gradient_measures(u, f, g)
     row = {"instance": inst.index,
            "defect": direct.defect,
            "residual": direct.residual,
-           "energy_defect": energy_identity_defect(u, f, g)}
+           "energy_defect": energy_defect}
 
     if holder:
         main = config.alpha_main
@@ -475,16 +521,16 @@ def _measure_instance(inst, mesh, config, holder, pinned):
             r2 = _ratio(*terms[1]["schauder", main])
             row["scaling_deviation"] = abs(r2 - r1) / (abs(r1) if r1 else 1.0)
 
-    center = _serrin_center(mesh)
+    d, f_lp = _serrin_distances(mesh), _lp_norm(f)
     for k, radius in enumerate(SERRIN_RADII):
-        row[f"serrin_ratio_{k}"] = serrin_local_ratio(u, f, center, radius)
+        row[f"serrin_ratio_{k}"] = _serrin_ratio(u, d, radius, f_lp)
 
     reg = solve_regularized(f, BoundaryFunction.zeros(mesh))
     sup_f = float(np.abs(f.all_values()).max())
     row["max_principle_ratio"] = (
         float(np.abs(reg.solution.all_values()).max()) / sup_f if sup_f > 0 else 0.0)
 
-    row["boundary_sup_gap"] = max(boundary_sup_gap(u, eps) for eps in EPS_VALUES)
+    row["boundary_sup_gap"] = max(_sup_gap(u, eps, sup_grad) for eps in EPS_VALUES)
 
     if pinned:
         fred = solve_neumann(f, g, strategy="fredholm_iteration", compat_policy="project")

@@ -672,6 +672,19 @@ def test_report_csv_of_a_report_with_no_rows_exits_4(tmp_path, capsys, doc):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cell", ["a", True, [1.0]])
+def test_report_csv_of_a_cell_that_is_not_a_number_exits_4(tmp_path, capsys, cell):
+    # the fuzz test below reaches this error only when its random draws hold such a cell
+    doc = {"levels": [{"h": 0.5, "residual": cell, "defect": 0.0}], "observed_orders": []}
+    path, out = tmp_path / "doc.json", tmp_path / "out"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["report", "--input", str(path), "--format", "csv", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"CSV column 'residual' holds {cell!r}, not a number" in err
+    assert not out.exists()
+
+
 REPORT_KEYS =["report", "config", "levels", "criteria", "cases", "observed_orders", "solve"]
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),

@@ -403,6 +403,22 @@ def test_field_algebra_rejects_other_operand_types(kind, disk_mesh_small, rng):
 
 
 @pytest.mark.parametrize("kind", [GridFunction, BoundaryFunction])
+def test_field_product_takes_a_real_number_or_a_field_of_its_type(kind, disk_mesh_small, rng):
+    # a string is not a number, even one float() would read
+    (u, _), _ = _fields(kind, disk_mesh_small, rng)
+    other = BoundaryFunction if kind is GridFunction else GridFunction
+    for w in ("2", other.zeros(disk_mesh_small), None):
+        with pytest.raises(TypeError, match=f"{kind.__name__} and {type(w).__name__}"):
+            u * w
+    with pytest.raises(TypeError, match=f"{kind.__name__} and str"):
+        "3" * u
+    for c in (2.0, np.float64(2), 2):
+        for out in (c * u, u * c):
+            assert type(out) is kind
+            assert all(np.array_equal(o, 2.0 * a) for o, a in zip(_arrays(out), _arrays(u)))
+
+
+@pytest.mark.parametrize("kind", [GridFunction, BoundaryFunction])
 def test_field_algebra_validates_its_results(kind, disk_mesh_small, rng):
     # a result passes through the type's own validation: an overflow is refused
     (u, _), _ = _fields(kind, disk_mesh_small, rng)

@@ -377,6 +377,64 @@ def test_disk_factors_solve_through_theta_modes(res):
         assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+def _mode_blocks_reference(M, nt):
+    """The theta-mode blocks read from the full M, one np.cos per (mode,
+    entry): the construction the ring-row shortcut replaced."""
+    n_rings = M.shape[0] // nt
+    rows = M[np.arange(n_rings) * nt].tocoo()
+    modes = np.arange(nt // 2 + 1)[:, None]
+    vals = rows.data * np.cos((2.0 * np.pi / nt) * (modes * (rows.col % nt) % nt))
+    first = modes * n_rings
+    n = modes.size * n_rings
+    return sp.csc_matrix((vals.ravel(), ((first + rows.row).ravel(),
+                                         (first + rows.col // nt).ravel())), shape=(n, n))
+
+
+def _shifted(mesh):
+    A = neumann_operator(mesh)
+    return (A - sp.diags(np.r_[np.ones(mesh.n_interior), np.zeros(mesh.n_boundary)])).tocsr()
+
+
+@pytest.mark.parametrize("res", [(4, 8), (7, 9), (12, 48), (64, 256)])
+def test_disk_norms_and_mode_blocks_come_from_three_rows_per_ring(res, monkeypatch):
+    mesh = build_mesh(DomainSpec.disk(), res)
+    nt = mesh.n_theta
+    A, A_reg = neumann_operator(mesh), _shifted(mesh)
+    for shift, M in ((False, A), (True, A_reg)):
+        rows = solver._operator_rows(mesh, shift)
+        assert rows.shape == (3 * (mesh.n_r + 1), M.shape[1])
+        # every row sum of |M|, bitwise: rows 0 and n_theta - 1 of a ring
+        # wrap, and the rows between repeat row 1
+        ring = np.asarray(np.abs(rows).sum(axis=1)).reshape(-1, 3)
+        expected = np.repeat(ring[:, 1:2], nt, axis=1)
+        expected[:, 0], expected[:, -1] = ring[:, 0], ring[:, 2]
+        assert np.array_equal(np.asarray(np.abs(M).sum(axis=1)).reshape(-1, nt), expected)
+    # both infinity norms, bitwise those of the full matrices
+    assert solver._operator_norm(mesh) == float(np.abs(A).sum(axis=1).max())
+    blocks = []
+    splu = solver._splu
+    monkeypatch.setattr(solver, "_splu", lambda B: blocks.append(B.copy()) or splu(B))
+    assert solver._regularized_lu(mesh)[0] == float(np.abs(A_reg).sum(axis=1).max())
+    solver._deflated_lu(mesh)
+    # the factored mode blocks, bitwise those of the full-matrix construction
+    deflated = _mode_blocks_reference(A, nt)
+    deflated[0, 0] *= 2.0
+    for got, ref in zip(blocks, (_mode_blocks_reference(A_reg, nt), deflated)):
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+
+
+@pytest.mark.parametrize("spec, res", [(DomainSpec.star_shaped(1.0, (0.2, 0.2)), (12, 48)),
+                                       (DomainSpec.interval(0.0, 1.0), 64)],
+                         ids=["star", "interval"])
+def test_other_meshes_shift_every_row(spec, res):
+    mesh = build_mesh(spec, res)
+    got, ref = solver._operator_rows(mesh, shift=True), _shifted(mesh)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+    assert solver._operator_rows(mesh) is neumann_operator(mesh)
+
+
 @pytest.mark.parametrize("spec, res, fill", [
     (DomainSpec.star_shaped(1.0, (0.2, 0.2, 0.2)), (48, 192), (562468, 562468)),
     (DomainSpec.interval(0.0, 1.0), 4096, (22020, 22532))], ids=["star", "interval"])

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from neumann_lab import expr, field, norms, solver, verify
+from neumann_lab import domain, expr, field, norms, solver, verify
 from neumann_lab.domain import DomainSpec, build_mesh
 from neumann_lab.errors import BallNotContained, ConfigError, DegenerateData
 from neumann_lab.field import BoundaryFunction, GridFunction, subtract_mean
@@ -397,3 +397,43 @@ def test_family_study_threads_assemble_each_mesh_once(monkeypatch):
     # one leaf layout per node set of each Holder rung: boundary loops of
     # 48 and 64 nodes, volume node sets of 12*48 + 48 and 16*64 + 64
     assert sorted(layouts) == [48, 64, 624, 1088]
+
+
+def test_family_study_takes_each_gradient_and_boundary_distance_once(monkeypatch):
+    grads, dists = [], []
+    gradient, distance = verify.gradient, domain.distance_to_boundary
+
+    def counted(mesh, points):
+        dists.append(mesh)
+        return distance(mesh, points)
+
+    monkeypatch.setattr(verify, "gradient", lambda u: grads.append(u.mesh) or gradient(u))
+    monkeypatch.setattr(verify, "distance_to_boundary", counted)
+    monkeypatch.setattr(domain, "distance_to_boundary", counted)
+    config = _tiny_config(count=3, pinned_resolution=(16, 64))
+    run_family_study(config)
+    # one gradient of u per instance and level outside the Holder sweeps,
+    # whose own gradients norms takes
+    assert len(grads) == 3 * config.count
+    assert len({id(m) for m in grads}) == 3
+    # per mesh: the interior depths and the pre-flight check of the largest Serrin ball
+    assert len(dists) == 2 * 3
+    assert all(dists.count(m) == 2 for m in dists)
+
+
+@pytest.mark.parametrize("domain_spec, res", [
+    (DomainSpec.disk(), (12, 48)),
+    (DomainSpec.star_shaped(1.0, (0.0, 0.2)), (16, 64))], ids=["disk", "star"])
+def test_study_rows_equal_the_public_measures_bitwise(domain_spec, res):
+    config = VerifyConfig(domain=domain_spec, count=2, seed=5, resolutions=(res,),
+                          pinned_resolution=None, alphas=(0.5,))
+    [level] = run_family_study(config).levels
+    row = level["rows"][1]
+    mesh = build_mesh(domain_spec, res)
+    f, g = ProblemFamily(seed=5, count=2).instances()[1].realize(mesh)
+    u = solve_neumann(f, g, compat_policy="project").solution
+    assert row["energy_defect"] == energy_identity_defect(u, f, g)
+    center = verify._serrin_center(mesh)
+    for k, radius in enumerate(verify.SERRIN_RADII):
+        assert row[f"serrin_ratio_{k}"] == serrin_local_ratio(u, f, center, radius)
+    assert row["boundary_sup_gap"] == max(boundary_sup_gap(u, eps) for eps in verify.EPS_VALUES)
