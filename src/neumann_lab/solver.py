@@ -129,17 +129,22 @@ def _rotation_invariant(mesh):
     return mesh.dim == 2 and bool(np.all(mesh.R == mesh.R[0])) and not np.any(mesh.Rp)
 
 
+# The rows of every disk ring that _operator_rows keeps, in this order, as
+# offsets in the ring (-1 is n_theta - 1): row 0 holds the stencil
+# (_mode_blocks), and rows 1 and n_theta - 1 complete the row sums.
+_RING_ROWS = (0, 1, -1)
+
+
 def _operator_rows(mesh, shift=False):
     """A, or A - S with shift (S the identity on interior nodes), in CSR.
-    On a disk mesh only rows 0, 1 and n_theta - 1 of every ring, in that
-    order: the other rows of a ring repeat row 1's entries in row 1's
-    order, so these rows give every row sum of |M| bitwise, and row 0 of
-    each ring holds the stencil (``_mode_blocks``)."""
+    On a disk mesh only the _RING_ROWS of every ring: the other rows of a
+    ring repeat row 1's entries in row 1's order, so these rows give
+    every row sum of |M| bitwise."""
     M = neumann_operator(mesh)
     rows = np.arange(M.shape[0])
     if _rotation_invariant(mesh):
         nt = mesh.n_theta
-        rows = (np.arange(mesh.n_r + 1)[:, None] * nt + [0, 1, nt - 1]).ravel()
+        rows = (np.arange(mesh.n_r + 1)[:, None] * nt + np.mod(_RING_ROWS, nt)).ravel()
         M = M[rows]
     if shift:
         M = M.copy()
@@ -151,7 +156,7 @@ def _operator_rows(mesh, shift=False):
 def _mode_blocks(rows, n_theta):
     """The real radial block of every theta-mode of a rotation-invariant M,
     as one block-diagonal CSC matrix over the unknowns (mode, ring), from
-    M's rows 0, 1 and n_theta - 1 of every ring (``_operator_rows``).
+    the _RING_ROWS of every ring (``_operator_rows``).
 
     M[(jr, i), (jc, i + d)] = a(jr, jc, d) for every i, so the first row of
     each ring holds the stencil, and mode m's block is
@@ -160,7 +165,7 @@ def _mode_blocks(rows, n_theta):
     The cosines are looked up in one table of n_theta entries.
     """
     nt = n_theta
-    first = rows[::3].tocoo()
+    first = rows[_RING_ROWS.index(0)::len(_RING_ROWS)].tocoo()
     n_rings = first.shape[0]
     cosines = np.cos((2.0 * np.pi / nt) * np.arange(nt))
     modes = np.arange(nt // 2 + 1)[:, None]

@@ -169,19 +169,19 @@ class ProblemFamily:
 # ---------------------------------------------------------------------------
 # pointwise measures
 
-def energy_identity_defect(u, f, g):
-    """|int |Du|^2 - (bnd_int u g - int u f)| / (1 + int |Du|^2)."""
-    return _energy_defect(u, f, g, gradient(u))
-
-
-def _energy_defect(u, f, g, comps):
-    """energy_identity_defect from comps, the gradient of u."""
+def _gradient_measures(u, f, g):
+    """(energy defect, sup |Du|) from one gradient of u, which is gone on
+    return: it is not kept while the shifted operator is first factored.
+    The energy defect is |int |Du|^2 - (bnd_int u g - int u f)| /
+    (1 + int |Du|^2), and sup |Du| is taken over every node."""
+    comps = gradient(u)
     sq = comps[0] * comps[0]
     for c in comps[1:]:
         sq = sq + c * c
     energy = integrate_volume(sq)
     rhs = integrate_boundary(boundary_trace(u) * g) - integrate_volume(u * f)
-    return abs(energy - rhs) / (1.0 + energy)
+    grad_sq = sum(np.abs(c.all_values())**2 for c in comps)
+    return abs(energy - rhs) / (1.0 + energy), float(np.sqrt(grad_sq.max()))
 
 
 def _ratio(num, den):
@@ -236,33 +236,20 @@ def _check_ball(mesh, center, radius):
                                f"the sampled boundary distance {dist:.4f} minus one cell")
 
 
-def serrin_local_ratio(u, f, center, radius):
-    """sup over B(center, R) of |u| against local L2 and global Lp data,
-    with p = N + 1 (N the dimension, so p > N/2).
-
-    Requires B(center, 2R) inside the domain (sampled boundary distance
-    with a one-cell margin).
-    """
-    mesh = u.mesh
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    _check_ball(mesh, center, radius)
-    return _serrin_ratio(u, _center_distances(mesh, center), radius, _lp_norm(f))
-
-
-def _center_distances(mesh, center):
-    """Distance of every interior node from center."""
-    return np.linalg.norm(mesh.interior_xy - center[None, :], axis=1)
-
-
 def _lp_norm(f):
-    """||f||_{L^p} over the interior, p = N + 1."""
+    """||f||_{L^p} over the interior, p = N + 1 (N the dimension, so p > N/2)."""
     p = f.mesh.dim + 1
     return float(np.dot(f.mesh.w_vol, np.abs(f.interior)**p) ** (1.0 / p))
 
 
 def _serrin_ratio(u, d, radius, f_lp):
-    """serrin_local_ratio from d, the interior nodes' distances from the
-    center, and f_lp = ||f||_{L^p}; the ball is not checked here."""
+    """sup over B(center, R) of |u| against local L2 and global Lp data,
+    from d, the interior nodes' distances from the center, and
+    f_lp = ``_lp_norm(f)``.
+
+    Requires B(center, 2R) inside the domain, which ``_check_ball``
+    checks (sampled boundary distance with a one-cell margin).
+    """
     mesh = u.mesh
     ndim = mesh.dim
     p = ndim + 1
@@ -274,25 +261,15 @@ def _serrin_ratio(u, d, radius, f_lp):
     return _ratio(sup_r, den)
 
 
-def boundary_sup_gap(u, eps):
-    """Violation of sup_bnd |u| <= sup_{interior at depth eps} |u| + eps sup|Du|.
+def _sup_gap(u, eps, sup_grad):
+    """Violation of sup_bnd |u| <= sup_{interior at depth eps} |u| + eps sup|Du|,
+    sup_grad = sup |Du| (``_gradient_measures``).
 
     The interior set keeps nodes with sampled boundary distance at
     least eps minus one cell, so the discrete supremum cannot miss the
     continuum maximizer by a grid offset.  Returns the normalized gap;
     values above the slack indicate a violation.
     """
-    return _sup_gap(u, eps, _sup_gradient(gradient(u)))
-
-
-def _sup_gradient(comps):
-    """sup |Du| over every node, from comps, the gradient of u."""
-    grad_sq = sum(np.abs(c.all_values())**2 for c in comps)
-    return float(np.sqrt(grad_sq.max()))
-
-
-def _sup_gap(u, eps, sup_grad):
-    """boundary_sup_gap from sup_grad = sup |Du|."""
     mesh = u.mesh
     inside = mesh.interior_depth >= eps - mesh.cell_size
     sup_eps = float(np.abs(u.interior[inside]).max()) if inside.any() else 0.0
@@ -468,15 +445,9 @@ def _serrin_center(mesh):
 
 def _serrin_distances(mesh):
     """Distance of every interior node from the Serrin center, once per mesh."""
-    return mesh.cached("serrin_distances",
-                       lambda: _center_distances(mesh, _serrin_center(mesh)))
-
-
-def _gradient_measures(u, f, g):
-    """(energy defect, sup |Du|) from one gradient of u, which is gone on
-    return: it is not kept while the shifted operator is factored."""
-    comps = gradient(u)
-    return _energy_defect(u, f, g, comps), _sup_gradient(comps)
+    def build():
+        return np.linalg.norm(mesh.interior_xy - _serrin_center(mesh)[None, :], axis=1)
+    return mesh.cached("serrin_distances", build)
 
 
 def _measure_instance(inst, mesh, config, holder, pinned):
@@ -606,7 +577,7 @@ def run_family_study(config):
     meshes = [build_mesh(config.domain, res) for res, _ in ladder]
     eps = min(EPS_VALUES)
     for (res, _), mesh in zip(ladder, meshes):
-        # boundary_sup_gap bridges to the boundary over eps only
+        # the boundary sup gap bridges to the boundary over eps only
         gap = float(mesh.interior_depth.min())
         if gap > eps:
             n = _first_passing_n(config.domain, res, gap, eps)
