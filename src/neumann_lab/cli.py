@@ -255,6 +255,19 @@ def _problem_inputs(args, default_policy):
             args.compat or problem.get("compat_policy", default_policy))
 
 
+def _add_problem_flags(p):
+    """The flags of one problem that solve and sweep share."""
+    p.add_argument("--problem", help="problem JSON file")
+    _add_shape_flags(p)
+    p.add_argument("--nr", type=int, help="radial cells (2D)")
+    p.add_argument("--ntheta", type=int, help="angular cells (2D)")
+    p.add_argument("--n", type=int, help="cells (1D)")
+    p.add_argument("--f", help="forcing expression")
+    p.add_argument("--g", help="boundary flux expression")
+    p.add_argument("--strategy", choices=solver.STRATEGIES)
+    p.add_argument("--compat", choices=("reject", "project"))
+
+
 def _add_shape_flags(p):
     p.add_argument("--domain", choices=("disk", "interval", "star"),
                    help="domain kind (default disk)")
@@ -262,12 +275,6 @@ def _add_shape_flags(p):
     p.add_argument("--radius-coeffs", help='star boundary JSON: {"a0":1,"cos":[...],"sin":[...]}')
     p.add_argument("--a", type=float, default=0.0, help="interval left endpoint")
     p.add_argument("--b", type=float, default=1.0, help="interval right endpoint")
-
-
-def _add_resolution_flags(p):
-    p.add_argument("--nr", type=int, help="radial cells (2D)")
-    p.add_argument("--ntheta", type=int, help="angular cells (2D)")
-    p.add_argument("--n", type=int, help="cells (1D)")
 
 
 def _add_output_flags(p):
@@ -332,7 +339,7 @@ def cmd_verify(args):
     config = VerifyConfig(domain=domain, family_kind=args.family, count=args.count,
                           seed=args.seed, resolutions=resolutions,
                           pinned_resolution=None if args.no_pinned else pinned, alphas=alphas,
-                          alpha_main=args.alpha, threads=args.threads)
+                          alpha_main=args.alpha)
     t0 = time.perf_counter()
     report = run_family_study(config)
     wall = time.perf_counter() - t0
@@ -464,13 +471,7 @@ def build_parser():
     p = sub.add_parser("solve", help="solve one Neumann problem",
                        epilog=GRAMMAR_HELP,
                        formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--problem", help="problem JSON file")
-    _add_shape_flags(p)
-    _add_resolution_flags(p)
-    p.add_argument("--f", help="forcing expression")
-    p.add_argument("--g", help="boundary flux expression")
-    p.add_argument("--strategy", choices=solver.STRATEGIES)
-    p.add_argument("--compat", choices=("reject", "project"))
+    _add_problem_flags(p)
     p.add_argument("--exact", help="exact mean-zero solution expression (for error reporting)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_solve)
@@ -493,22 +494,14 @@ def build_parser():
     p.add_argument("--alphas", default=",".join(map(str, VerifyConfig.alphas)))
     p.add_argument("--alpha", type=float, default=VerifyConfig.alpha_main,
                    help="exponent for the L2 ratio")
-    p.add_argument("--threads", type=int, default=VerifyConfig.threads,
-                   help="instance parallelism (0: NEUMANN_LAB_THREADS or 1)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="refinement ladder for one problem",
                        epilog=GRAMMAR_HELP,
                        formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--problem")
-    _add_shape_flags(p)
-    _add_resolution_flags(p)
-    p.add_argument("--f")
-    p.add_argument("--g")
+    _add_problem_flags(p)
     p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--strategy", choices=solver.STRATEGIES)
-    p.add_argument("--compat", choices=("reject", "project"))
     p.add_argument("--exact", help="exact mean-zero solution for error/order reporting")
     _add_output_flags(p)
     p.set_defaults(func=cmd_sweep)

@@ -2,21 +2,10 @@
 
 Forcing terms and boundary data can be given as text (in problem files
 and on the command line) over the node coordinates.  The language is a
-conventional infix grammar, parsed by recursive descent:
-
-    expr    := term (('+' | '-') term)*
-    term    := factor (('*' | '/') factor)*
-    factor  := base ('^' factor)?          # '^' is right-associative
-    base    := NUMBER | IDENT | CONST | '(' expr ')'
-             | '-' factor | FUNC '(' expr ')'
-
-    IDENT   one of x, y, r, theta, s
-    FUNC    one of sin, cos, exp, log, abs, sqrt
-    CONST   pi, e
-
-Precedence, high to low: '^', unary '-', '*' '/', '+' '-'.  There is no
-implicit multiplication ("2x" is a syntax error).  Evaluation never lets
-NaN or Inf escape: leaving the real domain raises EvalDomainError.
+conventional infix grammar, parsed by recursive descent; ``GRAMMAR_HELP``
+states it, with its precedence, and is the command line's help text.
+Evaluation never lets NaN or Inf escape: leaving the real domain raises
+EvalDomainError.
 """
 
 from __future__ import annotations
@@ -89,8 +78,6 @@ class BinOp:
     left: object
     right: object
 
-
-Expr = Num | Const | Var | Neg | Call | BinOp
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
@@ -264,47 +251,3 @@ def evaluate(node, point):
     if arr.ndim == 0:
         return float(arr)
     return arr
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-_NEG_PREC = 3
-
-
-def _level(node):
-    if isinstance(node, BinOp):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return _NEG_PREC
-    return 5
-
-
-def to_text(node):
-    """Render an AST back to parseable text (round-trip stable)."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, (Const, Var)):
-        return node.name
-    if isinstance(node, Neg):
-        inner = to_text(node.operand)
-        if _level(node.operand) < _NEG_PREC:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Call):
-        return f"{node.func}({to_text(node.arg)})"
-    if isinstance(node, BinOp):
-        p = _PREC[node.op]
-        left = to_text(node.left)
-        right = to_text(node.right)
-        if node.op == "^":
-            # right-associative: parenthesize any structured left operand
-            if _level(node.left) <= p:
-                left = f"({left})"
-            if _level(node.right) < _NEG_PREC:
-                right = f"({right})"
-        else:
-            if _level(node.left) < p:
-                left = f"({left})"
-            if _level(node.right) <= p:
-                right = f"({right})"
-        return f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
-    raise TypeError(f"not an expression node: {node!r}")

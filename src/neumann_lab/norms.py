@@ -184,7 +184,7 @@ _SQUARE = np.divmod(np.arange(LEAF * LEAF), LEAF)
 _UPPER = np.triu_indices(LEAF, 1)
 
 
-def _box_bounds(lo, hi, vlo, vhi, p, q, alphas, period, rows=None):
+def _box_bounds(lo, hi, vlo, vhi, p, q, alphas, period, rows):
     """Upper bounds on the quotients of the box pairs (p[i], q[i]).
 
     lo, hi: (boxes, d) coordinate boxes; vlo, vhi: (boxes, m) value
@@ -209,8 +209,7 @@ def _box_bounds(lo, hi, vlo, vhi, p, q, alphas, period, rows=None):
         dmin = np.minimum(dmin, np.maximum(0.0, period - span))
     spread = (np.maximum(vhi.take(p, axis=1), vhi.take(q, axis=1))
               - np.minimum(vlo.take(p, axis=1), vlo.take(q, axis=1)))
-    if rows is not None:
-        spread = np.maximum.reduceat(spread, rows, axis=0)
+    spread = np.maximum.reduceat(spread, rows, axis=0)
     near = dmin == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = spread[:, None, :] * (dmin ** -alphas[:, None] * SLACK)

@@ -15,10 +15,7 @@ reproducible bit-for-bit from its recorded seed and configuration.
 
 from __future__ import annotations
 
-import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import InitVar, dataclass, field as dc_field
 
 import numpy as np
 
@@ -174,13 +171,10 @@ def _gradient_measures(u, f, g):
     return: it is not kept while the shifted operator is first factored.
     The energy defect is |int |Du|^2 - (bnd_int u g - int u f)| /
     (1 + int |Du|^2), and sup |Du| is taken over every node."""
-    comps = gradient(u)
-    sq = comps[0] * comps[0]
-    for c in comps[1:]:
-        sq = sq + c * c
-    energy = integrate_volume(sq)
+    mesh = u.mesh
+    grad_sq = sum(np.abs(c.all_values())**2 for c in gradient(u))   # interior nodes first
+    energy = float(np.dot(mesh.w_vol, grad_sq[:mesh.n_interior]))
     rhs = integrate_boundary(boundary_trace(u) * g) - integrate_volume(u * f)
-    grad_sq = sum(np.abs(c.all_values())**2 for c in comps)
     return abs(energy - rhs) / (1.0 + energy), float(np.sqrt(grad_sq.max()))
 
 
@@ -391,7 +385,9 @@ class VerifyConfig:
     Every field is set by a ``neumann-lab verify`` flag; ``to_json`` also
     records the fixed settings: ``SERRIN_RADII`` (with ``"serrin_p":
     None``, p = N + 1), ``EPS_VALUES`` and ``"pair_strategy": "pruned"``
-    (the pruned Holder sweep equals the all-pairs one bitwise).
+    (the pruned Holder sweep equals the all-pairs one bitwise).  The
+    study runs its instances one after another; ``threads``, an init-only
+    argument kept for callers that pass ``threads=1``, must be 1.
     """
 
     domain: DomainSpec = dc_field(default_factory=DomainSpec.disk)
@@ -402,9 +398,12 @@ class VerifyConfig:
     pinned_resolution: tuple = (64, 256)
     alphas: tuple = (0.3, 0.5, 0.7)
     alpha_main: float = 0.5
-    threads: int = 0                # 0: honor NEUMANN_LAB_THREADS, default 1
+    threads: InitVar[int] = 1
 
-    def __post_init__(self):
+    def __post_init__(self, threads):
+        if threads != 1:
+            raise ConfigError(f"threads must be 1 (instance threads were removed: the "
+                              f"study runs its instances serially), got {threads}")
         for a in self.alphas:
             if not 0.0 < a < 1.0:
                 raise ConfigError(f"alpha must lie in (0, 1), got {a}")
@@ -416,7 +415,6 @@ class VerifyConfig:
         for res in (*self.resolutions, self.pinned_resolution):
             if res is not None:
                 check_mesh_size(res)
-        _worker_count(self)
 
     def to_json(self):
         return {
@@ -529,25 +527,6 @@ class EstimateReport:
                 "criteria": self.criteria, "passed": self.passed}
 
 
-def _worker_count(config):
-    """Instance threads: config.threads, else NEUMANN_LAB_THREADS, else 1.
-    A negative config.threads, or a variable that is not an integer >= 1,
-    is a ConfigError."""
-    if config.threads < 0:
-        raise ConfigError(f"threads must be >= 0 (0: NEUMANN_LAB_THREADS or 1), "
-                          f"got {config.threads}")
-    if config.threads:
-        return int(config.threads)
-    text = os.environ.get("NEUMANN_LAB_THREADS", "") or "1"
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ConfigError(f"NEUMANN_LAB_THREADS must be an integer >= 1, got {text!r}")
-    return count
-
-
 def _first_passing_n(domain, res, gap, eps):
     """Smallest radial (2D) or cell (1D) count, from res's, whose outer
     nodes lie within eps of the boundary; the gap scales like 1/n.
@@ -566,7 +545,6 @@ def run_family_study(config):
     """Run every measure over the configured family and ladder."""
     if len(config.resolutions) < 1:
         raise ConfigError("family study needs at least one level")
-    workers = _worker_count(config)
     family = ProblemFamily(kind=config.family_kind, seed=config.seed,
                            count=config.count, dim=config.domain.dim)
     instances = family.instances()
@@ -593,13 +571,8 @@ def run_family_study(config):
     for lvl, (res, holder) in enumerate(ladder):
         mesh, meshes[lvl] = meshes[lvl], None   # a finished level's factors can go
         h = mesh.h if mesh.dim == 1 else mesh.h_s
-        measure = functools.partial(_measure_instance, mesh=mesh, config=config,
-                                    holder=holder, pinned=lvl == pinned_level)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(measure, instances))
-        else:
-            rows = [measure(inst) for inst in instances]
+        rows = [_measure_instance(inst, mesh, config, holder, lvl == pinned_level)
+                for inst in instances]
         levels.append({"resolution": [int(v) for v in np.atleast_1d(res)],
                        "h": float(h), "holder": holder, "rows": rows})
     aggregates = _aggregate(levels, config)

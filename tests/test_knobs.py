@@ -47,7 +47,6 @@ VerifyConfig.family_kind
 VerifyConfig.pinned_resolution
 VerifyConfig.resolutions
 VerifyConfig.seed
-VerifyConfig.threads
 c_k_alpha_norm(pair_strategy)
 pairwise_holder_max(groups)
 pairwise_holder_max(order)
@@ -86,5 +85,5 @@ def _settable():
 
 
 def test_every_settable_public_value_is_listed():
-    assert len(SETTABLE) == 48
+    assert len(SETTABLE) == 47
     assert _settable() == SETTABLE

@@ -374,7 +374,7 @@ def test_kd_tile_layout(n, layout, rng):
         vlo = np.array([V[:, g].min(axis=1) for g in groups])
         vhi = np.array([V[:, g].max(axis=1) for g in groups])
         tp, tq = np.triu_indices(len(groups))
-        bound, _ = _box_bounds(lo, hi, vlo, vhi, tp, tq, alphas, None)
+        bound, _ = _box_bounds(lo, hi, vlo, vhi, tp, tq, alphas, None, np.arange(len(V)))
         for k, (p, q) in enumerate(zip(tp, tq)):
             d = np.sqrt(((P[groups[p], None, :] - P[None, groups[q], :])**2).sum(axis=2))
             dv = np.abs(V[:, groups[p], None] - V[:, None, groups[q]])

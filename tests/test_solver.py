@@ -300,7 +300,8 @@ def test_constrained_solves_share_one_factorization(monkeypatch):
     calls += [lambda node=node: solve_neumann_pinned(f, g, node=node, value=1.0,
                                                      compat_policy="project").solution
               for node in (0, mesh.n_interior // 2, mesh.n_interior + 5)]
-    # as the family study's instance threads do: all at once, switching often
+    # Mesh.cached's lock lets a caller share a mesh across its own threads:
+    # run them all at once, switching often
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -2,8 +2,6 @@
 
 import functools
 import json
-import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -297,6 +295,16 @@ def test_family_study_payload_does_not_depend_on_the_pair_strategy(monkeypatch):
     assert brute == pruned
 
 
+def test_verify_config_takes_one_thread_only():
+    # the benchmark builds its configs with threads=1, which changes nothing
+    config = VerifyConfig(count=2, seed=3, resolutions=((12, 48),),
+                          pinned_resolution=(96, 384), threads=1)
+    assert config == VerifyConfig(count=2, seed=3, resolutions=((12, 48),),
+                                  pinned_resolution=(96, 384))
+    with pytest.raises(ConfigError, match="instance threads were removed"):
+        VerifyConfig(threads=2)
+
+
 def test_verify_config_rejects_bad_alphas():
     with pytest.raises(ConfigError):
         VerifyConfig(alphas=(0.3, 0.7), alpha_main=0.5)
@@ -327,7 +335,7 @@ def test_family_study_stacks_each_instance_into_one_sweep_per_node_set(monkeypat
         return best, wit, pairs
 
     monkeypatch.setattr(norms, "pairwise_holder_max", traced)
-    run_family_study(_tiny_config(alphas=(0.3, 0.5, 0.7), threads=1))
+    run_family_study(_tiny_config(alphas=(0.3, 0.5, 0.7)))
     # per rung, one volume and one loop sweep per instance: instance 0
     # stacks f, u'' and the doubled problem's u'' (its data norms are
     # twice f's and g's), the other f and u''
@@ -382,31 +390,22 @@ def test_family_study_rejects_empty():
         run_family_study(_tiny_config(count=0))
 
 
-def test_family_study_threads_assemble_each_mesh_once(monkeypatch):
+def test_family_study_assembles_each_mesh_once(monkeypatch):
     assembled, factored, layouts = [], [], []
     assemble, factor, layout = field._assemble_2d, solver._factor, norms._layout
     monkeypatch.setattr(field, "_assemble_2d",
                         lambda mesh: assembled.append((mesh.n_r, mesh.n_theta)) or assemble(mesh))
     # every per-mesh factor, whichever kind the mesh gets
     monkeypatch.setattr(solver, "_factor", lambda mesh, M, *a, **kw: (
-        factored.append(M.shape) or factor(mesh, M, *a, **kw)))
+        factored.append((mesh.n_r, mesh.n_theta)) or factor(mesh, M, *a, **kw)))
     monkeypatch.setattr(norms, "_layout",
                         lambda coords: layouts.append(len(coords)) or layout(coords))
     config = VerifyConfig(count=4, seed=3, resolutions=((12, 48), (16, 64)),
-                          pinned_resolution=(20, 80), threads=1)
+                          pinned_resolution=(20, 80))
     run_family_study(config)
-    serial_factors = len(factored)
-    for seen in (assembled, factored, layouts):
-        seen.clear()
-    # instance threads start on each fresh mesh together, switching often
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        run_family_study(replace(config, threads=2))
-    finally:
-        sys.setswitchinterval(interval)
     assert sorted(assembled) == [(12, 48), (16, 64), (20, 80)]
-    assert len(factored) <= serial_factors
+    # each mesh's two factors, of A and of A - S, serve all 4 instances
+    assert sorted(factored) == [(12, 48)] * 2 + [(16, 64)] * 2 + [(20, 80)] * 2
     # one leaf layout per node set of each Holder rung: boundary loops of
     # 48 and 64 nodes, volume node sets of 12*48 + 48 and 16*64 + 64
     assert sorted(layouts) == [48, 64, 624, 1088]
