@@ -458,6 +458,17 @@ def cmd_report(args):
     return EXIT_OK
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which reports arguments it does not know
+    itself, under its own usage line, instead of passing them up."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, extra
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="neumann-lab",
@@ -466,7 +477,8 @@ def build_parser():
         epilog=GRAMMAR_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
 
     p = sub.add_parser("solve", help="solve one Neumann problem",
                        epilog=GRAMMAR_HELP,

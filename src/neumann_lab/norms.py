@@ -8,8 +8,10 @@ running maximum serves each (group, exponent) entry.  The nodes are cut
 into chunks of TILE, and each chunk into leaves of LEAF -- nested k-d
 boxes in the plane, runs of the sorted order on a line or loop.  The
 k-d boxes are split level by level: every node's rank along each axis
-is sorted once, and one sort of distinct (box, rank) keys per level cuts
-all boxes of that level together.  A tile is a pair of chunks, a leaf
+is sorted once, and one ``np.sort`` of distinct int64 keys box * n +
+rank per level cuts all boxes of that level together, each node decoded
+from its key; the full chunks halve into leaves as the rows of one
+array, sorted row by row.  A tile is a pair of chunks, a leaf
 pair a pair of distinct leaves.  Every pair is evaluated with the same
 arithmetic: squared distances axis by axis, the log once, the distance
 weight once per exponent, a group's value difference as the largest
@@ -38,7 +40,12 @@ the leaf pairs:
     at most N + |gbar| |x - y|, gbar the mean slope and N the rest (the
     models' offset, slope mismatch and residuals), plus a rounding
     allowance of 2^-40 times |c|, |gbar| |centre_a - centre_b| and
-    max|v|.
+    max|v|.  A call keeps this affine stage only where it can pay: if,
+    in the chunk fits its tile level makes, every group's median over
+    its rows and chunks of the largest residual over half the chunk's
+    value spread is at least ROUGH (white noise reads 1.05-1.09, the
+    smooth study stacks at most 0.71), it bounds both levels with
+    spreads alone and fits no leaves.
 
   Both bounds carry a relative slack for pow against exp(log).  One
   drain walks both levels, a dual-tree traversal (Curtin et al., ICML
@@ -77,6 +84,7 @@ TILE_BATCH = 32   # tiles bounded, expanded and sorted together
 BATCH = 128       # leaf pairs evaluated together in (LEAF, LEAF, BATCH) arrays
 SLACK = 1.0 + 1e-9     # relative slack of every bound, for pow here against exp(log)
 ROUNDING = 2.0**-40    # the affine bound's rounding allowance per unit of magnitude
+ROUGH = 0.9            # chunk residual / half spread from which affine bounds do not pay
 
 STRATEGIES = ("brute_force", "pruned")
 
@@ -109,22 +117,23 @@ def _as_points(coords, n):
     return pts
 
 
-def _kd_split(pts, rank, order, starts, size):
+def _kd_split(pts, rank, byrank, order, starts, size):
     """order with each run order[starts[i]:starts[i + 1]] cut into k-d boxes of size.
 
     Level by level, every box of more than size nodes is sorted by
     rank along its axis of larger extent (the first such axis on a tie)
     and cut so that size * ceil(nboxes / 2) nodes go left, which leaves
-    every box but the last of each run full.  One sort of the keys
-    box * n + rank reorders all boxes of a level; a box that is not
-    split keys on its current position instead, so it keeps its order.
-    The keys are distinct, so an unstable sort gives the stable order.
-    pts: the (d, n) coordinates, one contiguous row per axis.
+    every box but the last of each run full.  One sort of the distinct
+    int64 keys box * n + rank reorders all boxes of a level; a box that
+    is not split keys on its current position in order instead, so it
+    keeps its order.  Each node is decoded from its key: byrank[a, r] is
+    the node of rank r along axis a.  Keys stay below n * n, which fits
+    in int64 for every n below 3e9, far beyond memory.  pts: the (d, n)
+    coordinates, one contiguous row per axis.
     """
-    n = len(order)
-    position = np.arange(n)
+    m, n = len(order), pts.shape[1]
     while True:
-        counts = np.diff(starts, append=n)
+        counts = np.diff(starts, append=m)
         nboxes = -(-counts // size)
         split = nboxes > 1
         if not split.any():
@@ -134,10 +143,16 @@ def _kd_split(pts, rank, order, starts, size):
             x = x[order]
             extent[a] = np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
         box = np.repeat(np.arange(len(starts)), counts)
-        axis = np.argmax(extent, axis=0)[box]
+        axis = (np.argmax(extent, axis=0) * n)[box]
+        offset = box * n
+        within = split[box]
         # rank[axis, order], gathered from the flat array
-        key = box * n + np.where(split[box], rank.take(axis * n + order), position)
-        order = order[np.argsort(key)]
+        key = np.where(within, rank.take(axis + order), np.arange(m)) + offset
+        # the sort keeps every box in its place, so its keys decode against
+        # the same offsets; a rank may pass the end of a partial run's order,
+        # where mode="clip" keeps the gather in range and np.where drops it
+        key = np.sort(key) - offset
+        order = np.where(within, byrank.take(axis + key), order.take(key, mode="clip"))
         starts = np.sort(np.concatenate([starts, starts[split] + size * -(-nboxes[split] // 2)]))
 
 
@@ -151,25 +166,38 @@ def _layout(coords):
     coordinate down to the first and then by node index.  It is computed
     once; sorting a box by it sorts the box's coordinates with the same
     tie rule, so the splits, made level by level (``_kd_split``), equal
-    those of a per-box recursion.
+    those of a per-box recursion.  The full chunks halve into leaves
+    (TILE // LEAF is a power of two) as the rows of one (boxes, width)
+    array, each row sorted by rank on its own axis; the last partial
+    chunk takes the general path.
     """
     n, d = coords.shape
     if d == 1:
         return np.argsort(coords[:, 0], kind="stable")
     pts = np.ascontiguousarray(coords.T)
     rank = np.empty((d, n), dtype=np.int64)
+    byrank = np.empty((d, n), dtype=np.int64)
     for a in range(d):
         # primary coordinate a, then the others last first, then node index;
         # in the plane a stable sort of the complex keys x + iy and y + ix
         # (real part first, then imaginary part) gives that order for finite
         # coordinates, in less than half the time of lexsort
         if d == 2:
-            order = np.argsort(pts[a] + 1j * pts[1 - a], kind="stable")
+            byrank[a] = np.argsort(pts[a] + 1j * pts[1 - a], kind="stable")
         else:
-            order = np.lexsort((*np.delete(pts, a, axis=0), pts[a]))
-        rank[a, order] = np.arange(n)
-    order = _kd_split(pts, rank, np.arange(n), np.zeros(1, dtype=np.int64), TILE)
-    return _kd_split(pts, rank, order, np.arange(0, n, TILE), LEAF)
+            byrank[a] = np.lexsort((*np.delete(pts, a, axis=0), pts[a]))
+        rank[a, byrank[a]] = np.arange(n)
+    order = _kd_split(pts, rank, byrank, np.arange(n), np.zeros(1, dtype=np.int64), TILE)
+    full, width = n - n % TILE, TILE
+    boxes = order[:full]
+    while width > LEAF:
+        boxes = boxes.reshape(-1, width)
+        extent = [np.ptp(x.take(boxes), axis=1) for x in pts]
+        axis = np.argmax(extent, axis=0)[:, None] * n
+        boxes = byrank.take(axis + np.sort(rank.take(axis + boxes), axis=1))
+        width //= 2
+    tail = _kd_split(pts, rank, byrank, order[full:], np.zeros(1, dtype=np.int64), LEAF)
+    return np.concatenate([boxes.ravel(), tail])
 
 
 # leaf offsets, within their chunks, of the leaf pairs of two chunks and
@@ -330,6 +358,7 @@ class _Sweep:
         self.witnesses = np.zeros(self.best.shape + (2,), dtype=int)
         self.pairs = 0
         self.models = None
+        self.affine = period is None     # whether bounds() tries affine models
         # leaf pairs bounded but not yet evaluated, best first, with their
         # (entries, pairs) bounds
         self.queue = (np.empty(0, dtype=int), np.empty(0, dtype=int),
@@ -364,17 +393,19 @@ class _Sweep:
         """(p, q, bounds, keys) of the box pairs (p[i], q[i]) that may beat
         a running maximum.
 
-        A pair's bound is the smaller of the spread bound and, on the
-        plane, the affine bound of models(), computed only for the pairs
-        the spread bound keeps.  The key ranks pairs best first: the
+        A pair's bound is the smaller of the spread bound and, while the
+        call keeps its affine stage, the affine bound of models() (None
+        when that stage turns out not to pay), computed only for the
+        pairs the spread bound keeps.  The key ranks pairs best first: the
         largest ratio of an entry's bound to its running maximum.
         """
         bound, dmin = _box_bounds(lo, hi, vlo, vhi, p, q, self.alphas, self.period, self.rows)
         bound = np.moveaxis(bound, 0, -1).reshape(self.best.size, -1)
         keep = (bound > self.best.reshape(-1, 1)).any(axis=0)
         p, q, bound = p[keep], q[keep], bound[:, keep]
-        if self.period is None and len(p):
-            models, dmin = models(), dmin[keep]
+        models = models() if self.affine and len(p) else None
+        if models is not None:
+            dmin = dmin[keep]
             # in slices of 2 * BATCH pairs, to bound the transient memory
             for s in range(0, len(p), 2 * BATCH):
                 part = slice(s, s + 2 * BATCH)
@@ -562,12 +593,22 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
     else:
         # a chunk's runs of columns, the last padded with the last column
         chunks = np.minimum(starts * LEAF + np.arange(TILE)[:, None], sweep.cols.shape[1] - 1)
-        tiles = sweep.bounds(
-            np.minimum.reduceat(sweep.lo, starts, axis=1).T,
-            np.maximum.reduceat(sweep.hi, starts, axis=1).T,
-            np.minimum.reduceat(sweep.vlo, starts, axis=1).T,
-            np.maximum.reduceat(sweep.vhi, starts, axis=1).T,
-            lambda: _affine_models(sweep.cols, sweep.dim, chunks), tp, tq)
+        vlo = np.minimum.reduceat(sweep.vlo, starts, axis=1)
+        vhi = np.maximum.reduceat(sweep.vhi, starts, axis=1)
+
+        def chunk_models():
+            # the affine stage is kept only if some group is not rough: the
+            # median over its rows and chunks of a chunk fit's largest
+            # residual over half the chunk's value spread is below ROUGH
+            models = _affine_models(sweep.cols, sweep.dim, chunks)
+            half = 0.5 * (vhi - vlo)
+            ratio = np.divide(models[4], half, out=np.zeros_like(half), where=half > 0.0)
+            sweep.affine = min(map(np.median, np.split(ratio, rows[1:]))) < ROUGH
+            return models if sweep.affine else None
+
+        tiles = sweep.bounds(np.minimum.reduceat(sweep.lo, starts, axis=1).T,
+                             np.maximum.reduceat(sweep.hi, starts, axis=1).T,
+                             vlo.T, vhi.T, chunk_models, tp, tq)
         sweep.drain(tiles, TILE_BATCH, sweep.push)
         sweep.drain(sweep.queue, BATCH, sweep.evaluate)
     return sweep.best, sweep.witnesses, sweep.pairs

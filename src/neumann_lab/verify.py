@@ -527,15 +527,22 @@ class EstimateReport:
                 "criteria": self.criteria, "passed": self.passed}
 
 
-def _first_passing_n(domain, res, gap, eps):
-    """Smallest radial (2D) or cell (1D) count, from res's, whose outer
-    nodes lie within eps of the boundary; the gap scales like 1/n.
-    None when every such count exceeds MAX_NODES."""
+def _reach(mesh):
+    """A bound on every boundary node's distance to its nearest node: half a
+    cell, (h_s / 2) max R, since the outer node on the boundary node's own
+    ray lies (h_s / 2) R from it (h / 2 on an interval)."""
+    return 0.5 * mesh.cell_size
+
+
+def _first_passing_n(domain, res, reach, eps):
+    """Smallest radial (2D) or cell (1D) count, from res's, whose reach
+    (``_reach``) is at most eps; the reach scales like 1/n.  None when
+    every such count exceeds MAX_NODES."""
     res = [int(v) for v in np.atleast_1d(res)]
-    # capped before int(): on a huge domain the gap, and so the estimate, is inf
-    n = max(res[0] + 1, int(min(gap * res[0] / eps, MAX_NODES)))
+    # capped before int(): on a huge domain the reach, and so the estimate, is inf
+    n = max(res[0] + 1, int(min(reach * res[0] / eps, MAX_NODES)))
     while mesh_nodes([n] + res[1:]) <= MAX_NODES:
-        if not build_mesh(domain, tuple([n] + res[1:])).interior_depth.min() > eps:
+        if _reach(build_mesh(domain, tuple([n] + res[1:]))) <= eps:
             return n
         n += 1
     return None
@@ -555,15 +562,16 @@ def run_family_study(config):
     meshes = [build_mesh(config.domain, res) for res, _ in ladder]
     eps = min(EPS_VALUES)
     for (res, _), mesh in zip(ladder, meshes):
-        # the boundary sup gap bridges to the boundary over eps only
-        gap = float(mesh.interior_depth.min())
-        if gap > eps:
-            n = _first_passing_n(config.domain, res, gap, eps)
+        # the boundary sup gap bridges each boundary node to a node within
+        # eps; a reach of exactly eps passes
+        reach = _reach(mesh)
+        if reach > eps:
+            n = _first_passing_n(config.domain, res, reach, eps)
             name = "n" if mesh.dim == 1 else "n_r"
             passing = (f"no rung within the {MAX_NODES}-node cap passes" if n is None
                        else f"the first {name} that passes is {n}")
-            raise ConfigError(f"rung {res} is too coarse for eps = {eps}: its outer "
-                              f"nodes lie {gap:.4g} from the boundary; {passing}")
+            raise ConfigError(f"rung {res} is too coarse for eps = {eps}: a boundary "
+                              f"node may lie {reach:.4g} from its nearest node; {passing}")
         # the largest Serrin ball is the one that may not fit
         _check_ball(mesh, _serrin_center(mesh), max(SERRIN_RADII))
 

@@ -6,6 +6,8 @@ import dataclasses
 import io
 import json
 import os
+import runpy
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neumann_lab import cli, solver, verify
+from neumann_lab import __version__, cli, solver, verify
 from neumann_lab.cli import main
 from neumann_lab.domain import DomainSpec, build_mesh
 from neumann_lab.errors import ConfigError, DegenerateData
@@ -163,6 +165,27 @@ def test_bad_flag_value_exits_4(tmp_path, capsys, args):
     assert run(args + ["--out", str(tmp_path)]) == 4
     assert "usage:" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("args, usage, unknown", [
+    (["verify", "--threads", "2"], "usage: neumann-lab verify", "--threads 2"),
+    (["solve", "--bogus", "1"], "usage: neumann-lab solve", "--bogus 1"),
+    # a flag before the subcommand is the top-level parser's to report
+    (["--bogus", "verify"], "usage: neumann-lab [-h]", "--bogus")])
+def test_unknown_flag_is_reported_by_the_parser_that_owns_its_place(capsys, args, usage,
+                                                                    unknown):
+    assert run(args) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(usage) and err.endswith(f"error: unrecognized arguments: {unknown}\n")
+
+
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    # python -m neumann_lab.cli: the module's own main guard, run in-process
+    monkeypatch.setattr(sys, "argv", ["neumann-lab", "--version"])
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("neumann_lab.cli", run_name="__main__")
+    assert exc.value.code == 0 and capsys.readouterr().out.strip() == __version__
 
 
 @pytest.mark.parametrize("coeffs", ["[1]", '{"cos": 3}'])
@@ -384,6 +407,16 @@ def test_verify_rung_too_coarse_for_eps_exits_4(tmp_path, capsys):
     assert run(["verify", "--count", "3", "--levels", "2", "--no-pinned",
                 "--nr0", "8", "--ntheta0", "32", "--out", str(tmp_path)]) == 4
     assert "rung (8, 32)" in capsys.readouterr().err
+
+
+def test_verify_on_star_trig_names_its_first_passing_rung(tmp_path, capsys):
+    # star_trig's boundary nodes may lie (1/24) 1.3 = 0.0542 from their
+    # nearest node at (12, 48), beyond eps = 0.05; at n_r = 13 the reach is 0.05
+    assert run(["verify", "--domain", "star", "--radius-coeffs", '{"a0": 1, "cos": [0, 0.3]}',
+                "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "rung (12, 48) is too coarse" in err and "the first n_r that passes is 13" in err
+    assert not os.listdir(tmp_path)
 
 
 def test_verify_large_domain_needs_finer_rung(tmp_path, capsys):

@@ -125,6 +125,13 @@ def test_nonpositive_radius_rejected():
         DomainSpec.star_shaped(-1.0)
 
 
+def test_jacobian_that_underflows_is_rejected():
+    # R(0) = 1 - 1 + 1e-300 passes the radius probe, but s R^2 is 0 in
+    # floating point: the map's Jacobian is checked on its own
+    with pytest.raises(NonPositiveRadius, match="Jacobian not positive"):
+        build_mesh(DomainSpec.star_shaped(1.0, (-1.0, 1e-300)), (8, 16))
+
+
 @pytest.mark.parametrize("spec,res", [
     (DomainSpec.interval(), 3),
     (DomainSpec.disk(), (3, 16)),

@@ -81,6 +81,15 @@ def test_empty_input():
         parse("   ")
 
 
+def test_trailing_whitespace_is_ignored():
+    assert ev("x + 1 \t ", x=0.5) == 1.5
+
+
+def test_evaluate_rejects_a_node_of_no_expression_type():
+    with pytest.raises(TypeError, match="not an expression node: 'x'"):
+        evaluate(BinOp("+", Num(1.0), "x"), {"x": 1.0})
+
+
 def test_missing_identifier_at_eval():
     with pytest.raises(UnknownIdentifier):
         ev("theta + 1", x=0.5)

@@ -4,9 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from neumann_lab import norms
 from neumann_lab.domain import DomainSpec, build_mesh
 from neumann_lab.errors import ConfigError, DegenerateInput
 from neumann_lab.field import BoundaryFunction, GridFunction, gradient
@@ -413,14 +414,25 @@ def _layout_reference(coords):
                            for s in range(0, len(coords), TILE)])
 
 
+def _examples(test):
+    # fewer nodes than one chunk; whole chunks only; and a last partial
+    # chunk of fewer than LEAF, exactly LEAF and more than LEAF nodes
+    for n in (TILE - 3, 3 * TILE, 2 * TILE + 5, 2 * TILE + LEAF, 2 * TILE + LEAF + 7):
+        for layout in ("uniform", "duplicates", "lattice", "space"):
+            test = example(seed=n, n=n, layout=layout)(test)
+    return test
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5 * TILE + 17),
        layout=st.sampled_from(["uniform", "clustered", "collinear_x", "collinear_y",
                                "duplicates", "lattice", "signed_zeros", "space",
                                "space_duplicates"]))
+@_examples
 def test_layout_equals_recursive_split(seed, n, layout):
     # the level-by-level split gives the very permutation of the per-box
-    # recursion, ties and duplicate sites included
+    # recursion, ties and duplicate sites included; the full chunks split
+    # into leaves as rows of one array, the last partial chunk on its own
     rng = np.random.default_rng(seed)
     if layout == "lattice":
         side = int(np.ceil(np.sqrt(n)))
@@ -449,21 +461,65 @@ def test_pruning_skips_most_pairs_on_smooth_study_data():
         assert pairs <= 0.15 * n * (n - 1) // 2
 
 
+def _fits(monkeypatch):
+    """A list that records the run size of every affine fit from here on:
+    TILE for the chunks' models, LEAF for the leaves'."""
+    sizes, fit = [], norms._affine_models
+    monkeypatch.setattr(norms, "_affine_models",
+                        lambda cols, dim, index: sizes.append(len(index)) or fit(cols, dim, index))
+    return sizes
+
+
 @pytest.mark.parametrize("seed", range(5))
-def test_pruning_work_on_the_study_stacks(seed):
+def test_pruning_work_on_the_study_stacks(seed, monkeypatch):
     # instance 0's f and u'' on the finest default rung, as the estimate
     # stacks them (two groups), and f alone: the share of all node pairs
-    # the pruned sweep evaluates
+    # the pruned sweep evaluates.  The stack is smooth, so it keeps its
+    # affine stage and does the very work it does with the rule off.
     mesh = build_mesh(DomainSpec.disk(), (48, 192))
     n = mesh.n_interior + mesh.n_boundary
     f, g = ProblemFamily(seed=seed, count=1).instances()[0].realize(mesh)
     u = solve_neumann(f, g, compat_policy="project").solution
     rows = np.vstack([f.all_values()] + [c.all_values() for d in gradient(u) for c in gradient(d)])
     alphas = (0.3, 0.5, 0.7)
+    fits = _fits(monkeypatch)
     _, _, stacked = pairwise_holder_max(f.all_xy(), rows, alphas, "pruned", groups=[1, 4])
+    assert fits == [TILE, LEAF]
     _, _, alone = pairwise_holder_max(f.all_xy(), rows[:1], alphas, "pruned")
     assert stacked <= 0.04 * n * (n - 1) // 2
     assert alone <= 0.025 * n * (n - 1) // 2
+    monkeypatch.setattr(norms, "ROUGH", np.inf)
+    _, _, forced = pairwise_holder_max(f.all_xy(), rows, alphas, "pruned", groups=[1, 4])
+    assert forced == stacked
+
+
+def test_white_noise_fits_chunk_models_only(monkeypatch):
+    # every chunk fit of white noise leaves residuals near half the value
+    # spread, so the call drops its affine stage after the chunk fits and
+    # bounds with spreads alone; the maxima do not move
+    xy, values = _rough_lattice_field()
+    alphas = (0.3, 0.5, 0.7)
+    fits = _fits(monkeypatch)
+    best, _, _ = pairwise_holder_max(xy, values, alphas, "pruned")
+    assert fits == [TILE]
+    brute, _, _ = pairwise_holder_max(xy, values, alphas, "brute_force")
+    assert np.array_equal(best, brute)
+
+
+def test_a_smooth_group_keeps_the_affine_stage(monkeypatch):
+    # white noise stacked with a smooth field: the call drops its affine
+    # stage only if every group is rough, so this one fits its leaves too
+    mesh = build_mesh(DomainSpec.disk(), (24, 96))
+    f, _ = ProblemFamily(seed=0, count=1).instances()[0].realize(mesh)
+    noise = np.random.default_rng(1).standard_normal(f.all_values().shape)
+    rows, alphas = np.vstack([noise, f.all_values()]), (0.3, 0.7)
+    fits = _fits(monkeypatch)
+    best, _, _ = pairwise_holder_max(f.all_xy(), rows, alphas, "pruned", groups=[1, 1])
+    assert fits == [TILE, LEAF]
+    pairwise_holder_max(f.all_xy(), rows[:1], alphas, "pruned")
+    assert fits == [TILE, LEAF, TILE]
+    brute, _, _ = pairwise_holder_max(f.all_xy(), rows, alphas, "brute_force", groups=[1, 1])
+    assert np.array_equal(best, brute)
 
 
 def _ten_smooth_disk_fields():
@@ -587,7 +643,6 @@ def test_field_seminorm_is_the_order_0_norm(spec, res, monkeypatch):
     # the order-0 seminorm is the kernel's maximum on the field's node set:
     # the volume nodes, or the boundary loop by arclength (a 1D boundary's
     # two endpoints)
-    import neumann_lab.norms as norms
     mesh = build_mesh(spec, res)
     u = GridFunction.from_expression(mesh, "sqrt(abs(x)) + x^2 - 3*x")
     g = BoundaryFunction.from_expression(mesh, "abs(x - 0.3)")

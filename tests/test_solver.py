@@ -496,6 +496,16 @@ def test_tolerances_must_be_finite_and_positive(disk_mesh_small, bad):
         solver._checked_residual(A, solver._inf_norm(A), x_bad, A @ x, bad, "non-finite")
 
 
+def test_constrained_solve_rejects_non_finite_values():
+    # data near the largest double overflows in the solve on a star mesh,
+    # whose LU solve passes inf and NaN on without a warning
+    mesh = build_mesh(DomainSpec.star_shaped(1.0, (0.0, 0.2)), (8, 16))
+    f = GridFunction(mesh, np.full(mesh.n_interior, 1e307), np.zeros(mesh.n_boundary))
+    g = BoundaryFunction(mesh, np.full(mesh.n_boundary, 1e307))
+    with pytest.raises(LinearSolveFailure, match="produced non-finite values"):
+        solve_neumann(f, g, compat_policy="project")
+
+
 def test_shifted_residual_applies_a_minus_s(disk_mesh_small, rng):
     # the regularized route keeps no A - S; its residual applies A x - S x
     mesh = disk_mesh_small

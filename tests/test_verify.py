@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from neumann_lab import domain, expr, field, norms, solver, verify
 from neumann_lab.domain import DomainSpec, build_mesh
@@ -263,8 +265,8 @@ def test_manufactured_case_compatibility():
 
 
 def _tiny_config(**kw):
-    # the default ladder's first rungs: their outer rings lie within 0.05, the smallest
-    # of EPS_VALUES, of the boundary
+    # the default ladder's first rungs: every boundary node has a node within 0.05,
+    # the smallest of EPS_VALUES
     base = dict(count=2, resolutions=((12, 48), (24, 96)), pinned_resolution=None,
                 alphas=(0.5,))
     base.update(kw)
@@ -373,6 +375,66 @@ def test_family_study_rejects_rung_coarser_than_eps(monkeypatch):
     config = _tiny_config(resolutions=((16, 64), (8, 32)))
     with pytest.raises(ConfigError, match=r"rung \(8, 32\).*eps = 0\.05"):
         run_family_study(config)
+
+
+class _PastPreflight(Exception):
+    pass
+
+
+def _preflight(monkeypatch, domain_spec, res):
+    """Run a study on the rung until its first solve: the pre-flight either
+    refuses it (ConfigError) or lets it through (_PastPreflight)."""
+    def past(*args, **kwargs):
+        raise _PastPreflight
+    monkeypatch.setattr(verify, "_measure_instance", past)
+    run_family_study(_tiny_config(domain=domain_spec, resolutions=(res,)))
+
+
+def test_preflight_bounds_the_reach_of_each_boundary_node(monkeypatch):
+    eps = min(verify.EPS_VALUES)
+    # the unit disk's first default rung: h_s / 2 = 1/24, below eps
+    assert verify._reach(build_mesh(DomainSpec.disk(), (12, 48))) == 0.5 / 12 < eps
+    with pytest.raises(_PastPreflight):
+        _preflight(monkeypatch, DomainSpec.disk(), (12, 48))
+    # star_trig's default rung reaches 1.3 / 24 > eps: refused, naming n_r = 13
+    star = MANUFACTURED_CASES["star_trig"].domain
+    with pytest.raises(ConfigError, match=r"0\.05417 .* the first n_r that passes is 13$"):
+        _preflight(monkeypatch, star, (12, 48))
+    # a reach of exactly eps passes: 1.3 / 26 rounds to 0.05 itself
+    assert verify._reach(build_mesh(star, (13, 48))) == eps
+    with pytest.raises(_PastPreflight):
+        _preflight(monkeypatch, star, (13, 48))
+    # the cos [0.2] star sits on the edge, 1.2 / 24, which rounds just below eps
+    edge = DomainSpec.star_shaped(1.0, (0.2,))
+    assert verify._reach(build_mesh(edge, (12, 48))) == 0.049999999999999996
+    with pytest.raises(_PastPreflight):
+        _preflight(monkeypatch, edge, (12, 48))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a0=st.floats(0.25, 3.0), shape=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=6),
+       n_theta=st.sampled_from([8, 13, 32, 48, 64]), finer=st.integers(0, 3))
+# star_trig at (13, 48) and the cos [0.2] star at (12, 48): a reach of eps
+@example(a0=1.0, shape=[0.0, 0.3, 0.0, 0.0], n_theta=48, finer=0)
+@example(a0=1.0, shape=[0.2, 0.0], n_theta=48, finer=0)
+def test_accepted_rungs_put_a_node_within_eps_of_every_boundary_node(a0, shape, n_theta,
+                                                                     finer):
+    # random stars (R >= 0.3 a0, cosines first) on the first rungs the
+    # pre-flight accepts: every boundary node's nearest node, by brute
+    # force, lies within eps.  The nodes' coordinates are rounded, so a
+    # distance of exactly eps may compute a few ulps of R above it.
+    eps = min(verify.EPS_VALUES)
+    total = sum(abs(c) for c in shape)
+    coeffs = [c * min(1.0, 0.7 * a0 / total) for c in shape] if total > 0 else shape
+    half = len(coeffs) // 2
+    spec = DomainSpec.star_shaped(a0, coeffs[:half], coeffs[half:])
+    coarse = build_mesh(spec, (4, n_theta))
+    n_r = verify._first_passing_n(spec, (4, n_theta), verify._reach(coarse), eps) + finer
+    mesh = build_mesh(spec, (n_r, n_theta))
+    assert verify._reach(mesh) <= eps
+    gaps = mesh.boundary_xy[:, None, :] - mesh.interior_xy[None, :, :]
+    rounding = 16 * np.finfo(float).eps * mesh.R.max()
+    assert np.sqrt((gaps * gaps).sum(axis=2)).min(axis=1).max() <= eps + rounding
 
 
 def test_family_study_parses_each_instance_once(monkeypatch):
