@@ -34,7 +34,6 @@ MIN_RADIAL = 4
 MIN_ANGULAR = 8
 DISTANCE_BLOCK = 2**15    # doubles per tile of distance_to_boundary (256 KiB)
 DISTANCE_SLACK = 1e-9     # relative margin of distance_to_boundary's bounds
-NODE_BLOCK = 32           # boundary nodes per bound of distance_to_boundary
 # Largest mesh a configuration may ask for: 14x the 37,248 nodes of the
 # (96, 384) level.  It is checked from the resolution alone, so a larger
 # rung is refused before any mesh, operator or factor is built.
@@ -277,9 +276,10 @@ class Mesh:
     @property
     def interior_depth(self):
         """Sampled boundary distance of every interior node, computed once:
-        bitwise the scan of every boundary node, from O(1) node distances
-        per point on a disk and the node blocks a bound admits on a star
-        (``distance_to_boundary``)."""
+        bitwise the scan of every boundary node, from one node distance
+        per point where a bound rules out every other node, as it does on
+        a disk but for its innermost rings on the finest meshes, and from
+        a tiled scan of every node elsewhere (``distance_to_boundary``)."""
         return self.cached("interior_depth",
                            lambda: distance_to_boundary(self, self.interior_xy))
 
@@ -405,31 +405,25 @@ def distance_to_boundary(mesh, points):
     to O(boundary spacing).  Callers add a one-cell safety margin where
     it matters.
 
-    The result is bitwise that minimum, but a point evaluates only the
-    nodes that a bound cannot rule out (bound and prune: Friedman,
+    The result is bitwise that minimum, but a point evaluates one node
+    where a bound rules out all others (bound and prune: Friedman,
     Bentley & Finkel, ACM TOMS 3(3), 1977).  With p at radius rho and
     angle phi, and node k at radius R_k and angle theta_k,
         |p - b_k|^2 = (rho - R_k)^2 + 4 rho R_k sin^2((phi - theta_k) / 2).
-    A node m angular steps from k0, the node nearest phi, is at least
-    (m - 1/2) h_theta from phi in angle.  So every node of a set with
-    radii in [R_lo, R_hi], whose nearest member to k0 is m steps away,
-    lies at least
-        max(R_lo - rho, rho - R_hi, 0)^2 + 4 rho R_lo sin^2((m - 1/2) h_theta / 2)
-    from p, the sine term being 0 for m = 0.  A point first takes
-    |p - b_k0|^2 and stops there if the bound over all other nodes
-    (m = 1) exceeds it.  On a disk every interior node stops there, O(1)
-    work per point, but for the innermost rings once n_theta^2 n_r
-    passes about 1.5e9, where the margin below outgrows the sine term.
-    Otherwise a point scans, block by block of NODE_BLOCK nodes, each
-    block whose own bound does not exceed its least squared distance so
-    far.  Radii, angles and comparisons carry a relative margin
-    DISTANCE_SLACK, far above their rounding errors on any mesh of at
-    most MAX_NODES, so a node left out is farther than a scanned one in
-    floating point as well: the scanned nodes hold the argmin of a scan
-    of every node.  A point with a NaN coordinate is at distance NaN
-    and any other non-finite point at inf, as that scan gives.  Points
-    go in blocks of DISTANCE_BLOCK // 4 and tiles hold at most
-    DISTANCE_BLOCK doubles.
+    Every node but k0, the node nearest phi, is at least h_theta / 2 from
+    phi in angle, so at least
+        max(min R_k - rho, rho - max R_k, 0)^2 + 4 rho min R_k sin^2(h_theta / 4)
+    from p.  A point takes |p - b_k0|^2 and stops there if this bound
+    exceeds it; any other point scans every node.  On a disk every
+    interior node stops there, O(1) work per point, but for the innermost
+    rings once n_theta^2 n_r passes about 1.5e9, where the margin below
+    outgrows the sine term.  Radii, angles and comparisons carry a
+    relative margin DISTANCE_SLACK, far above their rounding errors on
+    any mesh of at most MAX_NODES, so where a point stops k0 is the
+    argmin of the scan in floating point as well.  A NaN coordinate
+    gives distance NaN and any other non-finite point inf, as the scan
+    does.  Points go in blocks of DISTANCE_BLOCK // 4 and tiles hold at
+    most DISTANCE_BLOCK doubles.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if mesh.dim == 1:
@@ -437,16 +431,9 @@ def distance_to_boundary(mesh, points):
     bx, by = mesh.boundary_xy.T
     n, h = len(bx), mesh.h_theta
     radius = np.hypot(bx, by)
-    first = np.arange(0, n, NODE_BLOCK)                  # first node of each node block
-    r_lo = np.minimum.reduceat(radius, first) * (1 - DISTANCE_SLACK)
-    r_hi = np.maximum.reduceat(radius, first) * (1 + DISTANCE_SLACK)
-    # sin^2 of half the least angle to a node m = 0, ..., n // 2 steps from k0
-    m = np.arange(n // 2 + 1)
-    sine = np.sin(np.maximum(m - 0.5, 0.0) * (0.5 * h * (1 - DISTANCE_SLACK))) ** 2
-    # reach[k0 - a + n]: sine of the node of a, ..., a + NODE_BLOCK - 1
-    # (mod n) nearest to k0, a bound for the nodes of a shorter last block too
-    off = np.arange(2 * n) % n
-    reach = sine[np.where(off < NODE_BLOCK, 0, np.minimum(n - off, off - NODE_BLOCK + 1))]
+    lo = radius.min() * (1 - DISTANCE_SLACK)
+    hi = radius.max() * (1 + DISTANCE_SLACK)
+    sine = np.sin(0.25 * h * (1 - DISTANCE_SLACK)) ** 2
     x, y = pts[:, 0], pts[:, 1]
     d2 = np.where(np.isnan(x) | np.isnan(y), np.nan, np.inf)
     finite = np.flatnonzero(np.isfinite(x) & np.isfinite(y))
@@ -456,32 +443,13 @@ def distance_to_boundary(mesh, points):
         rho = np.hypot(px, py)
         k0 = np.rint(np.arctan2(py, px) / h).astype(np.intp) % n
         best = _squared_distance(px, py, bx[k0], by[k0])
-        # the points that a node other than k0 may be nearer to, by the
-        # bound over all nodes
-        wide = np.flatnonzero(_bound(rho, r_lo.min(), r_hi.max(), sine[1])
-                              <= best * (1 + DISTANCE_SLACK))
+        gap = np.maximum(np.maximum(lo - rho * (1 + DISTANCE_SLACK),
+                                    rho * (1 - DISTANCE_SLACK) - hi), 0.0)
+        wide = np.flatnonzero(gap * gap + 4.0 * lo * rho * sine <= best * (1 + DISTANCE_SLACK))
+        if len(wide):
+            best[wide] = _scan(px[wide], py[wide], bx, by)
         d2[block] = best
-        if not len(wide):
-            continue
-        px, py, rho, k0, near = px[wide], py[wide], rho[wide], k0[wide], best[wide]
-        # they scan each node block whose own bound does not exceed their best
-        for a, lo, hi in zip(first, r_lo, r_hi):
-            sel = np.flatnonzero(_bound(rho, lo, hi, reach[k0 + (n - a)])
-                                 <= near * (1 + DISTANCE_SLACK))
-            if len(sel):
-                nodes = slice(a, a + NODE_BLOCK)
-                near[sel] = np.minimum(near[sel], _scan(px[sel], py[sel], bx[nodes], by[nodes]))
-        d2[block[wide]] = near
     return np.sqrt(d2)
-
-
-def _bound(rho, lo, hi, sine):
-    """Least squared distance from points at radius rho to nodes with radii
-    in [lo, hi] whose angle from the points has sin^2(angle / 2) >= sine,
-    the points' radii widened by the relative margin DISTANCE_SLACK."""
-    gap = np.maximum(np.maximum(lo - rho * (1 + DISTANCE_SLACK),
-                                rho * (1 - DISTANCE_SLACK) - hi), 0.0)
-    return gap * gap + 4.0 * lo * rho * sine
 
 
 def _scan(px, py, bx, by):

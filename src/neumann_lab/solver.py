@@ -185,10 +185,14 @@ class _FourierFactor:
 
     def solve(self, b):
         nt = self.n_theta
-        coef = np.fft.rfft(b.reshape(-1, nt), axis=1).T       # (mode, ring)
-        x = self.lu.solve(np.column_stack([coef.real.ravel(), coef.imag.ravel()]))
-        coef = (x[:, 0] + 1j * x[:, 1]).reshape(coef.shape).T
-        return np.fft.irfft(coef, n=nt, axis=1).ravel()
+        # inf and NaN pass on without a warning; the caller's check fails them
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef = np.fft.rfft(b.reshape(-1, nt), axis=1)         # (ring, mode)
+            rhs = np.empty((2,) + coef.T.shape)                   # real, imag by (mode, ring)
+            rhs[0], rhs[1] = coef.real.T, coef.imag.T
+            x = self.lu.solve(rhs.reshape(2, -1).T).T.reshape(rhs.shape)
+            coef.real, coef.imag = x[0].T, x[1].T
+            return np.fft.irfft(coef, n=nt, axis=1).ravel()
 
 
 def _factor(mesh, M, deflate=False):
@@ -407,7 +411,7 @@ def solve_neumann(f, g, strategy="direct_augmented", compat_policy="reject"):
     b = _rhs(f_eff, g)
     n_i = mesh.n_interior
     v = _regularized_lu(mesh)[1].solve(b)
-    op = spla.LinearOperator((len(b), len(b)),
+    op = spla.LinearOperator((len(b), len(b)), dtype=float,
                              matvec=lambda x: x - _screened(mesh, x[:n_i]))
     residuals = []          # one per inner iteration
     with np.errstate(over="ignore", invalid="ignore"):   # overflow fails below

@@ -233,7 +233,7 @@ def test_distance_to_boundary_equals_the_dense_minimum(seed, log_radius, modes, 
 @pytest.mark.parametrize("resolution", [(4, 8), (12, 48), (24, 97), (96, 384)])
 def test_disk_interior_nodes_evaluate_one_boundary_node(resolution, monkeypatch):
     # the bound over all other nodes rules them out for every interior node
-    # of a disk, so no node block is ever scanned
+    # of a disk, so no point scans
     scans = []
     scan = domain._scan
     monkeypatch.setattr(domain, "_scan", lambda *a: scans.append(len(a[0])) or scan(*a))
@@ -243,6 +243,17 @@ def test_disk_interior_nodes_evaluate_one_boundary_node(resolution, monkeypatch)
     # the origin needs them all
     distance_to_boundary(mesh, np.zeros((1, 2)))
     assert scans
+
+
+def test_star_points_scan_every_boundary_node(monkeypatch):
+    # a point that the bound does not settle scans all nodes in one pass
+    nodes = []
+    scan = domain._scan
+    monkeypatch.setattr(domain, "_scan", lambda *a: nodes.append(len(a[2])) or scan(*a))
+    mesh = build_mesh(DomainSpec.star_shaped(1.0, (0.0, 0.3)), (8, 96))
+    d = distance_to_boundary(mesh, mesh.interior_xy)
+    assert nodes and set(nodes) == {mesh.n_boundary}
+    assert np.array_equal(d, _dense_distance(mesh, mesh.interior_xy))
 
 
 def test_distance_to_non_finite_points():

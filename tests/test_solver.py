@@ -228,6 +228,19 @@ def test_fredholm_route_calls_gmres_once(disk_mesh_small, monkeypatch):
     np.testing.assert_array_equal(rep.solution.all_values(), unpatched.solution.all_values())
 
 
+def test_fredholm_route_applies_the_operator_once_per_iteration(disk_mesh_small, monkeypatch):
+    # one screened solve per GMRES iteration plus the initial residual:
+    # the operator's dtype is given, so nothing probes it with a zero vector
+    f = GridFunction.from_expression(disk_mesh_small, "x*y + cos(2*x)")
+    g = BoundaryFunction.constant(disk_mesh_small, 0.3)
+    calls = []
+    screened = solver._screened
+    monkeypatch.setattr(solver, "_screened", lambda *a: calls.append(1) or screened(*a))
+    rep = solve_neumann(f, g, strategy="fredholm_iteration", compat_policy="project")
+    assert 0 < rep.iterations < solver.KRYLOV_RESTART
+    assert len(calls) == rep.iterations + 1
+
+
 def test_uniqueness_up_to_constant(disk_mesh, rng):
     f = _random_field(disk_mesh, rng)
     g = BoundaryFunction.zeros(disk_mesh)
@@ -496,10 +509,13 @@ def test_tolerances_must_be_finite_and_positive(disk_mesh_small, bad):
         solver._checked_residual(A, solver._inf_norm(A), x_bad, A @ x, bad, "non-finite")
 
 
-def test_constrained_solve_rejects_non_finite_values():
-    # data near the largest double overflows in the solve on a star mesh,
-    # whose LU solve passes inf and NaN on without a warning
-    mesh = build_mesh(DomainSpec.star_shaped(1.0, (0.0, 0.2)), (8, 16))
+@pytest.mark.parametrize("spec", [DomainSpec.star_shaped(1.0, (0.0, 0.2)), DomainSpec.disk()],
+                         ids=["star", "disk"])
+def test_constrained_solve_rejects_non_finite_values(spec):
+    # data near the largest double overflows in the solve, in the sparse LU
+    # of a star mesh or the theta-mode FFTs of a disk, and both pass inf
+    # and NaN on without a warning to the non-finite check
+    mesh = build_mesh(spec, (8, 16))
     f = GridFunction(mesh, np.full(mesh.n_interior, 1e307), np.zeros(mesh.n_boundary))
     g = BoundaryFunction(mesh, np.full(mesh.n_boundary, 1e307))
     with pytest.raises(LinearSolveFailure, match="produced non-finite values"):
