@@ -34,8 +34,13 @@ one-sided boundary stencils, and max|A - A^T| / max|A| is 4e-4 on the
 (48, 192) disk and 2e-2 on the (48, 192) star, falling under refinement.
 A column whose diagonal is below 1e-3 times its largest candidate still
 pivots off the diagonal (long intervals do), and every route checks its
-residual.  The operator, its norm and both LUs live in the mesh's
-workspace.
+residual.  SuperLU works in panels of 4 columns, not its default 20
+(Demmel et al., SIAM J. Matrix Anal. Appl. 20(3), 1999): of the widths 2
+to 8, 4 took the least total time on the benchmark's factors, a fifth less
+than 20 on the (160, 320) star.  A disk's factors are bitwise those of
+any width from 1 to 20; a star's or an interval's keep their ordering and
+fill pattern, and their solves move at rounding level.  The operator, its
+norm and both LUs live in the mesh's workspace.
 
 On a disk mesh (constant radius) A commutes with a rotation by one
 theta-step, so the fast direct method of Hockney (J. ACM 12, 1965) and
@@ -50,8 +55,9 @@ theta-modes gets its real radial block (rings couple to at most two
 rings inward and one outward), and all blocks are factored as one
 block-diagonal matrix by the same SuperLU call.  A solve is an rfft over
 theta, one LU solve for the real and imaginary parts and an irfft.  At
-(96, 384) a factor takes about 20 ms instead of 260 ms, and a solve 2 ms
-instead of 7.  There the deflation doubles mode 0's ring-0 diagonal c,
+(96, 384), with one BLAS thread, a factor takes about 6 ms (4 ms of it in
+SuperLU) instead of 105 ms for the whole matrix, and a solve 0.9 ms
+instead of 3.5.  There the deflation doubles mode 0's ring-0 diagonal c,
 which is the rank-one change B = A + (c / n_theta) 1_0 1_0^T with 1_0
 the indicator of ring 0; B is nonsingular for the reason B is
 elsewhere, ell > 0 on ring 0.
@@ -119,7 +125,7 @@ def _splu(M):
     on domains small enough that the unit shift vanishes beside A."""
     try:
         return spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
-                         options={"SymmetricMode": True})
+                         panel_size=4, options={"SymmetricMode": True})
     except RuntimeError as exc:         # "Factor is exactly singular"
         raise LinearSolveFailure(f"sparse LU failed: {exc}") from None
 

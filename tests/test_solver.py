@@ -329,6 +329,14 @@ def test_constrained_solves_share_one_factorization(monkeypatch):
         np.testing.assert_array_equal(first, again)
 
 
+def _assert_same_pattern(X, Y):
+    """X and Y store the same entries, but where one of them holds an exact
+    zero, which SciPy does not store, and the other rounding dust of the
+    same cancellation."""
+    one = abs((abs(X) > 0).astype(float) - (abs(Y) > 0).astype(float))
+    assert abs(X + Y).multiply(one).max() <= np.finfo(float).eps * abs(X).max()
+
+
 @pytest.mark.parametrize("spec", [DomainSpec.star_shaped(1.0, (0.2, 0.2, 0.2)),
                                   MANUFACTURED_CASES["star_trig"].domain],
                          ids=["star", "star_trig"])
@@ -337,9 +345,9 @@ def test_factors_cut_default_fill_and_stay_accurate(spec, monkeypatch):
     factored = []
     splu = solver.spla.splu
 
-    def record(M, *args, **kwargs):
-        factored.append((M, splu(M, *args, **kwargs)))
-        return factored[-1][1]
+    def record(M, **kwargs):
+        factored.append((M, kwargs, splu(M, **kwargs)))
+        return factored[-1][2]
 
     monkeypatch.setattr(solver.spla, "splu", record)
     f = GridFunction.from_expression(mesh, "x*y + cos(2*x)")
@@ -348,9 +356,15 @@ def test_factors_cut_default_fill_and_stay_accurate(spec, monkeypatch):
     solve_regularized(f, g)                            # the shifted one
     assert len(factored) == 2
     rng = np.random.default_rng(7)
-    for M, lu in factored:
+    for M, kwargs, lu in factored:
         default = splu(M)
         assert lu.L.nnz + lu.U.nnz <= 0.7 * (default.L.nnz + default.U.nnz)
+        # the panel width keeps the ordering and the fill of SuperLU's default panel
+        kwargs.pop("panel_size", None)
+        panel = splu(M, **kwargs)
+        assert np.array_equal(lu.perm_c, panel.perm_c)
+        for attr in ("L", "U"):
+            _assert_same_pattern(getattr(lu, attr), getattr(panel, attr))
         b = rng.standard_normal(M.shape[0])
         solver._checked_residual(M, solver._inf_norm(M), lu.solve(b), b, 1e-14,
                                  "seeded solve")
@@ -367,8 +381,8 @@ def _ring0_deflated(mesh):
     return (A + (c / nt) * (ring0 @ ring0.T)).tocsc()
 
 
-@pytest.mark.parametrize("res", [(4, 8), (12, 45), (48, 192), (96, 384)])
-def test_disk_factors_solve_through_theta_modes(res):
+@pytest.mark.parametrize("res", [(4, 8), (12, 45), (48, 192), (96, 384), (12, 48)])
+def test_disk_factors_solve_through_theta_modes(res, monkeypatch):
     mesh = build_mesh(DomainSpec.disk(), res)
     A = neumann_operator(mesh)
     nt = mesh.n_theta
@@ -379,16 +393,35 @@ def test_disk_factors_solve_through_theta_modes(res):
     assert np.all(np.unique(group, return_counts=True)[1] == nt)
     groups = coo.data[np.argsort(group, kind="stable")].reshape(-1, nt)
     assert np.all(np.ptp(groups, axis=1) <= 1e-15 * np.abs(groups).max(axis=1))
+    factored = []
+    splu = solver.spla.splu
+
+    def record(M, **kwargs):
+        lu = splu(M, **kwargs)
+        kwargs.pop("panel_size", None)
+        factored.append((lu, splu(M, **kwargs)))
+        return lu
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver.spla, "splu", record)
+        factors = (solver._deflated_lu(mesh), solver._regularized_lu(mesh)[1])
+    assert len(factored) == 2
     rng = np.random.default_rng(11)
     shifted = A - sp.diags(np.r_[np.ones(mesh.n_interior), np.zeros(mesh.n_boundary)])
-    for factor, M in ((solver._deflated_lu(mesh), _ring0_deflated(mesh)),
-                      (solver._regularized_lu(mesh)[1], shifted.tocsr())):
+    for factor, M, (lu, default) in zip(factors, (_ring0_deflated(mesh), shifted.tocsr()),
+                                        factored):
         assert isinstance(factor, solver._FourierFactor)
         b = rng.standard_normal(M.shape[0])
         x = factor.solve(b)
         solver._checked_residual(M, solver._inf_norm(M), x, b, 1e-14, "seeded solve")
         ref = solver._splu(M.tocsc()).solve(b)
         assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+        # the mode blocks factor and solve bitwise alike at SuperLU's default panel width
+        for attr in ("perm_r", "perm_c"):
+            assert np.array_equal(getattr(lu, attr), getattr(default, attr))
+        for attr in ("L", "U"):
+            assert np.array_equal(getattr(lu, attr).data, getattr(default, attr).data)
+        assert np.array_equal(x, solver._FourierFactor(default, nt).solve(b))
 
 
 def _mode_blocks_reference(M, nt):
