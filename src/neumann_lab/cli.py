@@ -282,6 +282,17 @@ def _add_output_flags(p):
     p.add_argument("--format", choices=("json", "csv", "both"), default="json")
 
 
+def _ladder(spec, base, levels):
+    """The rungs base * 2**k for k < levels (in the plane both entries
+    double), each checked by check_mesh_size before the next is made: a
+    rung too large stops the command before any mesh is built."""
+    rungs = []
+    for k in range(levels):
+        rungs.append(base * 2**k if spec.dim == 1 else (base[0] * 2**k, base[1] * 2**k))
+        check_mesh_size(spec, rungs[-1])
+    return rungs
+
+
 def cmd_solve(args):
     spec, res, f_text, g_text, strategy, policy = _problem_inputs(args, "reject")
     mesh = build_mesh(spec, res)
@@ -325,12 +336,9 @@ def cmd_solve(args):
 
 def cmd_verify(args):
     domain, _ = _domain_from_args(args, {})
-    if domain.dim == 1:
-        resolutions = tuple(args.n0 * 2**k for k in range(args.levels))
-        pinned = 128
-    else:
-        resolutions = tuple((args.nr0 * 2**k, args.ntheta0 * 2**k) for k in range(args.levels))
-        pinned = VerifyConfig.pinned_resolution
+    base = args.n0 if domain.dim == 1 else (args.nr0, args.ntheta0)
+    resolutions = tuple(_ladder(domain, base, args.levels))
+    pinned = 128 if domain.dim == 1 else VerifyConfig.pinned_resolution
     try:
         alphas = tuple(float(a) for a in args.alphas.split(","))
     except ValueError:
@@ -367,10 +375,7 @@ def cmd_sweep(args):
     if args.levels < 1:
         raise ConfigError("sweep needs --levels >= 1")
     spec, base, f_text, g_text, strategy, policy = _problem_inputs(args, "project")
-    ladder = [base * 2**k if spec.dim == 1 else (base[0] * 2**k, base[1] * 2**k)
-              for k in range(args.levels)]
-    for res in ladder:
-        check_mesh_size(res)
+    ladder = _ladder(spec, base, args.levels)
     t0 = time.perf_counter()
     rows = []
     errors = []
@@ -405,6 +410,7 @@ def cmd_sweep(args):
 def cmd_oracle1d(args):
     if args.levels < 1:
         raise ConfigError("oracle1d needs --levels >= 1")
+    ns = _ladder(DomainSpec.interval(), args.n, args.levels)
     t0 = time.perf_counter()
     cases = []
     if args.f_coeffs:
@@ -422,10 +428,7 @@ def cmd_oracle1d(args):
     rows = []
     for name, coeffs, g0, g1 in cases:
         solve_1d_oracle(coeffs, g0, g1)   # raises IncompatibleData early
-        discrepancies = []
-        ns = [args.n * 2**k for k in range(args.levels)]
-        for n in ns:
-            discrepancies.append(oracle1d_discrepancy(coeffs, g0, g1, n))
+        discrepancies = [oracle1d_discrepancy(coeffs, g0, g1, n) for n in ns]
         orders = observed_orders(discrepancies)
         rows.append({"case": name, "f_coeffs": coeffs, "g0": g0, "g1": g1,
                      "n": ns, "max_discrepancy": discrepancies,
@@ -502,7 +505,7 @@ def build_parser():
                    help="coarsest angular cells")
     p.add_argument("--n0", type=int, default=16, help="coarsest 1D cells")
     p.add_argument("--no-pinned", action="store_true",
-                   help="skip the extra pinned level at n_r = 64")
+                   help="skip the extra pinned level (n_r = 64; n = 128 on an interval)")
     p.add_argument("--alphas", default=",".join(map(str, VerifyConfig.alphas)))
     p.add_argument("--alpha", type=float, default=VerifyConfig.alpha_main,
                    help="exponent for the L2 ratio")

@@ -48,15 +48,26 @@ MIN_SCALE, MAX_SCALE = 1e-30, 1e30
 _workspace_lock = threading.RLock()   # builds nest: a factor needs the operator
 
 
-def mesh_nodes(resolution):
-    """Node count of a mesh: resolution is n cells of an interval, or (n_r, n_theta)."""
-    res = [int(v) for v in np.atleast_1d(resolution)]
-    return res[0] + 2 if len(res) == 1 else (res[0] + 1) * res[-1]
+def mesh_nodes(spec, resolution):
+    """Node count of a mesh of spec.  resolution is one integer n, the
+    cells of an interval, or two integers (n_r, n_theta) in the plane; any
+    other shape, non-integer entries included, is a ConfigError."""
+    res = (resolution,) if spec.dim == 1 else resolution
+    try:
+        ok = len(res) == spec.dim and all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in res)
+    except TypeError:       # a plane resolution without a length
+        ok = False
+    if not ok:
+        shape = "n, one integer" if spec.dim == 1 else "(n_r, n_theta), two integers"
+        raise ConfigError(f"{spec.kind} mesh needs resolution {shape}, got {resolution!r}")
+    return int(res[0]) + 2 if spec.dim == 1 else (int(res[0]) + 1) * int(res[1])
 
 
-def check_mesh_size(resolution):
-    """Raise ConfigError if a mesh of this resolution exceeds MAX_NODES."""
-    nodes = mesh_nodes(resolution)
+def check_mesh_size(spec, resolution):
+    """Raise ConfigError unless resolution has spec's shape (``mesh_nodes``)
+    and a mesh of it has at most MAX_NODES nodes."""
+    nodes = mesh_nodes(spec, resolution)
     if nodes > MAX_NODES:
         res = [int(v) for v in np.atleast_1d(resolution)]
         raise ConfigError(f"resolution {tuple(res)} has {nodes} nodes, more than the "
@@ -317,23 +328,20 @@ def build_mesh(spec, resolution):
     Parameters
     ----------
     spec : DomainSpec
-    resolution : int for intervals (number of cells, >= 4);
-        (n_r, n_theta) for star-shaped domains (>= (4, 8)).
+    resolution : one int for intervals (number of cells, >= 4);
+        (n_r, n_theta), two ints, for star-shaped domains (>= (4, 8)).
 
     Raises NonPositiveRadius if R(theta) <= 0 at any of 4 * n_theta
     sample angles, ResolutionTooSmall below the minimums and ConfigError
-    above MAX_NODES.
+    for a resolution of any other shape or above MAX_NODES.
     """
-    check_mesh_size(resolution)
+    check_mesh_size(spec, resolution)
     if spec.dim == 1:
-        n = int(np.atleast_1d(resolution)[0])
+        n = int(resolution)
         if n < MIN_NODES_1D:
             raise ResolutionTooSmall(f"1D mesh needs n >= {MIN_NODES_1D}, got {n}")
         return _build_interval(spec, n)
-    res = np.atleast_1d(resolution)
-    if res.size != 2:
-        raise ConfigError("star-shaped mesh needs resolution (n_r, n_theta)")
-    n_r, n_theta = int(res[0]), int(res[1])
+    n_r, n_theta = map(int, resolution)
     if n_r < MIN_RADIAL or n_theta < MIN_ANGULAR:
         raise ResolutionTooSmall(
             f"2D mesh needs (n_r, n_theta) >= ({MIN_RADIAL}, {MIN_ANGULAR}), "

@@ -91,11 +91,10 @@ STRATEGIES = ("brute_force", "pruned")
 
 @dataclass
 class HolderReport:
-    """Norm breakdown: per-order sup norms, top-order seminorm, witness."""
+    """Norm breakdown: per-order sup norms, top-order seminorm, their total."""
 
     sup_norms: tuple          # orders 0..k, each the max over derivative components
     seminorm: float           # max over top-order components of the pairwise seminorm
-    witness: tuple            # coordinates of the smallest attaining node pair over them
     total: float              # sum(sup_norms) + seminorm
 
 
@@ -650,61 +649,47 @@ def _derivative_stack(u, k):
     return stack
 
 
-def holder_reports(items, pair_strategy="pruned"):
-    """HolderReports of several fields with one pairwise sweep per node set.
+def holder_reports(items, alphas, pair_strategy="pruned"):
+    """HolderReports of several fields at the exponents alphas, with one
+    pairwise sweep per node set.
 
-    items: sequence of (field, k, alphas).  The top-order components of
-    all items whose fields live on the same node set -- a mesh's volume
-    nodes, or its boundary loop -- are stacked into one
-    pairwise_holder_max call, one group of rows per item, which also
-    shares the distance work across exponents, and whose leaf layout the
-    mesh builds once.  Each item's seminorm is its group's maximum, the
-    largest over its rows, so it equals what a call for that item alone
-    gives; its witness is the smallest attaining node pair over those
-    rows.  A sweep computes every exponent any of its items asks for, for
-    every item.  Returns one {alpha: HolderReport} dict per item, over its
-    own exponents.
+    items: sequence of (field, k).  The top-order components of all items
+    whose fields live on the same node set -- a mesh's volume nodes, or
+    its boundary loop -- are stacked into one pairwise_holder_max call,
+    one group of rows per item, which also shares the distance work
+    across exponents, and whose leaf layout the mesh builds once.  Each
+    item's seminorm is its group's maximum, the largest over its rows, so
+    it equals what a call for that item alone gives.  Returns one {alpha:
+    HolderReport} dict per item.
     """
     prepared, sets = [], {}
-    for u, k, alphas in items:
+    for u, k in items:
         if k not in (0, 1, 2):
             raise ConfigError(f"derivative order must be 0, 1 or 2, got {k}")
         stack = _derivative_stack(u, k)
         sup_norms = tuple(float(max(np.abs(c).max() for c in comps)) for comps in stack)
-        top = np.vstack(stack[k])
         key = (id(u.mesh), isinstance(u, BoundaryFunction))
         sets.setdefault(key, []).append(len(prepared))
-        prepared.append((u, sup_norms, top, tuple(float(a) for a in alphas)))
+        prepared.append((u, sup_norms, np.vstack(stack[k])))
 
     out = [None] * len(prepared)
     for (_, boundary), members in sets.items():
-        group = [prepared[i] for i in members]
-        xy, per = _node_set(group[0][0])
-        alphas = tuple(dict.fromkeys(a for *_, item_alphas in group for a in item_alphas))
-        vals = np.vstack([top for _, _, top, _ in group])
-        order = group[0][0].mesh.cached(("holder_layout", boundary), lambda: _layout(xy))
-        best, wit, _ = pairwise_holder_max(xy, vals, alphas, strategy=pair_strategy,
-                                           period=per, order=order,
-                                           groups=[len(top) for _, _, top, _ in group])
-        for ig, (i, (_, sup_norms, _, item_alphas)) in enumerate(zip(members, group)):
-            reports = {}
-            for a in item_alphas:
-                ia = alphas.index(a)
-                p, q = wit[ig, ia]
-                seminorm = float(best[ig, ia])
-                reports[a] = HolderReport(
-                    sup_norms=sup_norms,
-                    seminorm=seminorm,
-                    witness=(np.atleast_1d(xy[p]).copy(), np.atleast_1d(xy[q]).copy()),
-                    total=float(sum(sup_norms) + seminorm),
-                )
-            out[i] = reports
+        u = prepared[members[0]][0]
+        xy, per = _node_set(u)
+        tops = [prepared[i][2] for i in members]
+        order = u.mesh.cached(("holder_layout", boundary), lambda: _layout(xy))
+        best, _, _ = pairwise_holder_max(xy, np.vstack(tops), alphas, strategy=pair_strategy,
+                                         period=per, order=order, groups=[len(t) for t in tops])
+        for i, row in zip(members, best):
+            sup_norms = prepared[i][1]
+            out[i] = {a: HolderReport(sup_norms, s, sum(sup_norms) + s)
+                      for a, s in zip(alphas, row.tolist())}
     return out
 
 
 def holder_report_bundle(u, k, alphas, pair_strategy="pruned"):
     """HolderReports of one field for several exponents in a single pass."""
-    return holder_reports([(u, k, alphas)], pair_strategy)[0]
+    return holder_reports([(u, k)], alphas, pair_strategy)[0]
 
 
 def c_k_alpha_norm(u, k, alpha, pair_strategy="pruned"):

@@ -48,3 +48,33 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                          for path in _callers() for stmt in _tree(path).body))
     missing = sorted(public - seen)
     assert not missing, f"public names only the tests reach: {', '.join(missing)}"
+
+
+def _is_dataclass(cls):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _fields(cls):
+    """The public fields a dataclass statement declares; an InitVar is an
+    argument of __init__, not a field."""
+    for stmt in cls.body:
+        if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                and not stmt.target.id.startswith("_")
+                and "InitVar" not in ast.unparse(stmt.annotation)):
+            yield stmt.target.id
+
+
+def test_every_public_dataclass_field_is_read_outside_the_tests():
+    # a field counts as read where any caller reads an attribute of its
+    # name, whatever the object: a field that shares its name with another
+    # attribute (ConvergenceStudy.exact with args.exact, say) can slip past
+    fields = {f"{cls.name}.{name}": name for path in sorted(PACKAGE.glob("*.py"))
+              for cls in _tree(path).body
+              if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+              and _is_dataclass(cls) for name in _fields(cls)}
+    read = {node.attr for path in _callers() for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    missing = sorted(qualified for qualified, name in fields.items() if name not in read)
+    assert not missing, f"dataclass fields only the tests read: {', '.join(missing)}"

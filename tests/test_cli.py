@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neumann_lab import __version__, cli, solver, verify
+from neumann_lab import __version__, cli, domain, solver, verify
 from neumann_lab.cli import main
 from neumann_lab.domain import DomainSpec, build_mesh
 from neumann_lab.errors import ConfigError, DegenerateData
@@ -208,6 +208,17 @@ def test_huge_rung_exits_4_before_allocating(tmp_path, capsys, args):
     assert run(args + ["--out", str(tmp_path)]) == 4
     assert time.perf_counter() - t0 < 5.0
     assert "a mesh may have" in capsys.readouterr().err
+
+
+def test_oracle1d_refuses_a_huge_rung_before_any_mesh(tmp_path, capsys, monkeypatch):
+    # the 300,000-cell rung fits and the 600,000-cell one does not: the
+    # refusal comes before the first rung is built, let alone solved
+    built = []
+    build = domain._build_interval
+    monkeypatch.setattr(domain, "_build_interval", lambda *a: built.append(a) or build(*a))
+    assert run(["oracle1d", "--n", "300000", "--levels", "2", "--out", str(tmp_path)]) == 4
+    assert "(600000,) has 600002 nodes" in capsys.readouterr().err
+    assert built == []
 
 
 @pytest.mark.parametrize("args", [
@@ -417,6 +428,15 @@ def test_verify_on_star_trig_names_its_first_passing_rung(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "rung (12, 48) is too coarse" in err and "the first n_r that passes is 13" in err
     assert not os.listdir(tmp_path)
+
+
+def test_verify_on_a_coarse_interval_names_its_first_passing_n(tmp_path, capsys):
+    # a boundary node lies h / 2 = 0.125 from its nearest node at n = 4,
+    # and 0.05 = eps at n = 10
+    assert run(["verify", "--domain", "interval", "--n0", "4", "--count", "1", "--levels", "3",
+                "--no-pinned", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "rung 4 is too coarse" in err and "the first n that passes is 10" in err
 
 
 def test_verify_large_domain_needs_finer_rung(tmp_path, capsys):

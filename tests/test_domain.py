@@ -142,6 +142,12 @@ def test_resolution_too_small(spec, res):
         build_mesh(spec, res)
 
 
+def test_resolution_entries_may_be_numpy_integers():
+    mesh = build_mesh(DomainSpec.disk(), tuple(np.array([8, 16])))
+    assert (mesh.n_r, mesh.n_theta) == (8, 16)
+    assert build_mesh(DomainSpec.interval(), np.int64(12)).n == 12
+
+
 def test_interval_requires_ordered_bounds():
     with pytest.raises(ConfigError):
         DomainSpec.interval(1.0, 0.0)
@@ -150,8 +156,17 @@ def test_interval_requires_ordered_bounds():
 @pytest.mark.parametrize("make, message", [
     (lambda: DomainSpec("hexagon"), "unknown domain kind 'hexagon'"),
     (lambda: build_mesh(DomainSpec.disk(), 16), r"needs resolution \(n_r, n_theta\)"),
+    (lambda: build_mesh(DomainSpec.disk(), (12.7, 48)), r"two integers, got \(12.7, 48\)"),
+    (lambda: build_mesh(DomainSpec.disk(), (12, 48, 3)), r"two integers, got \(12, 48, 3\)"),
+    (lambda: build_mesh(DomainSpec.interval(), (12, 48)), r"one integer, got \(12, 48\)"),
+    # refused for its shape, not counted as (16 + 1) * 10**6 nodes
+    (lambda: build_mesh(DomainSpec.interval(), (16, 10**6)), r"one integer, got \(16, "),
+    (lambda: build_mesh(DomainSpec.interval(), (16,)), r"one integer, got \(16,\)"),
+    (lambda: build_mesh(DomainSpec.interval(), 16.0), r"one integer, got 16.0"),
     (lambda: DomainSpec.interval().radius(0.0), r"radius\(\) only applies to star-shaped")],
-    ids=["unknown_kind", "star_with_one_integer", "radius_of_interval"])
+    ids=["unknown_kind", "star_with_one_integer", "star_with_a_float", "star_with_three",
+         "interval_with_a_pair", "interval_with_a_huge_pair", "interval_with_a_tuple",
+         "interval_with_a_float", "radius_of_interval"])
 def test_malformed_domain_rejected(make, message):
     with pytest.raises(ConfigError, match=message):
         make()

@@ -291,7 +291,7 @@ def test_mesh_workspace_dies_with_its_mesh():
         u = solve_neumann(f, g, compat_policy="project").solution
         solve_regularized(f, g)
         mesh.interior_depth
-        holder_reports([(f, 0, (0.5,)), (g, 1, (0.5,)), (u, 2, (0.5,))])
+        holder_reports([(f, 0), (g, 1), (u, 2)], (0.5,))
         ref = weakref.ref(mesh)
         del mesh, f, g, u
         assert ref() is None
