@@ -47,6 +47,7 @@ EXIT_INCOMPATIBLE = 2
 EXIT_SOLVER = 3
 EXIT_CONFIG = 4
 CSV_BLOCK = 4096      # solve CSV rows whose numbers are made Python floats at once
+VERIFY_N0 = 16        # verify's coarsest interval rung
 
 
 def _dump_json(obj):
@@ -194,10 +195,23 @@ def _star_domain(text):
                           f"{exc}") from None
 
 
+def _refuse_other_resolution(args, spec, planar, linear):
+    """ConfigError if a resolution flag of the other dimension than
+    spec's is given: planar names the flags of the plane, linear those of
+    an interval."""
+    own, other = (linear, planar) if spec.dim == 1 else (planar, linear)
+    for name in other:
+        if getattr(args, name) is not None:
+            raise ConfigError(f"--{name} is a resolution flag of "
+                              f"{'a planar domain' if spec.dim == 1 else 'an interval'}; the "
+                              f"{spec.kind} domain takes {' and '.join('--' + n for n in own)}")
+
+
 def _resolution_from_args(args, spec, file_res):
     """The resolution flags', else the problem file's, else the default
     resolution.  A 0 in a flag or the file counts as given (build_mesh
-    rejects it), not as absent."""
+    rejects it), not as absent; a flag of the other dimension is refused."""
+    _refuse_other_resolution(args, spec, ("nr", "ntheta"), ("n",))
     if spec.dim == 1:
         return next(n for n in (args.n, file_res, 128) if n is not None)
     if args.nr is not None or args.ntheta is not None:
@@ -336,7 +350,13 @@ def cmd_solve(args):
 
 def cmd_verify(args):
     domain, _ = _domain_from_args(args, {})
-    base = args.n0 if domain.dim == 1 else (args.nr0, args.ntheta0)
+    _refuse_other_resolution(args, domain, ("nr0", "ntheta0"), ("n0",))
+    if domain.dim == 1:
+        base = VERIFY_N0 if args.n0 is None else args.n0
+    else:
+        nr0, ntheta0 = VerifyConfig.resolutions[0]
+        base = (nr0 if args.nr0 is None else args.nr0,
+                ntheta0 if args.ntheta0 is None else args.ntheta0)
     resolutions = tuple(_ladder(domain, base, args.levels))
     pinned = 128 if domain.dim == 1 else VerifyConfig.pinned_resolution
     try:
@@ -499,11 +519,11 @@ def build_parser():
     p.add_argument("--seed", type=int, default=VerifyConfig.seed)
     p.add_argument("--levels", type=int, default=len(VerifyConfig.resolutions),
                    help="ladder rungs (default %(default)s)")
-    p.add_argument("--nr0", type=int, default=VerifyConfig.resolutions[0][0],
-                   help="coarsest radial cells")
-    p.add_argument("--ntheta0", type=int, default=VerifyConfig.resolutions[0][1],
-                   help="coarsest angular cells")
-    p.add_argument("--n0", type=int, default=16, help="coarsest 1D cells")
+    p.add_argument("--nr0", type=int,
+                   help=f"coarsest radial cells (default {VerifyConfig.resolutions[0][0]})")
+    p.add_argument("--ntheta0", type=int,
+                   help=f"coarsest angular cells (default {VerifyConfig.resolutions[0][1]})")
+    p.add_argument("--n0", type=int, help=f"coarsest 1D cells (default {VERIFY_N0})")
     p.add_argument("--no-pinned", action="store_true",
                    help="skip the extra pinned level (n_r = 64; n = 128 on an interval)")
     p.add_argument("--alphas", default=",".join(map(str, VerifyConfig.alphas)))

@@ -66,11 +66,13 @@ Volume fields use Euclidean distance between nodes; boundary fields use
 arclength along the boundary loop, with distances and spread bounds
 taken the short way round (loops use the spread bound alone).
 ``holder_reports`` stacks all fields on one node set into a single
-sweep, one group per item.
+sweep, one group per item.  The kernel keeps the layouts of the last
+LAYOUTS node sets, keyed by their exact coordinates.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +87,7 @@ BATCH = 128       # leaf pairs evaluated together in (LEAF, LEAF, BATCH) arrays
 SLACK = 1.0 + 1e-9     # relative slack of every bound, for pow here against exp(log)
 ROUNDING = 2.0**-40    # the affine bound's rounding allowance per unit of magnitude
 ROUGH = 0.9            # chunk residual / half spread from which affine bounds do not pay
+LAYOUTS = 2            # node sets whose leaf layouts the kernel keeps
 
 STRATEGIES = ("brute_force", "pruned")
 
@@ -197,6 +200,15 @@ def _layout(coords):
         width //= 2
     tail = _kd_split(pts, rank, byrank, order[full:], np.zeros(1, dtype=np.int64), LEAF)
     return np.concatenate([boxes.ravel(), tail])
+
+
+@functools.lru_cache(maxsize=LAYOUTS)
+def _node_order(shape, data):
+    """The read-only ``_layout`` of the float coordinates with this shape
+    and these bytes, kept for the last LAYOUTS node sets."""
+    order = _layout(np.frombuffer(data).reshape(shape))
+    order.flags.writeable = False
+    return order
 
 
 # leaf offsets, within their chunks, of the leaf pairs of two chunks and
@@ -331,9 +343,9 @@ def _affine_bounds(models, lo, hi, p, q, dmin, alphas, rows):
 class _Sweep:
     """One call's nodes in leaf layout, its running maxima and work arrays."""
 
-    def __init__(self, coords, comps, alphas, period, order, rows):
+    def __init__(self, coords, comps, alphas, period, rows):
         n, self.dim = coords.shape
-        order = _layout(coords) if order is None else order
+        order = _node_order(coords.shape, coords.tobytes())
         self.nleaf = -(-n // LEAF)
         # node k of leaf l is padded[l * LEAF + k].  The last leaf is padded
         # with copies of the last node: a pair with a copy either repeats a
@@ -537,7 +549,7 @@ def _leaf_pairs(p, q, nleaf):
 
 
 def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=None,
-                        order=None, groups=None):
+                        groups=None):
     """Maximum Holder quotients for several groups of components and exponents.
 
     coords: (n, d) node positions (with ``period`` set, coords[:, 0] is
@@ -545,9 +557,10 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
     a ConfigError is raised.  comps: (m, n)
     sampled fields sharing those nodes.  groups: the row counts of
     consecutive groups of comps, one row each by default; a group's
-    quotient is the largest of its rows'.  order: the ``_layout(coords)``
-    a mesh keeps, computed here when unset.  Every (group, exponent)
-    entry is computed.  Returns (best, witnesses, pairs_evaluated) where
+    quotient is the largest of its rows'.  The leaf layout of the last
+    LAYOUTS node sets is kept, so a call on the same coordinates as one
+    of them does not build it again.  Every (group, exponent) entry is
+    computed.  Returns (best, witnesses, pairs_evaluated) where
     best has shape (groups, len(alphas)) and witnesses holds the
     lexicographically smallest attaining node-index pair per entry, over
     the group's rows, taken inside the sweep from each batch that reaches
@@ -575,7 +588,7 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
     if counts.sum() != len(comps) or (counts < 1).any():
         raise ConfigError(f"groups {counts.tolist()} do not partition {len(comps)} rows")
     rows = np.cumsum(counts) - counts
-    sweep = _Sweep(coords, comps, alphas, period, order, rows)
+    sweep = _Sweep(coords, comps, alphas, period, rows)
     # every leaf's own pairs first, unbounded, so that the branch and
     # bound starts from a running maximum
     for s in range(0, sweep.nleaf, BATCH):
@@ -657,7 +670,8 @@ def holder_reports(items, alphas, pair_strategy="pruned"):
     whose fields live on the same node set -- a mesh's volume nodes, or
     its boundary loop -- are stacked into one pairwise_holder_max call,
     one group of rows per item, which also shares the distance work
-    across exponents, and whose leaf layout the mesh builds once.  Each
+    across exponents; the kernel keeps the leaf layouts of the last
+    LAYOUTS node sets, a mesh's volume nodes and boundary loop.  Each
     item's seminorm is its group's maximum, the largest over its rows, so
     it equals what a call for that item alone gives.  Returns one {alpha:
     HolderReport} dict per item.
@@ -673,13 +687,12 @@ def holder_reports(items, alphas, pair_strategy="pruned"):
         prepared.append((u, sup_norms, np.vstack(stack[k])))
 
     out = [None] * len(prepared)
-    for (_, boundary), members in sets.items():
+    for members in sets.values():
         u = prepared[members[0]][0]
         xy, per = _node_set(u)
         tops = [prepared[i][2] for i in members]
-        order = u.mesh.cached(("holder_layout", boundary), lambda: _layout(xy))
         best, _, _ = pairwise_holder_max(xy, np.vstack(tops), alphas, strategy=pair_strategy,
-                                         period=per, order=order, groups=[len(t) for t in tops])
+                                         period=per, groups=[len(t) for t in tops])
         for i, row in zip(members, best):
             sup_norms = prepared[i][1]
             out[i] = {a: HolderReport(sup_norms, s, sum(sup_norms) + s)

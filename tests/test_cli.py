@@ -254,8 +254,10 @@ def test_oracle1d_refuses_a_huge_rung_before_any_mesh(tmp_path, capsys, monkeypa
     ["solve", "--f", "1"],
     ["sweep", "--f", "1", "--levels", "1"]])
 def test_bad_value_exits_4_without_traceback(tmp_path, capsys, args):
-    # a case's own resolution flags come last, so they override these
-    res = ["--nr", "8", "--ntheta", "16"] * (args[0] in ("solve", "sweep"))
+    # a case's own resolution flags come last, so they override these; an
+    # interval takes no planar flag
+    res = ["--nr", "8", "--ntheta", "16"] * (args[0] in ("solve", "sweep")
+                                            and "interval" not in args)
     assert run(args[:1] + res + args[1:] + ["--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert "bad configuration" in err and "Traceback" not in err
@@ -292,6 +294,31 @@ def _verify_config(tmp_path, monkeypatch, flags):
 def test_verify_flag_defaults_are_the_config_defaults(tmp_path, monkeypatch):
     config = _verify_config(tmp_path, monkeypatch, [])
     assert config.to_json() == verify.VerifyConfig().to_json()
+
+
+def test_verify_resolution_flags_default_one_by_one(tmp_path, monkeypatch):
+    config = _verify_config(tmp_path, monkeypatch, ["--nr0", "24", "--levels", "1"])
+    assert config.resolutions == ((24, verify.VerifyConfig.resolutions[0][1]),)
+    config = _verify_config(tmp_path, monkeypatch, ["--domain", "interval", "--levels", "2"])
+    assert config.resolutions == (16, 32)
+
+
+@pytest.mark.parametrize("args, flag, kind", [
+    (["solve", "--domain", "interval", "--nr", "99", "--ntheta", "7", "--f", "1", "--g", "0.5",
+      "--compat", "project"], "--nr", "interval"),
+    (["verify", "--domain", "interval", "--nr0", "99", "--ntheta0", "7", "--count", "1",
+      "--levels", "3", "--no-pinned"], "--nr0", "interval"),
+    (["solve", "--n", "50", "--f", "1", "--g", "0.5", "--compat", "project"], "--n", "star_shaped"),
+    (["sweep", "--domain", "interval", "--ntheta", "7", "--f", "1", "--g", "0.5", "--levels", "1"],
+     "--ntheta", "interval"),
+    (["sweep", "--domain", "star", "--radius-coeffs", '{"a0": 1}', "--n", "50", "--f", "1",
+      "--g", "0.5", "--levels", "1"], "--n", "star_shaped"),
+    (["verify", "--n0", "8", "--count", "1"], "--n0", "star_shaped")])
+def test_resolution_flag_of_the_other_dimension_exits_4(tmp_path, capsys, args, flag, kind):
+    assert run(args + ["--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert f"{flag} is a resolution flag of" in err and f"the {kind} domain takes" in err
+    assert "Traceback" not in err and not os.listdir(tmp_path)
 
 
 # for every VerifyConfig field, verify flags that give it a value other than its default

@@ -49,7 +49,6 @@ VerifyConfig.resolutions
 VerifyConfig.seed
 c_k_alpha_norm(pair_strategy)
 pairwise_holder_max(groups)
-pairwise_holder_max(order)
 pairwise_holder_max(period)
 pairwise_holder_max(strategy)
 solve_neumann(compat_policy)
@@ -85,5 +84,5 @@ def _settable():
 
 
 def test_every_settable_public_value_is_listed():
-    assert len(SETTABLE) == 47
+    assert len(SETTABLE) == 46
     assert _settable() == SETTABLE

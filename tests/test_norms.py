@@ -1,6 +1,8 @@
 """Holder-scale norms: seminorm oracles, strategy equivalence, axioms."""
 
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -642,6 +644,15 @@ def test_boundary_seminorm_uses_arclength(disk_mesh_small):
     assert val == pytest.approx(1.0 / np.sqrt(disk_mesh_small.h_theta), rel=1e-10)
 
 
+def _counted_layouts(monkeypatch):
+    """The node counts of every _layout call from here on, the memo cleared."""
+    layouts = []
+    layout = norms._layout
+    monkeypatch.setattr(norms, "_layout", lambda xy: layouts.append(len(xy)) or layout(xy))
+    norms._node_order.cache_clear()
+    return layouts
+
+
 @pytest.mark.parametrize("spec, res", [(DomainSpec.disk(), (12, 48)),
                                        (DomainSpec.star_shaped(1.0, (0.2, 0.1)), (12, 48)),
                                        (DomainSpec.interval(0.0, 2.0), 200)])
@@ -659,9 +670,7 @@ def test_field_seminorm_is_the_order_0_norm(spec, res, monkeypatch):
     expected = {(k, s, a): pairwise_holder_max(xy, vals[None, :], (a,), s, period)[:2]
                 for k, (_, vals, xy, period) in enumerate(cases)
                 for s in strategies for a in alphas}
-    layouts = []
-    layout = norms._layout
-    monkeypatch.setattr(norms, "_layout", lambda xy: layouts.append(1) or layout(xy))
+    layouts = _counted_layouts(monkeypatch)
     for k, (field, vals, xy, period) in enumerate(cases):
         for strategy in strategies:
             for alpha in alphas:
@@ -670,8 +679,71 @@ def test_field_seminorm_is_the_order_0_norm(spec, res, monkeypatch):
                 assert rep.seminorm == best[0, 0]
                 quot = _attained(xy, vals[None, :], wit[0, 0], alpha, period)
                 assert quot == pytest.approx(best[0, 0], rel=1e-12)
-    # one layout per node set, kept by the mesh across calls
+    # one layout per node set, kept by the kernel across calls
     assert len(layouts) == 2
+
+
+def test_kernel_builds_each_alternating_node_set_once(monkeypatch, rng):
+    # rounds of three rough fields on the 100x100 lattice, then three on
+    # the (48,192) disk's nodes: each node set's layout is built once in
+    # all, and every call returns what it returns on a cleared memo
+    xs = np.linspace(0.0, 1.0, 100)
+    mesh = build_mesh(DomainSpec.disk(), (48, 192))
+    sets = [np.column_stack([c.ravel() for c in np.meshgrid(xs, xs)]),
+            np.vstack([mesh.interior_xy, mesh.boundary_xy])]
+    calls = [(xy, v[None, :]) for _ in range(2)
+             for xy in sets for v in rng.standard_normal((3, len(xy)))]
+    alphas = (0.3, 0.5, 0.7)
+    layouts = _counted_layouts(monkeypatch)
+    kept = [pairwise_holder_max(xy, v, alphas, "pruned") for xy, v in calls]
+    assert sorted(layouts) == [9408, 10000]
+    for (xy, v), (best, wit, pairs) in zip(calls, kept):
+        norms._node_order.cache_clear()
+        fresh_best, fresh_wit, fresh_pairs = pairwise_holder_max(xy, v, alphas, "pruned")
+        assert np.array_equal(best, fresh_best)
+        assert np.array_equal(wit, fresh_wit)
+        assert pairs == fresh_pairs
+
+
+def test_layout_memo_keeps_the_last_two_node_sets_by_their_coordinates(monkeypatch, rng):
+    sets = [rng.random((n, 2)) for n in (300, 300, 301)]
+    v = rng.standard_normal(301)
+    layouts = _counted_layouts(monkeypatch)
+    orders = [norms._node_order(xy.shape, xy.tobytes()) for xy in sets]
+    assert norms._node_order.cache_info().currsize == norms.LAYOUTS == 2
+    assert len(layouts) == 3 and not orders[0].flags.writeable
+    # the evicted first node set is built again, to the same order
+    again = norms._node_order(sets[0].shape, sets[0].tobytes())
+    assert len(layouts) == 4 and np.array_equal(again, orders[0])
+    # a copy in a new array hits the memo; coordinates changed in place miss it
+    copy = sets[0].copy()
+    pairwise_holder_max(copy, v[:300], (0.5,), "pruned")
+    assert len(layouts) == 4
+    copy[7] = sets[1][7]
+    moved = pairwise_holder_max(copy, v[:300], (0.5,), "pruned")
+    assert len(layouts) == 5
+    assert np.array_equal(norms._node_order(copy.shape, copy.tobytes()), _layout(copy))
+    assert np.array_equal(moved[0], pairwise_holder_max(copy, v[:300], (0.5,), "brute_force")[0])
+
+
+def test_layout_memo_is_shared_by_threads(rng):
+    sets = [rng.random((700, 2)), rng.random((900, 2))]
+    calls = [(xy, rng.standard_normal((2, len(xy)))) for xy in sets]
+    expected = [pairwise_holder_max(xy, v, (0.3, 0.7), "pruned") for xy, v in calls]
+    norms._node_order.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(pairwise_holder_max, *calls[k % 2], (0.3, 0.7), "pruned")
+                       for k in range(8)]
+            results = [fut.result(timeout=60) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, (best, wit, pairs) in enumerate(results):
+        assert np.array_equal(best, expected[k % 2][0])
+        assert np.array_equal(wit, expected[k % 2][1])
+        assert pairs == expected[k % 2][2]
 
 
 def test_witness_tie_break_lexicographic():

@@ -475,14 +475,16 @@ def test_family_study_assembles_each_mesh_once(monkeypatch):
         factored.append((mesh.n_r, mesh.n_theta)) or factor(mesh, M, *a, **kw)))
     monkeypatch.setattr(norms, "_layout",
                         lambda coords: layouts.append(len(coords)) or layout(coords))
+    norms._node_order.cache_clear()
     config = VerifyConfig(count=4, seed=3, resolutions=((12, 48), (16, 64)),
                           pinned_resolution=(20, 80))
     run_family_study(config)
     assert sorted(assembled) == [(12, 48), (16, 64), (20, 80)]
     # each mesh's two factors, of A and of A - S, serve all 4 instances
     assert sorted(factored) == [(12, 48)] * 2 + [(16, 64)] * 2 + [(20, 80)] * 2
-    # one leaf layout per node set of each Holder rung: boundary loops of
-    # 48 and 64 nodes, volume node sets of 12*48 + 48 and 16*64 + 64
+    # one leaf layout per node set of each Holder rung, kept by the kernel
+    # across the instances of a level: boundary loops of 48 and 64 nodes,
+    # volume node sets of 12*48 + 48 and 16*64 + 64
     assert sorted(layouts) == [48, 64, 624, 1088]
 
 
