@@ -300,6 +300,8 @@ def _ladder(spec, base, levels):
     """The rungs base * 2**k for k < levels (in the plane both entries
     double), each checked by check_mesh_size before the next is made: a
     rung too large stops the command before any mesh is built."""
+    if levels < 1:
+        raise ConfigError(f"--levels must be >= 1, got {levels}")
     rungs = []
     for k in range(levels):
         rungs.append(base * 2**k if spec.dim == 1 else (base[0] * 2**k, base[1] * 2**k))
@@ -392,8 +394,6 @@ def cmd_verify(args):
 
 
 def cmd_sweep(args):
-    if args.levels < 1:
-        raise ConfigError("sweep needs --levels >= 1")
     spec, base, f_text, g_text, strategy, policy = _problem_inputs(args, "project")
     ladder = _ladder(spec, base, args.levels)
     t0 = time.perf_counter()
@@ -428,8 +428,6 @@ def cmd_sweep(args):
 
 
 def cmd_oracle1d(args):
-    if args.levels < 1:
-        raise ConfigError("oracle1d needs --levels >= 1")
     ns = _ladder(DomainSpec.interval(), args.n, args.levels)
     t0 = time.perf_counter()
     cases = []

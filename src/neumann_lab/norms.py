@@ -10,9 +10,9 @@ boxes in the plane, runs of the sorted order on a line or loop.  The
 k-d boxes are split level by level: every node's rank along each axis
 is sorted once, and one ``np.sort`` of distinct int64 keys box * n +
 rank per level cuts all boxes of that level together, each node decoded
-from its key; the full chunks halve into leaves as the rows of one
-array, sorted row by row.  A tile is a pair of chunks, a leaf
-pair a pair of distinct leaves.  Every pair is evaluated with the same
+from its key; one such split cuts the node set into chunks, a second
+cuts every chunk into leaves.  A tile is a pair of chunks, a leaf pair a
+pair of distinct leaves.  Every pair is evaluated with the same
 arithmetic: squared distances axis by axis, the log once, the distance
 weight once per exponent, a group's value difference as the largest
 |difference| of its rows, and one product per exponent.  Rounding is
@@ -40,14 +40,15 @@ the leaf pairs:
     at most N + |gbar| |x - y|, gbar the mean slope and N the rest (the
     models' offset, slope mismatch and residuals), plus a rounding
     allowance of 2^-40 times |c|, |gbar| |centre_a - centre_b| and
-    max|v|.  A call keeps this affine stage only where it can pay: if,
-    in the chunk fits its tile level makes, every group's median over
-    its rows and chunks of the largest residual over half the chunk's
-    value spread is at least ROUGH (white noise reads 1.05-1.09, the
-    smooth study stacks at most 0.71), it bounds both levels with
-    spreads alone and fits no leaves.
+    max|v|.  A call decides once, from its chunk fits, whether this
+    affine stage pays: not if every group's median over its rows and
+    chunks of the largest residual over half the chunk's value spread is
+    at least ROUGH (white noise reads 1.05-1.09, the smooth study stacks
+    at most 0.71); it then bounds both levels with spreads alone and
+    fits no leaves.
 
-  Both bounds carry a relative slack for pow against exp(log).  One
+  Both bounds take (d, boxes) and (m, boxes) box rows, give (entries,
+  pairs) rows and carry a relative slack for pow against exp(log).  One
   drain walks both levels, a dual-tree traversal (Curtin et al., ICML
   2013): it takes a queue of box pairs best first, ranked by the largest
   ratio of a bound to its running maximum, in batches, and just before
@@ -167,11 +168,9 @@ def _layout(coords):
     node i's place in the order by coordinate a, ties broken by the last
     coordinate down to the first and then by node index.  It is computed
     once; sorting a box by it sorts the box's coordinates with the same
-    tie rule, so the splits, made level by level (``_kd_split``), equal
-    those of a per-box recursion.  The full chunks halve into leaves
-    (TILE // LEAF is a power of two) as the rows of one (boxes, width)
-    array, each row sorted by rank on its own axis; the last partial
-    chunk takes the general path.
+    tie rule, so the splits, made level by level, equal those of a
+    per-box recursion.  One ``_kd_split`` cuts the node set into chunks,
+    a second cuts every chunk into leaves.
     """
     n, d = coords.shape
     if d == 1:
@@ -190,16 +189,7 @@ def _layout(coords):
             byrank[a] = np.lexsort((*np.delete(pts, a, axis=0), pts[a]))
         rank[a, byrank[a]] = np.arange(n)
     order = _kd_split(pts, rank, byrank, np.arange(n), np.zeros(1, dtype=np.int64), TILE)
-    full, width = n - n % TILE, TILE
-    boxes = order[:full]
-    while width > LEAF:
-        boxes = boxes.reshape(-1, width)
-        extent = [np.ptp(x.take(boxes), axis=1) for x in pts]
-        axis = np.argmax(extent, axis=0)[:, None] * n
-        boxes = byrank.take(axis + np.sort(rank.take(axis + boxes), axis=1))
-        width //= 2
-    tail = _kd_split(pts, rank, byrank, order[full:], np.zeros(1, dtype=np.int64), LEAF)
-    return np.concatenate([boxes.ravel(), tail])
+    return _kd_split(pts, rank, byrank, order, np.arange(0, n, TILE), LEAF)
 
 
 @functools.lru_cache(maxsize=LAYOUTS)
@@ -226,17 +216,15 @@ _UPPER = np.triu_indices(LEAF, 1)
 def _box_bounds(lo, hi, vlo, vhi, p, q, alphas, period, rows):
     """Upper bounds on the quotients of the box pairs (p[i], q[i]).
 
-    lo, hi: (boxes, d) coordinate boxes; vlo, vhi: (boxes, m) value
-    ranges, read by component row.  dmin, the gap between the boxes (on
-    a loop also the gap around the seam, period minus the span of both),
-    is a lower bound on every pair distance, and the value spread of
-    both boxes an upper bound on every |v(x) - v(y)|; it never exceeds 2
-    max|v|.  rows: the first row of each group of components, whose
-    spread is the largest of its rows'.  Returns the bounds spread *
-    dmin**-a times SLACK, a (len(p), groups, len(alphas)) view of
-    pair-last memory, and dmin.
+    lo, hi: (d, boxes) coordinate box rows; vlo, vhi: (m, boxes) value
+    range rows.  dmin, the gap between the boxes (on a loop also the gap
+    around the seam, period minus the span of both), is a lower bound on
+    every pair distance, and the value spread of both boxes an upper
+    bound on every |v(x) - v(y)|; it never exceeds 2 max|v|.  rows: the
+    first row of each group of components, whose spread is the largest
+    of its rows'.  Returns the (groups, len(alphas), len(p)) bounds
+    spread * dmin**-a times SLACK, and dmin.
     """
-    lo, hi, vlo, vhi = lo.T, hi.T, vlo.T, vhi.T
     d2 = 0.0
     for k in range(len(lo)):
         gap = np.maximum(lo[k].take(q) - hi[k].take(p), lo[k].take(p) - hi[k].take(q))
@@ -253,7 +241,7 @@ def _box_bounds(lo, hi, vlo, vhi, p, q, alphas, period, rows):
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = spread[:, None, :] * (dmin ** -alphas[:, None] * SLACK)
     bound[:, :, near] = np.where(spread[:, None, near] > 0.0, np.inf, 0.0)
-    return bound.transpose(2, 0, 1), dmin
+    return bound, dmin
 
 
 def _affine_models(cols, dim, index):
@@ -307,14 +295,13 @@ def _affine_bounds(models, lo, hi, p, q, dmin, alphas, rows):
     The quotient is then at most (N + |gbar| d) d**-a at d = |x - y|,
     which falls and then rises in d, so its largest value over [dmin,
     dmax] is at an end; dmax is the smaller of |z_p - z_q| + r_p + r_q
-    and the diagonal of the (boxes, d) boxes lo, hi of both runs.
+    and the diagonal of both runs' boxes, the (d, boxes) rows lo, hi.
     Returns the (groups, len(alphas), len(p)) bounds times SLACK, NaN
     where N and dmin are both 0.
     """
     centre, radius, g, c, resid, mag = models
     K = c.take(p, axis=1) - c.take(q, axis=1)
     slope, twist, dist, diagonal = 0.0, 0.0, 0.0, 0.0
-    lo, hi = lo.T, hi.T
     for a in range(len(centre)):
         dz = centre[a].take(p) - centre[a].take(q)
         gp, gq = g[a].take(p, axis=1), g[a].take(q, axis=1)
@@ -362,14 +349,14 @@ class _Sweep:
         low, high = nodes.min(axis=1), nodes.max(axis=1)
         self.lo, self.hi = low[:self.dim], high[:self.dim]       # (d, leaves) rows
         self.vlo, self.vhi = low[self.dim:], high[self.dim:]    # (m, leaves) rows
-        self.rows = rows        # the first row of each group
-        self.group = np.repeat(np.arange(len(rows)), np.diff(rows, append=len(comps)))
+        # the first row of each group, and each group's rows of cols
+        self.rows = rows
+        self.members = np.split(np.arange(len(comps)) + self.dim, rows[1:])
         self.alphas, self.period = alphas, period
         self.best = np.full((len(rows), len(alphas)), -np.inf)
         self.witnesses = np.zeros(self.best.shape + (2,), dtype=int)
         self.pairs = 0
-        self.models = None
-        self.affine = period is None     # whether bounds() tries affine models
+        self.models = None      # the leaves' affine models, if the call keeps that stage
         # leaf pairs bounded but not yet evaluated, best first, with their
         # (entries, pairs) bounds
         self.queue = (np.empty(0, dtype=int), np.empty(0, dtype=int),
@@ -404,17 +391,17 @@ class _Sweep:
         """(p, q, bounds, keys) of the box pairs (p[i], q[i]) that may beat
         a running maximum.
 
-        A pair's bound is the smaller of the spread bound and, while the
-        call keeps its affine stage, the affine bound of models() (None
-        when that stage turns out not to pay), computed only for the
-        pairs the spread bound keeps.  The key ranks pairs best first: the
-        largest ratio of an entry's bound to its running maximum.
+        lo, hi and vlo, vhi are the boxes' (d, boxes) and (m, boxes) rows.
+        A pair's bound, one row per entry, is the smaller of the spread
+        bound and, unless models is None, the affine bound of the boxes'
+        models, computed only for the pairs the spread bound keeps.  The
+        key ranks pairs best first: the largest ratio of an entry's bound
+        to its running maximum.
         """
         bound, dmin = _box_bounds(lo, hi, vlo, vhi, p, q, self.alphas, self.period, self.rows)
-        bound = np.moveaxis(bound, 0, -1).reshape(self.best.size, -1)
+        bound = bound.reshape(self.best.size, -1)
         keep = (bound > self.best.reshape(-1, 1)).any(axis=0)
         p, q, bound = p[keep], q[keep], bound[:, keep]
-        models = models() if self.affine and len(p) else None
         if models is not None:
             dmin = dmin[keep]
             # in slices of 2 * BATCH pairs, to bound the transient memory
@@ -430,17 +417,11 @@ class _Sweep:
             key = np.fmax.reduce(bound / scale.reshape(-1, 1), axis=0)
         return p, q, bound, key
 
-    def leaf_models(self):
-        """The leaves' affine models, fitted on first use."""
-        if self.models is None:
-            self.models = _affine_models(self.cols, self.dim, self.leaves)
-        return self.models
-
     def push(self, p, q, _live):
         """Queue the leaf pairs of the tiles (p[i], q[i]) that may beat a
         running maximum, and evaluate full batches from the queue's head."""
         a, b = _leaf_pairs(p, q, self.nleaf)
-        fresh = self.bounds(self.lo.T, self.hi.T, self.vlo.T, self.vhi.T, self.leaf_models, a, b)
+        fresh = self.bounds(self.lo, self.hi, self.vlo, self.vhi, self.models, a, b)
         queue = tuple(np.concatenate(pair, axis=-1) for pair in zip(self.queue, fresh))
         self.queue = self.drain(queue, BATCH, self.evaluate, BATCH)
 
@@ -510,7 +491,7 @@ class _Sweep:
             np.exp(w[ia], out=w[ia])
         # d2 is free from here: a group's further rows go through it
         for ig in np.flatnonzero(live.any(axis=1)):
-            head, *rest = np.flatnonzero(self.group == ig) + self.dim
+            head, *rest = self.members[ig]
             np.subtract(*sides(head, tmp, dv), out=dv)
             np.abs(dv, out=dv)
             for row in rest:
@@ -552,39 +533,53 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
                         groups=None):
     """Maximum Holder quotients for several groups of components and exponents.
 
-    coords: (n, d) node positions (with ``period`` set, coords[:, 0] is
-    an arclength coordinate on a loop of that length), all finite, or
-    a ConfigError is raised.  comps: (m, n)
-    sampled fields sharing those nodes.  groups: the row counts of
-    consecutive groups of comps, one row each by default; a group's
-    quotient is the largest of its rows'.  The leaf layout of the last
-    LAYOUTS node sets is kept, so a call on the same coordinates as one
-    of them does not build it again.  Every (group, exponent) entry is
-    computed.  Returns (best, witnesses, pairs_evaluated) where
+    coords: (n, d) node positions, or with ``period`` set (n, 1)
+    arclength coordinates on a loop of that length, spanning at most one
+    period.  comps: (m, n) sampled fields sharing those nodes, m >= 1.
+    groups: the integer row counts of consecutive groups of comps, one
+    row each by default; a group's quotient is the largest of its rows'.
+    Non-finite coordinates, values or period, no exponent and any other
+    input outside these terms raise a ConfigError.  The leaf layout of
+    the last LAYOUTS node sets is kept, so a call on the same coordinates
+    as one of them does not build it again.  Every (group, exponent)
+    entry is computed.  Returns (best, witnesses, pairs_evaluated) where
     best has shape (groups, len(alphas)) and witnesses holds the
     lexicographically smallest attaining node-index pair per entry, over
-    the group's rows, taken inside the sweep from each batch that reaches
-    the running maximum.  ``brute_force`` runs plain loops with no bound, key or
-    queue; ``pruned`` walks tiles and leaf pairs with one best-first
-    drain and skips leaf pairs that can only tie the maximum, so its
-    witness ties may resolve differently.
+    the group's rows, taken inside the sweep from each batch that
+    reaches the running maximum.  ``brute_force`` runs plain loops with
+    no bound, key or queue; ``pruned`` walks tiles and leaf pairs with
+    one best-first drain and skips leaf pairs that can only tie the
+    maximum, so its witness ties may resolve differently.
     """
     comps = np.atleast_2d(np.asarray(comps, dtype=float))
     coords = _as_points(coords, comps.shape[1])
     if not np.isfinite(coords).all():
         raise ConfigError("node coordinates must be finite")
+    if not len(comps):
+        raise ConfigError("need at least one row of values")
+    if not np.isfinite(comps).all():
+        raise ConfigError("field values must be finite")
+    if period is not None and not (coords.shape[1] == 1 and np.isfinite(period)
+                                   and period > 0.0 and np.ptp(coords) <= period):
+        raise ConfigError(f"a period needs one arclength coordinate spanning at most one "
+                          f"finite positive period, got {coords.shape[1]} spanning "
+                          f"{np.ptp(coords)} and period {period}")
     n = coords.shape[0]
     if n < 2:
         raise DegenerateInput("need at least two nodes for a pairwise seminorm")
     if np.all(coords.max(axis=0) == coords.min(axis=0)):
         raise DegenerateInput("all nodes coincide")
     alphas = np.array([float(a) for a in alphas])
+    if not len(alphas):
+        raise ConfigError("need at least one exponent alpha")
     for a in alphas:
         if not 0.0 < a < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {a}")
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown pair strategy {strategy!r}")
-    counts = np.ones(len(comps), dtype=int) if groups is None else np.asarray(groups, dtype=int)
+    counts = np.ones(len(comps), dtype=int) if groups is None else np.asarray(groups)
+    if counts.ndim != 1 or counts.dtype.kind not in "iu":
+        raise ConfigError(f"groups must be a sequence of integer row counts, got {groups!r}")
     if counts.sum() != len(comps) or (counts < 1).any():
         raise ConfigError(f"groups {counts.tolist()} do not partition {len(comps)} rows")
     rows = np.cumsum(counts) - counts
@@ -603,24 +598,25 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
             for t in range(0, len(la), BATCH):
                 sweep.evaluate(la[t:t + BATCH], lb[t:t + BATCH])
     else:
-        # a chunk's runs of columns, the last padded with the last column
-        chunks = np.minimum(starts * LEAF + np.arange(TILE)[:, None], sweep.cols.shape[1] - 1)
         vlo = np.minimum.reduceat(sweep.vlo, starts, axis=1)
         vhi = np.maximum.reduceat(sweep.vhi, starts, axis=1)
-
-        def chunk_models():
+        models = None
+        if period is None:
+            # a chunk's runs of columns, the last padded with the last column
+            chunks = np.minimum(starts * LEAF + np.arange(TILE)[:, None], sweep.cols.shape[1] - 1)
+            models = _affine_models(sweep.cols, sweep.dim, chunks)
             # the affine stage is kept only if some group is not rough: the
             # median over its rows and chunks of a chunk fit's largest
             # residual over half the chunk's value spread is below ROUGH
-            models = _affine_models(sweep.cols, sweep.dim, chunks)
             half = 0.5 * (vhi - vlo)
             ratio = np.divide(models[4], half, out=np.zeros_like(half), where=half > 0.0)
-            sweep.affine = min(map(np.median, np.split(ratio, rows[1:]))) < ROUGH
-            return models if sweep.affine else None
-
-        tiles = sweep.bounds(np.minimum.reduceat(sweep.lo, starts, axis=1).T,
-                             np.maximum.reduceat(sweep.hi, starts, axis=1).T,
-                             vlo.T, vhi.T, chunk_models, tp, tq)
+            if min(map(np.median, np.split(ratio, rows[1:]))) < ROUGH:
+                sweep.models = _affine_models(sweep.cols, sweep.dim, sweep.leaves)
+            else:
+                models = None
+        tiles = sweep.bounds(np.minimum.reduceat(sweep.lo, starts, axis=1),
+                             np.maximum.reduceat(sweep.hi, starts, axis=1),
+                             vlo, vhi, models, tp, tq)
         sweep.drain(tiles, TILE_BATCH, sweep.push)
         sweep.drain(sweep.queue, BATCH, sweep.evaluate)
     return sweep.best, sweep.witnesses, sweep.pairs

@@ -440,8 +440,15 @@ def solve_neumann_pinned(f, g, node=0, value=0.0, compat_policy="reject"):
 
     Used by the uniqueness-up-to-constants experiment: the result must
     differ from the mean-zero solution by a constant field.  Shares the
-    direct route's factorization and residual check.
+    direct route's factorization and residual check.  node must be an
+    integer index into the mesh's nodes, interior first, and value
+    finite, or a ConfigError is raised.
     """
+    n = f.mesh.n_interior + f.mesh.n_boundary
+    if not (isinstance(node, (int, np.integer)) and not isinstance(node, bool) and 0 <= node < n):
+        raise ConfigError(f"pinned node must be an integer index in [0, {n}), got {node!r}")
+    if not np.isfinite(value):
+        raise ConfigError(f"pinned value must be finite, got {value!r}")
     return _direct_solve(f, g, compat_policy, "pinned solve", pin=(node, value))
 
 

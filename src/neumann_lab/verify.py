@@ -131,6 +131,12 @@ class ProblemFamily:
     dim: int = 2
 
     def instances(self):
+        for name in ("count", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.dim not in (1, 2):
+            raise ConfigError(f"problem family dim must be 1 or 2, got {self.dim!r}")
         if self.count < 1:
             raise ConfigError("problem family needs at least one instance")
         if self.seed < 0:
@@ -295,6 +301,9 @@ def convergence_study(case, resolutions):
     compatibility.
     """
     if isinstance(case, str):
+        if case not in MANUFACTURED_CASES:
+            raise ConfigError(f"unknown manufactured case {case!r}; known cases: "
+                              f"{', '.join(sorted(MANUFACTURED_CASES))}")
         case = MANUFACTURED_CASES[case]
     if len(resolutions) < 3:
         raise ConfigError("convergence study needs at least three levels")

@@ -264,6 +264,16 @@ def test_bad_value_exits_4_without_traceback(tmp_path, capsys, args):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--count", "1"],
+    ["sweep", "--f", "1", "--g", "0.5", "--nr", "8", "--ntheta", "16"],
+    ["oracle1d"]])
+def test_every_ladder_checks_its_levels_with_one_message(tmp_path, capsys, args):
+    # the ladder is where every command checks --levels, with one message
+    assert run(args + ["--levels", "0", "--out", str(tmp_path)]) == 4
+    assert "--levels must be >= 1, got 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [["solve"], ["sweep", "--levels", "1"]])
 def test_zero_resolution_in_an_interval_problem_file_exits_4(tmp_path, capsys, command):
     path = tmp_path / "problem.json"

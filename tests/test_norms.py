@@ -372,12 +372,13 @@ def test_kd_tile_layout(n, layout, rng):
     owner = np.arange(len(leaves)) * LEAF // TILE
     assert (llo >= clo[owner]).all() and (lhi <= chi[owner]).all()
     # the bounds of every box pair at both levels hold for each of its node
-    # pairs, so the distance lower bound dmin is sound
+    # pairs, so the distance lower bound dmin is sound; _box_bounds takes
+    # (d, boxes) and (m, boxes) rows and returns (groups, alphas, pairs)
     for groups, lo, hi in ((chunks, clo, chi), (leaves, llo, lhi)):
-        vlo = np.array([V[:, g].min(axis=1) for g in groups])
-        vhi = np.array([V[:, g].max(axis=1) for g in groups])
+        vlo = np.column_stack([V[:, g].min(axis=1) for g in groups])
+        vhi = np.column_stack([V[:, g].max(axis=1) for g in groups])
         tp, tq = np.triu_indices(len(groups))
-        bound, _ = _box_bounds(lo, hi, vlo, vhi, tp, tq, alphas, None, np.arange(len(V)))
+        bound, _ = _box_bounds(lo.T, hi.T, vlo, vhi, tp, tq, alphas, None, np.arange(len(V)))
         for k, (p, q) in enumerate(zip(tp, tq)):
             d = np.sqrt(((P[groups[p], None, :] - P[None, groups[q], :])**2).sum(axis=2))
             dv = np.abs(V[:, groups[p], None] - V[:, None, groups[q]])
@@ -385,7 +386,7 @@ def test_kd_tile_layout(n, layout, rng):
             keep &= d > 0
             if keep.any():
                 quot = dv[:, keep][:, None, :] / d[keep] ** alphas[:, None]
-                assert (quot.max(axis=2) <= bound[k]).all()
+                assert (quot.max(axis=2) <= bound[..., k]).all()
     # padding of the last leaf is never counted
     _, _, pairs = pairwise_holder_max(coords, values, alphas, "brute_force")
     assert pairs == n * (n - 1) // 2
@@ -433,8 +434,8 @@ def _examples(test):
 @_examples
 def test_layout_equals_recursive_split(seed, n, layout):
     # the level-by-level split gives the very permutation of the per-box
-    # recursion, ties and duplicate sites included; the full chunks split
-    # into leaves as rows of one array, the last partial chunk on its own
+    # recursion, ties and duplicate sites included; one split cuts the
+    # node set into chunks and a second cuts every chunk into leaves
     rng = np.random.default_rng(seed)
     if layout == "lattice":
         side = int(np.ceil(np.sqrt(n)))
@@ -493,6 +494,21 @@ def test_pruning_work_on_the_study_stacks(seed, monkeypatch):
     monkeypatch.setattr(norms, "ROUGH", np.inf)
     _, _, forced = pairwise_holder_max(f.all_xy(), rows, alphas, "pruned", groups=[1, 4])
     assert forced == stacked
+
+
+@pytest.mark.parametrize("res, pairs", [((12, 48), 68424), ((24, 96), 153936),
+                                        ((48, 192), 288672)])
+def test_pruned_work_on_instance_0_stack_is_pinned(res, pairs):
+    # instance 0's f and u'' as groups [1, 4] on each default rung: the
+    # pairs the pruned sweep evaluates, so that a change to the kernel's
+    # work shows here by name
+    mesh = build_mesh(DomainSpec.disk(), res)
+    f, g = ProblemFamily(seed=0, count=1).instances()[0].realize(mesh)
+    u = solve_neumann(f, g, compat_policy="project").solution
+    rows = np.vstack([f.all_values()] + [c.all_values() for d in gradient(u) for c in gradient(d)])
+    _, _, evaluated = pairwise_holder_max(f.all_xy(), rows, (0.3, 0.5, 0.7), "pruned",
+                                          groups=[1, 4])
+    assert evaluated == pairs
 
 
 def test_white_noise_fits_chunk_models_only(monkeypatch):
@@ -793,6 +809,51 @@ def test_non_finite_coordinates_are_a_config_error(bad, dim, strategy):
     coords[7, dim - 1] = bad
     with pytest.raises(ConfigError, match="finite"):
         pairwise_holder_max(coords, coords[:, :1].T, (0.5,), strategy)
+
+
+_XS = np.linspace(0.0, 0.9, 40)
+_SINE = np.sin(6.0 * _XS)[None, :]
+
+
+def _spiked(bad):
+    values = _SINE.copy()
+    values[0, 5] = bad
+    return values
+
+
+@pytest.mark.parametrize("strategy", ["brute_force", "pruned"])
+@pytest.mark.parametrize("coords, comps, alphas, period, groups, match", [
+    # a NaN reached _fold as an IndexError, an inf gave inf and a witness
+    # that depended on the strategy
+    (_XS, _spiked(np.nan), (0.5,), None, None, "values must be finite"),
+    (_XS, _spiked(np.inf), (0.5,), None, None, "values must be finite"),
+    (_XS, _spiked(-np.inf), (0.5,), None, None, "values must be finite"),
+    # both failed in a reshape
+    (_XS, _SINE, (), None, None, "at least one exponent"),
+    (_XS, np.empty((0, 40)), (0.5,), None, None, "at least one row"),
+    # [2.5, 0.5] was truncated to [2, 0]
+    (_XS, np.vstack([_SINE] * 3), (0.5,), None, [2.5, 0.5], "integer row counts"),
+    (_XS, _SINE, (0.5,), np.inf, None, "period inf"),
+    (_XS, _SINE, (0.5,), np.nan, None, "period nan"),
+    (_XS, _SINE, (0.5,), 0.0, None, "period 0.0"),
+    (_XS, _SINE, (0.5,), -1.0, None, "period -1.0"),
+    # the loop distance read only axis 0
+    (np.column_stack([_XS, _XS]), _SINE, (0.5,), 3.0, None,
+     "one arclength coordinate .*, got 2 spanning"),
+    # min(d, period - d) went negative: [0, 0.5, 3.0] at period 1 gave 1.414
+    (np.array([0.0, 0.5, 3.0]), np.array([[0.0, 1.0, 0.0]]), (0.5,), 1.0, None,
+     "at most one finite positive period, got 1 spanning 3.0 and period 1.0")])
+def test_unmeasurable_input_is_a_config_error(coords, comps, alphas, period, groups, match,
+                                              strategy):
+    with pytest.raises(ConfigError, match=match):
+        pairwise_holder_max(coords, comps, alphas, strategy, period, groups)
+
+
+def test_a_loop_of_exactly_one_period_is_measured():
+    # the first and last node meet across the seam: distance 0, not counted
+    best, wit, _ = pairwise_holder_max(np.array([0.0, 0.5, 1.0]), np.array([[0.0, 1.0, 3.0]]),
+                                       (0.5,), "brute_force", period=1.0)
+    assert best[0, 0] == pytest.approx(2.0 / np.sqrt(0.5)) and wit[0, 0].tolist() == [1, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,24 @@ def test_uniqueness_up_to_constant(disk_mesh, rng):
     assert abs(pinned.solution.interior[0] - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("node", [-1, 10**6, True, 1.0, np.float64(2.0), "0"])
+def test_pinned_node_must_be_an_index_into_the_nodes(disk_mesh_small, node):
+    # -1 would pin the last node and 10**6 pass the end; a bool or float is no index
+    f = GridFunction.from_expression(disk_mesh_small, "x")
+    g = BoundaryFunction.zeros(disk_mesh_small)
+    with pytest.raises(ConfigError, match=r"pinned node must be an integer index in \[0, "):
+        solve_neumann_pinned(f, g, node=node, compat_policy="project")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_pinned_value_must_be_finite(disk_mesh_small, value):
+    # the input is at fault, not the solver: a ConfigError, not a LinearSolveFailure
+    f = GridFunction.from_expression(disk_mesh_small, "x")
+    g = BoundaryFunction.zeros(disk_mesh_small)
+    with pytest.raises(ConfigError, match="pinned value must be finite"):
+        solve_neumann_pinned(f, g, node=np.int64(3), value=value, compat_policy="project")
+
+
 def test_max_principle_for_shifted_problem(rng):
     mesh = build_mesh(DomainSpec.disk(), (32, 128))
     g = BoundaryFunction.zeros(mesh)

@@ -215,6 +215,12 @@ def test_convergence_needs_three_levels():
         convergence_study("disk_quadratic", [(8, 16), (16, 32)])
 
 
+def test_convergence_refuses_an_unknown_case_naming_the_known_ones():
+    with pytest.raises(ConfigError, match="unknown manufactured case 'nope'; known cases: "
+                                          "disk_quadratic, .*interval_linear"):
+        convergence_study("nope", [(8, 16), (16, 32), (32, 64)])
+
+
 def test_incompatibility_probe_rejects(disk_mesh):
     f = GridFunction.constant(disk_mesh, 1.0)
     g = BoundaryFunction.zeros(disk_mesh)
@@ -248,6 +254,23 @@ def test_family_requires_instances():
         ProblemFamily(count=0).instances()
     with pytest.raises(ConfigError, match="unknown family kind 'nope'"):
         ProblemFamily(kind="nope").instances()
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("count", 2.0, "count must be an integer, got 2.0"),
+    ("count", True, "count must be an integer, got True"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", "1", "seed must be an integer, got '1'"),
+    ("dim", 3, "dim must be 1 or 2, got 3"),
+    ("dim", 0, "dim must be 1 or 2, got 0")])
+def test_family_refuses_a_count_seed_or_dim_it_cannot_draw(field, value, match):
+    # a fractional seed failed inside numpy once the study had started, and
+    # dim 3 gave 1-D g terms without a word
+    with pytest.raises(ConfigError, match=match):
+        ProblemFamily(**{field: value}).instances()
+    if field != "dim":
+        with pytest.raises(ConfigError, match=match):
+            run_family_study(VerifyConfig(**{field: value}))
 
 
 def test_family_deterministic():
