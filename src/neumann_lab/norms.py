@@ -20,8 +20,10 @@ monotone, so max_r fl(|dv_r| w) = fl(max_r |dv_r| w): a group's maximum
 equals the largest of its rows' maxima bitwise.  The sweep first
 evaluates the pairs inside each leaf, unconditionally, in a plain loop
 over batches of leaves ((LEAF (LEAF - 1) / 2, batch) arrays), then leaf
-pairs in batches, in (LEAF, LEAF, batch) arrays.  Two strategies choose
-the leaf pairs:
+pairs in batches, in (LEAF, LEAF, batch) arrays.  The distance weights
+of a leaf's own pairs depend on the coordinates, period and exponents
+alone; a node set's second sweep keeps them, so that later sweeps only
+take value differences there.  Two strategies choose the leaf pairs:
 
 * ``brute_force`` evaluates every leaf pair, in plain loops over batches
   of tiles and of their leaf pairs, with no bound or queue;
@@ -67,13 +69,21 @@ Volume fields use Euclidean distance between nodes; boundary fields use
 arclength along the boundary loop, with distances and spread bounds
 taken the short way round (loops use the spread bound alone).
 ``holder_reports`` stacks all fields on one node set into a single
-sweep, one group per item.  The kernel keeps the layouts of the last
-LAYOUTS node sets, keyed by their exact coordinates.
+sweep, one group per item.
+
+The kernel keeps the last LAYOUTS node sets it met, keyed by their exact
+coordinates: each one's layout, and from its second sweep on its
+geometry (leaf order, coordinate rows, leaf and chunk boxes) and its
+leaves' own-pair weights for the last period and exponents swept, about
+7.5 len(alphas) doubles per node and never anything per leaf pair.  A
+node set swept once keeps its layout alone, so that a caller sweeping
+more node sets in turn than the memo holds keeps no more.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,15 +202,6 @@ def _layout(coords):
     return _kd_split(pts, rank, byrank, order, np.arange(0, n, TILE), LEAF)
 
 
-@functools.lru_cache(maxsize=LAYOUTS)
-def _node_order(shape, data):
-    """The read-only ``_layout`` of the float coordinates with this shape
-    and these bytes, kept for the last LAYOUTS node sets."""
-    order = _layout(np.frombuffer(data).reshape(shape))
-    order.flags.writeable = False
-    return order
-
-
 # leaf offsets, within their chunks, of the leaf pairs of two chunks and
 # of one chunk with itself (each unordered pair of distinct leaves once);
 # node slots, within their leaves, of the pairs of two leaves and of the
@@ -211,6 +212,70 @@ _DIAGONAL = np.triu_indices(_PER, 1)
 _SLOTS = np.arange(LEAF)
 _SQUARE = np.divmod(np.arange(LEAF * LEAF), LEAF)
 _UPPER = np.triu_indices(LEAF, 1)
+
+
+class _Geometry:
+    """A node set in leaf layout: all a sweep reads of its coordinates.
+
+    Node k of leaf l is padded[l * LEAF + k].  The last leaf is padded
+    with copies of the last node: a pair with a copy either repeats a
+    real pair or has distance 0, which does not count.  size: each
+    leaf's real nodes; leaves: the (LEAF, leaves) slots of each leaf;
+    cols: the coordinates by axis in leaf order; lo, hi: the (d, leaves)
+    rows of the leaves' boxes; starts: each chunk's first leaf; chunk_lo,
+    chunk_hi: the (d, chunks) rows of the chunks' boxes.
+    """
+
+    def __init__(self, coords, order):
+        n, self.dim = coords.shape
+        self.nleaf = -(-n // LEAF)
+        self.padded = np.concatenate([order, np.full(self.nleaf * LEAF - n, order[-1])])
+        self.size = np.full(self.nleaf, LEAF)
+        self.size[-1] = n - (self.nleaf - 1) * LEAF
+        self.leaves = np.arange(self.nleaf) * LEAF + _SLOTS[:, None]
+        # take keeps every row contiguous, as [:, index] would not
+        self.cols = coords.T.take(self.padded, axis=1)
+        nodes = self.cols.take(self.leaves, axis=1)
+        self.lo, self.hi = nodes.min(axis=1), nodes.max(axis=1)
+        self.starts = np.arange(0, self.nleaf, _PER)
+        self.chunk_lo = np.minimum.reduceat(self.lo, self.starts, axis=1)
+        self.chunk_hi = np.maximum.reduceat(self.hi, self.starts, axis=1)
+
+
+class _NodeSet:
+    """A node set's leaf layout and, from its second sweep on, what its
+    sweeps derive from the coordinates alone: its ``_Geometry``, and for
+    one (period, exponents) key the distance weights and coincident-pair
+    mask of the pairs inside every leaf, one ((exponents, pairs, leaves)
+    array, mask or None) entry per batch of leaves.  A sweep with another
+    key replaces the weights.  A node set swept once keeps its layout
+    alone: a caller that sweeps more node sets in turn than the memo
+    holds would never read the rest.
+    """
+
+    def __init__(self, coords):
+        self.order = _layout(coords)
+        self.order.flags.writeable = False
+        self.geometry = None
+        self.weights = None     # (key, batches)
+        self._sweeps = 0
+        self._lock = threading.Lock()
+
+    def count_sweep(self):
+        """Count one sweep; True from the second on, which keeps what it derives."""
+        with self._lock:
+            self._sweeps += 1
+            return self._sweeps > 1
+
+    def keep_weights(self, key, batches):
+        self.weights = key, batches
+
+
+@functools.lru_cache(maxsize=LAYOUTS)
+def _node_set(shape, data):
+    """The ``_NodeSet`` of the float coordinates with this shape and these
+    bytes, kept for the last LAYOUTS node sets."""
+    return _NodeSet(np.frombuffer(data).reshape(shape))
 
 
 def _box_bounds(lo, hi, vlo, vhi, p, q, alphas, period, rows):
@@ -331,24 +396,19 @@ class _Sweep:
     """One call's nodes in leaf layout, its running maxima and work arrays."""
 
     def __init__(self, coords, comps, alphas, period, rows):
-        n, self.dim = coords.shape
-        order = _node_order(coords.shape, coords.tobytes())
-        self.nleaf = -(-n // LEAF)
-        # node k of leaf l is padded[l * LEAF + k].  The last leaf is padded
-        # with copies of the last node: a pair with a copy either repeats a
-        # real pair or has distance 0, which does not count.
-        self.padded = np.concatenate([order, np.full(self.nleaf * LEAF - n, order[-1])])
-        self.size = np.full(self.nleaf, LEAF)
-        self.size[-1] = n - (self.nleaf - 1) * LEAF
+        self.node_set = _node_set(coords.shape, coords.tobytes())
+        # from the node set's second sweep on, the sweep keeps what it
+        # derives from the coordinates there, unless it is kept already
+        self.keep = self.node_set.count_sweep()
+        geometry = self.node_set.geometry or _Geometry(coords, self.node_set.order)
+        if self.keep:
+            self.node_set.geometry = geometry
+        self.geometry, self.dim, self.nleaf = geometry, geometry.dim, geometry.nleaf
         # the coordinates by axis, then the values by component, in leaf
-        # order: a batch gathers what it needs of each row from here.  take
-        # keeps every row contiguous, as [:, index] would not.
-        self.cols = np.vstack([coords.T, comps]).take(self.padded, axis=1)
-        self.leaves = np.arange(self.nleaf) * LEAF + _SLOTS[:, None]     # (LEAF, leaves)
-        nodes = self.cols.take(self.leaves, axis=1)
-        low, high = nodes.min(axis=1), nodes.max(axis=1)
-        self.lo, self.hi = low[:self.dim], high[:self.dim]       # (d, leaves) rows
-        self.vlo, self.vhi = low[self.dim:], high[self.dim:]    # (m, leaves) rows
+        # order: a batch gathers what it needs of each row from here
+        self.cols = np.vstack([geometry.cols, comps.take(geometry.padded, axis=1)])
+        nodes = self.cols[self.dim:].take(geometry.leaves, axis=1)
+        self.vlo, self.vhi = nodes.min(axis=1), nodes.max(axis=1)    # (m, leaves) rows
         # the first row of each group, and each group's rows of cols
         self.rows = rows
         self.members = np.split(np.arange(len(comps)) + self.dim, rows[1:])
@@ -421,7 +481,8 @@ class _Sweep:
         """Queue the leaf pairs of the tiles (p[i], q[i]) that may beat a
         running maximum, and evaluate full batches from the queue's head."""
         a, b = _leaf_pairs(p, q, self.nleaf)
-        fresh = self.bounds(self.lo, self.hi, self.vlo, self.vhi, self.models, a, b)
+        fresh = self.bounds(self.geometry.lo, self.geometry.hi, self.vlo, self.vhi,
+                            self.models, a, b)
         queue = tuple(np.concatenate(pair, axis=-1) for pair in zip(self.queue, fresh))
         self.queue = self.drain(queue, BATCH, self.evaluate, BATCH)
 
@@ -434,38 +495,65 @@ class _Sweep:
         """
         A = self.cols.take(a * LEAF + _SLOTS[:, None], axis=1)[:, :, None]
         B = self.cols.take(b * LEAF + _SLOTS[:, None], axis=1)[:, None, :]
-        self.pairs += int((self.size[a] * self.size[b]).sum())
-        self._fold(lambda k, x, y: (A[k], B[k]), (LEAF, LEAF, len(a)), _SQUARE, a, b, live)
+        size = self.geometry.size
+        self.pairs += int((size[a] * size[b]).sum())
+        sides, shape = (lambda k, x, y: (A[k], B[k])), (LEAF, LEAF, len(a))
+        w = self._work(shape)[3:]
+        mask = self._weigh(sides, shape, w, live)
+        self._fold(sides, shape, _SQUARE, a, b, w, mask, live)
 
-    def evaluate_leaves(self, leaves):
-        """Exact quotients of the node pairs inside each of the leaves.
+    def evaluate_leaves(self):
+        """Exact quotients of the node pairs inside every leaf, BATCH leaves at a time.
 
-        The (len(_UPPER[0]), s) pairs of the upper triangles are gathered
-        one row at a time into the work arrays.
+        A batch's (len(_UPPER[0]), s) pairs of the upper triangles are
+        gathered one row at a time into the work arrays.  Their distance
+        weights and coincident-pair mask depend on the coordinates, the
+        period and the exponents alone: they are read from the node set
+        if it keeps them for this period and these exponents, and are
+        otherwise made, from the node set's second sweep on in arrays of
+        their own that it then keeps.
         """
-        i, j = (leaves * LEAF + slots[:, None] for slots in _UPPER)
-        size = self.size[leaves]
-        self.pairs += int((size * (size - 1) // 2).sum())
-        # i and j are in range; mode="clip" lets take write into out unbuffered
-        self._fold(lambda k, x, y: (self.cols[k].take(i, out=x, mode="clip"),
-                                    self.cols[k].take(j, out=y, mode="clip")),
-                   i.shape, _UPPER, leaves, leaves)
+        key = self.period, tuple(self.alphas.tolist())
+        kept = self.node_set.weights
+        own = kept[1] if kept is not None and kept[0] == key else None
+        made = []
+        for ib, s in enumerate(range(0, self.nleaf, BATCH)):
+            leaves = np.arange(s, min(s + BATCH, self.nleaf))
+            i, j = (leaves * LEAF + slots[:, None] for slots in _UPPER)
+            size = self.geometry.size[leaves]
+            self.pairs += int((size * (size - 1) // 2).sum())
+            # i and j are in range; mode="clip" lets take write into out unbuffered
+            sides = (lambda k, x, y: (self.cols[k].take(i, out=x, mode="clip"),
+                                      self.cols[k].take(j, out=y, mode="clip")))
+            if own is not None:
+                w, mask = own[ib]
+            else:
+                w = (np.empty((len(self.alphas),) + i.shape) if self.keep
+                     else self._work(i.shape)[3:])
+                mask = self._weigh(sides, i.shape, w)
+                made.append((w, mask))
+            self._fold(sides, i.shape, _UPPER, leaves, leaves, w, mask)
+        if own is None and self.keep:
+            self.node_set.keep_weights(key, made)
 
-    def _fold(self, sides, shape, slots, a, b, live=None):
-        """Fold a batch's quotients for the live entries, all by default, into the maxima.
+    def _work(self, shape):
+        """The work arrays, each shaped to a batch of this shape."""
+        size = int(np.prod(shape))
+        return [buf[:size].reshape(shape) for buf in self.work]
+
+    def _weigh(self, sides, shape, w, live=None):
+        """The distance weights of a batch's pairs, into w.
 
         sides(k, x, y) gives row k (an axis, then a component) of the
         pairs' two ends, broadcastable to shape, and may use the work
-        arrays x and y for them; pair slot p of leaf pair i joins node
-        slots[0][p] of leaf a[i] to node slots[1][p] of leaf b[i].  A
-        group's value difference is the largest |difference| of its rows,
-        and each of its entries' maximum over the batch updates the
-        running maximum; a batch that reaches the running maximum yields
-        its lexicographically smallest attaining node pair as the witness.
+        arrays x and y for them.  w[ia] becomes |x - y|**-alphas[ia] for
+        every exponent of a live entry, all by default: the squared
+        distance axis by axis, the log once, one exp per exponent.  Pairs
+        of coincident nodes, a padding copy and its original among them,
+        do not count: they get weight 0.  Returns their mask, None if
+        there are none.
         """
-        s, size = shape[-1], int(np.prod(shape))
-        live = np.ones(self.best.shape, dtype=bool) if live is None else live
-        d2, tmp, dv, *w = (buf[:size].reshape(shape) for buf in self.work)
+        d2, tmp, dv = self._work(shape)[:3]
         np.subtract(*sides(0, tmp, dv), out=d2)
         if self.period is None:
             d2 *= d2
@@ -478,26 +566,41 @@ class _Sweep:
             np.subtract(self.period, d2, out=tmp)
             np.minimum(d2, tmp, out=d2)
             d2 *= d2
-        # pairs of coincident nodes, a padding copy and its original among
-        # them, do not count: they get distance inf (weight 0) and quotient -1
         mask = d2 == 0.0
         if mask.any():
             d2[mask] = np.inf
         else:
             mask = None
         ld = np.log(d2, out=d2)
+        live = np.ones(self.best.shape, dtype=bool) if live is None else live
         for ia in np.flatnonzero(live.any(axis=0)):
             np.multiply(ld, -0.5 * self.alphas[ia], out=w[ia])
             np.exp(w[ia], out=w[ia])
-        # d2 is free from here: a group's further rows go through it
+        return mask
+
+    def _fold(self, sides, shape, slots, a, b, w, mask, live=None):
+        """Fold a batch's quotients for the live entries, all by default, into the maxima.
+
+        sides as in _weigh; w and mask: the batch's distance weights and
+        coincident-pair mask from _weigh, whose pairs get quotient -1.
+        Pair slot p of leaf pair i joins node slots[0][p] of leaf a[i] to
+        node slots[1][p] of leaf b[i].  A group's value difference is the
+        largest |difference| of its rows, and each of its entries'
+        maximum over the batch updates the running maximum; a batch that
+        reaches the running maximum yields its lexicographically smallest
+        attaining node pair as the witness.
+        """
+        s = shape[-1]
+        live = np.ones(self.best.shape, dtype=bool) if live is None else live
+        spare, tmp, dv = self._work(shape)[:3]
         for ig in np.flatnonzero(live.any(axis=1)):
             head, *rest = self.members[ig]
             np.subtract(*sides(head, tmp, dv), out=dv)
             np.abs(dv, out=dv)
             for row in rest:
-                np.subtract(*sides(row, tmp, d2), out=d2)
-                np.abs(d2, out=d2)
-                np.maximum(dv, d2, out=dv)
+                np.subtract(*sides(row, tmp, spare), out=spare)
+                np.abs(spare, out=spare)
+                np.maximum(dv, spare, out=dv)
             for ia in np.flatnonzero(live[ig]):
                 quot = np.multiply(dv, w[ia], out=tmp)
                 if mask is not None:
@@ -508,8 +611,8 @@ class _Sweep:
                 quot = quot.reshape(-1, s)
                 rows = np.flatnonzero(quot.max(axis=0) == top)
                 pp, kk = np.nonzero(quot[:, rows] == top)
-                oi = self.padded[a[rows[kk]] * LEAF + slots[0][pp]]
-                oj = self.padded[b[rows[kk]] * LEAF + slots[1][pp]]
+                oi = self.geometry.padded[a[rows[kk]] * LEAF + slots[0][pp]]
+                oj = self.geometry.padded[b[rows[kk]] * LEAF + slots[1][pp]]
                 first, second = np.minimum(oi, oj), np.maximum(oi, oj)
                 k = np.lexsort((second, first))[0]
                 pair = (int(first[k]), int(second[k]))
@@ -541,7 +644,11 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
     Non-finite coordinates, values or period, no exponent and any other
     input outside these terms raise a ConfigError.  The leaf layout of
     the last LAYOUTS node sets is kept, so a call on the same coordinates
-    as one of them does not build it again.  Every (group, exponent)
+    as one of them does not build it again; from a node set's second
+    call on, its geometry and the distance weights of the pairs inside
+    its leaves, for the last period and exponents, are kept with it, so
+    that a further call with them evaluates those pairs from the values
+    alone, to the same bits.  Every (group, exponent)
     entry is computed.  Returns (best, witnesses, pairs_evaluated) where
     best has shape (groups, len(alphas)) and witnesses holds the
     lexicographically smallest attaining node-index pair per entry, over
@@ -586,11 +693,10 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
     sweep = _Sweep(coords, comps, alphas, period, rows)
     # every leaf's own pairs first, unbounded, so that the branch and
     # bound starts from a running maximum
-    for s in range(0, sweep.nleaf, BATCH):
-        sweep.evaluate_leaves(np.arange(s, min(s + BATCH, sweep.nleaf)))
+    sweep.evaluate_leaves()
 
     # tiles are the pairs of chunks, whose boxes join their leaves' boxes
-    starts = np.arange(0, sweep.nleaf, _PER)
+    starts = sweep.geometry.starts
     tp, tq = np.triu_indices(len(starts))
     if strategy == "brute_force":
         for s in range(0, len(tp), TILE_BATCH):
@@ -611,11 +717,10 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
             half = 0.5 * (vhi - vlo)
             ratio = np.divide(models[4], half, out=np.zeros_like(half), where=half > 0.0)
             if min(map(np.median, np.split(ratio, rows[1:]))) < ROUGH:
-                sweep.models = _affine_models(sweep.cols, sweep.dim, sweep.leaves)
+                sweep.models = _affine_models(sweep.cols, sweep.dim, sweep.geometry.leaves)
             else:
                 models = None
-        tiles = sweep.bounds(np.minimum.reduceat(sweep.lo, starts, axis=1),
-                             np.maximum.reduceat(sweep.hi, starts, axis=1),
+        tiles = sweep.bounds(sweep.geometry.chunk_lo, sweep.geometry.chunk_hi,
                              vlo, vhi, models, tp, tq)
         sweep.drain(tiles, TILE_BATCH, sweep.push)
         sweep.drain(sweep.queue, BATCH, sweep.evaluate)
@@ -625,7 +730,7 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
 # ---------------------------------------------------------------------------
 # public norm operations
 
-def _node_set(u):
+def _field_nodes(u):
     """(coords, period) of the nodes a field lives on: a mesh's volume
     nodes, or its boundary loop by arclength (an interval's endpoints)."""
     if isinstance(u, GridFunction):
@@ -667,7 +772,9 @@ def holder_reports(items, alphas, pair_strategy="pruned"):
     its boundary loop -- are stacked into one pairwise_holder_max call,
     one group of rows per item, which also shares the distance work
     across exponents; the kernel keeps the leaf layouts of the last
-    LAYOUTS node sets, a mesh's volume nodes and boundary loop.  Each
+    LAYOUTS node sets, a mesh's volume nodes and boundary loop, and from
+    a node set's second sweep, the next call on the same mesh, the
+    distance weights of its leaves' own pairs too.  Each
     item's seminorm is its group's maximum, the largest over its rows, so
     it equals what a call for that item alone gives.  Returns one {alpha:
     HolderReport} dict per item.
@@ -685,7 +792,7 @@ def holder_reports(items, alphas, pair_strategy="pruned"):
     out = [None] * len(prepared)
     for members in sets.values():
         u = prepared[members[0]][0]
-        xy, per = _node_set(u)
+        xy, per = _field_nodes(u)
         tops = [prepared[i][2] for i in members]
         best, _, _ = pairwise_holder_max(xy, np.vstack(tops), alphas, strategy=pair_strategy,
                                          period=per, groups=[len(t) for t in tops])

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
+from neumann_lab import norms
 from neumann_lab.domain import DomainSpec, build_mesh
+
+
+@pytest.fixture(autouse=True)
+def cold_kernel_memo():
+    """Every test starts with the Holder kernel's node-set memo empty, so
+    that no test depends on the ones run before it."""
+    norms._node_set.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,9 @@
 """Holder-scale norms: seminorm oracles, strategy equivalence, axioms."""
 
 import sys
+import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,7 +15,7 @@ from neumann_lab import norms
 from neumann_lab.domain import DomainSpec, build_mesh
 from neumann_lab.errors import ConfigError, DegenerateInput
 from neumann_lab.field import BoundaryFunction, GridFunction, gradient
-from neumann_lab.norms import (LEAF, TILE, _box_bounds, _derivative_stack, _layout,
+from neumann_lab.norms import (LEAF, STRATEGIES, TILE, _box_bounds, _derivative_stack, _layout,
                                c_k_alpha_norm, holder_report_bundle, holder_reports,
                                l2_norm, pairwise_holder_max)
 from neumann_lab.solver import solve_neumann
@@ -568,6 +570,25 @@ def test_kernel_memory_is_bounded_by_the_batch():
         assert peak < 8 * 2**20
 
 
+def test_kernel_memory_on_the_sweep_that_keeps_leaf_weights():
+    # a node set's second sweep makes its leaf weights in arrays it keeps:
+    # its peak stays under the same 8 MiB, and what it keeps is those
+    # weights, len(alphas) doubles for each of the 120 pairs of every
+    # leaf, and O(n) for the node set's geometry
+    alphas = (0.3, 0.5, 0.7)
+    for xy, values in (_ten_smooth_disk_fields(), _rough_lattice_field()):
+        pairwise_holder_max(xy, values, alphas, "pruned")
+        tracemalloc.start()
+        try:
+            pairwise_holder_max(xy, values, alphas, "pruned")
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        nleaf = -(-len(xy) // LEAF)
+        assert kept <= len(alphas) * (LEAF * (LEAF - 1) // 2) * nleaf * 8 + 48 * len(xy)
+
+
 @pytest.mark.parametrize("shape", [(1200,), (30, 30)])
 def test_brute_force_witness_ties_across_tiles(shape, rng):
     # unit-spaced lattice with alternating values: every adjacent pair
@@ -661,12 +682,25 @@ def test_boundary_seminorm_uses_arclength(disk_mesh_small):
 
 
 def _counted_layouts(monkeypatch):
-    """The node counts of every _layout call from here on, the memo cleared."""
+    """The node counts of every _layout call from here on."""
     layouts = []
     layout = norms._layout
     monkeypatch.setattr(norms, "_layout", lambda xy: layouts.append(len(xy)) or layout(xy))
-    norms._node_order.cache_clear()
     return layouts
+
+
+def _counted_weights(monkeypatch):
+    """The (period, alphas) key of every leaf-weight build a node set keeps
+    from here on."""
+    builds = []
+    keep = norms._NodeSet.keep_weights
+
+    def counted(node_set, key, batches):
+        builds.append(key)
+        keep(node_set, key, batches)
+
+    monkeypatch.setattr(norms._NodeSet, "keep_weights", counted)
+    return builds
 
 
 @pytest.mark.parametrize("spec, res", [(DomainSpec.disk(), (12, 48)),
@@ -683,10 +717,10 @@ def test_field_seminorm_is_the_order_0_norm(spec, res, monkeypatch):
         mesh.boundary_xy, None)
     cases = [(u, u.all_values(), u.all_xy(), None), (g, g.values, *loop)]
     strategies, alphas = ("brute_force", "pruned"), (0.3, 0.7)
+    layouts = _counted_layouts(monkeypatch)
     expected = {(k, s, a): pairwise_holder_max(xy, vals[None, :], (a,), s, period)[:2]
                 for k, (_, vals, xy, period) in enumerate(cases)
                 for s in strategies for a in alphas}
-    layouts = _counted_layouts(monkeypatch)
     for k, (field, vals, xy, period) in enumerate(cases):
         for strategy in strategies:
             for alpha in alphas:
@@ -702,7 +736,8 @@ def test_field_seminorm_is_the_order_0_norm(spec, res, monkeypatch):
 def test_kernel_builds_each_alternating_node_set_once(monkeypatch, rng):
     # rounds of three rough fields on the 100x100 lattice, then three on
     # the (48,192) disk's nodes: each node set's layout is built once in
-    # all, and every call returns what it returns on a cleared memo
+    # all and its leaf weights once, on its second sweep, and every call
+    # returns what it returns on a cleared memo
     xs = np.linspace(0.0, 1.0, 100)
     mesh = build_mesh(DomainSpec.disk(), (48, 192))
     sets = [np.column_stack([c.ravel() for c in np.meshgrid(xs, xs)]),
@@ -710,26 +745,120 @@ def test_kernel_builds_each_alternating_node_set_once(monkeypatch, rng):
     calls = [(xy, v[None, :]) for _ in range(2)
              for xy in sets for v in rng.standard_normal((3, len(xy)))]
     alphas = (0.3, 0.5, 0.7)
-    layouts = _counted_layouts(monkeypatch)
+    layouts, builds = _counted_layouts(monkeypatch), _counted_weights(monkeypatch)
     kept = [pairwise_holder_max(xy, v, alphas, "pruned") for xy, v in calls]
     assert sorted(layouts) == [9408, 10000]
+    assert builds == [(None, alphas)] * 2
     for (xy, v), (best, wit, pairs) in zip(calls, kept):
-        norms._node_order.cache_clear()
+        norms._node_set.cache_clear()
         fresh_best, fresh_wit, fresh_pairs = pairwise_holder_max(xy, v, alphas, "pruned")
         assert np.array_equal(best, fresh_best)
         assert np.array_equal(wit, fresh_wit)
         assert pairs == fresh_pairs
+    # a study's pattern: each rung's volume nodes, then its boundary loop,
+    # three rungs in turn and twice over.  Each node set is evicted before
+    # it comes round again, so every sweep is a first one and keeps no
+    # weights.
+    norms._node_set.cache_clear()
+    meshes = [build_mesh(DomainSpec.disk(), res) for res in ((8, 32), (12, 48), (16, 64))]
+    sets = [s for mesh in meshes for s in ((np.vstack([mesh.interior_xy, mesh.boundary_xy]), None),
+                                           (mesh.arc[:, None], mesh.boundary_measure))]
+    for _ in range(2):
+        for xy, period in sets:
+            pairwise_holder_max(xy, rng.standard_normal((1, len(xy))), alphas, "pruned", period)
+    assert len(layouts) == 2 + 2 * len(sets) + 12
+    assert len(builds) == 2
+
+
+def _memo_sets(rng):
+    """(coords, values, period) of a plane set, a line and a loop wider than
+    one tile, nodes 0 and 1 coincident; none fills its last leaf, whose
+    padding copies are masked too.  Two rows of noise and a constant row,
+    whose witness is the first pair of distinct nodes a sweep evaluates,
+    never the coincident (0, 1)."""
+    sets = []
+    for xy, period in ((rng.random((3 * TILE + 5, 2)), None),
+                       (rng.random((2 * TILE + 9, 1)), None),
+                       (np.sort(rng.uniform(0.0, 3.0, 2 * TILE + 3))[:, None], 3.0)):
+        xy[1] = xy[0]
+        sets.append((xy, np.vstack([rng.standard_normal((2, len(xy))), np.ones(len(xy))]), period))
+    return sets
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_kept_leaf_weights_leave_every_result_bitwise(strategy, monkeypatch, rng):
+    # a node set's cold sweep, its second, which makes and keeps its leaf
+    # weights, and its third, which reads them, give the same maxima,
+    # witnesses and pair counts
+    builds = _counted_weights(monkeypatch)
+    for xy, values, period in _memo_sets(rng):
+        norms._node_set.cache_clear()
+        cold, *warm = (pairwise_holder_max(xy, values, (0.3, 0.7), strategy, period)
+                       for _ in range(3))
+        assert tuple(cold[1][2, 0]) != (0, 1)
+        for best, wit, pairs in warm:
+            assert np.array_equal(best, cold[0])
+            assert np.array_equal(wit, cold[1])
+            assert pairs == cold[2]
+    assert builds == [(None, (0.3, 0.7))] * 2 + [(3.0, (0.3, 0.7))]
+
+
+def test_kept_leaf_weights_are_keyed_by_period_and_exponents(monkeypatch):
+    # one leaf of sites across most of a unit loop, the two ends of the
+    # sites +1 and -1: the largest quotient is that pair's, 0.03 apart
+    # round the loop, but a neighbour pair's on the line.  Swept in turn
+    # as a line and a loop, at exponents (0.3, 0.7) and (0.7, 0.3), no
+    # sweep reads another's weights: each equals its cold brute force.
+    xy = np.linspace(0.01, 0.98, LEAF)[:, None]
+    values = np.zeros((1, LEAF))
+    values[0, [0, -1]] = 1.0, -1.0
+    keys = [(period, alphas) for period in (None, 1.0) for alphas in ((0.3, 0.7), (0.7, 0.3))]
+    expected = {}
+    for period, alphas in keys:
+        norms._node_set.cache_clear()
+        expected[period, alphas] = pairwise_holder_max(xy, values, alphas, "brute_force", period)
+    assert not np.array_equal(expected[None, (0.3, 0.7)][0], expected[1.0, (0.3, 0.7)][0])
+    norms._node_set.cache_clear()
+    builds = _counted_weights(monkeypatch)
+    for _ in range(2):
+        for period, alphas in keys:
+            best, wit, pairs = pairwise_holder_max(xy, values, alphas, "pruned", period)
+            assert np.array_equal(best, expected[period, alphas][0])
+            assert np.array_equal(wit, expected[period, alphas][1])
+    # every sweep but the first replaces the weights of the key before it
+    assert builds == (keys * 2)[1:]
+
+
+def test_eviction_drops_a_node_sets_weights(monkeypatch, rng):
+    sets = [rng.random((300, 2)) for _ in range(3)]
+    v = rng.standard_normal((1, 300))
+    builds = _counted_weights(monkeypatch)
+    for _ in range(2):
+        pairwise_holder_max(sets[0], v, (0.5,), "pruned")
+    assert len(builds) == 1
+    _, batches = norms._node_set(sets[0].shape, sets[0].tobytes()).weights
+    weights = weakref.ref(batches[0][0])
+    del batches
+    for xy in sets[1:]:
+        pairwise_holder_max(xy, v, (0.5,), "pruned")
+    assert weights() is None
+    # the node set comes back new: its next sweep is a first one, and the
+    # one after that keeps weights again
+    pairwise_holder_max(sets[0], v, (0.5,), "pruned")
+    assert len(builds) == 1
+    pairwise_holder_max(sets[0], v, (0.5,), "pruned")
+    assert len(builds) == 2
 
 
 def test_layout_memo_keeps_the_last_two_node_sets_by_their_coordinates(monkeypatch, rng):
     sets = [rng.random((n, 2)) for n in (300, 300, 301)]
     v = rng.standard_normal(301)
     layouts = _counted_layouts(monkeypatch)
-    orders = [norms._node_order(xy.shape, xy.tobytes()) for xy in sets]
-    assert norms._node_order.cache_info().currsize == norms.LAYOUTS == 2
+    orders = [norms._node_set(xy.shape, xy.tobytes()).order for xy in sets]
+    assert norms._node_set.cache_info().currsize == norms.LAYOUTS == 2
     assert len(layouts) == 3 and not orders[0].flags.writeable
     # the evicted first node set is built again, to the same order
-    again = norms._node_order(sets[0].shape, sets[0].tobytes())
+    again = norms._node_set(sets[0].shape, sets[0].tobytes()).order
     assert len(layouts) == 4 and np.array_equal(again, orders[0])
     # a copy in a new array hits the memo; coordinates changed in place miss it
     copy = sets[0].copy()
@@ -738,15 +867,15 @@ def test_layout_memo_keeps_the_last_two_node_sets_by_their_coordinates(monkeypat
     copy[7] = sets[1][7]
     moved = pairwise_holder_max(copy, v[:300], (0.5,), "pruned")
     assert len(layouts) == 5
-    assert np.array_equal(norms._node_order(copy.shape, copy.tobytes()), _layout(copy))
+    assert np.array_equal(norms._node_set(copy.shape, copy.tobytes()).order, _layout(copy))
     assert np.array_equal(moved[0], pairwise_holder_max(copy, v[:300], (0.5,), "brute_force")[0])
 
 
-def test_layout_memo_is_shared_by_threads(rng):
+def test_layout_memo_is_shared_by_threads(monkeypatch, rng):
     sets = [rng.random((700, 2)), rng.random((900, 2))]
     calls = [(xy, rng.standard_normal((2, len(xy)))) for xy in sets]
     expected = [pairwise_holder_max(xy, v, (0.3, 0.7), "pruned") for xy, v in calls]
-    norms._node_order.cache_clear()
+    norms._node_set.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -756,10 +885,27 @@ def test_layout_memo_is_shared_by_threads(rng):
             results = [fut.result(timeout=60) for fut in futures]
     finally:
         sys.setswitchinterval(interval)
+    # two threads promote one node set at once: each waits, weights made,
+    # until the other has made its own, and both keep them; a third sweep
+    # then reads what the last one kept
+    norms._node_set.cache_clear()
+    pairwise_holder_max(*calls[0], (0.3, 0.7), "pruned")
+    builds = _counted_weights(monkeypatch)
+    keep, meet = norms._NodeSet.keep_weights, threading.Barrier(2, timeout=30)
+    monkeypatch.setattr(norms._NodeSet, "keep_weights",
+                        lambda *args: meet.wait() is None or keep(*args))
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        futures = [pool.submit(pairwise_holder_max, *calls[0], (0.3, 0.7), "pruned")
+                   for _ in range(2)]
+        results += [fut.result(timeout=60) for fut in futures]
+    assert len(builds) == 2
+    results.append(pairwise_holder_max(*calls[0], (0.3, 0.7), "pruned"))
+    assert len(builds) == 2
     for k, (best, wit, pairs) in enumerate(results):
-        assert np.array_equal(best, expected[k % 2][0])
-        assert np.array_equal(wit, expected[k % 2][1])
-        assert pairs == expected[k % 2][2]
+        want = expected[k % 2 if k < 8 else 0]
+        assert np.array_equal(best, want[0])
+        assert np.array_equal(wit, want[1])
+        assert pairs == want[2]
 
 
 def test_witness_tie_break_lexicographic():

@@ -498,7 +498,6 @@ def test_family_study_assembles_each_mesh_once(monkeypatch):
         factored.append((mesh.n_r, mesh.n_theta)) or factor(mesh, M, *a, **kw)))
     monkeypatch.setattr(norms, "_layout",
                         lambda coords: layouts.append(len(coords)) or layout(coords))
-    norms._node_order.cache_clear()
     config = VerifyConfig(count=4, seed=3, resolutions=((12, 48), (16, 64)),
                           pinned_resolution=(20, 80))
     run_family_study(config)
