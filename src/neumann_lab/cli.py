@@ -7,9 +7,9 @@ solution), ``report`` (re-render a stored JSON report).
 
 Reports are written atomically (temp file, then rename) as
 ``{"meta": ..., "report": ...}``.  Everything under ``report`` is a
-deterministic function of the configuration and seed; timestamps and
-wall times live under ``meta`` so byte comparison of the ``report``
-payload is meaningful.  Every CSV is rendered by _csv_text: a verify,
+deterministic function of the configuration and seed; timestamps,
+wall times and ``verify``'s peak memory live under ``meta`` so byte
+comparison of the ``report`` payload is meaningful.  Every CSV is rendered by _csv_text: a verify,
 sweep or oracle1d CSV from _report_rows of its payload, which ``report
 --format csv`` re-renders byte for byte (a solve report has no CSV form
 there: exit 4); ``solve`` writes its nodes (x[, y], value, is_boundary).
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -154,16 +155,16 @@ def _write_files(outdir, texts):
     return paths
 
 
-def _write_report(outdir, name, payload, fmt, wall_time, rows=None):
+def _write_report(outdir, name, payload, fmt, wall_time, rows=None, meta=None):
     """Write the JSON and/or CSV forms of one report, both rendered before
     either is written.  The CSV renders rows, by default the payload's
-    own (_report_rows)."""
+    own (_report_rows); meta adds entries to the JSON's meta."""
     texts = {}
     if fmt != "csv":
         texts[f"{name}.json"] = _dump_json({
             "meta": {"tool": f"neumann-lab {__version__}",
                      "timestamp": datetime.now(timezone.utc).isoformat(),
-                     "wall_time_s": wall_time},
+                     "wall_time_s": wall_time, **(meta or {})},
             "report": payload})
     if fmt != "json":
         texts[f"{name}.csv"] = _csv_text(_report_rows(payload) if rows is None else rows)
@@ -374,8 +375,13 @@ def cmd_verify(args):
     report = run_family_study(config)
     wall = time.perf_counter() - t0
 
+    # peak resident memory in MiB (Linux counts KiB): of this process, and
+    # of its largest reaped child, such as the study's forked one (0 if none)
+    peaks = {key: resource.getrusage(who).ru_maxrss / 1024.0
+             for key, who in (("peak_rss_mib", resource.RUSAGE_SELF),
+                              ("child_peak_rss_mib", resource.RUSAGE_CHILDREN))}
     written = _write_report(args.out, "estimate_report", report.to_json(),
-                            args.format, wall)
+                            args.format, wall, None, peaks)
     skipped = 0
     for c in report.criteria:
         mark = "SKIP" if c["skipped"] else ("PASS" if c["passed"] else "FAIL")

@@ -632,7 +632,7 @@ def _leaf_pairs(p, q, nleaf):
     return la[inside], lb[inside]
 
 
-def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=None,
+def pairwise_holder_max(coords, comps, alphas, strategy="pruned", period=None,
                         groups=None):
     """Maximum Holder quotients for several groups of components and exponents.
 
@@ -654,9 +654,9 @@ def pairwise_holder_max(coords, comps, alphas, strategy="brute_force", period=No
     lexicographically smallest attaining node-index pair per entry, over
     the group's rows, taken inside the sweep from each batch that
     reaches the running maximum.  ``brute_force`` runs plain loops with
-    no bound, key or queue; ``pruned`` walks tiles and leaf pairs with
-    one best-first drain and skips leaf pairs that can only tie the
-    maximum, so its witness ties may resolve differently.
+    no bound, key or queue; ``pruned``, the default, walks tiles and leaf
+    pairs with one best-first drain and skips leaf pairs that can only
+    tie the maximum, so its witness ties may resolve differently.
     """
     comps = np.atleast_2d(np.asarray(comps, dtype=float))
     coords = _as_points(coords, comps.shape[1])

@@ -10,11 +10,19 @@ invariance under data scaling, and stability within a factor-2 band
 across refinement levels.
 
 All measures are pure functions of (u, f, g, mesh); a study is
-reproducible bit-for-bit from its recorded seed and configuration.
+reproducible bit-for-bit from its recorded seed and configuration,
+whether or not a forked child measures its finest Holder level
+(``run_family_study``).
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import InitVar, dataclass, field as dc_field
 
 import numpy as np
@@ -35,6 +43,7 @@ ZERO_DATA_FLOOR = 1e-12   # numerators below this count as zero data
 MAX_PRINCIPLE_BOUND = 1.01  # largest maximum-principle ratio allowed at the pinned level
 SERRIN_RADII = (0.1, 0.2)   # radii R of the Serrin balls, each needing B(center, 2R) inside
 EPS_VALUES = (0.05, 0.1)    # depths eps of the boundary sup bound
+FORK_PAIRS = 2**24          # node pairs (times instances) from which a child takes the finest level
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +388,10 @@ class VerifyConfig:
     records the fixed settings: ``SERRIN_RADII`` (with ``"serrin_p":
     None``, p = N + 1), ``EPS_VALUES`` and ``"pair_strategy": "pruned"``
     (the pruned Holder sweep equals the all-pairs one bitwise).  The
-    study runs its instances one after another; ``threads``, an init-only
-    argument kept for callers that pass ``threads=1``, must be 1.
+    study runs the instances of a level one after another, and may hand
+    its finest Holder level to one forked child (``run_family_study``),
+    which no field sets; ``threads``, an init-only argument kept for
+    callers that pass ``threads=1``, must be 1.
     """
 
     domain: DomainSpec = dc_field(default_factory=DomainSpec.disk)
@@ -541,8 +552,76 @@ def _first_passing_n(domain, res, reach, eps):
     return None
 
 
+class _Child:
+    """A forked child process that runs measure() and writes its pickled
+    result to a pipe, exiting 0 only once all of it is written.  The
+    parent reads it with ``result`` and must ``close`` it, which kills
+    and reaps a child still running."""
+
+    def __init__(self, measure):
+        r, w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            self.pid = None     # no child: ``result`` is None
+        if self.pid == 0:       # the child never returns into its caller
+            code = 1
+            try:
+                os.close(r)
+                with os.fdopen(w, "wb") as pipe:
+                    pickle.dump(measure(), pipe, pickle.HIGHEST_PROTOCOL)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(w)
+        self.pipe = os.fdopen(r, "rb")
+
+    def result(self):
+        """measure()'s result, or None if the child failed in any way."""
+        if self.pid is None:
+            return None
+        data = self.pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        try:
+            return pickle.loads(data) if status == 0 else None
+        except (EOFError, pickle.UnpicklingError):   # a child that exited 0 unwritten
+            return None
+
+    def close(self):
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        self.pipe.close()
+
+
+def _forked_level(ladder, meshes, count):
+    """The finest Holder level's index if a forked child should measure
+    it, else None.  It should on Linux, with at least 2 CPUs, no other
+    thread (a fork copies only the calling one), at least 2 levels, and
+    at least FORK_PAIRS node pairs over the level's volume nodes and the
+    count instances: its sweeps must outweigh a fork, pipe and reap."""
+    if (sys.platform != "linux" or len(ladder) < 2 or threading.active_count() != 1
+            or len(os.sched_getaffinity(0)) < 2):
+        return None
+    lvl = max(k for k, (_, holder) in enumerate(ladder) if holder)
+    n = meshes[lvl].n_interior + meshes[lvl].n_boundary
+    return lvl if count * (n * (n - 1) // 2) >= FORK_PAIRS else None
+
+
 def run_family_study(config):
-    """Run every measure over the configured family and ladder."""
+    """Run every measure over the configured family and ladder.
+
+    Each level's rows come from ``_measure_instance``, one instance after
+    another.  When ``_forked_level`` allows, one forked child measures the
+    finest Holder level, about half the study's work, while this process
+    measures the others, and pickles its rows back through a pipe.  The
+    report is the same either way.  If the child fails in any way, this
+    process measures that level itself, so an error surfaces as in a
+    serial study: the first failing level in ladder order raises it.  No
+    child outlives the call, however it ends.
+    """
     if len(config.resolutions) < 1:
         raise ConfigError("family study needs at least one level")
     family = ProblemFamily(kind=config.family_kind, seed=config.seed,
@@ -567,15 +646,34 @@ def run_family_study(config):
                               f"node may lie {reach:.4g} from its nearest node; {passing}")
         # the largest Serrin ball is the one that may not fit
         _check_ball(mesh, _serrin_center(mesh), max(SERRIN_RADII))
+    hs = [float(mesh.h if mesh.dim == 1 else mesh.h_s) for mesh in meshes]
 
-    levels = []
-    for lvl, (res, holder) in enumerate(ladder):
+    def measure(lvl):
         mesh, meshes[lvl] = meshes[lvl], None   # a finished level's factors can go
-        h = mesh.h if mesh.dim == 1 else mesh.h_s
-        rows = [_measure_instance(inst, mesh, config, holder, lvl == pinned_level)
+        return [_measure_instance(inst, mesh, config, ladder[lvl][1], lvl == pinned_level)
                 for inst in instances]
-        levels.append({"resolution": [int(v) for v in np.atleast_1d(res)],
-                       "h": float(h), "holder": holder, "rows": rows})
+
+    forked = _forked_level(ladder, meshes, len(instances))
+    child = None if forked is None else _Child(functools.partial(measure, forked))
+    rows, failed = [], None
+    try:
+        for lvl in range(len(ladder)):
+            try:
+                rows.append(None if lvl == forked else measure(lvl))
+            except Exception as exc:
+                failed = exc
+                break
+        if forked is not None and len(rows) > forked:
+            # no level before the child's failed: its rows, or its error, come next
+            rows[forked] = child.result() or measure(forked)
+        if failed is not None:
+            raise failed
+    finally:
+        if child is not None:
+            child.close()
+    levels = [{"resolution": [int(v) for v in np.atleast_1d(res)],
+               "h": h, "holder": holder, "rows": level_rows}
+              for (res, holder), h, level_rows in zip(ladder, hs, rows)]
     aggregates = _aggregate(levels, config)
     criteria = evaluate_criteria(levels, aggregates["per_measure"], config, pinned_level)
     return EstimateReport(config=config.to_json(), levels=levels,

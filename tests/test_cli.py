@@ -140,6 +140,10 @@ def test_verify_degraded_single_level(tmp_path, capsys):
     assert "[SKIP]" in captured.out
     doc = read_json(tmp_path / "estimate_report.json")
     assert doc["report"]["passed"] is True
+    # the peak memory of this process and of its largest reaped child, in
+    # meta only: the report stays a function of the configuration and seed
+    assert doc["meta"]["peak_rss_mib"] > 0.0 and doc["meta"]["child_peak_rss_mib"] >= 0.0
+    assert not {"peak_rss_mib", "child_peak_rss_mib"} & set(doc["report"])
 
 
 @pytest.mark.parametrize("flags", [["--alphas", "0.5,abc"],

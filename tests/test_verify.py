@@ -2,6 +2,11 @@
 
 import functools
 import json
+import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -579,3 +584,172 @@ def test_study_rows_equal_the_per_measure_reference_bitwise(domain_spec, res):
     u = solve_neumann(f, g, compat_policy="project").solution
     ref = _measures_reference(u, f, g, verify._serrin_center(mesh))
     assert {key: row[key] for key in ref} == ref
+
+
+# ---------------------------------------------------------------------------
+# the finest Holder level in a forked child
+
+_FORKED = VerifyConfig(count=2)     # the default ladder, above FORK_PAIRS
+fork_only = pytest.mark.skipif(sys.platform != "linux", reason="the study forks on Linux only")
+
+
+def _payload(rep):
+    return json.dumps(rep.to_json(), sort_keys=True)
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """The gate reads 2 CPUs on any machine; no child process may outlive
+    the test."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _serial(monkeypatch):
+    monkeypatch.setattr(verify, "_forked_level", lambda *args: None)
+
+
+def _forks(monkeypatch):
+    """A list of the forks made from here on."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+@pytest.fixture(scope="module")
+def serial_payload():
+    with pytest.MonkeyPatch.context() as mp:
+        _serial(mp)
+        return _payload(run_family_study(_FORKED))
+
+
+@fork_only
+def test_forked_study_reports_the_serial_payload(forking, monkeypatch, serial_payload):
+    forks = _forks(monkeypatch)
+    assert _payload(run_family_study(_FORKED)) == serial_payload
+    assert len(forks) == 1
+
+
+@fork_only
+def test_a_dying_child_leaves_the_serial_payload(forking, monkeypatch, serial_payload):
+    parent, measure = os.getpid(), verify._measure_instance
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return measure(*args)
+
+    monkeypatch.setattr(verify, "_measure_instance", dying)
+    forks = _forks(monkeypatch)
+    assert _payload(run_family_study(_FORKED)) == serial_payload
+    assert len(forks) == 1
+
+
+@fork_only
+@pytest.mark.parametrize("failing", [{48}, {48, 64}, {12, 48}, {24}, {64}])
+def test_a_failing_level_raises_as_in_the_serial_study(forking, monkeypatch, failing):
+    def measure(inst, mesh, *args):
+        if mesh.n_r in failing:
+            raise DegenerateData(f"level n_r = {mesh.n_r}")
+        return {"instance": inst.index}
+
+    monkeypatch.setattr(verify, "_measure_instance", measure)
+    forks = _forks(monkeypatch)
+    with pytest.raises(DegenerateData) as forked:
+        run_family_study(_FORKED)
+    assert len(forks) == 1
+    _serial(monkeypatch)
+    with pytest.raises(DegenerateData) as serial:
+        run_family_study(_FORKED)
+    # the first failing level in ladder order (n_r 12, 24, 48, 64, the
+    # child's third), whichever process measured it
+    first = min(failing)
+    assert str(forked.value) == str(serial.value) == f"level n_r = {first}"
+    assert type(forked.value) is type(serial.value)
+
+
+@fork_only
+@pytest.mark.parametrize("where", ["measuring", "waiting"])
+def test_an_interrupted_study_kills_its_child(forking, monkeypatch, where):
+    # the child sleeps; this process is interrupted while it measures its
+    # first level, or while it waits for the child's rows
+    parent = os.getpid()
+
+    def measure(inst, mesh, *args):
+        if os.getpid() != parent:
+            time.sleep(60.0)
+        if where == "measuring":
+            raise KeyboardInterrupt
+        return {"instance": inst.index}
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify, "_measure_instance", measure)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    start = time.perf_counter()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_family_study(_FORKED)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 30.0
+
+
+class _Stop(Exception):
+    pass
+
+
+def _study_forks(monkeypatch, config):
+    """Whether a study of config forks: every fork is recorded and refused,
+    and the study stops at its first measure."""
+    forks = []
+
+    def refused():
+        forks.append(1)
+        raise OSError("no fork here")
+
+    def stop(*args):
+        raise _Stop
+
+    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(verify, "_measure_instance", stop)
+    with pytest.raises(_Stop):
+        run_family_study(config)
+    return bool(forks)
+
+
+@fork_only
+def test_the_study_forks_only_where_a_child_pays(forking, monkeypatch):
+    assert _study_forks(monkeypatch, _FORKED)
+    # one level, however large
+    assert not _study_forks(monkeypatch, VerifyConfig(count=2, resolutions=((48, 192),),
+                                                      pinned_resolution=None))
+    # the benchmark's pinned_fine and the toy studies of the tests above
+    assert not _study_forks(monkeypatch, VerifyConfig(count=2, resolutions=((12, 48),),
+                                                      pinned_resolution=(96, 384)))
+    assert not _study_forks(monkeypatch, _tiny_config(count=3))
+    # a second thread alive
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        assert not _study_forks(monkeypatch, _FORKED)
+    finally:
+        release.set()
+        waiting.join()
+    # one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert not _study_forks(monkeypatch, _FORKED)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # the floor counts instances times node pairs of the (48, 192) volume
+    # set, 48*192 + 192 nodes, and is reached at equality
+    n = 48 * 192 + 192
+    monkeypatch.setattr(verify, "FORK_PAIRS", 2 * (n * (n - 1) // 2))
+    assert _study_forks(monkeypatch, _FORKED)
+    monkeypatch.setattr(verify, "FORK_PAIRS", 2 * (n * (n - 1) // 2) + 1)
+    assert not _study_forks(monkeypatch, _FORKED)
