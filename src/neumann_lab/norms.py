@@ -20,10 +20,8 @@ monotone, so max_r fl(|dv_r| w) = fl(max_r |dv_r| w): a group's maximum
 equals the largest of its rows' maxima bitwise.  The sweep first
 evaluates the pairs inside each leaf, unconditionally, in a plain loop
 over batches of leaves ((LEAF (LEAF - 1) / 2, batch) arrays), then leaf
-pairs in batches, in (LEAF, LEAF, batch) arrays.  The distance weights
-of a leaf's own pairs depend on the coordinates, period and exponents
-alone; a node set's second sweep keeps them, so that later sweeps only
-take value differences there.  Two strategies choose the leaf pairs:
+pairs in batches, in (LEAF, LEAF, batch) arrays.  Two strategies choose
+the leaf pairs:
 
 * ``brute_force`` evaluates every leaf pair, in plain loops over batches
   of tiles and of their leaf pairs, with no bound or queue;
@@ -71,13 +69,28 @@ taken the short way round (loops use the spread bound alone).
 ``holder_reports`` stacks all fields on one node set into a single
 sweep, one group per item.
 
-The kernel keeps the last LAYOUTS node sets it met, keyed by their exact
-coordinates: each one's layout, and from its second sweep on its
-geometry (leaf order, coordinate rows, leaf and chunk boxes) and its
-leaves' own-pair weights for the last period and exponents swept, about
-7.5 len(alphas) doubles per node and never anything per leaf pair.  A
-node set swept once keeps its layout alone, so that a caller sweeping
-more node sets in turn than the memo holds keeps no more.
+What a held node set keeps.  The kernel holds the last LAYOUTS node sets
+it met, keyed by their exact coordinates.  A node set is met once: nodes
+that all coincide raise DegenerateInput then, before any layout, and are
+not held; otherwise its layout is built.  From its second sweep on, it
+also keeps all that a sweep derives from the coordinates alone, each
+part made by the first such sweep that needs it:
+
+* its geometry: leaf order, coordinate rows, leaf and chunk boxes;
+* the coordinate half of the chunk and leaf fits: each run's centre,
+  radius and ridge-regularised Gram inverse, and the chunks' runs of
+  columns; the centred coordinates, two per node, are taken again;
+* for the last period and exponents swept, the distance weights and
+  coincident-pair mask of the pairs inside every leaf, and every tile's
+  dmin and dmin**-a times SLACK.
+
+That is about 7.5 len(alphas) + 6 eight-byte words per node and 1 +
+len(alphas) per tile, as many as one sweep's tile bounds hold, and
+never anything per leaf pair.  Kept arrays are read-only and are the
+very ones a cold sweep computes, so a sweep reading them gives the same
+bits; they go with the node set when it is evicted.  A node set swept
+once keeps its layout alone, so that a caller sweeping more node sets
+in turn than the memo holds keeps no more.
 """
 
 from __future__ import annotations
@@ -215,7 +228,7 @@ _UPPER = np.triu_indices(LEAF, 1)
 
 
 class _Geometry:
-    """A node set in leaf layout: all a sweep reads of its coordinates.
+    """A node set in leaf layout: what every sweep reads of its coordinates.
 
     Node k of leaf l is padded[l * LEAF + k].  The last leaf is padded
     with copies of the last node: a pair with a copy either repeats a
@@ -243,21 +256,23 @@ class _Geometry:
 
 
 class _NodeSet:
-    """A node set's leaf layout and, from its second sweep on, what its
-    sweeps derive from the coordinates alone: its ``_Geometry``, and for
-    one (period, exponents) key the distance weights and coincident-pair
-    mask of the pairs inside every leaf, one ((exponents, pairs, leaves)
-    array, mask or None) entry per batch of leaves.  A sweep with another
-    key replaces the weights.  A node set swept once keeps its layout
-    alone: a caller that sweeps more node sets in turn than the memo
-    holds would never read the rest.
+    """A held node set: its leaf layout and what its sweeps keep, as the
+    module docstring states.
+
+    kept maps (key, name) to a kept value: key None for the
+    ``_Geometry`` ("geometry") and the ``_fit_frame`` of each level
+    (TILE, LEAF), a (period, exponents) key for the leaves' own-pair
+    weights ("leaves", one ((exponents, pairs, leaves) array, mask or
+    None) entry per batch of leaves) and the tiles' ``_box_gaps``
+    ("tiles").
     """
 
     def __init__(self, coords):
+        if np.all(coords.max(axis=0) == coords.min(axis=0)):
+            raise DegenerateInput("all nodes coincide")
         self.order = _layout(coords)
         self.order.flags.writeable = False
-        self.geometry = None
-        self.weights = None     # (key, batches)
+        self.kept = {}
         self._sweeps = 0
         self._lock = threading.Lock()
 
@@ -267,8 +282,24 @@ class _NodeSet:
             self._sweeps += 1
             return self._sweeps > 1
 
-    def keep_weights(self, key, batches):
-        self.weights = key, batches
+    def keep(self, key, name, value):
+        """Keep value under (key, name), its arrays read-only; a (period,
+        exponents) key drops what any other such key keeps.  The dict is
+        replaced, never changed, so a reader sees each value whole."""
+        _read_only(value)
+        with self._lock:
+            kept = {k: v for k, v in self.kept.items() if key is None or k[0] in (None, key)}
+            kept[key, name] = value
+            self.kept = kept
+
+
+def _read_only(value):
+    """Make every array in value, through tuples, lists and a geometry, read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list, _Geometry)):
+        for part in vars(value).values() if isinstance(value, _Geometry) else value:
+            _read_only(part)
 
 
 @functools.lru_cache(maxsize=LAYOUTS)
@@ -278,17 +309,13 @@ def _node_set(shape, data):
     return _NodeSet(np.frombuffer(data).reshape(shape))
 
 
-def _box_bounds(lo, hi, vlo, vhi, p, q, alphas, period, rows):
-    """Upper bounds on the quotients of the box pairs (p[i], q[i]).
+def _box_gaps(lo, hi, p, q, alphas, period):
+    """The distance terms of the spread bound of the box pairs (p[i], q[i]).
 
-    lo, hi: (d, boxes) coordinate box rows; vlo, vhi: (m, boxes) value
-    range rows.  dmin, the gap between the boxes (on a loop also the gap
-    around the seam, period minus the span of both), is a lower bound on
-    every pair distance, and the value spread of both boxes an upper
-    bound on every |v(x) - v(y)|; it never exceeds 2 max|v|.  rows: the
-    first row of each group of components, whose spread is the largest
-    of its rows'.  Returns the (groups, len(alphas), len(p)) bounds
-    spread * dmin**-a times SLACK, and dmin.
+    lo, hi: (d, boxes) coordinate box rows.  dmin, the gap between the
+    boxes (on a loop also the gap around the seam, period minus the span
+    of both), is a lower bound on every pair distance.  Returns dmin and
+    the (len(alphas), len(p)) factors dmin**-a times SLACK.
     """
     d2 = 0.0
     for k in range(len(lo)):
@@ -299,29 +326,44 @@ def _box_bounds(lo, hi, vlo, vhi, p, q, alphas, period, rows):
         span = (np.maximum(hi[0].take(p), hi[0].take(q))
                 - np.minimum(lo[0].take(p), lo[0].take(q)))
         dmin = np.minimum(dmin, np.maximum(0.0, period - span))
+    with np.errstate(divide="ignore"):
+        return dmin, dmin ** -alphas[:, None] * SLACK
+
+
+def _box_bounds(gaps, vlo, vhi, p, q, rows):
+    """Upper bounds on the quotients of the box pairs (p[i], q[i]).
+
+    gaps: their ``_box_gaps``; vlo, vhi: (m, boxes) value range rows.
+    The value spread of both boxes is an upper bound on every |v(x) -
+    v(y)|; it never exceeds 2 max|v|.  rows: the first row of each group
+    of components, whose spread is the largest of its rows'.  Returns the
+    (groups, len(alphas), len(p)) bounds spread * dmin**-a times SLACK.
+    """
+    dmin, scale = gaps
     spread = (np.maximum(vhi.take(p, axis=1), vhi.take(q, axis=1))
               - np.minimum(vlo.take(p, axis=1), vlo.take(q, axis=1)))
     spread = np.maximum.reduceat(spread, rows, axis=0)
     near = dmin == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = spread[:, None, :] * (dmin ** -alphas[:, None] * SLACK)
+    with np.errstate(invalid="ignore"):
+        bound = spread[:, None, :] * scale
     bound[:, :, near] = np.where(spread[:, None, near] > 0.0, np.inf, 0.0)
-    return bound, dmin
+    return bound
 
 
-def _affine_models(cols, dim, index):
-    """Affine models c + g . (x - z) of every value row on runs of nodes.
+def _fit_frame(cols, index):
+    """The coordinate half of the affine fits on runs of nodes.
 
-    cols: the coordinate rows, then the value rows; index: (size, runs)
-    columns of each run's nodes.  z is a run's centroid and r its largest
-    distance from it.  The slope is a least-squares fit on the centred
-    nodes, with a ridge of ROUNDING times the trace so that collinear and
-    coincident nodes still give one; any slope is sound, since resid is
-    the largest |residual| at the run's own nodes.  mag, |c| + |g| r +
-    max|v|, scales the rounding allowance.  Returns (z, r, g, c, resid,
-    mag), shaped (d, runs), (runs,), (d, m, runs) and (m, runs) thrice.
+    cols: the (d, columns) coordinate rows; index: (size, runs) columns
+    of each run's nodes.  z is a run's centroid and r its largest
+    distance from it; inverse is the inverse of the Gram matrix of its
+    centred nodes with a ridge of ROUNDING times the trace, so that
+    collinear and coincident nodes still give a slope.  Returns (index,
+    z, r, inverse), shaped (size, runs), (d, runs), (runs,) and (runs,
+    d, d).  The centred coordinates are not kept: at two per node they
+    would outweigh the rest, and a fit takes them again at little cost.
     """
-    x = cols[:dim].take(index, axis=1)                    # (d, size, runs)
+    dim = len(cols)
+    x = cols.take(index, axis=1)                          # (d, size, runs)
     centre = x.mean(axis=1)
     x -= centre[:, None, :]
     radius = np.sqrt(np.einsum("aij,aij->ij", x, x)).max(axis=0)
@@ -331,7 +373,23 @@ def _affine_models(cols, dim, index):
             gram[:, a, b] = gram[:, b, a] = np.einsum("ij,ij->j", x[a], x[b])
     trace = np.trace(gram, axis1=1, axis2=2)
     gram += np.where(trace > 0.0, ROUNDING * trace, 1.0)[:, None, None] * np.eye(dim)
-    inverse = np.linalg.inv(gram)
+    return index, centre, radius, np.linalg.inv(gram)
+
+
+def _affine_models(frame, cols):
+    """Affine models c + g . (x - z) of every value row on runs of nodes.
+
+    frame: the runs' ``_fit_frame``; cols: the coordinate rows, then the
+    value rows.  The slope is a least-squares fit on the centred nodes;
+    any slope is sound, since resid is the largest |residual| at the
+    run's own nodes.  mag, |c| + |g| r + max|v|, scales the rounding
+    allowance.  Returns (z, r, g, c, resid, mag), shaped (d, runs),
+    (runs,), (d, m, runs) and (m, runs) thrice.
+    """
+    index, centre, radius, inverse = frame
+    dim = len(centre)
+    x = cols[:dim].take(index, axis=1)                    # (d, size, runs)
+    x -= centre[:, None, :]
     m = len(cols) - dim
     slope = np.empty((dim, m, len(radius)))
     const, resid, vmax = (np.empty((m, len(radius))) for _ in range(3))
@@ -395,14 +453,13 @@ def _affine_bounds(models, lo, hi, p, q, dmin, alphas, rows):
 class _Sweep:
     """One call's nodes in leaf layout, its running maxima and work arrays."""
 
-    def __init__(self, coords, comps, alphas, period, rows):
-        self.node_set = _node_set(coords.shape, coords.tobytes())
+    def __init__(self, node_set, coords, comps, alphas, period, rows):
         # from the node set's second sweep on, the sweep keeps what it
         # derives from the coordinates there, unless it is kept already
-        self.keep = self.node_set.count_sweep()
-        geometry = self.node_set.geometry or _Geometry(coords, self.node_set.order)
-        if self.keep:
-            self.node_set.geometry = geometry
+        self.node_set, self.keep = node_set, node_set.count_sweep()
+        self.alphas, self.period = alphas, period
+        self.key = period, tuple(alphas.tolist())
+        geometry = self.derived(None, "geometry", lambda: _Geometry(coords, node_set.order))
         self.geometry, self.dim, self.nleaf = geometry, geometry.dim, geometry.nleaf
         # the coordinates by axis, then the values by component, in leaf
         # order: a batch gathers what it needs of each row from here
@@ -412,11 +469,10 @@ class _Sweep:
         # the first row of each group, and each group's rows of cols
         self.rows = rows
         self.members = np.split(np.arange(len(comps)) + self.dim, rows[1:])
-        self.alphas, self.period = alphas, period
         self.best = np.full((len(rows), len(alphas)), -np.inf)
         self.witnesses = np.zeros(self.best.shape + (2,), dtype=int)
         self.pairs = 0
-        self.models = None      # the leaves' affine models, if the call keeps that stage
+        self.leaf_models = None     # the leaves' affine models, if the call keeps that stage
         # leaf pairs bounded but not yet evaluated, best first, with their
         # (entries, pairs) bounds
         self.queue = (np.empty(0, dtype=int), np.empty(0, dtype=int),
@@ -447,23 +503,45 @@ class _Sweep:
             visit(p[:size], q[:size], alive[:, :size].any(axis=1).reshape(self.best.shape))
             p, q, bound, key = p[size:], q[size:], bound[:, size:], key[size:]
 
-    def bounds(self, lo, hi, vlo, vhi, models, p, q):
+    def derived(self, key, name, build):
+        """build()'s value, read from the node set if it keeps one under
+        (key, name), and otherwise built, and kept from the node set's
+        second sweep on."""
+        value = self.node_set.kept.get((key, name))
+        if value is None:
+            value = build()
+            if self.keep:
+                self.node_set.keep(key, name, value)
+        return value
+
+    def models(self, size):
+        """The affine models of the chunks (size TILE) or of the leaves
+        (LEAF); the coordinate half of their fits is a derived value."""
+        g = self.geometry
+
+        def frame():
+            # a chunk's runs of columns, the last padded with the last column
+            index = g.leaves if size == LEAF else np.minimum(
+                g.starts * LEAF + np.arange(TILE)[:, None], len(g.padded) - 1)
+            return _fit_frame(g.cols, index)
+        return _affine_models(self.derived(None, size, frame), self.cols)
+
+    def bounds(self, gaps, lo, hi, vlo, vhi, models, p, q):
         """(p, q, bounds, keys) of the box pairs (p[i], q[i]) that may beat
         a running maximum.
 
-        lo, hi and vlo, vhi are the boxes' (d, boxes) and (m, boxes) rows.
-        A pair's bound, one row per entry, is the smaller of the spread
-        bound and, unless models is None, the affine bound of the boxes'
-        models, computed only for the pairs the spread bound keeps.  The
-        key ranks pairs best first: the largest ratio of an entry's bound
-        to its running maximum.
+        gaps are their ``_box_gaps``; lo, hi and vlo, vhi the boxes' (d,
+        boxes) and (m, boxes) rows.  A pair's bound, one row per entry, is
+        the smaller of the spread bound and, unless models is None, the
+        affine bound of the boxes' models, computed only for the pairs the
+        spread bound keeps.  The key ranks pairs best first: the largest
+        ratio of an entry's bound to its running maximum.
         """
-        bound, dmin = _box_bounds(lo, hi, vlo, vhi, p, q, self.alphas, self.period, self.rows)
-        bound = bound.reshape(self.best.size, -1)
+        bound = _box_bounds(gaps, vlo, vhi, p, q, self.rows).reshape(self.best.size, -1)
         keep = (bound > self.best.reshape(-1, 1)).any(axis=0)
         p, q, bound = p[keep], q[keep], bound[:, keep]
         if models is not None:
-            dmin = dmin[keep]
+            dmin = gaps[0][keep]
             # in slices of 2 * BATCH pairs, to bound the transient memory
             for s in range(0, len(p), 2 * BATCH):
                 part = slice(s, s + 2 * BATCH)
@@ -481,8 +559,9 @@ class _Sweep:
         """Queue the leaf pairs of the tiles (p[i], q[i]) that may beat a
         running maximum, and evaluate full batches from the queue's head."""
         a, b = _leaf_pairs(p, q, self.nleaf)
-        fresh = self.bounds(self.geometry.lo, self.geometry.hi, self.vlo, self.vhi,
-                            self.models, a, b)
+        g = self.geometry
+        gaps = _box_gaps(g.lo, g.hi, a, b, self.alphas, self.period)
+        fresh = self.bounds(gaps, g.lo, g.hi, self.vlo, self.vhi, self.leaf_models, a, b)
         queue = tuple(np.concatenate(pair, axis=-1) for pair in zip(self.queue, fresh))
         self.queue = self.drain(queue, BATCH, self.evaluate, BATCH)
 
@@ -506,35 +585,34 @@ class _Sweep:
         """Exact quotients of the node pairs inside every leaf, BATCH leaves at a time.
 
         A batch's (len(_UPPER[0]), s) pairs of the upper triangles are
-        gathered one row at a time into the work arrays.  Their distance
-        weights and coincident-pair mask depend on the coordinates, the
-        period and the exponents alone: they are read from the node set
-        if it keeps them for this period and these exponents, and are
-        otherwise made, from the node set's second sweep on in arrays of
-        their own that it then keeps.
+        gathered one row at a time into the work arrays, from the (LEAF,
+        s) block of the row's slots by leaf.  Their distance weights and
+        coincident-pair mask depend on the coordinates, the period and the
+        exponents alone: a derived value, made batch by batch, in arrays of
+        their own only if the sweep keeps them.
         """
-        key = self.period, tuple(self.alphas.tolist())
-        kept = self.node_set.weights
-        own = kept[1] if kept is not None and kept[0] == key else None
+        own = self.node_set.kept.get((self.key, "leaves"))
         made = []
         for ib, s in enumerate(range(0, self.nleaf, BATCH)):
             leaves = np.arange(s, min(s + BATCH, self.nleaf))
-            i, j = (leaves * LEAF + slots[:, None] for slots in _UPPER)
+            block = self.cols[:, s * LEAF:(s + len(leaves)) * LEAF].reshape(
+                len(self.cols), len(leaves), LEAF).transpose(0, 2, 1)
+            shape = (len(_UPPER[0]), len(leaves))
             size = self.geometry.size[leaves]
             self.pairs += int((size * (size - 1) // 2).sum())
-            # i and j are in range; mode="clip" lets take write into out unbuffered
-            sides = (lambda k, x, y: (self.cols[k].take(i, out=x, mode="clip"),
-                                      self.cols[k].take(j, out=y, mode="clip")))
+            # the slots are in range; mode="clip" lets take write into out unbuffered
+            sides = (lambda k, x, y: (block[k].take(_UPPER[0], axis=0, out=x, mode="clip"),
+                                      block[k].take(_UPPER[1], axis=0, out=y, mode="clip")))
             if own is not None:
                 w, mask = own[ib]
             else:
-                w = (np.empty((len(self.alphas),) + i.shape) if self.keep
-                     else self._work(i.shape)[3:])
-                mask = self._weigh(sides, i.shape, w)
+                w = (np.empty((len(self.alphas),) + shape) if self.keep
+                     else self._work(shape)[3:])
+                mask = self._weigh(sides, shape, w)
                 made.append((w, mask))
-            self._fold(sides, i.shape, _UPPER, leaves, leaves, w, mask)
+            self._fold(sides, shape, _UPPER, leaves, leaves, w, mask)
         if own is None and self.keep:
-            self.node_set.keep_weights(key, made)
+            self.node_set.keep(self.key, "leaves", made)
 
     def _work(self, shape):
         """The work arrays, each shaped to a batch of this shape."""
@@ -642,21 +720,20 @@ def pairwise_holder_max(coords, comps, alphas, strategy="pruned", period=None,
     groups: the integer row counts of consecutive groups of comps, one
     row each by default; a group's quotient is the largest of its rows'.
     Non-finite coordinates, values or period, no exponent and any other
-    input outside these terms raise a ConfigError.  The leaf layout of
-    the last LAYOUTS node sets is kept, so a call on the same coordinates
-    as one of them does not build it again; from a node set's second
-    call on, its geometry and the distance weights of the pairs inside
-    its leaves, for the last period and exponents, are kept with it, so
-    that a further call with them evaluates those pairs from the values
-    alone, to the same bits.  Every (group, exponent)
-    entry is computed.  Returns (best, witnesses, pairs_evaluated) where
-    best has shape (groups, len(alphas)) and witnesses holds the
-    lexicographically smallest attaining node-index pair per entry, over
-    the group's rows, taken inside the sweep from each batch that
-    reaches the running maximum.  ``brute_force`` runs plain loops with
-    no bound, key or queue; ``pruned``, the default, walks tiles and leaf
-    pairs with one best-first drain and skips leaf pairs that can only
-    tie the maximum, so its witness ties may resolve differently.
+    input outside these terms raise a ConfigError; fewer than two nodes,
+    or nodes that all coincide, raise DegenerateInput ahead of the checks
+    of the exponents, strategy and groups.  The last LAYOUTS node sets
+    are held with what the module docstring lists, so that a further call
+    on one of them reads its coordinate-only work from there, to the same
+    bits.  Every (group, exponent) entry is computed.  Returns (best,
+    witnesses, pairs_evaluated) where best has shape (groups,
+    len(alphas)) and witnesses holds the lexicographically smallest
+    attaining node-index pair per entry, over the group's rows, taken
+    inside the sweep from each batch that reaches the running maximum.
+    ``brute_force`` runs plain loops with no bound, key or queue;
+    ``pruned``, the default, walks tiles and leaf pairs with one
+    best-first drain and skips leaf pairs that can only tie the maximum,
+    so its witness ties may resolve differently.
     """
     comps = np.atleast_2d(np.asarray(comps, dtype=float))
     coords = _as_points(coords, comps.shape[1])
@@ -674,8 +751,7 @@ def pairwise_holder_max(coords, comps, alphas, strategy="pruned", period=None,
     n = coords.shape[0]
     if n < 2:
         raise DegenerateInput("need at least two nodes for a pairwise seminorm")
-    if np.all(coords.max(axis=0) == coords.min(axis=0)):
-        raise DegenerateInput("all nodes coincide")
+    node_set = _node_set(coords.shape, coords.tobytes())     # or DegenerateInput
     alphas = np.array([float(a) for a in alphas])
     if not len(alphas):
         raise ConfigError("need at least one exponent alpha")
@@ -690,7 +766,7 @@ def pairwise_holder_max(coords, comps, alphas, strategy="pruned", period=None,
     if counts.sum() != len(comps) or (counts < 1).any():
         raise ConfigError(f"groups {counts.tolist()} do not partition {len(comps)} rows")
     rows = np.cumsum(counts) - counts
-    sweep = _Sweep(coords, comps, alphas, period, rows)
+    sweep = _Sweep(node_set, coords, comps, alphas, period, rows)
     # every leaf's own pairs first, unbounded, so that the branch and
     # bound starts from a running maximum
     sweep.evaluate_leaves()
@@ -704,24 +780,24 @@ def pairwise_holder_max(coords, comps, alphas, strategy="pruned", period=None,
             for t in range(0, len(la), BATCH):
                 sweep.evaluate(la[t:t + BATCH], lb[t:t + BATCH])
     else:
+        g = sweep.geometry
         vlo = np.minimum.reduceat(sweep.vlo, starts, axis=1)
         vhi = np.maximum.reduceat(sweep.vhi, starts, axis=1)
         models = None
         if period is None:
-            # a chunk's runs of columns, the last padded with the last column
-            chunks = np.minimum(starts * LEAF + np.arange(TILE)[:, None], sweep.cols.shape[1] - 1)
-            models = _affine_models(sweep.cols, sweep.dim, chunks)
+            models = sweep.models(TILE)
             # the affine stage is kept only if some group is not rough: the
             # median over its rows and chunks of a chunk fit's largest
             # residual over half the chunk's value spread is below ROUGH
             half = 0.5 * (vhi - vlo)
             ratio = np.divide(models[4], half, out=np.zeros_like(half), where=half > 0.0)
             if min(map(np.median, np.split(ratio, rows[1:]))) < ROUGH:
-                sweep.models = _affine_models(sweep.cols, sweep.dim, sweep.geometry.leaves)
+                sweep.leaf_models = sweep.models(LEAF)
             else:
                 models = None
-        tiles = sweep.bounds(sweep.geometry.chunk_lo, sweep.geometry.chunk_hi,
-                             vlo, vhi, models, tp, tq)
+        gaps = sweep.derived(sweep.key, "tiles",
+                             lambda: _box_gaps(g.chunk_lo, g.chunk_hi, tp, tq, alphas, period))
+        tiles = sweep.bounds(gaps, g.chunk_lo, g.chunk_hi, vlo, vhi, models, tp, tq)
         sweep.drain(tiles, TILE_BATCH, sweep.push)
         sweep.drain(sweep.queue, BATCH, sweep.evaluate)
     return sweep.best, sweep.witnesses, sweep.pairs
@@ -771,10 +847,9 @@ def holder_reports(items, alphas, pair_strategy="pruned"):
     whose fields live on the same node set -- a mesh's volume nodes, or
     its boundary loop -- are stacked into one pairwise_holder_max call,
     one group of rows per item, which also shares the distance work
-    across exponents; the kernel keeps the leaf layouts of the last
-    LAYOUTS node sets, a mesh's volume nodes and boundary loop, and from
-    a node set's second sweep, the next call on the same mesh, the
-    distance weights of its leaves' own pairs too.  Each
+    across exponents; the kernel holds a mesh's volume nodes and
+    boundary loop, and from the next call on the same mesh reads what
+    the module docstring lists.  Each
     item's seminorm is its group's maximum, the largest over its rows, so
     it equals what a call for that item alone gives.  Returns one {alpha:
     HolderReport} dict per item.

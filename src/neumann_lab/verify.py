@@ -437,12 +437,16 @@ class VerifyConfig:
 
 
 def _serrin_center(mesh):
-    if mesh.dim == 1:
-        mid = 0.5 * (mesh.spec.a + mesh.spec.b)
-        j = int(np.argmin(np.abs(mesh.interior_xy[:, 0] - mid)))
-    else:
-        j = int(np.argmin(np.linalg.norm(mesh.interior_xy, axis=1)))
-    return mesh.interior_xy[j]
+    """The interior node nearest the origin, or on an interval its
+    midpoint, once per mesh; on a tie the first such node."""
+    def build():
+        if mesh.dim == 1:
+            mid = 0.5 * (mesh.spec.a + mesh.spec.b)
+            j = int(np.argmin(np.abs(mesh.interior_xy[:, 0] - mid)))
+        else:
+            j = int(np.argmin(np.linalg.norm(mesh.interior_xy, axis=1)))
+        return mesh.interior_xy[j].copy()
+    return mesh.cached("serrin_center", build)
 
 
 def _serrin_distances(mesh):

@@ -15,8 +15,8 @@ from neumann_lab import norms
 from neumann_lab.domain import DomainSpec, build_mesh
 from neumann_lab.errors import ConfigError, DegenerateInput
 from neumann_lab.field import BoundaryFunction, GridFunction, gradient
-from neumann_lab.norms import (LEAF, STRATEGIES, TILE, _box_bounds, _derivative_stack, _layout,
-                               c_k_alpha_norm, holder_report_bundle, holder_reports,
+from neumann_lab.norms import (LEAF, STRATEGIES, TILE, _box_bounds, _box_gaps, _derivative_stack,
+                               _layout, c_k_alpha_norm, holder_report_bundle, holder_reports,
                                l2_norm, pairwise_holder_max)
 from neumann_lab.solver import solve_neumann
 from neumann_lab.verify import ProblemFamily
@@ -115,7 +115,8 @@ def test_brute_force_touches_no_bound_key_or_queue_code(layout, monkeypatch):
     # wider than one tile
     def unreachable(*args, **kwargs):
         raise AssertionError("brute force reached pruning code")
-    for name in ("_box_bounds", "_affine_models", "_affine_bounds", "_Sweep.drain"):
+    for name in ("_box_gaps", "_box_bounds", "_fit_frame", "_affine_models", "_affine_bounds",
+                 "_Sweep.drain"):
         monkeypatch.setattr(f"neumann_lab.norms.{name}", unreachable)
     rng = np.random.default_rng(5)
     n = TILE + 22
@@ -380,7 +381,8 @@ def test_kd_tile_layout(n, layout, rng):
         vlo = np.column_stack([V[:, g].min(axis=1) for g in groups])
         vhi = np.column_stack([V[:, g].max(axis=1) for g in groups])
         tp, tq = np.triu_indices(len(groups))
-        bound, _ = _box_bounds(lo.T, hi.T, vlo, vhi, tp, tq, alphas, None, np.arange(len(V)))
+        gaps = _box_gaps(lo.T, hi.T, tp, tq, alphas, None)
+        bound = _box_bounds(gaps, vlo, vhi, tp, tq, np.arange(len(V)))
         for k, (p, q) in enumerate(zip(tp, tq)):
             d = np.sqrt(((P[groups[p], None, :] - P[None, groups[q], :])**2).sum(axis=2))
             dv = np.abs(V[:, groups[p], None] - V[:, None, groups[q]])
@@ -392,6 +394,75 @@ def test_kd_tile_layout(n, layout, rng):
     # padding of the last leaf is never counted
     _, _, pairs = pairwise_holder_max(coords, values, alphas, "brute_force")
     assert pairs == n * (n - 1) // 2
+
+
+def _spread_cases():
+    """(coords, values, period) on which the spread bound is attained: a
+    20x20 lattice of spacing 1e-3, a strip 1e-6 wide of two rows of 150
+    nodes, and 266 evenly spaced nodes on a loop, each with a field of
+    alternating sign, so that the nearest nodes of two adjacent boxes
+    differ by the largest spread.  Rows: that field, noise, and three
+    times that field, as groups [1, 2]."""
+    i, j = np.meshgrid(np.arange(20), np.arange(20))
+    k, r = np.meshgrid(np.arange(150), np.arange(2))
+    n = 2 * TILE + 10
+    cases = [(np.column_stack([i.ravel(), j.ravel()]) * 1e-3, (i + j).ravel(), None),
+             (np.column_stack([k.ravel() / 150.0, r.ravel() * 1e-6]), k.ravel(), None),
+             (np.arange(n)[:, None] * (3.0 / n), np.arange(n), 3.0)]
+    noise, out = np.random.default_rng(3), []
+    for xy, parity, period in cases:
+        sign = (-1.0) ** parity
+        out.append((xy, np.vstack([sign, noise.standard_normal(len(xy)), 3 * sign]), period))
+    return out
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_spread_bounds_hold_at_both_levels(case):
+    # every (group, exponent) spread bound of every box pair, leaves and
+    # chunks, is at least the exact maximum over the pair's node pairs in
+    # the kernel's arithmetic, exp(-a/2 log d^2); the chunks' bounds come
+    # from the tile gaps the node set keeps.  On these inputs some bounds
+    # are attained up to SLACK, so a bound without it, or a loop's dmin
+    # without the seam, fails here.
+    xy, values, period = _spread_cases()[case]
+    alphas, rows = np.array([0.3, 0.5, 0.7, 0.99]), np.array([0, 1])
+    for _ in range(2):
+        pairwise_holder_max(xy, values, alphas, "pruned", period, groups=[1, 2])
+    node_set = norms._node_set(xy.shape, xy.tobytes())
+    g = node_set.kept[None, "geometry"]
+    # every node pair's quotient in leaf order; coincident pairs, padding
+    # copies among them, do not count
+    P = xy[g.padded]
+    d2 = 0.0
+    for a in range(P.shape[1]):
+        dx = P[:, None, a] - P[None, :, a]
+        if period is not None:
+            dx = np.minimum(np.abs(dx), period - np.abs(dx))
+        d2 = d2 + dx * dx
+    w = np.exp(np.log(np.where(d2 == 0.0, np.inf, d2))[None] * (-0.5 * alphas)[:, None, None])
+    V = values[:, g.padded]
+    quot = np.abs(V[:, :, None] - V[:, None, :])[:, None] * w[None]
+    quot[:, :, d2 == 0.0] = -np.inf
+    quot = np.maximum.reduceat(quot, rows, axis=0)
+    exact = quot.reshape(len(rows), len(alphas), g.nleaf, LEAF, g.nleaf, LEAF).max(axis=(3, 5))
+    vlo, vhi = (f(V.reshape(len(V), g.nleaf, LEAF), axis=2) for f in (np.min, np.max))
+    tight = 0
+    for level in ("leaves", "chunks"):
+        lo, hi = (g.lo, g.hi) if level == "leaves" else (g.chunk_lo, g.chunk_hi)
+        p, q = np.triu_indices(lo.shape[1])
+        gaps = _box_gaps(lo, hi, p, q, alphas, period)
+        if level == "chunks":
+            kept = node_set.kept[(period, tuple(alphas.tolist())), "tiles"]
+            assert all(np.array_equal(a, b) for a, b in zip(kept, gaps))
+            gaps = kept
+            exact = np.maximum.reduceat(np.maximum.reduceat(exact, g.starts, axis=2),
+                                        g.starts, axis=3)
+            vlo = np.minimum.reduceat(vlo, g.starts, axis=1)
+            vhi = np.maximum.reduceat(vhi, g.starts, axis=1)
+        bound, attained = _box_bounds(gaps, vlo, vhi, p, q, rows), exact[:, :, p, q]
+        assert (bound >= attained).all()
+        tight += int((bound <= attained * (1.0 + 2e-9)).sum())
+    assert tight > 0
 
 
 def _kd_order_reference(coords, idx, size):
@@ -471,7 +542,7 @@ def _fits(monkeypatch):
     TILE for the chunks' models, LEAF for the leaves'."""
     sizes, fit = [], norms._affine_models
     monkeypatch.setattr(norms, "_affine_models",
-                        lambda cols, dim, index: sizes.append(len(index)) or fit(cols, dim, index))
+                        lambda frame, cols: sizes.append(len(frame[0])) or fit(frame, cols))
     return sizes
 
 
@@ -571,12 +642,13 @@ def test_kernel_memory_is_bounded_by_the_batch():
 
 
 def test_kernel_memory_on_the_sweep_that_keeps_leaf_weights():
-    # a node set's second sweep makes its leaf weights in arrays it keeps:
-    # its peak stays under the same 8 MiB, and what it keeps is those
-    # weights, len(alphas) doubles for each of the 120 pairs of every
-    # leaf, and O(n) for the node set's geometry
+    # a node set's second sweep makes what it keeps in arrays of their own:
+    # its peak stays under the same 8 MiB, and it keeps, in 8-byte words,
+    # the leaves' own-pair weights, the geometry, the fit frames of the
+    # levels it fits and the tile gaps, plus the objects holding them.  The
+    # smooth stack fits both levels, the rough field its chunks alone.
     alphas = (0.3, 0.5, 0.7)
-    for xy, values in (_ten_smooth_disk_fields(), _rough_lattice_field()):
+    for (xy, values), levels in ((_ten_smooth_disk_fields(), 2), (_rough_lattice_field(), 1)):
         pairwise_holder_max(xy, values, alphas, "pruned")
         tracemalloc.start()
         try:
@@ -585,8 +657,15 @@ def test_kernel_memory_on_the_sweep_that_keeps_leaf_weights():
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-        nleaf = -(-len(xy) // LEAF)
-        assert kept <= len(alphas) * (LEAF * (LEAF - 1) // 2) * nleaf * 8 + 48 * len(xy)
+        d, nleaf, nchunk = 2, -(-len(xy) // LEAF), -(-len(xy) // TILE)
+        boxes = [nchunk, nleaf][:levels]
+        words = (len(alphas) * (LEAF * (LEAF - 1) // 2) * nleaf     # own-pair weights
+                 + (d + 2) * nleaf * LEAF                           # geometry: coordinate rows,
+                 + (2 * d + 1) * (nleaf + nchunk)                   # order, slots, boxes, sizes
+                 + (d * d + d + 1) * sum(boxes)                     # frames: inverses, centres,
+                 + TILE * nchunk                                    # radii; the chunks' runs
+                 + (1 + len(alphas)) * nchunk * (nchunk + 1) // 2)  # tile gaps
+        assert 8 * words <= kept <= 8 * words + 16 * 2**10
 
 
 @pytest.mark.parametrize("shape", [(1200,), (30, 30)])
@@ -689,18 +768,24 @@ def _counted_layouts(monkeypatch):
     return layouts
 
 
-def _counted_weights(monkeypatch):
-    """The (period, alphas) key of every leaf-weight build a node set keeps
-    from here on."""
+def _counted_keeps(monkeypatch):
+    """The (key, name) of every value a node set keeps from here on: key
+    None for its geometry and fit frames (names TILE and LEAF), its
+    (period, alphas) for its leaf weights and tile gaps."""
     builds = []
-    keep = norms._NodeSet.keep_weights
+    keep = norms._NodeSet.keep
 
-    def counted(node_set, key, batches):
-        builds.append(key)
-        keep(node_set, key, batches)
+    def counted(node_set, key, name, value):
+        builds.append((key, name))
+        keep(node_set, key, name, value)
 
-    monkeypatch.setattr(norms._NodeSet, "keep_weights", counted)
+    monkeypatch.setattr(norms._NodeSet, "keep", counted)
     return builds
+
+
+def _keys(builds, name):
+    """The keys of the builds of one name."""
+    return [key for key, kept in builds if kept == name]
 
 
 @pytest.mark.parametrize("spec, res", [(DomainSpec.disk(), (12, 48)),
@@ -736,8 +821,9 @@ def test_field_seminorm_is_the_order_0_norm(spec, res, monkeypatch):
 def test_kernel_builds_each_alternating_node_set_once(monkeypatch, rng):
     # rounds of three rough fields on the 100x100 lattice, then three on
     # the (48,192) disk's nodes: each node set's layout is built once in
-    # all and its leaf weights once, on its second sweep, and every call
-    # returns what it returns on a cleared memo
+    # all, and on its second sweep its geometry, its leaf weights, its
+    # chunks' fit frame and its tile gaps once (rough fields fit no
+    # leaves); every call returns what it returns on a cleared memo
     xs = np.linspace(0.0, 1.0, 100)
     mesh = build_mesh(DomainSpec.disk(), (48, 192))
     sets = [np.column_stack([c.ravel() for c in np.meshgrid(xs, xs)]),
@@ -745,10 +831,11 @@ def test_kernel_builds_each_alternating_node_set_once(monkeypatch, rng):
     calls = [(xy, v[None, :]) for _ in range(2)
              for xy in sets for v in rng.standard_normal((3, len(xy)))]
     alphas = (0.3, 0.5, 0.7)
-    layouts, builds = _counted_layouts(monkeypatch), _counted_weights(monkeypatch)
+    layouts, builds = _counted_layouts(monkeypatch), _counted_keeps(monkeypatch)
     kept = [pairwise_holder_max(xy, v, alphas, "pruned") for xy, v in calls]
     assert sorted(layouts) == [9408, 10000]
-    assert builds == [(None, alphas)] * 2
+    key = (None, alphas)
+    assert builds == [(None, "geometry"), (key, "leaves"), (None, TILE), (key, "tiles")] * 2
     for (xy, v), (best, wit, pairs) in zip(calls, kept):
         norms._node_set.cache_clear()
         fresh_best, fresh_wit, fresh_pairs = pairwise_holder_max(xy, v, alphas, "pruned")
@@ -757,8 +844,8 @@ def test_kernel_builds_each_alternating_node_set_once(monkeypatch, rng):
         assert pairs == fresh_pairs
     # a study's pattern: each rung's volume nodes, then its boundary loop,
     # three rungs in turn and twice over.  Each node set is evicted before
-    # it comes round again, so every sweep is a first one and keeps no
-    # weights.
+    # it comes round again, so every sweep is a first one and keeps
+    # nothing but its layout.
     norms._node_set.cache_clear()
     meshes = [build_mesh(DomainSpec.disk(), res) for res in ((8, 32), (12, 48), (16, 64))]
     sets = [s for mesh in meshes for s in ((np.vstack([mesh.interior_xy, mesh.boundary_xy]), None),
@@ -767,7 +854,7 @@ def test_kernel_builds_each_alternating_node_set_once(monkeypatch, rng):
         for xy, period in sets:
             pairwise_holder_max(xy, rng.standard_normal((1, len(xy))), alphas, "pruned", period)
     assert len(layouts) == 2 + 2 * len(sets) + 12
-    assert len(builds) == 2
+    assert len(builds) == 8
 
 
 def _memo_sets(rng):
@@ -790,7 +877,7 @@ def test_kept_leaf_weights_leave_every_result_bitwise(strategy, monkeypatch, rng
     # a node set's cold sweep, its second, which makes and keeps its leaf
     # weights, and its third, which reads them, give the same maxima,
     # witnesses and pair counts
-    builds = _counted_weights(monkeypatch)
+    builds = _counted_keeps(monkeypatch)
     for xy, values, period in _memo_sets(rng):
         norms._node_set.cache_clear()
         cold, *warm = (pairwise_holder_max(xy, values, (0.3, 0.7), strategy, period)
@@ -800,7 +887,11 @@ def test_kept_leaf_weights_leave_every_result_bitwise(strategy, monkeypatch, rng
             assert np.array_equal(best, cold[0])
             assert np.array_equal(wit, cold[1])
             assert pairs == cold[2]
-    assert builds == [(None, (0.3, 0.7))] * 2 + [(3.0, (0.3, 0.7))]
+    assert _keys(builds, "leaves") == [(None, (0.3, 0.7))] * 2 + [(3.0, (0.3, 0.7))]
+    if strategy == "pruned":
+        # the constant row keeps the affine stage on the plane and the line
+        assert _keys(builds, "tiles") == _keys(builds, "leaves")
+        assert _keys(builds, TILE) == _keys(builds, LEAF) == [None] * 2
 
 
 def test_kept_leaf_weights_are_keyed_by_period_and_exponents(monkeypatch):
@@ -819,35 +910,41 @@ def test_kept_leaf_weights_are_keyed_by_period_and_exponents(monkeypatch):
         expected[period, alphas] = pairwise_holder_max(xy, values, alphas, "brute_force", period)
     assert not np.array_equal(expected[None, (0.3, 0.7)][0], expected[1.0, (0.3, 0.7)][0])
     norms._node_set.cache_clear()
-    builds = _counted_weights(monkeypatch)
+    builds = _counted_keeps(monkeypatch)
     for _ in range(2):
         for period, alphas in keys:
             best, wit, pairs = pairwise_holder_max(xy, values, alphas, "pruned", period)
             assert np.array_equal(best, expected[period, alphas][0])
             assert np.array_equal(wit, expected[period, alphas][1])
-    # every sweep but the first replaces the weights of the key before it
-    assert builds == (keys * 2)[1:]
+    # every sweep but the first replaces the leaf weights and tile gaps of
+    # the key before it
+    assert _keys(builds, "leaves") == _keys(builds, "tiles") == (keys * 2)[1:]
 
 
 def test_eviction_drops_a_node_sets_weights(monkeypatch, rng):
     sets = [rng.random((300, 2)) for _ in range(3)]
     v = rng.standard_normal((1, 300))
-    builds = _counted_weights(monkeypatch)
+    builds = _counted_keeps(monkeypatch)
     for _ in range(2):
         pairwise_holder_max(sets[0], v, (0.5,), "pruned")
-    assert len(builds) == 1
-    _, batches = norms._node_set(sets[0].shape, sets[0].tobytes()).weights
-    weights = weakref.ref(batches[0][0])
-    del batches
+    assert len(_keys(builds, "leaves")) == 1
+    kept = norms._node_set(sets[0].shape, sets[0].tobytes()).kept
+    key = None, (0.5,)
+    # every kept array is read-only, and goes with its node set
+    arrays = [kept[key, "leaves"][0][0], kept[None, "geometry"].cols, *kept[None, TILE],
+              *kept[key, "tiles"]]
+    assert not any(a.flags.writeable for a in arrays)
+    refs = [weakref.ref(a) for a in arrays]
+    del kept, arrays
     for xy in sets[1:]:
         pairwise_holder_max(xy, v, (0.5,), "pruned")
-    assert weights() is None
+    assert all(ref() is None for ref in refs)
     # the node set comes back new: its next sweep is a first one, and the
     # one after that keeps weights again
     pairwise_holder_max(sets[0], v, (0.5,), "pruned")
-    assert len(builds) == 1
+    assert len(_keys(builds, "leaves")) == 1
     pairwise_holder_max(sets[0], v, (0.5,), "pruned")
-    assert len(builds) == 2
+    assert len(_keys(builds, "leaves")) == 2
 
 
 def test_layout_memo_keeps_the_last_two_node_sets_by_their_coordinates(monkeypatch, rng):
@@ -890,17 +987,17 @@ def test_layout_memo_is_shared_by_threads(monkeypatch, rng):
     # then reads what the last one kept
     norms._node_set.cache_clear()
     pairwise_holder_max(*calls[0], (0.3, 0.7), "pruned")
-    builds = _counted_weights(monkeypatch)
-    keep, meet = norms._NodeSet.keep_weights, threading.Barrier(2, timeout=30)
-    monkeypatch.setattr(norms._NodeSet, "keep_weights",
-                        lambda *args: meet.wait() is None or keep(*args))
+    builds = _counted_keeps(monkeypatch)
+    keep, meet = norms._NodeSet.keep, threading.Barrier(2, timeout=30)
+    monkeypatch.setattr(norms._NodeSet, "keep",
+                        lambda *args: (args[2] != "leaves" or meet.wait() is None) or keep(*args))
     with ThreadPoolExecutor(max_workers=4) as pool:
         futures = [pool.submit(pairwise_holder_max, *calls[0], (0.3, 0.7), "pruned")
                    for _ in range(2)]
         results += [fut.result(timeout=60) for fut in futures]
-    assert len(builds) == 2
+    assert len(_keys(builds, "leaves")) == 2
     results.append(pairwise_holder_max(*calls[0], (0.3, 0.7), "pruned"))
-    assert len(builds) == 2
+    assert len(_keys(builds, "leaves")) == 2
     for k, (best, wit, pairs) in enumerate(results):
         want = expected[k % 2 if k < 8 else 0]
         assert np.array_equal(best, want[0])
@@ -917,11 +1014,40 @@ def test_witness_tie_break_lexicographic():
     assert (wit[0][0], wit[1][0]) == (0.0, 1.0)
 
 
-def test_degenerate_inputs():
+def test_degenerate_inputs(monkeypatch, rng):
+    layouts = _counted_layouts(monkeypatch)
     with pytest.raises(DegenerateInput):
         pairwise_holder_max(np.array([0.0]), np.array([[1.0]]), (0.5,))
     with pytest.raises(DegenerateInput):
         pairwise_holder_max(np.array([0.5, 0.5]), np.array([[1.0, 2.0]]), (0.5,))
+    # more coincident nodes than one chunk holds, under both strategies,
+    # on a loop, and with no exponent, which is checked after them: each
+    # raises before a layout is built, and the memo holds nothing
+    n = TILE + 5
+    plane, values = np.full((n, 2), 0.25), rng.standard_normal((1, n))
+    for strategy in STRATEGIES:
+        with pytest.raises(DegenerateInput, match="all nodes coincide"):
+            pairwise_holder_max(plane, values, (0.5,), strategy)
+    with pytest.raises(DegenerateInput, match="all nodes coincide"):
+        pairwise_holder_max(np.full((n, 1), 0.5), values, (0.5,), "pruned", period=1.0)
+    with pytest.raises(DegenerateInput, match="all nodes coincide"):
+        pairwise_holder_max(plane, values, (), "pruned")
+    assert layouts == [] and norms._node_set.cache_info().currsize == 0
+    # a degenerate call between sweeps of two held node sets evicts
+    # neither: each keeps what it kept, and builds nothing more
+    sets, field = [rng.random((300, 2)), rng.random((200, 2))], rng.standard_normal((1, 300))
+    for _ in range(2):
+        for xy in sets:
+            pairwise_holder_max(xy, field[:, :len(xy)], (0.5,), "pruned")
+    held = [norms._node_set(xy.shape, xy.tobytes()).kept for xy in sets]
+    builds = _counted_keeps(monkeypatch)
+    with pytest.raises(DegenerateInput):
+        pairwise_holder_max(plane, values, (0.5,), "pruned")
+    for xy, kept in zip(sets, held):
+        pairwise_holder_max(xy, field[:, :len(xy)], (0.5,), "pruned")
+        assert norms._node_set(xy.shape, xy.tobytes()).kept is kept
+        assert {(None, "geometry"), (None, TILE), ((None, (0.5,)), "tiles")} <= kept.keys()
+    assert layouts == [300, 200] and builds == []
 
 
 def test_holder_params_validation(disk_mesh_small):

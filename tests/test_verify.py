@@ -148,6 +148,25 @@ def test_serrin_homogeneity(manufactured_solution):
     assert r2 == pytest.approx(r1, rel=1e-12)
 
 
+def test_serrin_center_is_kept_once_per_mesh(monkeypatch):
+    # the ball check and the distances read one centre from the workspace,
+    # the interior node nearest the middle (on an interval, the first of
+    # the two); the node norms are taken once per mesh
+    disk = build_mesh(DomainSpec.disk(), (8, 16))
+    interval = build_mesh(DomainSpec.interval(0.0, 2.0), 10)
+    meshes = [(disk, np.argmin(np.linalg.norm(disk.interior_xy, axis=1))), (interval, 4)]
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+    for mesh, first in meshes:
+        center = verify._serrin_center(mesh)
+        assert center is verify._serrin_center(mesh) and not center.flags.writeable
+        assert np.array_equal(center, mesh.interior_xy[first])
+        d = verify._serrin_distances(mesh)
+        assert d[first] == 0.0 and d is verify._serrin_distances(mesh)
+    assert len(calls) == 2 + 1
+
+
 def test_serrin_ball_containment(disk_mesh_small):
     with pytest.raises(BallNotContained):
         verify._check_ball(disk_mesh_small, np.array([0.8, 0.0]), 0.2)
