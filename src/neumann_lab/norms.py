@@ -70,13 +70,13 @@ taken the short way round (loops use the spread bound alone).
 sweep, one group per item.
 
 What a held node set keeps.  The kernel holds the last LAYOUTS node sets
-it met, keyed by their exact coordinates.  A node set is met once: nodes
-that all coincide raise DegenerateInput then, before any layout, and are
-not held; otherwise its layout is built.  From its second sweep on, it
-also keeps all that a sweep derives from the coordinates alone, each
-part made by the first such sweep that needs it:
+it met, keyed by their exact coordinates.  A node set is built whole
+when a call first meets it, after every check of the call's arguments:
+nodes that all coincide raise DegenerateInput then and are not held;
+otherwise it gets its leaf order, coordinate rows and leaf and chunk
+boxes.  Every sweep keeps what it derives from the coordinates and is
+not kept yet:
 
-* its geometry: leaf order, coordinate rows, leaf and chunk boxes;
 * the coordinate half of the chunk and leaf fits: each run's centre,
   radius and ridge-regularised Gram inverse, and the chunks' runs of
   columns; the centred coordinates, two per node, are taken again;
@@ -87,10 +87,8 @@ part made by the first such sweep that needs it:
 That is about 7.5 len(alphas) + 6 eight-byte words per node and 1 +
 len(alphas) per tile, as many as one sweep's tile bounds hold, and
 never anything per leaf pair.  Kept arrays are read-only and are the
-very ones a cold sweep computes, so a sweep reading them gives the same
-bits; they go with the node set when it is evicted.  A node set swept
-once keeps its layout alone, so that a caller sweeping more node sets
-in turn than the memo holds keeps no more.
+very ones a sweep that builds them computes, so a sweep reading them
+gives the same bits; they go with the node set when it is evicted.
 """
 
 from __future__ import annotations
@@ -227,8 +225,9 @@ _SQUARE = np.divmod(np.arange(LEAF * LEAF), LEAF)
 _UPPER = np.triu_indices(LEAF, 1)
 
 
-class _Geometry:
-    """A node set in leaf layout: what every sweep reads of its coordinates.
+class _NodeSet:
+    """A held node set in leaf layout, with what its sweeps keep, as the
+    module docstring states.
 
     Node k of leaf l is padded[l * LEAF + k].  The last leaf is padded
     with copies of the last node: a pair with a copy either repeats a
@@ -236,10 +235,18 @@ class _Geometry:
     leaf's real nodes; leaves: the (LEAF, leaves) slots of each leaf;
     cols: the coordinates by axis in leaf order; lo, hi: the (d, leaves)
     rows of the leaves' boxes; starts: each chunk's first leaf; chunk_lo,
-    chunk_hi: the (d, chunks) rows of the chunks' boxes.
+    chunk_hi: the (d, chunks) rows of the chunks' boxes.  kept maps (key,
+    name) to a kept value: key None for the ``_fit_frame`` of each level
+    (TILE, LEAF), a (period, exponents) key for the leaves' own-pair
+    weights ("leaves", one ((exponents, pairs, leaves) array, mask or
+    None) entry per batch of leaves) and the tiles' ``_box_gaps``
+    ("tiles").
     """
 
-    def __init__(self, coords, order):
+    def __init__(self, coords):
+        if np.all(coords.max(axis=0) == coords.min(axis=0)):
+            raise DegenerateInput("all nodes coincide")
+        order = _layout(coords)
         n, self.dim = coords.shape
         self.nleaf = -(-n // LEAF)
         self.padded = np.concatenate([order, np.full(self.nleaf * LEAF - n, order[-1])])
@@ -253,52 +260,32 @@ class _Geometry:
         self.starts = np.arange(0, self.nleaf, _PER)
         self.chunk_lo = np.minimum.reduceat(self.lo, self.starts, axis=1)
         self.chunk_hi = np.maximum.reduceat(self.hi, self.starts, axis=1)
-
-
-class _NodeSet:
-    """A held node set: its leaf layout and what its sweeps keep, as the
-    module docstring states.
-
-    kept maps (key, name) to a kept value: key None for the
-    ``_Geometry`` ("geometry") and the ``_fit_frame`` of each level
-    (TILE, LEAF), a (period, exponents) key for the leaves' own-pair
-    weights ("leaves", one ((exponents, pairs, leaves) array, mask or
-    None) entry per batch of leaves) and the tiles' ``_box_gaps``
-    ("tiles").
-    """
-
-    def __init__(self, coords):
-        if np.all(coords.max(axis=0) == coords.min(axis=0)):
-            raise DegenerateInput("all nodes coincide")
-        self.order = _layout(coords)
-        self.order.flags.writeable = False
+        _read_only(list(vars(self).values()))
         self.kept = {}
-        self._sweeps = 0
         self._lock = threading.Lock()
 
-    def count_sweep(self):
-        """Count one sweep; True from the second on, which keeps what it derives."""
-        with self._lock:
-            self._sweeps += 1
-            return self._sweeps > 1
-
-    def keep(self, key, name, value):
-        """Keep value under (key, name), its arrays read-only; a (period,
-        exponents) key drops what any other such key keeps.  The dict is
-        replaced, never changed, so a reader sees each value whole."""
-        _read_only(value)
-        with self._lock:
-            kept = {k: v for k, v in self.kept.items() if key is None or k[0] in (None, key)}
-            kept[key, name] = value
-            self.kept = kept
+    def derived(self, key, name, build):
+        """The value kept under (key, name), else build()'s, made
+        read-only and kept; a (period, exponents) key drops what any other
+        such key keeps.  The dict is replaced, never changed, so a reader
+        sees each value whole."""
+        value = self.kept.get((key, name))
+        if value is None:
+            value = build()
+            _read_only(value)
+            with self._lock:
+                kept = {k: v for k, v in self.kept.items() if key is None or k[0] in (None, key)}
+                kept[key, name] = value
+                self.kept = kept
+        return value
 
 
 def _read_only(value):
-    """Make every array in value, through tuples, lists and a geometry, read-only."""
+    """Make every array in value, through tuples and lists, read-only."""
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
-    elif isinstance(value, (tuple, list, _Geometry)):
-        for part in vars(value).values() if isinstance(value, _Geometry) else value:
+    elif isinstance(value, (tuple, list)):
+        for part in value:
             _read_only(part)
 
 
@@ -453,18 +440,14 @@ def _affine_bounds(models, lo, hi, p, q, dmin, alphas, rows):
 class _Sweep:
     """One call's nodes in leaf layout, its running maxima and work arrays."""
 
-    def __init__(self, node_set, coords, comps, alphas, period, rows):
-        # from the node set's second sweep on, the sweep keeps what it
-        # derives from the coordinates there, unless it is kept already
-        self.node_set, self.keep = node_set, node_set.count_sweep()
-        self.alphas, self.period = alphas, period
+    def __init__(self, node_set, comps, alphas, period, rows):
+        self.node_set, self.alphas, self.period = node_set, alphas, period
         self.key = period, tuple(alphas.tolist())
-        geometry = self.derived(None, "geometry", lambda: _Geometry(coords, node_set.order))
-        self.geometry, self.dim, self.nleaf = geometry, geometry.dim, geometry.nleaf
+        self.dim, self.nleaf = node_set.dim, node_set.nleaf
         # the coordinates by axis, then the values by component, in leaf
         # order: a batch gathers what it needs of each row from here
-        self.cols = np.vstack([geometry.cols, comps.take(geometry.padded, axis=1)])
-        nodes = self.cols[self.dim:].take(geometry.leaves, axis=1)
+        self.cols = np.vstack([node_set.cols, comps.take(node_set.padded, axis=1)])
+        nodes = self.cols[self.dim:].take(node_set.leaves, axis=1)
         self.vlo, self.vhi = nodes.min(axis=1), nodes.max(axis=1)    # (m, leaves) rows
         # the first row of each group, and each group's rows of cols
         self.rows = rows
@@ -480,7 +463,8 @@ class _Sweep:
         # work arrays for BATCH leaf pairs (or the upper triangles of BATCH
         # leaves), reused across batches: fresh arrays of this size cost
         # more in page faults than the arithmetic; one distance weight per
-        # exponent, one value difference at a time
+        # exponent of a leaf pair (the leaves' own pairs have kept weights),
+        # one value difference at a time
         size = LEAF * LEAF * min(BATCH, self.nleaf * (self.nleaf + 1) // 2)
         self.work = [np.empty(size) for _ in range(3 + len(alphas))]
 
@@ -503,28 +487,17 @@ class _Sweep:
             visit(p[:size], q[:size], alive[:, :size].any(axis=1).reshape(self.best.shape))
             p, q, bound, key = p[size:], q[size:], bound[:, size:], key[size:]
 
-    def derived(self, key, name, build):
-        """build()'s value, read from the node set if it keeps one under
-        (key, name), and otherwise built, and kept from the node set's
-        second sweep on."""
-        value = self.node_set.kept.get((key, name))
-        if value is None:
-            value = build()
-            if self.keep:
-                self.node_set.keep(key, name, value)
-        return value
-
     def models(self, size):
         """The affine models of the chunks (size TILE) or of the leaves
-        (LEAF); the coordinate half of their fits is a derived value."""
-        g = self.geometry
+        (LEAF); the coordinate half of their fits is a kept value."""
+        g = self.node_set
 
         def frame():
             # a chunk's runs of columns, the last padded with the last column
             index = g.leaves if size == LEAF else np.minimum(
                 g.starts * LEAF + np.arange(TILE)[:, None], len(g.padded) - 1)
             return _fit_frame(g.cols, index)
-        return _affine_models(self.derived(None, size, frame), self.cols)
+        return _affine_models(g.derived(None, size, frame), self.cols)
 
     def bounds(self, gaps, lo, hi, vlo, vhi, models, p, q):
         """(p, q, bounds, keys) of the box pairs (p[i], q[i]) that may beat
@@ -559,7 +532,7 @@ class _Sweep:
         """Queue the leaf pairs of the tiles (p[i], q[i]) that may beat a
         running maximum, and evaluate full batches from the queue's head."""
         a, b = _leaf_pairs(p, q, self.nleaf)
-        g = self.geometry
+        g = self.node_set
         gaps = _box_gaps(g.lo, g.hi, a, b, self.alphas, self.period)
         fresh = self.bounds(gaps, g.lo, g.hi, self.vlo, self.vhi, self.leaf_models, a, b)
         queue = tuple(np.concatenate(pair, axis=-1) for pair in zip(self.queue, fresh))
@@ -574,7 +547,7 @@ class _Sweep:
         """
         A = self.cols.take(a * LEAF + _SLOTS[:, None], axis=1)[:, :, None]
         B = self.cols.take(b * LEAF + _SLOTS[:, None], axis=1)[:, None, :]
-        size = self.geometry.size
+        size = self.node_set.size
         self.pairs += int((size[a] * size[b]).sum())
         sides, shape = (lambda k, x, y: (A[k], B[k])), (LEAF, LEAF, len(a))
         w = self._work(shape)[3:]
@@ -588,31 +561,30 @@ class _Sweep:
         gathered one row at a time into the work arrays, from the (LEAF,
         s) block of the row's slots by leaf.  Their distance weights and
         coincident-pair mask depend on the coordinates, the period and the
-        exponents alone: a derived value, made batch by batch, in arrays of
-        their own only if the sweep keeps them.
+        exponents alone: a kept value, one entry per batch.
         """
-        own = self.node_set.kept.get((self.key, "leaves"))
-        made = []
-        for ib, s in enumerate(range(0, self.nleaf, BATCH)):
+        batches = []
+        for s in range(0, self.nleaf, BATCH):
             leaves = np.arange(s, min(s + BATCH, self.nleaf))
             block = self.cols[:, s * LEAF:(s + len(leaves)) * LEAF].reshape(
                 len(self.cols), len(leaves), LEAF).transpose(0, 2, 1)
-            shape = (len(_UPPER[0]), len(leaves))
-            size = self.geometry.size[leaves]
-            self.pairs += int((size * (size - 1) // 2).sum())
             # the slots are in range; mode="clip" lets take write into out unbuffered
-            sides = (lambda k, x, y: (block[k].take(_UPPER[0], axis=0, out=x, mode="clip"),
-                                      block[k].take(_UPPER[1], axis=0, out=y, mode="clip")))
-            if own is not None:
-                w, mask = own[ib]
-            else:
-                w = (np.empty((len(self.alphas),) + shape) if self.keep
-                     else self._work(shape)[3:])
-                mask = self._weigh(sides, shape, w)
-                made.append((w, mask))
+            sides = (lambda k, x, y, block=block: (
+                block[k].take(_UPPER[0], axis=0, out=x, mode="clip"),
+                block[k].take(_UPPER[1], axis=0, out=y, mode="clip")))
+            batches.append((leaves, sides, (len(_UPPER[0]), len(leaves))))
+
+        def weigh():
+            made = []
+            for _, sides, shape in batches:
+                w = np.empty((len(self.alphas),) + shape)
+                made.append((w, self._weigh(sides, shape, w)))
+            return made
+        own = self.node_set.derived(self.key, "leaves", weigh)
+        for (leaves, sides, shape), (w, mask) in zip(batches, own):
+            size = self.node_set.size[leaves]
+            self.pairs += int((size * (size - 1) // 2).sum())
             self._fold(sides, shape, _UPPER, leaves, leaves, w, mask)
-        if own is None and self.keep:
-            self.node_set.keep(self.key, "leaves", made)
 
     def _work(self, shape):
         """The work arrays, each shaped to a batch of this shape."""
@@ -689,8 +661,8 @@ class _Sweep:
                 quot = quot.reshape(-1, s)
                 rows = np.flatnonzero(quot.max(axis=0) == top)
                 pp, kk = np.nonzero(quot[:, rows] == top)
-                oi = self.geometry.padded[a[rows[kk]] * LEAF + slots[0][pp]]
-                oj = self.geometry.padded[b[rows[kk]] * LEAF + slots[1][pp]]
+                oi = self.node_set.padded[a[rows[kk]] * LEAF + slots[0][pp]]
+                oj = self.node_set.padded[b[rows[kk]] * LEAF + slots[1][pp]]
                 first, second = np.minimum(oi, oj), np.maximum(oi, oj)
                 k = np.lexsort((second, first))[0]
                 pair = (int(first[k]), int(second[k]))
@@ -720,9 +692,10 @@ def pairwise_holder_max(coords, comps, alphas, strategy="pruned", period=None,
     groups: the integer row counts of consecutive groups of comps, one
     row each by default; a group's quotient is the largest of its rows'.
     Non-finite coordinates, values or period, no exponent and any other
-    input outside these terms raise a ConfigError; fewer than two nodes,
-    or nodes that all coincide, raise DegenerateInput ahead of the checks
-    of the exponents, strategy and groups.  The last LAYOUTS node sets
+    input outside these terms raise a ConfigError; then fewer than two
+    nodes, or nodes that all coincide, raise DegenerateInput, so a call
+    that is both misconfigured and degenerate raises ConfigError, and
+    neither error enters the node-set memo.  The last LAYOUTS node sets
     are held with what the module docstring lists, so that a further call
     on one of them reads its coordinate-only work from there, to the same
     bits.  Every (group, exponent) entry is computed.  Returns (best,
@@ -748,10 +721,6 @@ def pairwise_holder_max(coords, comps, alphas, strategy="pruned", period=None,
         raise ConfigError(f"a period needs one arclength coordinate spanning at most one "
                           f"finite positive period, got {coords.shape[1]} spanning "
                           f"{np.ptp(coords)} and period {period}")
-    n = coords.shape[0]
-    if n < 2:
-        raise DegenerateInput("need at least two nodes for a pairwise seminorm")
-    node_set = _node_set(coords.shape, coords.tobytes())     # or DegenerateInput
     alphas = np.array([float(a) for a in alphas])
     if not len(alphas):
         raise ConfigError("need at least one exponent alpha")
@@ -766,13 +735,16 @@ def pairwise_holder_max(coords, comps, alphas, strategy="pruned", period=None,
     if counts.sum() != len(comps) or (counts < 1).any():
         raise ConfigError(f"groups {counts.tolist()} do not partition {len(comps)} rows")
     rows = np.cumsum(counts) - counts
-    sweep = _Sweep(node_set, coords, comps, alphas, period, rows)
+    if coords.shape[0] < 2:
+        raise DegenerateInput("need at least two nodes for a pairwise seminorm")
+    g = _node_set(coords.shape, coords.tobytes())     # the node set, or DegenerateInput
+    sweep = _Sweep(g, comps, alphas, period, rows)
     # every leaf's own pairs first, unbounded, so that the branch and
     # bound starts from a running maximum
     sweep.evaluate_leaves()
 
     # tiles are the pairs of chunks, whose boxes join their leaves' boxes
-    starts = sweep.geometry.starts
+    starts = g.starts
     tp, tq = np.triu_indices(len(starts))
     if strategy == "brute_force":
         for s in range(0, len(tp), TILE_BATCH):
@@ -780,7 +752,6 @@ def pairwise_holder_max(coords, comps, alphas, strategy="pruned", period=None,
             for t in range(0, len(la), BATCH):
                 sweep.evaluate(la[t:t + BATCH], lb[t:t + BATCH])
     else:
-        g = sweep.geometry
         vlo = np.minimum.reduceat(sweep.vlo, starts, axis=1)
         vhi = np.maximum.reduceat(sweep.vhi, starts, axis=1)
         models = None
@@ -795,8 +766,8 @@ def pairwise_holder_max(coords, comps, alphas, strategy="pruned", period=None,
                 sweep.leaf_models = sweep.models(LEAF)
             else:
                 models = None
-        gaps = sweep.derived(sweep.key, "tiles",
-                             lambda: _box_gaps(g.chunk_lo, g.chunk_hi, tp, tq, alphas, period))
+        gaps = g.derived(sweep.key, "tiles",
+                         lambda: _box_gaps(g.chunk_lo, g.chunk_hi, tp, tq, alphas, period))
         tiles = sweep.bounds(gaps, g.chunk_lo, g.chunk_hi, vlo, vhi, models, tp, tq)
         sweep.drain(tiles, TILE_BATCH, sweep.push)
         sweep.drain(sweep.queue, BATCH, sweep.evaluate)

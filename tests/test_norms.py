@@ -15,9 +15,9 @@ from neumann_lab import norms
 from neumann_lab.domain import DomainSpec, build_mesh
 from neumann_lab.errors import ConfigError, DegenerateInput
 from neumann_lab.field import BoundaryFunction, GridFunction, gradient
-from neumann_lab.norms import (LEAF, STRATEGIES, TILE, _box_bounds, _box_gaps, _derivative_stack,
-                               _layout, c_k_alpha_norm, holder_report_bundle, holder_reports,
-                               l2_norm, pairwise_holder_max)
+from neumann_lab.norms import (LEAF, STRATEGIES, TILE, _affine_bounds, _affine_models,
+                               _box_bounds, _box_gaps, _derivative_stack, _layout, c_k_alpha_norm,
+                               holder_report_bundle, holder_reports, l2_norm, pairwise_holder_max)
 from neumann_lab.solver import solve_neumann
 from neumann_lab.verify import ProblemFamily
 
@@ -396,6 +396,26 @@ def test_kd_tile_layout(n, layout, rng):
     assert pairs == n * (n - 1) // 2
 
 
+def _exact_leaf_maxima(g, xy, values, alphas, rows, period=None):
+    """The exact largest quotient of each (group, exponent) over the node
+    pairs of every two leaves of the node set g, in the kernel's
+    arithmetic, exp(-a/2 log d^2): a (groups, len(alphas), leaves, leaves)
+    array.  Coincident pairs, padding copies among them, do not count."""
+    P = xy[g.padded]
+    d2 = 0.0
+    for a in range(P.shape[1]):
+        dx = P[:, None, a] - P[None, :, a]
+        if period is not None:
+            dx = np.minimum(np.abs(dx), period - np.abs(dx))
+        d2 = d2 + dx * dx
+    w = np.exp(np.log(np.where(d2 == 0.0, np.inf, d2))[None] * (-0.5 * alphas)[:, None, None])
+    V = values[:, g.padded]
+    quot = np.abs(V[:, :, None] - V[:, None, :])[:, None] * w[None]
+    quot[:, :, d2 == 0.0] = -np.inf
+    quot = np.maximum.reduceat(quot, rows, axis=0)
+    return quot.reshape(len(rows), len(alphas), g.nleaf, LEAF, g.nleaf, LEAF).max(axis=(3, 5))
+
+
 def _spread_cases():
     """(coords, values, period) on which the spread bound is attained: a
     20x20 lattice of spacing 1e-3, a strip 1e-6 wide of two rows of 150
@@ -421,30 +441,15 @@ def test_spread_bounds_hold_at_both_levels(case):
     # every (group, exponent) spread bound of every box pair, leaves and
     # chunks, is at least the exact maximum over the pair's node pairs in
     # the kernel's arithmetic, exp(-a/2 log d^2); the chunks' bounds come
-    # from the tile gaps the node set keeps.  On these inputs some bounds
-    # are attained up to SLACK, so a bound without it, or a loop's dmin
-    # without the seam, fails here.
+    # from the tile gaps the node set keeps from its first sweep.  On these
+    # inputs some bounds are attained up to SLACK, so a bound without it,
+    # or a loop's dmin without the seam, fails here.
     xy, values, period = _spread_cases()[case]
     alphas, rows = np.array([0.3, 0.5, 0.7, 0.99]), np.array([0, 1])
-    for _ in range(2):
-        pairwise_holder_max(xy, values, alphas, "pruned", period, groups=[1, 2])
-    node_set = norms._node_set(xy.shape, xy.tobytes())
-    g = node_set.kept[None, "geometry"]
-    # every node pair's quotient in leaf order; coincident pairs, padding
-    # copies among them, do not count
-    P = xy[g.padded]
-    d2 = 0.0
-    for a in range(P.shape[1]):
-        dx = P[:, None, a] - P[None, :, a]
-        if period is not None:
-            dx = np.minimum(np.abs(dx), period - np.abs(dx))
-        d2 = d2 + dx * dx
-    w = np.exp(np.log(np.where(d2 == 0.0, np.inf, d2))[None] * (-0.5 * alphas)[:, None, None])
+    pairwise_holder_max(xy, values, alphas, "pruned", period, groups=[1, 2])
+    g = norms._node_set(xy.shape, xy.tobytes())
+    exact = _exact_leaf_maxima(g, xy, values, alphas, rows, period)
     V = values[:, g.padded]
-    quot = np.abs(V[:, :, None] - V[:, None, :])[:, None] * w[None]
-    quot[:, :, d2 == 0.0] = -np.inf
-    quot = np.maximum.reduceat(quot, rows, axis=0)
-    exact = quot.reshape(len(rows), len(alphas), g.nleaf, LEAF, g.nleaf, LEAF).max(axis=(3, 5))
     vlo, vhi = (f(V.reshape(len(V), g.nleaf, LEAF), axis=2) for f in (np.min, np.max))
     tight = 0
     for level in ("leaves", "chunks"):
@@ -452,7 +457,7 @@ def test_spread_bounds_hold_at_both_levels(case):
         p, q = np.triu_indices(lo.shape[1])
         gaps = _box_gaps(lo, hi, p, q, alphas, period)
         if level == "chunks":
-            kept = node_set.kept[(period, tuple(alphas.tolist())), "tiles"]
+            kept = g.kept[(period, tuple(alphas.tolist())), "tiles"]
             assert all(np.array_equal(a, b) for a, b in zip(kept, gaps))
             gaps = kept
             exact = np.maximum.reduceat(np.maximum.reduceat(exact, g.starts, axis=2),
@@ -462,6 +467,58 @@ def test_spread_bounds_hold_at_both_levels(case):
         bound, attained = _box_bounds(gaps, vlo, vhi, p, q, rows), exact[:, :, p, q]
         assert (bound >= attained).all()
         tight += int((bound <= attained * (1.0 + 2e-9)).sum())
+    assert tight > 0
+
+
+def _affine_cases():
+    """(coords, values) of 300 nodes from the probe families of the affine
+    bound: exactly affine fields with large offsets and steep slopes on a
+    line (collinear nodes, whose Gram matrices need the ridge), affine
+    fields plus 1e-12 noise on a tilted line, and an affine field on a
+    ring of radius 1e3 jittered by 1e-6, whose leaves are near-collinear.
+    Rows: the field, its negative and three times it, as groups [1, 2]."""
+    rng = np.random.default_rng(4)
+    n = 300
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    line, tilt = np.column_stack([x, 0.0 * x]), np.column_stack([x, 0.5 * x])
+    t = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    r = 1e3 + 1e-6 * rng.standard_normal(n)
+    ring = np.column_stack([r * np.cos(t), r * np.sin(t)])
+    cases = [(line, 1e8 + x), (line, -7e11 + 5e3 * x),
+             (tilt, 1e-3 * x + 1e-12 * rng.standard_normal(n)),
+             (tilt, x + 1e-12 * rng.standard_normal(n)),
+             (ring, 1e9 + ring[:, 0] - 3.0 * ring[:, 1])]
+    return [(xy, np.vstack([v, -v, 3.0 * v])) for xy, v in cases]
+
+
+def test_affine_bounds_hold_at_both_levels():
+    # every (group, exponent) affine bound of every box pair, leaf pairs and
+    # tiles, from the models on the fit frames the node set keeps from its
+    # sweep, is at least the exact maximum over the pair's node pairs in the
+    # kernel's arithmetic; a bound is NaN, none, only where dmin is 0.  Some
+    # bounds are attained up to SLACK, so a bound that drops the residuals,
+    # or takes dmax without the radii, fails here.
+    alphas, rows = np.array([0.3, 0.5, 0.7, 0.99]), np.array([0, 1])
+    tight = 0
+    for xy, values in _affine_cases():
+        pairwise_holder_max(xy, values, alphas, "pruned", groups=[1, 2])
+        g = norms._node_set(xy.shape, xy.tobytes())
+        exact = _exact_leaf_maxima(g, xy, values, alphas, rows)
+        cols = np.vstack([g.cols, values[:, g.padded]])
+        for size in (LEAF, TILE):
+            models = _affine_models(g.kept[None, size], cols)
+            if size == LEAF:
+                lo, hi, (p, q) = g.lo, g.hi, np.triu_indices(g.nleaf, 1)
+                dmin = _box_gaps(lo, hi, p, q, alphas, None)[0]
+            else:
+                lo, hi, (p, q) = g.chunk_lo, g.chunk_hi, np.triu_indices(len(g.starts))
+                dmin = g.kept[(None, tuple(alphas.tolist())), "tiles"][0]
+                exact = np.maximum.reduceat(np.maximum.reduceat(exact, g.starts, axis=2),
+                                            g.starts, axis=3)
+            bound = _affine_bounds(models, lo, hi, p, q, dmin, alphas, rows)
+            attained = exact[:, :, p, q]
+            assert ((bound >= attained) | (np.isnan(bound) & (dmin == 0.0))).all()
+            tight += int((bound <= attained * (1.0 + 2e-9)).sum())
     assert tight > 0
 
 
@@ -628,44 +685,45 @@ def _rough_lattice_field():
 
 def test_kernel_memory_is_bounded_by_the_batch():
     # ten stacked smooth fields on the (48,192) disk, and one rough field on
-    # the 100x100 lattice, whose leaf self pairs are all evaluated: the
-    # kernel's transient memory follows the batch and the tile count, not
-    # the number of leaf pairs (173k on the disk)
-    for xy, values in (_ten_smooth_disk_fields(), _rough_lattice_field()):
-        tracemalloc.start()
-        try:
-            pairwise_holder_max(xy, values, (0.3, 0.5, 0.7), "pruned")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
-
-
-def test_kernel_memory_on_the_sweep_that_keeps_leaf_weights():
-    # a node set's second sweep makes what it keeps in arrays of their own:
-    # its peak stays under the same 8 MiB, and it keeps, in 8-byte words,
-    # the leaves' own-pair weights, the geometry, the fit frames of the
-    # levels it fits and the tile gaps, plus the objects holding them.  The
-    # smooth stack fits both levels, the rough field its chunks alone.
+    # the 100x100 lattice, whose leaf self pairs are all evaluated.  A cold
+    # sweep builds the node set and keeps what it derives in arrays of their
+    # own, and its transient memory follows the batch and the tile count,
+    # not the number of leaf pairs (173k on the disk): its peak stays under
+    # 8 MiB.  It keeps, in 8-byte words, the memo's key (the coordinates'
+    # bytes), the node set's leaf order, slots, coordinate rows, boxes and
+    # sizes, the leaves' own-pair weights, the fit frames of the levels it
+    # fits and the tile gaps, plus the objects holding them.  The smooth
+    # stack fits both levels, the rough field its chunks alone.  A warm
+    # sweep replaces nothing its node set keeps and keeps no further bytes,
+    # but for the interpreter's free lists.  A small sweep comes first, so
+    # that the one-time state of the interpreter and numpy is not counted.
     alphas = (0.3, 0.5, 0.7)
+    xy, values = _rough_lattice_field()
+    pairwise_holder_max(xy[:500], values[:, :500], alphas, "pruned")
     for (xy, values), levels in ((_ten_smooth_disk_fields(), 2), (_rough_lattice_field(), 1)):
-        pairwise_holder_max(xy, values, alphas, "pruned")
+        norms._node_set.cache_clear()
         tracemalloc.start()
         try:
             pairwise_holder_max(xy, values, alphas, "pruned")
             kept, peak = tracemalloc.get_traced_memory()
+            held = norms._node_set(xy.shape, xy.tobytes()).kept
+            pairwise_holder_max(xy, values, alphas, "pruned")
+            warm, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
         d, nleaf, nchunk = 2, -(-len(xy) // LEAF), -(-len(xy) // TILE)
         boxes = [nchunk, nleaf][:levels]
-        words = (len(alphas) * (LEAF * (LEAF - 1) // 2) * nleaf     # own-pair weights
-                 + (d + 2) * nleaf * LEAF                           # geometry: coordinate rows,
-                 + (2 * d + 1) * (nleaf + nchunk)                   # order, slots, boxes, sizes
+        words = (d * len(xy)                                        # the memo's key
+                 + len(alphas) * (LEAF * (LEAF - 1) // 2) * nleaf   # own-pair weights
+                 + (d + 2) * nleaf * LEAF                           # coordinate rows, order,
+                 + (2 * d + 1) * (nleaf + nchunk)                   # slots, boxes, sizes
                  + (d * d + d + 1) * sum(boxes)                     # frames: inverses, centres,
                  + TILE * nchunk                                    # radii; the chunks' runs
                  + (1 + len(alphas)) * nchunk * (nchunk + 1) // 2)  # tile gaps
         assert 8 * words <= kept <= 8 * words + 16 * 2**10
+        assert norms._node_set(xy.shape, xy.tobytes()).kept is held
+        assert abs(warm - kept) < 8 * 2**10
 
 
 @pytest.mark.parametrize("shape", [(1200,), (30, 30)])
@@ -768,18 +826,17 @@ def _counted_layouts(monkeypatch):
     return layouts
 
 
-def _counted_keeps(monkeypatch):
-    """The (key, name) of every value a node set keeps from here on: key
-    None for its geometry and fit frames (names TILE and LEAF), its
+def _counted_builds(monkeypatch):
+    """The (key, name) of every value a node set builds, and keeps, from
+    here on: key None for its fit frames (names TILE and LEAF), its
     (period, alphas) for its leaf weights and tile gaps."""
     builds = []
-    keep = norms._NodeSet.keep
+    derived = norms._NodeSet.derived
 
-    def counted(node_set, key, name, value):
-        builds.append((key, name))
-        keep(node_set, key, name, value)
+    def counted(node_set, key, name, build):
+        return derived(node_set, key, name, lambda: builds.append((key, name)) or build())
 
-    monkeypatch.setattr(norms._NodeSet, "keep", counted)
+    monkeypatch.setattr(norms._NodeSet, "derived", counted)
     return builds
 
 
@@ -820,10 +877,10 @@ def test_field_seminorm_is_the_order_0_norm(spec, res, monkeypatch):
 
 def test_kernel_builds_each_alternating_node_set_once(monkeypatch, rng):
     # rounds of three rough fields on the 100x100 lattice, then three on
-    # the (48,192) disk's nodes: each node set's layout is built once in
-    # all, and on its second sweep its geometry, its leaf weights, its
-    # chunks' fit frame and its tile gaps once (rough fields fit no
-    # leaves); every call returns what it returns on a cleared memo
+    # the (48,192) disk's nodes: each node set is built once in all, and
+    # its first sweep builds its leaf weights, its chunks' fit frame and
+    # its tile gaps once (rough fields fit no leaves); every call returns
+    # what it returns on a cleared memo
     xs = np.linspace(0.0, 1.0, 100)
     mesh = build_mesh(DomainSpec.disk(), (48, 192))
     sets = [np.column_stack([c.ravel() for c in np.meshgrid(xs, xs)]),
@@ -831,11 +888,11 @@ def test_kernel_builds_each_alternating_node_set_once(monkeypatch, rng):
     calls = [(xy, v[None, :]) for _ in range(2)
              for xy in sets for v in rng.standard_normal((3, len(xy)))]
     alphas = (0.3, 0.5, 0.7)
-    layouts, builds = _counted_layouts(monkeypatch), _counted_keeps(monkeypatch)
+    layouts, builds = _counted_layouts(monkeypatch), _counted_builds(monkeypatch)
     kept = [pairwise_holder_max(xy, v, alphas, "pruned") for xy, v in calls]
     assert sorted(layouts) == [9408, 10000]
     key = (None, alphas)
-    assert builds == [(None, "geometry"), (key, "leaves"), (None, TILE), (key, "tiles")] * 2
+    assert builds == [(key, "leaves"), (None, TILE), (key, "tiles")] * 2
     for (xy, v), (best, wit, pairs) in zip(calls, kept):
         norms._node_set.cache_clear()
         fresh_best, fresh_wit, fresh_pairs = pairwise_holder_max(xy, v, alphas, "pruned")
@@ -844,9 +901,11 @@ def test_kernel_builds_each_alternating_node_set_once(monkeypatch, rng):
         assert pairs == fresh_pairs
     # a study's pattern: each rung's volume nodes, then its boundary loop,
     # three rungs in turn and twice over.  Each node set is evicted before
-    # it comes round again, so every sweep is a first one and keeps
-    # nothing but its layout.
+    # it comes round again, so every sweep is a first one: it builds the
+    # node set, its leaf weights and tile gaps, and on the volume nodes
+    # its chunks' fit frame.
     norms._node_set.cache_clear()
+    builds.clear()
     meshes = [build_mesh(DomainSpec.disk(), res) for res in ((8, 32), (12, 48), (16, 64))]
     sets = [s for mesh in meshes for s in ((np.vstack([mesh.interior_xy, mesh.boundary_xy]), None),
                                            (mesh.arc[:, None], mesh.boundary_measure))]
@@ -854,7 +913,10 @@ def test_kernel_builds_each_alternating_node_set_once(monkeypatch, rng):
         for xy, period in sets:
             pairwise_holder_max(xy, rng.standard_normal((1, len(xy))), alphas, "pruned", period)
     assert len(layouts) == 2 + 2 * len(sets) + 12
-    assert len(builds) == 8
+    keys = [((None, alphas), (mesh.boundary_measure, alphas)) for mesh in meshes]
+    assert builds == [build for volume, loop in keys * 2
+                      for build in ((volume, "leaves"), (None, TILE), (volume, "tiles"),
+                                    (loop, "leaves"), (loop, "tiles"))]
 
 
 def _memo_sets(rng):
@@ -874,10 +936,10 @@ def _memo_sets(rng):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_kept_leaf_weights_leave_every_result_bitwise(strategy, monkeypatch, rng):
-    # a node set's cold sweep, its second, which makes and keeps its leaf
-    # weights, and its third, which reads them, give the same maxima,
-    # witnesses and pair counts
-    builds = _counted_keeps(monkeypatch)
+    # a node set's cold sweep, which builds and keeps its leaf weights, and
+    # two warm sweeps, which read them, give the same maxima, witnesses and
+    # pair counts
+    builds = _counted_builds(monkeypatch)
     for xy, values, period in _memo_sets(rng):
         norms._node_set.cache_clear()
         cold, *warm = (pairwise_holder_max(xy, values, (0.3, 0.7), strategy, period)
@@ -910,52 +972,53 @@ def test_kept_leaf_weights_are_keyed_by_period_and_exponents(monkeypatch):
         expected[period, alphas] = pairwise_holder_max(xy, values, alphas, "brute_force", period)
     assert not np.array_equal(expected[None, (0.3, 0.7)][0], expected[1.0, (0.3, 0.7)][0])
     norms._node_set.cache_clear()
-    builds = _counted_keeps(monkeypatch)
+    builds = _counted_builds(monkeypatch)
     for _ in range(2):
         for period, alphas in keys:
             best, wit, pairs = pairwise_holder_max(xy, values, alphas, "pruned", period)
             assert np.array_equal(best, expected[period, alphas][0])
             assert np.array_equal(wit, expected[period, alphas][1])
-    # every sweep but the first replaces the leaf weights and tile gaps of
-    # the key before it
-    assert _keys(builds, "leaves") == _keys(builds, "tiles") == (keys * 2)[1:]
+    # every sweep builds its leaf weights and tile gaps, which replace
+    # those of the key before it
+    assert _keys(builds, "leaves") == _keys(builds, "tiles") == keys * 2
 
 
 def test_eviction_drops_a_node_sets_weights(monkeypatch, rng):
     sets = [rng.random((300, 2)) for _ in range(3)]
     v = rng.standard_normal((1, 300))
-    builds = _counted_keeps(monkeypatch)
-    for _ in range(2):
-        pairwise_holder_max(sets[0], v, (0.5,), "pruned")
+    builds = _counted_builds(monkeypatch)
+    pairwise_holder_max(sets[0], v, (0.5,), "pruned")
     assert len(_keys(builds, "leaves")) == 1
-    kept = norms._node_set(sets[0].shape, sets[0].tobytes()).kept
-    key = None, (0.5,)
-    # every kept array is read-only, and goes with its node set
-    arrays = [kept[key, "leaves"][0][0], kept[None, "geometry"].cols, *kept[None, TILE],
-              *kept[key, "tiles"]]
+    node_set = norms._node_set(sets[0].shape, sets[0].tobytes())
+    kept, key = node_set.kept, (None, (0.5,))
+    # every array of the node set and every kept array is read-only, and
+    # goes with the node set
+    arrays = [node_set.padded, node_set.cols, node_set.lo, node_set.chunk_hi,
+              kept[key, "leaves"][0][0], *kept[None, TILE], *kept[key, "tiles"]]
     assert not any(a.flags.writeable for a in arrays)
     refs = [weakref.ref(a) for a in arrays]
-    del kept, arrays
+    del node_set, kept, arrays
     for xy in sets[1:]:
         pairwise_holder_max(xy, v, (0.5,), "pruned")
     assert all(ref() is None for ref in refs)
-    # the node set comes back new: its next sweep is a first one, and the
-    # one after that keeps weights again
+    # the node set comes back new: its next sweep builds its weights again,
+    # and the one after that reads them
+    builds.clear()
     pairwise_holder_max(sets[0], v, (0.5,), "pruned")
     assert len(_keys(builds, "leaves")) == 1
     pairwise_holder_max(sets[0], v, (0.5,), "pruned")
-    assert len(_keys(builds, "leaves")) == 2
+    assert len(_keys(builds, "leaves")) == 1
 
 
 def test_layout_memo_keeps_the_last_two_node_sets_by_their_coordinates(monkeypatch, rng):
     sets = [rng.random((n, 2)) for n in (300, 300, 301)]
     v = rng.standard_normal(301)
     layouts = _counted_layouts(monkeypatch)
-    orders = [norms._node_set(xy.shape, xy.tobytes()).order for xy in sets]
+    orders = [norms._node_set(xy.shape, xy.tobytes()).padded[:len(xy)] for xy in sets]
     assert norms._node_set.cache_info().currsize == norms.LAYOUTS == 2
     assert len(layouts) == 3 and not orders[0].flags.writeable
     # the evicted first node set is built again, to the same order
-    again = norms._node_set(sets[0].shape, sets[0].tobytes()).order
+    again = norms._node_set(sets[0].shape, sets[0].tobytes()).padded[:300]
     assert len(layouts) == 4 and np.array_equal(again, orders[0])
     # a copy in a new array hits the memo; coordinates changed in place miss it
     copy = sets[0].copy()
@@ -964,7 +1027,8 @@ def test_layout_memo_keeps_the_last_two_node_sets_by_their_coordinates(monkeypat
     copy[7] = sets[1][7]
     moved = pairwise_holder_max(copy, v[:300], (0.5,), "pruned")
     assert len(layouts) == 5
-    assert np.array_equal(norms._node_set(copy.shape, copy.tobytes()).order, _layout(copy))
+    assert np.array_equal(norms._node_set(copy.shape, copy.tobytes()).padded[:300],
+                          _layout(copy))
     assert np.array_equal(moved[0], pairwise_holder_max(copy, v[:300], (0.5,), "brute_force")[0])
 
 
@@ -982,15 +1046,15 @@ def test_layout_memo_is_shared_by_threads(monkeypatch, rng):
             results = [fut.result(timeout=60) for fut in futures]
     finally:
         sys.setswitchinterval(interval)
-    # two threads promote one node set at once: each waits, weights made,
-    # until the other has made its own, and both keep them; a third sweep
-    # then reads what the last one kept
+    # two threads make the first sweeps of one held node set at once: each
+    # waits, weights built, until the other has built its own, and both
+    # keep them; a third sweep then reads what the last one kept
     norms._node_set.cache_clear()
-    pairwise_holder_max(*calls[0], (0.3, 0.7), "pruned")
-    builds = _counted_keeps(monkeypatch)
-    keep, meet = norms._NodeSet.keep, threading.Barrier(2, timeout=30)
-    monkeypatch.setattr(norms._NodeSet, "keep",
-                        lambda *args: (args[2] != "leaves" or meet.wait() is None) or keep(*args))
+    norms._node_set(calls[0][0].shape, calls[0][0].tobytes())
+    builds = _counted_builds(monkeypatch)
+    derived, meet = norms._NodeSet.derived, threading.Barrier(2, timeout=30)
+    monkeypatch.setattr(norms._NodeSet, "derived", lambda node_set, key, name, build: derived(
+        node_set, key, name, lambda: (build(), name != "leaves" or meet.wait())[0]))
     with ThreadPoolExecutor(max_workers=4) as pool:
         futures = [pool.submit(pairwise_holder_max, *calls[0], (0.3, 0.7), "pruned")
                    for _ in range(2)]
@@ -1020,9 +1084,10 @@ def test_degenerate_inputs(monkeypatch, rng):
         pairwise_holder_max(np.array([0.0]), np.array([[1.0]]), (0.5,))
     with pytest.raises(DegenerateInput):
         pairwise_holder_max(np.array([0.5, 0.5]), np.array([[1.0, 2.0]]), (0.5,))
-    # more coincident nodes than one chunk holds, under both strategies,
-    # on a loop, and with no exponent, which is checked after them: each
-    # raises before a layout is built, and the memo holds nothing
+    # more coincident nodes than one chunk holds, under both strategies and
+    # on a loop: each raises before a layout is built, and the memo holds
+    # nothing.  Every argument is checked first, so a degenerate call with
+    # no exponent, or one node and a bad strategy, is a ConfigError.
     n = TILE + 5
     plane, values = np.full((n, 2), 0.25), rng.standard_normal((1, n))
     for strategy in STRATEGIES:
@@ -1030,24 +1095,48 @@ def test_degenerate_inputs(monkeypatch, rng):
             pairwise_holder_max(plane, values, (0.5,), strategy)
     with pytest.raises(DegenerateInput, match="all nodes coincide"):
         pairwise_holder_max(np.full((n, 1), 0.5), values, (0.5,), "pruned", period=1.0)
-    with pytest.raises(DegenerateInput, match="all nodes coincide"):
+    with pytest.raises(ConfigError, match="at least one exponent"):
         pairwise_holder_max(plane, values, (), "pruned")
+    with pytest.raises(ConfigError, match="unknown pair strategy"):
+        pairwise_holder_max(np.array([0.0]), np.array([[1.0]]), (0.5,), "magic")
     assert layouts == [] and norms._node_set.cache_info().currsize == 0
     # a degenerate call between sweeps of two held node sets evicts
-    # neither: each keeps what it kept, and builds nothing more
+    # neither: each keeps what its first sweep kept, and builds nothing more
     sets, field = [rng.random((300, 2)), rng.random((200, 2))], rng.standard_normal((1, 300))
-    for _ in range(2):
-        for xy in sets:
-            pairwise_holder_max(xy, field[:, :len(xy)], (0.5,), "pruned")
+    for xy in sets:
+        pairwise_holder_max(xy, field[:, :len(xy)], (0.5,), "pruned")
     held = [norms._node_set(xy.shape, xy.tobytes()).kept for xy in sets]
-    builds = _counted_keeps(monkeypatch)
+    builds = _counted_builds(monkeypatch)
     with pytest.raises(DegenerateInput):
         pairwise_holder_max(plane, values, (0.5,), "pruned")
     for xy, kept in zip(sets, held):
         pairwise_holder_max(xy, field[:, :len(xy)], (0.5,), "pruned")
         assert norms._node_set(xy.shape, xy.tobytes()).kept is kept
-        assert {(None, "geometry"), (None, TILE), ((None, (0.5,)), "tiles")} <= kept.keys()
+        key = None, (0.5,)
+        assert {(key, "leaves"), (None, TILE), (key, "tiles")} <= kept.keys()
     assert layouts == [300, 200] and builds == []
+
+
+@pytest.mark.parametrize("bad", [{"alphas": (2.0,)}, {"alphas": ()}, {"strategy": "magic"},
+                                 {"groups": [2]}])
+def test_a_bad_argument_on_new_coordinates_leaves_the_memo_alone(bad, monkeypatch, rng):
+    # a call with a bad exponent, strategy or row groups on coordinates the
+    # memo does not hold raises ConfigError before it builds a layout: both
+    # held node sets stay held, each with the very dict of what it keeps
+    sets, field = [rng.random((300, 2)), rng.random((200, 2))], rng.standard_normal((1, 300))
+    for xy in sets:
+        pairwise_holder_max(xy, field[:, :len(xy)], (0.5,), "pruned")
+    held = [norms._node_set(xy.shape, xy.tobytes()) for xy in sets]
+    kept = [node_set.kept for node_set in held]
+    layouts = _counted_layouts(monkeypatch)
+    args = {"alphas": (0.5,), "strategy": "pruned", "groups": None, **bad}
+    with pytest.raises(ConfigError):
+        pairwise_holder_max(rng.random((400, 2)), field[:, :1].repeat(400, axis=1), **args)
+    assert layouts == [] and norms._node_set.cache_info().currsize == 2
+    for xy, node_set, dict_ in zip(sets, held, kept):
+        assert norms._node_set(xy.shape, xy.tobytes()) is node_set
+        assert node_set.kept is dict_
+    assert layouts == []
 
 
 def test_holder_params_validation(disk_mesh_small):
